@@ -14,7 +14,8 @@ from typing import List, Sequence, Tuple, Union
 
 from .errors import ChargeError, LatticeError
 from .gaussian import GaussianRational, as_fraction, gaussian
-from .lattice import ChernCharacter, MukaiVector, NSLattice, twist_chern
+from .lattice import ChernCharacter, MukaiVector, NSLattice
+from .linalg import dot, mat_vec
 
 
 class Order(enum.Enum):
@@ -73,6 +74,28 @@ def curve_charge(degree: int, rank: int) -> GaussianRational:
     return gaussian(-degree, rank)
 
 
+def charge_functional(lat: NSLattice, beta: Sequence[Fraction],
+                      omega: Sequence[Fraction]) -> List[GaussianRational]:
+    """The charge at (beta, omega) as a functional on the extended lattice:
+    its values on the standard basis (r, c_1..c_rho, s).
+
+    Pairing e^(beta + i omega) = (1, beta + i omega, (beta + i omega)^2 / 2)
+    against (r, c, s) gives
+
+        (beta + i omega).c - s - r (beta + i omega)^2 / 2,
+
+    with (beta + i omega)^2 = beta^2 - omega^2 + 2 i beta.omega. Both
+    conventions share this functional: the last slot is Mukai s on a K3 and
+    ch2 on a general surface. No positive-cone check is made here.
+    """
+    g_beta = mat_vec(lat.gram, beta)
+    g_omega = mat_vec(lat.gram, omega)
+    b2, w2, bw = dot(beta, g_beta), dot(omega, g_omega), dot(beta, g_omega)
+    return [GaussianRational((w2 - b2) / 2, -bw),
+            *map(GaussianRational, g_beta, g_omega),
+            GaussianRational(Fraction(-1), Fraction(0))]
+
+
 def surface_charge(ch: ChernCharacter, params: ChargeParams) -> GaussianRational:
     """Surface-convention charge
 
@@ -80,59 +103,41 @@ def surface_charge(ch: ChernCharacter, params: ChargeParams) -> GaussianRational
 
     which equals minus the codimension-2 part of e^(-i omega - beta) ch.
     """
-    if params.lattice.k3:
+    lat = params.lattice
+    if lat.k3:
         raise ChargeError("lattice is flagged K3; use k3_charge")
-    tw = twist_chern(ch, params.beta, params.lattice)
-    re = ch.ch0 * params.omega_sq() / 2 - tw.ch2
-    im = params.lattice.ns_dot(params.omega, tw.ch1)
-    return gaussian(re, im)
+    if len(ch.ch1) != lat.rank:
+        raise LatticeError("NS coordinate length mismatch")
+    row = charge_functional(lat, params.beta, params.omega)
+    return evaluate_charge_row(row, (ch.ch0, *ch.ch1, ch.ch2))
 
 
 def k3_charge(v: MukaiVector, params: ChargeParams) -> GaussianRational:
     """K3-convention charge: the extended pairing (e^(beta + i omega), v).
 
-    Expanding e^(beta+i omega) = (1, beta+i omega, (beta+i omega)^2 / 2) and
-    pairing against v = (r, c, s) gives
-
-        (beta + i omega).c - s - r (beta + i omega)^2 / 2,
-
-    with (beta+i omega)^2 = beta^2 - omega^2 + 2 i beta.omega; this equals the
-    codimension-2 integral against ch sqrt(td) with the opposite sign (checked
-    term by term in the test suite).
+    This equals the codimension-2 integral against ch sqrt(td) with the
+    opposite sign (checked term by term in the test suite).
     """
-    lat = params.lattice
-    if not lat.k3:
-        raise ChargeError("lattice is not flagged K3; use surface_charge")
-    if len(v.c) != lat.rank:
+    row = charge_row(params)
+    if len(v.c) != params.lattice.rank:
         raise LatticeError("Mukai vector has wrong NS rank")
-    b_c = lat.ns_dot(params.beta, v.c)
-    w_c = lat.ns_dot(params.omega, v.c)
-    b2 = lat.ns_dot(params.beta, params.beta)
-    w2 = params.omega_sq()
-    bw = lat.ns_dot(params.beta, params.omega)
-    re = b_c - v.s - Fraction(v.r) * (b2 - w2) / 2
-    im = w_c - Fraction(v.r) * bw
-    return gaussian(re, im)
+    return evaluate_charge_row(row, v.coords())
 
 
 def charge_row(params: ChargeParams) -> List[GaussianRational]:
-    """The charge as a functional on the extended lattice: its values on the
-    standard basis (r, c_1..c_rho, s)."""
-    lat = params.lattice
-    n = lat.mukai_rank
-    rows = []
-    for i in range(n):
-        coords = [0] * n
-        coords[i] = 1
-        rows.append(k3_charge(MukaiVector.from_coords(coords), params))
-    return rows
+    """The K3 charge as a functional on the extended lattice: its values on
+    the standard basis (r, c_1..c_rho, s)."""
+    if not params.lattice.k3:
+        raise ChargeError("lattice is not flagged K3; use surface_charge")
+    return charge_functional(params.lattice, params.beta, params.omega)
 
 
 def evaluate_charge_row(row: Sequence[GaussianRational], coords: Sequence) -> GaussianRational:
-    z = gaussian(0)
-    for zi, xi in zip(row, coords):
-        z = z + zi * as_fraction(xi)
-    return z
+    """Value of a charge functional on a class given by its int or Fraction
+    coordinates (a float coordinate makes GaussianRational refuse the sum)."""
+    re = sum((z.re * x for z, x in zip(row, coords)), Fraction(0))
+    im = sum((z.im * x for z, x in zip(row, coords)), Fraction(0))
+    return GaussianRational(re, im)
 
 
 def phase_valid(z: GaussianRational) -> bool:
@@ -165,14 +170,6 @@ def phase_compare(z1: GaussianRational, z2: GaussianRational) -> Order:
     if cross < 0:
         return Order.GT
     return Order.EQ
-
-
-def phase_max(charges: Sequence[GaussianRational]) -> GaussianRational:
-    best = charges[0]
-    for z in charges[1:]:
-        if phase_compare(z, best) is Order.GT:
-            best = z
-    return best
 
 
 def slope(ch: ChernCharacter, params: ChargeParams) -> Slope:
@@ -268,21 +265,6 @@ def gieseker_compare(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> Order:
     if na < nb:
         return Order.LT
     return Order.EQ
-
-
-def hilbert_polynomial(ch: ChernCharacter, params: ChargeParams,
-                       todd2: Fraction = Fraction(2)) -> Tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (constant first) of P(n) = integral of e^(n omega) ch td.
-
-    td_1 = 0 and td_2 defaults to 2 (the K3 value); other surfaces can pass
-    their own degree-4 Todd number.
-    """
-    lat = params.lattice
-    w2 = params.omega_sq()
-    c2 = ch.ch0 * w2 / 2
-    c1 = lat.ns_dot(params.omega, ch.ch1)
-    c0 = ch.ch2 + ch.ch0 * as_fraction(todd2)
-    return (c0, c1, c2)
 
 
 def large_volume_phase(poly: Sequence[Fraction], n: Fraction) -> GaussianRational:

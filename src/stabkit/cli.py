@@ -63,7 +63,7 @@ def _load_json(path: str) -> Any:
 def _emit(args, payload: Dict[str, Any], summary: str,
           inputs: Optional[Dict[str, str]] = None,
           bounds: Optional[Dict[str, Any]] = None) -> None:
-    manifest = build_manifest(sys.argv[1:], inputs or {}, bounds or {},
+    manifest = build_manifest(args.argv, inputs or {}, bounds or {},
                               seed=getattr(args, "seed", None))
     doc = {"manifest": manifest.to_json(), "result": payload}
     text = ser.dumps(doc)
@@ -287,7 +287,7 @@ def cmd_plot(args) -> None:
                     as_fraction(res["region"]["b_max"]),
                     as_fraction(res["region"]["t_min"]),
                     as_fraction(res["region"]["t_max"]))
-    manifest = build_manifest(sys.argv[1:], {"walls": args.walls}, {})
+    manifest = build_manifest(args.argv, {"walls": args.walls}, {})
     svg = render_walls_svg(walls, region, timestamp=manifest.timestamp,
                            title="potential walls")
     with open(args.out, "w", encoding="utf-8") as f:
@@ -502,6 +502,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(_normalize_argv(list(argv)))
+    args.argv = list(argv)  # the manifest records the command as given
     try:
         args.fn(args)
     except (LatticeError, ChargeError, PresentationError, ValueError,

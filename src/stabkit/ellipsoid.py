@@ -11,7 +11,7 @@ from math import isqrt
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BudgetError
-from .linalg import frac_rows, is_positive_definite
+from .linalg import frac_rows
 
 
 def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
@@ -81,8 +81,3 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
         x[i] = 0
 
     yield from rec(n - 1, bound)
-
-
-def assert_positive_definite(gram: Sequence[Sequence[Fraction]]) -> None:
-    if not is_positive_definite(gram):
-        raise ValueError("form is not positive definite")

@@ -155,9 +155,9 @@ def mukai_pairing(v: MukaiVector, w: MukaiVector, lat: NSLattice) -> int:
     """(r,c,s).(r',c',s') = c.c' - r s' - r' s."""
     if len(v.c) != lat.rank or len(w.c) != lat.rank:
         raise LatticeError("Mukai vector has wrong NS rank")
-    val = lat.ns_dot(v.c, w.c) - v.r * w.s - w.r * v.s
-    assert val.denominator == 1
-    return int(val)
+    cc = sum(x * sum(g * y for g, y in zip(row, w.c))
+             for x, row in zip(v.c, lat.gram))
+    return cc - v.r * w.s - w.r * v.s
 
 
 def mukai_square(v: MukaiVector, lat: NSLattice) -> int:

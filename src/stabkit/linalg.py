@@ -6,7 +6,7 @@ floating point. Matrices are lists of lists, vectors are lists or tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 Vec = Sequence[Fraction]
@@ -27,10 +27,6 @@ def transpose(mat: Mat) -> List[List[Fraction]]:
 
 def mat_vec(mat: Mat, v: Vec) -> List[Fraction]:
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat]
-
-
-def vec_mat(v: Vec, mat: Mat) -> List[Fraction]:
-    return mat_vec(transpose(mat), v)
 
 
 def mat_mul(a: Mat, b: Mat) -> List[List[Fraction]]:
@@ -128,28 +124,23 @@ def nullspace(mat: Mat) -> List[List[Fraction]]:
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
-        basis.append(primitive_vector(v))
+        basis.append([Fraction(x) for x in primitive_vector(v)])
     return basis
 
 
-def primitive_vector(v: Vec) -> List[Fraction]:
-    """Rescale a nonzero rational vector to a primitive integer vector with
-    positive first nonzero entry; the zero vector is returned unchanged."""
-    denoms = [x.denominator for x in map(Fraction, v)]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+def primitive_vector(v: Sequence) -> List[int]:
+    """Rescale a rational vector (ints or Fractions) to a primitive integer
+    vector with positive first nonzero entry; the zero vector maps to zeros.
+
+    This is the one normalization of rays, conics and kernel vectors."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
-        return [Fraction(0)] * len(ints)
-    ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+        return ints
+    if next(x for x in ints if x != 0) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def signature(gram: Mat) -> Tuple[int, int, int]:
@@ -305,10 +296,7 @@ def integer_kernel(mat: Sequence[Sequence[int]], ncols: int | None = None) -> Li
 
 
 def gcd_vector(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*(int(x) for x in v))
 
 
 def minors2_gcd(row1: Sequence[int], row2: Sequence[int]) -> int:

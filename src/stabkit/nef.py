@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .charges import evaluate_charge_row
 from .errors import ChargeError, DegenerateError, LatticeError
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
-from .linalg import bilinear, integer_kernel, mat_vec, minors2_gcd, solve
+from .linalg import (bilinear, integer_kernel, mat_vec, minors2_gcd,
+                     primitive_vector, solve)
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .support import evaluate as charge_evaluate
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
 
 
@@ -40,7 +41,7 @@ def omega_class(v: MukaiVector, z_row: Sequence[GaussianRational],
     Z(w)/Z(v) is Gaussian rational, so the right-hand sides are exact; the
     pairing matrix must be invertible (it is, for any valid lattice)."""
     m = lat.mukai_gram()
-    zv = charge_evaluate(z_row, v)
+    zv = evaluate_charge_row(z_row, v.coords())
     if zv.is_zero():
         raise ChargeError("Z(v) = 0: Omega undefined")
     n = lat.mukai_rank
@@ -48,7 +49,7 @@ def omega_class(v: MukaiVector, z_row: Sequence[GaussianRational],
     for i in range(n):
         e = [0] * n
         e[i] = 1
-        rhs.append((charge_evaluate(z_row, e) / zv).im)
+        rhs.append((evaluate_charge_row(z_row, e) / zv).im)
     coords = solve(m, rhs)
     omega = OmegaClass(tuple(coords), v, tuple(z_row))
     # re-verify the postcondition on the full basis
@@ -242,7 +243,7 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
             continue
         if mukai_square(mv, lat) != 0:
             continue
-        ray = _canonical_ray(u)
+        ray = tuple(primitive_vector(u))
         if ray not in seen:
             seen.add(ray)
             out.append(MukaiVector.from_coords(ray))
@@ -285,13 +286,6 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _canonical_ray(u: Sequence[int]) -> Tuple[int, ...]:
-    lead = next((x for x in u if x != 0), 0)
-    if lead < 0:
-        return tuple(-x for x in u)
-    return tuple(u)
 
 
 def _lagrangian_isotropic_case(v: MukaiVector, lat: NSLattice,

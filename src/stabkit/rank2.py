@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateError, LatticeError
 from .lattice import MukaiVector, NSLattice, mukai_pairing
-from .linalg import integer_kernel, minors2_gcd, nullspace
+from .linalg import integer_kernel, minors2_gcd, nullspace, primitive_vector
 
 Pair = Tuple[int, int]
 Gram2 = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -193,21 +193,13 @@ def isotropic_rays_of_binary_form(gram2: Sequence[Sequence[int]]) -> List[Pair]:
         if e is None:
             return []
         for sgn in ((e,) if e == 0 else (e, -e)):
-            rays.add(_primitive_ray((-b + sgn, a)))
+            rays.add(tuple(primitive_vector((-b + sgn, a))))
     else:
         # Q = y (2 b x + c y)
         rays.add((1, 0))
         if b != 0:
-            rays.add(_primitive_ray((-c, 2 * b)))
+            rays.add(tuple(primitive_vector((-c, 2 * b))))
     return sorted(rays)
-
-
-def _primitive_ray(p: Pair) -> Pair:
-    g = gcd(abs(p[0]), abs(p[1]))
-    x, y = p[0] // g, p[1] // g
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return (x, y)
 
 
 def rank2_roots(h: Rank2Lattice, v: MukaiVector, pairing_bound: int) -> List[MukaiVector]:

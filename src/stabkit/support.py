@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .charges import evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid
 from .errors import BudgetError, ChargeError, DegenerateError
 from .gaussian import GaussianRational, as_fraction
@@ -101,13 +102,6 @@ def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
     return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
-def evaluate(z_row: Sequence[GaussianRational], v) -> GaussianRational:
-    c = _coords(v)
-    re = sum((z.re * x for z, x in zip(z_row, c)), Fraction(0))
-    im = sum((z.im * x for z, x in zip(z_row, c)), Fraction(0))
-    return GaussianRational(re, im)
-
-
 def charge_kernel(z_row: Sequence[GaussianRational],
                   ambient_gram: Sequence[Sequence[Fraction]]) -> ChargeKernel:
     """Exact kernel of Z with the pairing-orthogonal projector.
@@ -142,7 +136,7 @@ def charge_kernel(z_row: Sequence[GaussianRational],
     kernel = ChargeKernel(tuple(tuple(b) for b in basis),
                           tuple(tuple(row) for row in proj))
     for b in basis:
-        if not evaluate(z_row, b).is_zero():
+        if not evaluate_charge_row(z_row, b).is_zero():
             raise AssertionError("kernel basis vector not annihilated by Z")
     p2 = mat_mul(proj, proj)
     if p2 != [list(row) for row in proj]:
@@ -212,7 +206,7 @@ def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
         return bilinear(u, m, w) - bilinear(pu, m, pw)
 
     def z2(u) -> Tuple[Fraction, Fraction]:
-        zu = evaluate(z_row, u)
+        zu = evaluate_charge_row(z_row, u)
         return (zu.re, zu.im)
 
     eqs = []
@@ -244,7 +238,7 @@ def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
 
 def charge_norm_sq(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],
                    v) -> Fraction:
-    z = evaluate(z_row, v)
+    z = evaluate_charge_row(z_row, _coords(v))
     vec = [z.re, z.im]
     return bilinear(vec, s, vec)
 
@@ -423,7 +417,7 @@ def equivalent_support_roundtrip(q: QuadraticForm,
             continue
         a = mat_vec(proj, v)
         qa = bilinear(a, [list(r) for r in q.gram], a)
-        zabs = evaluate(z_row, v).norm2()
+        zabs = evaluate_charge_row(z_row, v).norm2()
         norm_sq = -qa + zabs
         verdicts.append(RoundtripVerdict(tuple(v), qv, False, norm_sq, zabs,
                                          zabs >= c2 * norm_sq))

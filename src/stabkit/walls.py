@@ -2,11 +2,14 @@
 two-parameter slice beta = beta0 + b H, omega = t H of stability parameters.
 
 A potential wall for v is the locus where some class w has Z(w) / Z(v) real.
-For the quadratic surface charges this locus, divided by the overall factor
-t, is an exact conic A (b^2 + t^2) + B b + D = 0: a semicircle centered on
-the b-axis, a vertical line, or nothing. Everything is computed and
-classified in exact rational arithmetic; walls are "potential" (charge
-alignment only), a superset of the actual walls.
+The charge is linear in the class, so this locus, divided by the overall
+factor t, is an exact conic A (b^2 + t^2) + B b + D = 0 in closed form: a
+semicircle centered on the b-axis, a vertical line, or nothing. Everything
+is computed and classified in exact rational arithmetic. Walls are
+"potential" (charge alignment only): among classes w inside the search box
+(every coordinate bounded by the search bound) they include every actual
+wall, but walls of classes outside the box are not seen, and the sampling
+oracle enumerates the same box, so it cannot find them either.
 """
 from __future__ import annotations
 
@@ -14,14 +17,14 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .charges import charge_functional, evaluate_charge_row
 from .errors import ChargeError, LatticeError
-from .gaussian import GaussianRational, as_fraction, gaussian
+from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice, mukai_pairing
-
-Poly = Dict[Tuple[int, int], Fraction]  # (deg_b, deg_t) -> coefficient
+from .linalg import primitive_vector
 
 
 @dataclass(frozen=True)
@@ -97,21 +100,7 @@ class WallLocus:
     def key(self) -> Tuple[int, int, int, int]:
         """Conic normalized to coprime integers with positive leading entry;
         loci with equal keys are the same wall."""
-        a, b, c, d = self.conic
-        dens = [x.denominator for x in (a, b, c, d)]
-        lcm = 1
-        for q in dens:
-            lcm = lcm * q // gcd(lcm, q)
-        ints = [int(x * lcm) for x in (a, b, c, d)]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g:
-            ints = [x // g for x in ints]
-        lead = next((x for x in ints if x != 0), 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        return tuple(ints)
+        return tuple(primitive_vector(self.conic))
 
     def sort_key(self):
         rank = {WallKind.VERTICAL_LINE: 0, WallKind.SEMICIRCLE: 1,
@@ -124,104 +113,51 @@ class WallLocus:
 # -- exact charge on the slice -------------------------------------------------
 
 
-def _vector_profile(slice_: SliceParams, vec: MukaiVector):
-    """Constants (r, e, m, sigma) of a class on the slice: rank, axis degree,
-    beta0 degree and the degree-4 slot (Mukai s on a K3, ch2 otherwise)."""
+def _slice_profile(slice_: SliceParams, vec: MukaiVector) -> Tuple[int, Fraction, Fraction]:
+    """Constants (r, P, K) of a class on the slice, with
+
+        P = H.c - r beta0.H,    K = beta0.c - s - r beta0^2 / 2,
+
+    so that Re Z = K + b P - (r d / 2)(b^2 - t^2) and Im Z = t (P - r b d),
+    d = H^2 (the degree-4 slot s is Mukai s on a K3, ch2 otherwise)."""
     lat = slice_.lattice
     if len(vec.c) != lat.rank:
         raise LatticeError("vector has wrong NS rank")
-    r = Fraction(vec.r)
-    e = lat.ns_dot(slice_.t_axis, vec.c)
-    m = lat.ns_dot(slice_.beta0, vec.c)
-    sigma = Fraction(vec.s)
-    return r, e, m, sigma
-
-
-def _charge_polys(slice_: SliceParams, vec: MukaiVector) -> Tuple[Poly, Poly]:
-    """Real and imaginary parts of Z_{b,t}(vec) as polynomials in (b, t).
-
-    Both charge conventions reduce to
-
-        Re = m + b e - sigma - (r/2) (beta0^2 + 2 b u + b^2 d - t^2 d)
-        Im = t (e - r u - r b d)
-
-    with d the axis square and u = beta0 . axis.
-    """
-    r, e, m, sigma = _vector_profile(slice_, vec)
-    lat = slice_.lattice
-    d = slice_.axis_sq()
-    u = lat.ns_dot(slice_.beta0, slice_.t_axis)
-    b0_sq = lat.ns_dot(slice_.beta0, slice_.beta0)
-    re: Poly = {
-        (0, 0): m - sigma - r * b0_sq / 2,
-        (1, 0): e - r * u,
-        (2, 0): -r * d / 2,
-        (0, 2): r * d / 2,
-    }
-    im: Poly = {
-        (0, 1): e - r * u,
-        (1, 1): -r * d,
-    }
-    return _poly_trim(re), _poly_trim(im)
-
-
-def _poly_trim(p: Poly) -> Poly:
-    return {k: v for k, v in p.items() if v != 0}
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return _poly_trim(out)
-
-
-def _poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, Fraction(0)) - c
-    return _poly_trim(out)
-
-
-def _poly_eval(p: Poly, b: Fraction, t: Fraction) -> Fraction:
-    return sum((c * b ** i * t ** j for (i, j), c in p.items()), Fraction(0))
+    beta0, axis = slice_.beta0, slice_.t_axis
+    p = lat.ns_dot(axis, vec.c) - vec.r * lat.ns_dot(beta0, axis)
+    k = lat.ns_dot(beta0, vec.c) - vec.s - vec.r * lat.ns_dot(beta0, beta0) / 2
+    return vec.r, p, k
 
 
 def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRational:
-    """Exact charge of a class at a rational point (b, t) of the slice."""
-    re, im = _charge_polys(slice_, vec)
+    """Exact charge of a class at a rational point (b, t) of the slice (any
+    rational t: no positive-cone check)."""
+    lat = slice_.lattice
+    if len(vec.c) != lat.rank:
+        raise LatticeError("vector has wrong NS rank")
     b, t = as_fraction(b), as_fraction(t)
-    return gaussian(_poly_eval(re, b, t), _poly_eval(im, b, t))
+    beta = [x + b * h for x, h in zip(slice_.beta0, slice_.t_axis)]
+    omega = [t * h for h in slice_.t_axis]
+    return evaluate_charge_row(charge_functional(lat, beta, omega), vec.coords())
 
 
 def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
-    """Expand Im(Z(w) conj(Z(v))) over the slice and classify its zero locus.
+    """Classify the zero locus of Im(Z(w) conj(Z(v))) within t > 0.
 
-    The expansion must come out as t (A (b^2 + t^2) + B b + D); the structure
-    (equal b^2/t^2 coefficients, no t-linear term) is asserted on the exact
-    polynomial, and the conic is classified within t > 0.
+    With d, P and K as in :func:`_slice_profile`, the alignment expands to
+    t (A (b^2 + t^2) + B b + D) with
+
+        A = (d/2)(r_v P_w - r_w P_v),  B = d (r_v K_w - r_w K_v),
+        D = P_w K_v - K_w P_v,
+
+    the nested-semicircle shape of the walls.
     """
-    re_v, im_v = _charge_polys(slice_, v)
-    re_w, im_w = _charge_polys(slice_, w)
-    f = _poly_sub(_poly_mul(im_w, re_v), _poly_mul(re_w, im_v))
-    # F is divisible by t; g = F / t must be A b^2 + A t^2 + B b + D
-    g: Poly = {}
-    for (i, j), c in f.items():
-        if j < 1:
-            raise AssertionError("alignment polynomial not divisible by t")
-        g[(i, j - 1)] = c
-    allowed = {(2, 0), (0, 2), (1, 0), (0, 0)}
-    if not set(g) <= allowed:
-        raise AssertionError(f"unexpected conic shape: monomials {sorted(g)}")
-    a_b = g.get((2, 0), Fraction(0))
-    a_t = g.get((0, 2), Fraction(0))
-    if a_b != a_t:
-        raise AssertionError("b^2 and t^2 coefficients differ; not a circle")
-    a = a_b
-    b_coef = g.get((1, 0), Fraction(0))
-    d_coef = g.get((0, 0), Fraction(0))
+    r_v, p_v, k_v = _slice_profile(slice_, v)
+    r_w, p_w, k_w = _slice_profile(slice_, w)
+    d = slice_.axis_sq()
+    a = d * (r_v * p_w - r_w * p_v) / 2
+    b_coef = d * (r_v * k_w - r_w * k_v)
+    d_coef = p_w * k_v - k_w * p_v
     conic = (a, b_coef, Fraction(0), d_coef)
     if a == 0 and b_coef == 0 and d_coef == 0:
         return WallLocus(v, w, conic, WallKind.DEGENERATE)
@@ -300,6 +236,20 @@ def _enumerate_candidates(v: MukaiVector, slice_: SliceParams,
             yield w
 
 
+def _distinct_loci(v: MukaiVector, slice_: SliceParams, search_bound: int,
+                   keep: Callable[[WallLocus], bool]) -> List[WallLocus]:
+    """One kept locus per distinct conic key: the one with the least w. The
+    candidates come in increasing lexicographic order, so that is the first
+    one seen. Loci with equal keys share kind and region verdict, so
+    ``keep`` never separates them."""
+    chosen: Dict[Tuple[int, int, int, int], WallLocus] = {}
+    for w in _enumerate_candidates(v, slice_, search_bound):
+        loc = wall_locus(v, w, slice_)
+        if keep(loc):
+            chosen.setdefault(loc.key(), loc)
+    return list(chosen.values())
+
+
 def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
                search_bound: int) -> List[WallLocus]:
     """Potential walls for v meeting the region, one representative per
@@ -307,17 +257,13 @@ def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
     w + k v all collapse to the same locus). Deterministically sorted."""
     if search_bound <= 0:
         raise ValueError("search_bound must be positive")
-    chosen: Dict[Tuple[int, int, int, int], WallLocus] = {}
-    for w in _enumerate_candidates(v, slice_, search_bound):
-        loc = wall_locus(v, w, slice_)
-        if loc.kind in (WallKind.EMPTY, WallKind.DEGENERATE):
-            continue
-        if not locus_meets_region(loc, region):
-            continue
-        key = loc.key()
-        if key not in chosen or w.coords() < chosen[key].w.coords():
-            chosen[key] = loc
-    return sorted(chosen.values(), key=WallLocus.sort_key)
+
+    def keep(loc: WallLocus) -> bool:
+        return (loc.kind not in (WallKind.EMPTY, WallKind.DEGENERATE)
+                and locus_meets_region(loc, region))
+
+    return sorted(_distinct_loci(v, slice_, search_bound, keep),
+                  key=WallLocus.sort_key)
 
 
 def candidate_classes(v: MukaiVector, slice_: SliceParams, region: Region,
@@ -337,40 +283,30 @@ class OracleWall:
 
 def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
                     grid: int, search_bound: int) -> List[OracleWall]:
-    """Independent verification oracle: evaluate the exact sign of
+    """Sign-flip sampling oracle: evaluate the exact sign of
     Im(Z(w) conj(Z(v))) on a (grid+1) x (grid+1) lattice over the region and
     flag each candidate wall whose sign flips between adjacent nodes (or hits
-    an exact zero). Used to certify enumeration completeness at grid scale."""
+    an exact zero). Cross-checks the scan at grid scale; it enumerates the
+    same candidate box, so it cannot see walls of classes outside it."""
     if grid < 2:
         raise ValueError("grid too coarse")
-    cands: Dict[Tuple[int, int, int, int], WallLocus] = {}
-    for w in _enumerate_candidates(v, slice_, search_bound):
-        loc = wall_locus(v, w, slice_)
-        if loc.kind is WallKind.DEGENERATE:
-            continue
-        key = loc.key()
-        if key not in cands or w.coords() < cands[key].w.coords():
-            cands[key] = loc
+    cands = _distinct_loci(v, slice_, search_bound,
+                           lambda loc: loc.kind is not WallKind.DEGENERATE)
     b_den = grid * region.b_min.denominator * region.b_max.denominator
     t_den = grid * region.t_min.denominator * region.t_max.denominator
     b_nums = [int((region.b_min + Fraction(i, grid) * (region.b_max - region.b_min)) * b_den)
               for i in range(grid + 1)]
     t_nums = [int((region.t_min + Fraction(j, grid) * (region.t_max - region.t_min)) * t_den)
               for j in range(grid + 1)]
-    out = []
-    for key in sorted(cands):
-        loc = cands[key]
-        out.append(OracleWall(loc, _signs_flip(loc, b_nums, b_den, t_nums, t_den)))
+    out = [OracleWall(loc, _signs_flip(loc, b_nums, b_den, t_nums, t_den))
+           for loc in cands]
     return sorted(out, key=lambda ow: ow.locus.sort_key())
 
 
 def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
                 t_nums: List[int], t_den: int) -> bool:
-    a, b_coef, _, d_coef = loc.conic
-    lcm = 1
-    for q in (a.denominator, b_coef.denominator, d_coef.denominator):
-        lcm = lcm * q // gcd(lcm, q)
-    ai, bi, di = int(a * lcm), int(b_coef * lcm), int(d_coef * lcm)
+    # sign changes and zeros survive scaling by a nonzero integer
+    ai, bi, _, di = loc.key()
     td2 = t_den * t_den
     bd2 = b_den * b_den
     cols = [ai * bn * bn * td2 + bi * bn * b_den * td2 + di * bd2 * td2

@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from stabkit import CategoryPresentation, Edge, NSLattice
 from stabkit.gaussian import GaussianRational
 from stabkit.linalg import inverse, mat_mul, transpose
+
+# property tests run the same examples on every run and have no per-example
+# deadline (timings on a shared machine vary too much to be a failure)
+settings.register_profile("stabkit", derandomize=True, deadline=None)
+settings.load_profile("stabkit")
 
 
 @pytest.fixture

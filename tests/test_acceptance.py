@@ -25,7 +25,6 @@ from stabkit.gaussian import GaussianRational, gaussian
 from stabkit.hn import CategoryPresentation
 from stabkit.linalg import bilinear, leading_principal_minors
 from stabkit.support import charge_norm_sq
-from stabkit.support import evaluate as z_eval
 from stabkit.walls import WallKind, sampling_oracle
 from test_nef import brute_decompositions
 
@@ -241,17 +240,17 @@ def test_criterion_7_divisor_layer():
         z = charge_row(params)
         v = MukaiVector.from_coords([rng.randint(-5, 5)
                                      for _ in range(lat.mukai_rank)])
-        if v.is_zero() or z_eval(z, v).is_zero():
+        if v.is_zero() or evaluate_charge_row(z, v.coords()).is_zero():
             continue
         om = omega_class(v, z, lat)
         gram = lat.mukai_gram()
-        zv = z_eval(z, v)
+        zv = evaluate_charge_row(z, v.coords())
         n = lat.mukai_rank
         for i in range(n):
             e = [0] * n
             e[i] = 1
             assert bilinear(om.coords, gram, [Fraction(x) for x in e]) \
-                == (z_eval(z, e) / zv).im
+                == (evaluate_charge_row(z, e) / zv).im
         assert bilinear(om.coords, gram, [Fraction(x) for x in v.coords()]) == 0
         assert bb_square(om, lat) > 0
         count += 1
@@ -315,8 +314,9 @@ def test_criterion_9_cli_determinism(tmp_path, lattice_file):
                      "--point", "0,1"],
     }
 
-    def run_bytes(name, argv, i):
-        out = tmp_path / f"{name}{i}.json"
+    def run_bytes(name, argv):
+        # one --out path per command, so each rerun is the same command line
+        out = tmp_path / f"{name}.json"
         assert main([*argv, "--out", str(out)]) == 0
         raw = out.read_bytes()
         assert "result" in json.loads(raw)
@@ -324,7 +324,7 @@ def test_criterion_9_cli_determinism(tmp_path, lattice_file):
         return b"\n".join(ln for ln in lines if b'"timestamp"' not in ln)
 
     for name, argv in commands.items():
-        runs = [run_bytes(name, argv, i) for i in range(3)]
+        runs = [run_bytes(name, argv) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2], f"{name} output not byte-stable"
     report(9, "byte-identical JSON across 3 runs of the criteria 5-7 commands",
            t0, 120)

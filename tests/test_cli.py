@@ -29,6 +29,17 @@ def test_pairing(tmp_path, lattice_file):
     assert "manifest" in doc and doc["manifest"]["input_hashes"]["lattice"]
 
 
+def test_manifest_records_argv_given_to_main(tmp_path, lattice_file, monkeypatch):
+    """An in-process caller's argv, not the host process's, is the command."""
+    monkeypatch.setattr("sys.argv", ["python", "-c", "unrelated"])
+    out = str(tmp_path / "out.json")
+    argv = ["pairing", "--lattice", lattice_file, "--v", "1,0,1", "--w", "1,0,1",
+            "--out", out]
+    assert main(argv) == 0
+    with open(out, encoding="utf-8") as f:
+        assert json.load(f)["manifest"]["command"] == " ".join(argv)
+
+
 def test_charge(tmp_path, lattice_file):
     code, doc = run(tmp_path, "charge", "--lattice", lattice_file,
                     "--v", "1,0,-1", "--beta", "0", "--omega", "2")
@@ -168,8 +179,8 @@ def strip_timestamps(text: str) -> str:
 
 def test_determinism_three_runs(tmp_path, lattice_file):
     outs = []
-    for i in range(3):
-        f = tmp_path / f"run{i}.json"
+    f = tmp_path / "run.json"  # same command each time: the manifest records --out
+    for _ in range(3):
         assert main(["support", "--lattice", lattice_file, "--beta", "0",
                      "--omega", "2", "--out", str(f)]) == 0
         outs.append(strip_timestamps(f.read_text()))

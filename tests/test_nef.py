@@ -11,7 +11,7 @@ from stabkit import (ChargeParams, MukaiVector, Rank2Lattice, SliceParams,
 from stabkit.errors import DegenerateError, LatticeError
 from stabkit.gaussian import GaussianRational
 from stabkit.linalg import bilinear
-from stabkit.support import evaluate as z_eval
+from stabkit.charges import evaluate_charge_row as z_eval
 
 
 def test_omega_worked_example(k3d2):
@@ -39,12 +39,12 @@ def test_omega_postcondition_random():
         z = charge_row(params)
         v = MukaiVector.from_coords([rng.randint(-4, 4)
                                      for _ in range(lat.mukai_rank)])
-        if z_eval(z, v).is_zero() or v.is_zero():
+        if z_eval(z, v.coords()).is_zero() or v.is_zero():
             continue
         om = omega_class(v, z, lat)
         gram = lat.mukai_gram()
         n = lat.mukai_rank
-        zv = z_eval(z, v)
+        zv = z_eval(z, v.coords())
         for i in range(n):
             e = [0] * n
             e[i] = 1

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from stabkit import (LiftedGL2, MukaiVector, Region, SliceParams,
+from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
                      WallKind, candidate_classes, chambers_along_path,
                      gl2_act_on_charge, nesting_check, scan_walls,
                      slice_charge, wall_locus)
+from stabkit.gaussian import gaussian
 from stabkit.walls import WallLocus, locus_meets_region, sampling_oracle, sqrt_decimal
 
 
@@ -339,3 +342,62 @@ def test_rank2_lattice_scan_oracle_equality():
     assert detected == {w.key() for w in walls}
     rep_count = len(walls)
     assert rep_count > 0
+
+
+@st.composite
+def slice_lattices(draw):
+    """NS lattice of rank 1-3 and signature (1, rho - 1): a diagonal form
+    conjugated by integer shears, with the ample class carried along. K3
+    lattices are even; the others may be odd."""
+    rank = draw(st.integers(1, 3))
+    k3 = draw(st.booleans())
+    diag = [draw(st.integers(1, 4))] + [-draw(st.integers(1, 4)) for _ in range(rank - 1)]
+    if k3:
+        diag = [2 * x for x in diag]
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    u_inv = [row[:] for row in u]
+    for _ in range(draw(st.integers(0, 3)) if rank > 1 else 0):
+        i, j = draw(st.permutations(range(rank)))[:2]
+        k = draw(st.integers(-2, 2))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]  # row_i += k row_j
+        for row in u_inv:  # so column_j -= k column_i
+            row[j] -= k * row[i]
+    gram = tuple(tuple(sum(u[m][i] * diag[m] * u[m][j] for m in range(rank))
+                       for j in range(rank)) for i in range(rank))
+    ample = tuple(row[0] for row in u_inv)  # u ample = e_0, square diag[0]
+    return NSLattice(rank, gram, ample, k3=k3)
+
+
+def expanded_charge(gram, beta, omega, vec):
+    """-integral of e^(-i omega - beta) times the class (r, c, s), expanded
+    term by term: s + x.c + r x^2 / 2 with x = -beta - i omega. The last
+    slot is Mukai s (ch sqrt(td)) on a K3 and ch2 otherwise."""
+    r, *c, s = vec
+    x = [gaussian(-b, -o) for b, o in zip(beta, omega)]
+    n = len(x)
+    x_c = sum((x[i] * gram[i][j] * c[j] for i in range(n) for j in range(n)), gaussian(0))
+    x_sq = sum((x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)), gaussian(0))
+    return -(gaussian(s) + x_c + x_sq * Fraction(r, 2))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@given(data=st.data(), lat=slice_lattices(), b=rationals,
+       t=st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12))
+def test_conic_matches_expanded_alignment(data, lat, b, t):
+    """t (A (b^2 + t^2) + B b + D) is Im Z(w) Re Z(v) - Re Z(w) Im Z(v) for
+    charges expanded from the integral here, not from the library."""
+    beta0 = tuple(data.draw(rationals) for _ in range(lat.rank))
+    classes = st.lists(st.integers(-5, 5), min_size=lat.mukai_rank,
+                       max_size=lat.mukai_rank)
+    v = MukaiVector.from_coords(data.draw(classes))
+    w = MukaiVector.from_coords(data.draw(classes))
+    a, bc, cc, dc = wall_locus(v, w, SliceParams(lat, beta0)).conic
+    h = lat.ample
+    beta = [x + b * hi for x, hi in zip(beta0, h)]
+    omega = [t * hi for hi in h]
+    zv = expanded_charge(lat.gram, beta, omega, v.coords())
+    zw = expanded_charge(lat.gram, beta, omega, w.coords())
+    assert cc == 0
+    assert t * (a * (b * b + t * t) + bc * b + dc) == zw.im * zv.re - zw.re * zv.im
