@@ -5,8 +5,9 @@ Layers:
   - lattice / rank2: extended Neron-Severi lattices, pairings, saturations,
     roots and isotropic classes;
   - charges / gl2: curve, surface and K3 central charges, exact phase
-    comparison, slopes, heart membership, lifted GL2+ bookkeeping, the
-    Gieseker / large-volume comparison;
+    comparison, slopes, heart membership, lifted GL2+ bookkeeping with exact
+    windings from rational sign tests, the Gieseker / large-volume
+    comparison;
   - hn: Harder-Narasimhan and Jordan-Holder filtrations over finite
     presentations;
   - support: charge kernels, norm forms, minimal root norms, support forms;

@@ -160,7 +160,8 @@ def cmd_support(args) -> None:
     kernel = charge_kernel(z_row, gram)
     s = charge_norm_form(z_row, kernel, gram)
     budget = effective_budget(args.budget)
-    res = min_root_norm(z_row, kernel, s, gram, budget=budget,
+    # the Gram goes by keyword: bench/spans.py reads it as args[3] or kwargs
+    res = min_root_norm(z_row, s, ambient_gram=gram, budget=budget,
                         start_bound=as_fraction(args.start_bound))
     payload: Dict[str, Any] = {
         "kernel_basis": [[str(x) for x in b] for b in kernel.basis],
@@ -225,7 +226,7 @@ def cmd_walls(args) -> None:
     slice_, region = _slice_and_region(args, lat)
     v = _mukai(args.v)
     walls = scan_walls(v, slice_, region, args.bound)
-    nest = nesting_check(v, slice_, walls) if lat.rank == 1 else None
+    nest = nesting_check(slice_, walls) if lat.rank == 1 else None
     payload = _wall_payload(walls, region)
     payload["v"] = ser.mukai_to_json(v)
     payload["beta0"] = [str(x) for x in slice_.beta0]
@@ -257,8 +258,7 @@ def cmd_chambers(args) -> None:
     walls = [ser.wall_from_json(w) for w in doc["result"]["walls"]]
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)
-    # v and slice are embedded in the wall data; the crossings only need the conics
-    path = chambers_along_path(None, None, b_star, t_lo, t_hi, walls)
+    path = chambers_along_path(b_star, t_lo, t_hi, walls)
     payload = {
         "b": str(b_star),
         "t_range": [str(t_lo), str(t_hi)],

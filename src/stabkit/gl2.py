@@ -3,54 +3,38 @@
 An element is a pair (matrix, winding): the matrix part is exact rational
 with positive determinant; the winding pins the lifted angle function a with
 a(phi + 1) = a(phi) + 1, anchored at a(0) = lifted argument of m.(1, 0).
+Angles are in units of pi.
 
-Angle values are evaluated to high precision (50 digits working precision,
-documented accuracy 1e-12) but the winding arithmetic is exact: whenever the
-anchor angle is rational (axis-aligned image) it is carried as a Fraction,
-and for non-axis rational vectors the anchor is irrational, so no
-canonicalization boundary can be hit.
+With det > 0 the lift is strictly increasing and sends half-turns to
+half-turns (Bridgeland, math/0212237 §8), so every winding follows from
+rational sign tests: no angle is ever evaluated.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import mpmath
+from typing import Tuple
 
 from .errors import ChargeError
 from .gaussian import GaussianRational, as_fraction, gaussian
 
 Mat2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
-_DPS = 50
-_MARGIN = mpmath.mpf("1e-35")
 
-
-def _principal(x: Fraction, y: Fraction) -> Tuple[Optional[Fraction], mpmath.mpf]:
-    """Principal angle of (x, y) in units of pi, in (-1, 1]: exact Fraction
-    when on a coordinate axis, plus an approximate value always."""
-    if x == 0 and y == 0:
-        raise ChargeError("zero vector has no angle")
-    exact: Optional[Fraction] = None
-    if y == 0:
-        exact = Fraction(0) if x > 0 else Fraction(1)
-    elif x == 0:
-        exact = Fraction(1, 2) if y > 0 else Fraction(-1, 2)
-    with mpmath.workdps(_DPS):
-        approx = mpmath.atan2(mpmath.mpf(y.numerator) / y.denominator,
-                              mpmath.mpf(x.numerator) / x.denominator) / mpmath.pi
-        if exact is not None and y == 0 and x < 0:
-            approx = mpmath.mpf(1)  # atan2(0, neg) = +pi already, keep explicit
-    return exact, approx
+def _odd_side(x: Fraction, y: Fraction) -> bool:
+    """True when the principal angle of (x, y) lies in (1/2, 1] or (-1, -1/2],
+    i.e. when its nearest integer (halves rounded down) is odd."""
+    return x < 0 or (x == 0 and y < 0)
 
 
 @dataclass(frozen=True)
 class LiftedGL2:
     """(matrix, winding) with det > 0; the stored winding is canonical: the
-    largest integer w with a(0) in (w - 1/2, w + 3/2]. Under this convention
-    the k-fold shift (-1)^k I carries winding exactly k."""
+    integer w with a(0) in (w - 1/2, w + 1/2]. A given winding w names the
+    lift with a(0) in (w - 1/2, w + 3/2]; its canonical winding is w or w + 1,
+    whichever has the parity of odd_side(m.e1), since a(0) is congruent mod 2
+    to the principal angle of m.e1. Under this convention the k-fold shift
+    (-1)^k I carries winding exactly k."""
 
     m: Mat2
     winding: int = 0
@@ -61,39 +45,11 @@ class LiftedGL2:
             raise ChargeError("matrix part must be 2x2")
         if _det(m) <= 0:
             raise ChargeError("matrix part must have positive determinant")
+        if not isinstance(self.winding, int):
+            raise ChargeError("winding must be an integer")
         object.__setattr__(self, "m", m)
-        ex, ap = _principal(m[0][0], m[1][0])
-        # anchor determined by the *given* winding, then renamed canonically
-        if ex is not None:
-            k = math.floor((Fraction(self.winding) + Fraction(3, 2) - ex) / 2)
-            anchor = ex + 2 * k
-            canon = math.ceil(anchor + Fraction(1, 2)) - 1
-        else:
-            with mpmath.workdps(_DPS):
-                kf = mpmath.floor((self.winding + mpmath.mpf(3) / 2 - ap) / 2)
-                k = int(kf)
-                anchor_ap = ap + 2 * k
-                boundary = anchor_ap + mpmath.mpf(1) / 2
-                if abs(boundary - mpmath.nint(boundary)) < _MARGIN:
-                    raise ChargeError("anchor angle too close to a half-integer "
-                                      "for reliable winding bookkeeping")
-                canon = int(mpmath.ceil(boundary)) - 1
-            anchor = None
-        object.__setattr__(self, "winding", canon)
-        object.__setattr__(self, "_anchor_exact", anchor if ex is not None else None)
-
-    # -- anchor ---------------------------------------------------------------
-
-    def anchor(self) -> Tuple[Optional[Fraction], mpmath.mpf]:
-        """a(0) as (exact-or-None, approx)."""
-        ex, ap = _principal(self.m[0][0], self.m[1][0])
-        if ex is not None:
-            a0 = getattr(self, "_anchor_exact")
-            with mpmath.workdps(_DPS):
-                return a0, mpmath.mpf(a0.numerator) / a0.denominator
-        with mpmath.workdps(_DPS):
-            k = (self.winding + mpmath.mpf(3) / 2 - ap) / 2
-            return None, ap + 2 * int(mpmath.floor(k))
+        w = self.winding
+        object.__setattr__(self, "winding", w + (w - _odd_side(m[0][0], m[1][0])) % 2)
 
     @staticmethod
     def identity() -> "LiftedGL2":
@@ -110,75 +66,34 @@ def _det(m: Mat2) -> Fraction:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _mat_apply_ap(m: Mat2, t: mpmath.mpf) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    c, s = mpmath.cospi(t), mpmath.sinpi(t)
-    return (m[0][0] * c + m[0][1] * s, m[1][0] * c + m[1][1] * s)
-
-
-def _principal_ap(x: mpmath.mpf, y: mpmath.mpf) -> mpmath.mpf:
-    return mpmath.atan2(y, x) / mpmath.pi
-
-
-def _lift_delta(m: Mat2, x: mpmath.mpf) -> mpmath.mpf:
-    """Total change a(x) - a(0) of the lifted angle of t -> arg(m e^{i pi t}).
-
-    The lift is monotone increasing (det > 0); principal-branch deltas are
-    summed with adaptive bisection so each step stays well below a half turn.
-    """
-    def walk(t0, t1, p0, p1, depth) -> mpmath.mpf:
-        d = p1 - p0
-        while d > 1:
-            d -= 2
-        while d <= -1:
-            d += 2
-        if abs(d) <= mpmath.mpf(1) / 4 or depth > 60:
-            return d
-        tm = (t0 + t1) / 2
-        pm = _principal_ap(*_mat_apply_ap(m, tm))
-        return walk(t0, tm, p0, pm, depth + 1) + walk(tm, t1, pm, p1, depth + 1)
-
-    with mpmath.workdps(_DPS):
-        whole = int(mpmath.floor(x / 2))
-        x0 = x - 2 * whole
-        total = mpmath.mpf(2 * whole)
-        steps = 8
-        ts = [x0 * i / steps for i in range(steps + 1)]
-        ps = [_principal_ap(*_mat_apply_ap(m, t)) for t in ts]
-        for i in range(steps):
-            total += walk(ts[i], ts[i + 1], ps[i], ps[i + 1], 0)
-        return total
-
-
 def gl2_compose(g1: LiftedGL2, g2: LiftedGL2) -> LiftedGL2:
     """Group law: matrices multiply, angle functions compose (a = a1 o a2).
 
     The right action (P, Z).(a, g) = (P o a, g^{-1} Z) makes this the correct
     product for acting first by g1, then by g2.
+
+    Winding: write a_i(0) = w_i + theta_i with theta_i in (-1/2, 1/2]. Then
+    a(0) = a1(w2 + theta2) = w1 + w2 + theta1 + delta, where
+    delta = a1(theta2) - a1(0). As a1 is strictly increasing with
+    a1(phi + 1) = a1(phi) + 1, delta lies in (-1, 1) and has the sign of
+    theta2, so a(0) - w1 - w2 = theta1 + delta lies in (-3/2, 3/2) and the
+    composite winding is w1 + w2 + n with n in {-1, 0, 1}. The parity of n
+    is read off m.e1: n = 0 exactly when (-1)^(w1+w2) m.e1 is not on the odd
+    side. Otherwise n = +-1, and n = 1 forces delta > 1/2 - theta1 >= 0 while
+    n = -1 forces delta < 0, so n has the sign of theta2, which is the sign
+    of the y-coordinate of (-1)^w2 m2.e1 (that vector has principal angle
+    theta2).
     """
     mc = tuple(
         tuple(sum((g1.m[i][k] * g2.m[k][j] for k in range(2)), Fraction(0))
               for j in range(2))
         for i in range(2)
     )
-    _, x_ap = g2.anchor()
-    _, a1_ap = g1.anchor()
-    with mpmath.workdps(_DPS):
-        a0c_ap = a1_ap + _lift_delta(g1.m, x_ap)
-        ex, ap = _principal(mc[0][0], mc[1][0])
-        if ex is not None:
-            # snap: the composite anchor is congruent to the exact principal
-            # angle mod 2, and the approximation error is tiny
-            twok = mpmath.nint((a0c_ap - (mpmath.mpf(ex.numerator) / ex.denominator)) / 2)
-            a0c = ex + 2 * int(twok)
-            w = math.ceil(a0c + Fraction(1, 2)) - 1
-        else:
-            twok = mpmath.nint((a0c_ap - ap) / 2)
-            a0c_ap = ap + 2 * twok
-            boundary = a0c_ap + mpmath.mpf(1) / 2
-            if abs(boundary - mpmath.nint(boundary)) < _MARGIN:
-                raise ChargeError("anchor angle too close to a half-integer "
-                                  "for reliable winding bookkeeping")
-            w = int(mpmath.ceil(boundary)) - 1
+    w = g1.winding + g2.winding
+    sign = -1 if w % 2 else 1
+    if _odd_side(sign * mc[0][0], sign * mc[1][0]):
+        y2 = g2.m[1][0] if g2.winding % 2 == 0 else -g2.m[1][0]
+        w += 1 if y2 > 0 else -1
     return LiftedGL2(mc, w)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
-from .errors import ChargeError, DegenerateError, LatticeError
+from .errors import ChargeError, DegenerateError, LatticeError, StabkitError
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
 from .linalg import (bilinear, integer_kernel, mat_vec, minors2_gcd,
@@ -58,9 +58,9 @@ def omega_class(v: MukaiVector, z_row: Sequence[GaussianRational],
         e[i] = 1
         lhs = bilinear(coords, m, [Fraction(x) for x in e])
         if lhs != rhs[i]:
-            raise AssertionError("Omega postcondition failed on a basis vector")
+            raise StabkitError("Omega postcondition failed on a basis vector")
     if bilinear(coords, m, [Fraction(x) for x in v.coords()]) != 0:
-        raise AssertionError("(Omega, v) != 0")
+        raise StabkitError("(Omega, v) != 0")
     return omega
 
 
@@ -273,7 +273,7 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
         j = pivots[k]
         p = rows[k][j]
         if p <= 0:
-            raise AssertionError("HNF pivots are positive")
+            raise StabkitError("HNF pivot is not positive")
         # |partial[j] + c * p| <= bound pins c to an exact integer interval
         lo = _ceil_div(-bound - partial[j], p)
         hi = (bound - partial[j]) // p

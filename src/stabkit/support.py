@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid
-from .errors import BudgetError, ChargeError, DegenerateError
+from .errors import BudgetError, ChargeError, DegenerateError, StabkitError
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector
 from .linalg import (bilinear, frac_rows, identity, inverse, is_negative_definite,
@@ -137,10 +137,10 @@ def charge_kernel(z_row: Sequence[GaussianRational],
                           tuple(tuple(row) for row in proj))
     for b in basis:
         if not evaluate_charge_row(z_row, b).is_zero():
-            raise AssertionError("kernel basis vector not annihilated by Z")
+            raise StabkitError("kernel basis vector not annihilated by Z")
     p2 = mat_mul(proj, proj)
     if p2 != [list(row) for row in proj]:
-        raise AssertionError("projector is not idempotent")
+        raise StabkitError("projector is not idempotent")
     return kernel
 
 
@@ -229,7 +229,7 @@ def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
             (x1, y1), (x2, y2) = z2(ea), z2(eb)
             lhs = s11 * x1 * x2 + s12 * (x1 * y2 + y1 * x2) + s22 * y1 * y2
             if lhs != rhs(ea, eb):
-                raise AssertionError("norm-form residual does not vanish on the basis")
+                raise StabkitError("norm-form residual does not vanish on the basis")
     if not is_positive_definite(s):
         raise DegenerateError(
             "no positive definite norm form: charge outside the positive locus")
@@ -269,8 +269,7 @@ class RootNormResult:
         return self.c_squared is not None
 
 
-def min_root_norm(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
-                  s: Sequence[Sequence[Fraction]],
+def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],
                   ambient_gram: Sequence[Sequence[Fraction]],
                   budget: Optional[int] = None,
                   start_bound: Fraction = Fraction(8)) -> RootNormResult:
@@ -282,7 +281,6 @@ def min_root_norm(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
     before any root appears, the result carries c_squared = None with the last
     completed bound ("no roots in the searched region").
     """
-    del kernel  # the identity behind Q_aux already absorbs the projector
     budget_n = effective_budget(budget)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
     m = frac_rows(ambient_gram)

@@ -359,8 +359,7 @@ class ChamberPath:
         return len(self.crossings) + 1
 
 
-def chambers_along_path(v: MukaiVector, slice_: SliceParams, b_star, t_lo, t_hi,
-                        walls: Sequence[WallLocus]) -> ChamberPath:
+def chambers_along_path(b_star, t_lo, t_hi, walls: Sequence[WallLocus]) -> ChamberPath:
     """Exact crossings of the vertical segment b = b_star, t in [t_lo, t_hi]
     with the given walls, sorted by t (compared via the exact radicands).
 
@@ -368,7 +367,6 @@ def chambers_along_path(v: MukaiVector, slice_: SliceParams, b_star, t_lo, t_hi,
     t = 0, outside the path; the one degenerate case is a vertical wall
     coinciding with the path, which is reported separately and crossed by
     nothing (an infinitesimal perturbation of b_star removes it)."""
-    del v, slice_
     b_star, t_lo, t_hi = as_fraction(b_star), as_fraction(t_lo), as_fraction(t_hi)
     if not 0 < t_lo <= t_hi:
         raise ValueError("need 0 < t_lo <= t_hi")
@@ -410,12 +408,10 @@ class NestingReport:
     touching: Tuple[Tuple[WallLocus, WallLocus, str], ...]
 
 
-def nesting_check(v: MukaiVector, slice_: SliceParams,
-                  walls: Sequence[WallLocus]) -> NestingReport:
+def nesting_check(slice_: SliceParams, walls: Sequence[WallLocus]) -> NestingReport:
     """Pairwise geometry of the walls of a fixed v on a rank-1 slice: every
     pair of semicircles should be nested or disjoint; anything crossing is a
     finding (reported, not an error), touching pairs are listed separately."""
-    del v
     if slice_.lattice.rank != 1:
         raise LatticeError("nesting check is a rank-1 slice statement")
     violations = []

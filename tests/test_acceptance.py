@@ -174,7 +174,7 @@ def test_criterion_5_support_kit():
     b = kernel.basis[0]
     assert bilinear(b, gram, b) == -8
     s = charge_norm_form(z, kernel, gram)
-    res = min_root_norm(z, kernel, s, gram)
+    res = min_root_norm(z, s, gram)
     # coordinate-box brute force, |r|, |m|, |s| <= 40
     best = None
     for r in range(-40, 41):
@@ -219,7 +219,7 @@ def test_criterion_6_wall_scan():
     detected = {ow.locus.key() for ow in oracle if ow.detected}
     enumerated = {w.key() for w in walls}
     assert detected == enumerated
-    nest = nesting_check(v, sl, walls)
+    nest = nesting_check(sl, walls)
     assert nest.violations == ()
     report(6, f"{len(walls)} walls = 400x400 oracle set, b=0 line found, "
               "nesting clean", t0, 120)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stabkit
 from stabkit.cli import main
 from stabkit.serialize import dumps
 
@@ -169,6 +173,24 @@ def test_exit_codes(tmp_path, lattice_file):
     assert main(["classify-wall", "--lattice", lattice_file, "--v", "1,0,-1",
                  "--w", "2,0,-2", "--beta0", "0",
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_failed_postcondition_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    """A violated postcondition is a stabkit error, not a traceback."""
+    # a kernel "basis" that Z does not annihilate
+    monkeypatch.setattr("stabkit.support.nullspace", lambda rows: [[1, 0, 1]])
+    assert main(["support", "--lattice", lattice_file, "--beta", "0",
+                 "--omega", "2", "--out", str(tmp_path / "x.json")]) == 2
+    assert "kernel basis vector not annihilated by Z" in capsys.readouterr().err
+
+
+def test_cli_import_needs_no_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, stabkit.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def strip_timestamps(text: str) -> str:

@@ -119,7 +119,7 @@ def test_min_root_norm_matches_brute_force(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, k, s, gram)
+    res = min_root_norm(z, s, gram)
     assert res.found
     # brute force over the coordinate box |r|, |m|, |s| <= 40
     best = None
@@ -139,8 +139,8 @@ def test_min_root_norm_monotone_under_deeper_bound(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    r1 = min_root_norm(z, k, s, gram, start_bound=Fraction(8))
-    r2 = min_root_norm(z, k, s, gram, start_bound=Fraction(16))
+    r1 = min_root_norm(z, s, gram, start_bound=Fraction(8))
+    r2 = min_root_norm(z, s, gram, start_bound=Fraction(16))
     assert r1.c_squared == r2.c_squared
 
 
@@ -149,14 +149,14 @@ def test_min_root_norm_budget_error(k3d2):
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
     with pytest.raises(BudgetError):
-        min_root_norm(z, k, s, gram, budget=3)
+        min_root_norm(z, s, gram, budget=3)
 
 
 def test_build_q_z_properties(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, k, s, gram)
+    res = min_root_norm(z, s, gram)
     q_z = build_q_z(z, s, res.c_squared, gram)
     assert is_negative_definite_on(q_z, k.basis)
     assert q_z.evaluate(res.witness) == 0  # the witness attains C
@@ -189,7 +189,7 @@ def test_roundtrip_on_built_support_form(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, k, s, gram)
+    res = min_root_norm(z, s, gram)
     q_z = build_q_z(z, s, res.c_squared, gram)
     rng = random.Random(54)
     classes = [tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(200)]
@@ -203,7 +203,7 @@ def test_discreteness_finite_list(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, k, s, gram)
+    res = min_root_norm(z, s, gram)
     classes = discreteness_classes(z, s, res.c_squared, gram,
                                    radius_sq=Fraction(4))
     assert classes  # some classes exist in the disc
@@ -224,7 +224,7 @@ def test_min_root_norm_second_configuration(k3d2):
     gram = k3d2.mukai_gram()
     k = charge_kernel(z, gram)
     s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, k, s, gram)
+    res = min_root_norm(z, s, gram)
     best = None
     for r in range(-30, 31):
         for m in range(-30, 31):

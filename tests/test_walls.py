@@ -168,7 +168,7 @@ def test_oracle_agrees_at_modest_grid(setup):
 def test_chambers_along_path(setup):
     sl, v, region = setup
     walls = scan_walls(v, sl, region, 5)
-    path = chambers_along_path(v, sl, Fraction(-1), Fraction(1, 10), Fraction(4), walls)
+    path = chambers_along_path(Fraction(-1), Fraction(1, 10), Fraction(4), walls)
     assert path.chamber_count == len(path.crossings) + 1
     # crossings are t = sqrt(radicand) with the radicand in range, sorted
     rads = [c.t_squared for c in path.crossings]
@@ -179,13 +179,13 @@ def test_chambers_along_path(setup):
         w = c.wall
         assert (Fraction(-1) - w.center) ** 2 + c.t_squared == w.radius_sq
     # no walls: single chamber
-    empty = chambers_along_path(v, sl, Fraction(-1), Fraction(1), Fraction(2), [])
+    empty = chambers_along_path(Fraction(-1), Fraction(1), Fraction(2), [])
     assert empty.chamber_count == 1
     # vertical wall not at b*: zero crossings from it
     line = wall_locus(v, MukaiVector(0, (0,), 1), sl)
-    only_line = chambers_along_path(v, sl, Fraction(-1), Fraction(1), Fraction(2), [line])
+    only_line = chambers_along_path(Fraction(-1), Fraction(1), Fraction(2), [line])
     assert only_line.chamber_count == 1 and not only_line.coincident_walls
-    on_line = chambers_along_path(v, sl, Fraction(0), Fraction(1), Fraction(2), [line])
+    on_line = chambers_along_path(Fraction(0), Fraction(1), Fraction(2), [line])
     assert on_line.coincident_walls == (line,)
 
 
@@ -194,8 +194,7 @@ def test_single_semicircle_crossing_example(k3d2):
     v = MukaiVector(1, (0,), -1)
     circ = WallLocus(v, v, (Fraction(1), Fraction(2), Fraction(0), Fraction(0)),
                      WallKind.SEMICIRCLE, center=Fraction(-1), radius_sq=Fraction(1))
-    path = chambers_along_path(v, sl, Fraction(-1, 2), Fraction(1, 10), Fraction(4),
-                               [circ])
+    path = chambers_along_path(Fraction(-1, 2), Fraction(1, 10), Fraction(4), [circ])
     assert len(path.crossings) == 1
     assert path.crossings[0].t_squared == Fraction(3, 4)
     assert path.crossings[0].t_decimal(30).startswith("0.8660254037844386467637231707")
@@ -209,7 +208,7 @@ def test_sqrt_decimal():
 def test_nesting_no_violations_on_scan(setup):
     sl, v, region = setup
     walls = scan_walls(v, sl, region, 8)
-    rep = nesting_check(v, sl, walls)
+    rep = nesting_check(sl, walls)
     assert rep.violations == ()
 
 
@@ -226,16 +225,16 @@ def test_nesting_detects_crossing_and_touching(setup):
                                 Fraction(-b)), WallKind.VERTICAL_LINE,
                          center=Fraction(b))
 
-    nested = nesting_check(v, sl, [circle(0, 4), circle(0, 1)])
+    nested = nesting_check(sl, [circle(0, 4), circle(0, 1)])
     assert not nested.violations and not nested.touching
-    crossing = nesting_check(v, sl, [circle(0, 4), circle(3, 4)])
+    crossing = nesting_check(sl, [circle(0, 4), circle(3, 4)])
     assert len(crossing.violations) == 1
     # line through an interior diameter point crosses; through the endpoint touches
-    line_cross = nesting_check(v, sl, [circle(0, 4), line(1)])
+    line_cross = nesting_check(sl, [circle(0, 4), line(1)])
     assert len(line_cross.violations) == 1
-    line_touch = nesting_check(v, sl, [circle(0, 4), line(2)])
+    line_touch = nesting_check(sl, [circle(0, 4), line(2)])
     assert len(line_touch.touching) == 1 and not line_touch.violations
-    tangent = nesting_check(v, sl, [circle(0, 1), circle(3, 4)])
+    tangent = nesting_check(sl, [circle(0, 1), circle(3, 4)])
     assert len(tangent.touching) == 1 and not tangent.violations
 
 
