@@ -1,13 +1,19 @@
 """Exact lattice-point enumeration inside ellipsoids of positive definite
-rational quadratic forms (Fincke-Pohst style recursion).
+rational quadratic forms (Fincke-Pohst recursion, integer form).
 
-No floating point: the per-coordinate interval bounds floor(c + sqrt(q)) are
-computed with integer square roots and certified by rational comparisons.
+The rational LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
+c_i = sum_{j>i} l_ij x_j, runs once. The walk then scales every level to
+integers: with den_i the least common denominator of row i of l and M the
+lcm of the bound's denominator and every den(d_i) den_i^2, level i keeps the
+center numerator cn_i = den_i c_i and the remainder R = M (bound - sum of the
+levels above), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with
+the integer weight w_i = M d_i / den_i^2. Every range and remainder is then
+plain int arithmetic with isqrt, exact and free of floating point.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BudgetError
@@ -30,54 +36,56 @@ def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], L
     return d, low
 
 
-def _floor_plus_sqrt(c: Fraction, q: Fraction) -> int:
-    """Largest integer k with k <= c + sqrt(q); q >= 0."""
-    base = isqrt(q.numerator * q.denominator) // q.denominator
-    k = (c.numerator // c.denominator) + base + 2
-    while True:
-        t = k - c
-        if t <= 0 or t * t <= q:
-            return k
-        k -= 1
+def _level_range(rem: int, w: int, den: int, cn: int) -> range:
+    """The integers x with w (den x + cn)^2 <= rem (w, den > 0; rem >= 0).
 
-
-def _ceil_minus_sqrt(c: Fraction, q: Fraction) -> int:
-    return -_floor_plus_sqrt(-c, q)
+    (den x + cn)^2 is an integer, so the condition is |den x + cn| <= s with
+    s = isqrt(rem // w).
+    """
+    s = isqrt(rem // w)
+    return range(-((s + cn) // den), (s - cn) // den + 1)
 
 
 def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
                         budget: int = 1 << 20) -> Iterator[Tuple[int, ...]]:
     """Yield every integer x with Q(x) <= bound (including 0 and both signs).
 
-    Raises BudgetError when more than ``budget`` candidate points would be
-    visited.
+    Points come in walk order: x_{n-1} outermost, every coordinate ascending.
+    Raises BudgetError when more than ``budget`` nodes (values tried at any
+    level) would be visited.
     """
     bound = Fraction(bound)
     if bound < 0:
         return
     d, low = ldl_decompose(gram)
     n = len(d)
+    if n == 0:
+        yield ()
+        return
+    dens = [lcm(*(low[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    rows = [[int(low[i][j] * dens[i]) for j in range(n)] for i in range(n)]
+    scale = lcm(bound.denominator, *(d[i].denominator * dens[i] ** 2 for i in range(n)))
+    weights = [int(scale * d[i] / dens[i] ** 2) for i in range(n)]
     x = [0] * n
     visited = 0
 
-    def rec(i: int, remaining: Fraction) -> Iterator[Tuple[int, ...]]:
+    def exhausted() -> BudgetError:
+        return BudgetError(f"ellipsoid enumeration exceeded budget of {budget} points",
+                           bound_reached=bound)
+
+    def rec(i: int, rem: int) -> Iterator[Tuple[int, ...]]:
         nonlocal visited
-        if i < 0:
-            yield tuple(x)
-            return
-        c = sum((low[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        q = remaining / d[i]
-        lo = _ceil_minus_sqrt(-c, q)
-        hi = _floor_plus_sqrt(-c, q)
-        for xi in range(lo, hi + 1):
+        row, den, w = rows[i], dens[i], weights[i]
+        cn = sum(row[j] * x[j] for j in range(i + 1, n))
+        for xi in _level_range(rem, w, den, cn):
             visited += 1
             if visited > budget:
-                raise BudgetError(
-                    f"ellipsoid enumeration exceeded budget of {budget} points",
-                    bound_reached=bound)
+                raise exhausted()
             x[i] = xi
-            t = Fraction(xi) + c
-            yield from rec(i - 1, remaining - d[i] * t * t)
-        x[i] = 0
+            if i == 0:
+                yield tuple(x)
+            else:
+                y = den * xi + cn
+                yield from rec(i - 1, rem - w * y * y)
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, int(scale * bound))

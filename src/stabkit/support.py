@@ -15,11 +15,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid
-from .errors import BudgetError, ChargeError, DegenerateError, StabkitError
+from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
+    StabkitError
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector
 from .linalg import (bilinear, frac_rows, identity, inverse, is_negative_definite,
@@ -243,6 +246,26 @@ def charge_norm_sq(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fract
     return bilinear(vec, s, vec)
 
 
+def _integer_form(gram) -> Tuple[List[List[int]], int]:
+    """(rows, den) with rows integral and den > 0 the least common
+    denominator of the Gram: Q(x) = _form_value(rows, x) / den on integer x."""
+    g = frac_rows(gram)
+    den = lcm(*(e.denominator for row in g for e in row))
+    return [[int(e * den) for e in row] for row in g], den
+
+
+def _form_value(rows: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, rows) if xi)
+
+
+def _integral_rows(ambient_gram) -> List[List[int]]:
+    rows, den = _integer_form(ambient_gram)
+    if den != 1:
+        raise LatticeError("ambient Gram is not integral: roots of square -2 "
+                           "need an integral lattice")
+    return rows
+
+
 def _norm_pullback_gram(z_row, s) -> List[List[Fraction]]:
     """Gram of v -> Z(v)^T S Z(v) on the ambient lattice."""
     p = charge_rows(z_row)  # 2 x n
@@ -282,13 +305,14 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
     completed bound ("no roots in the searched region").
     """
     budget_n = effective_budget(budget)
+    mukai = _integral_rows(ambient_gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
-    m = frac_rows(ambient_gram)
+    norm, norm_den = _integer_form(_norm_pullback_gram(z_row, s))
     bound = Fraction(start_bound)
     visited_total = 0
     last_completed = Fraction(0)
     while True:
-        best: Optional[Fraction] = None
+        best: Optional[int] = None  # numerator of ||Z||_S^2 over norm_den
         best_vec: Optional[Tuple[int, ...]] = None
         count = 0
         remaining = budget_n - visited_total
@@ -296,12 +320,9 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
             for x in enumerate_ellipsoid(q_aux, 2 * bound + 2,
                                          budget=max(remaining, 0)):
                 count += 1
-                if all(c == 0 for c in x):
+                if _form_value(mukai, x) != -2:
                     continue
-                xv = [Fraction(c) for c in x]
-                if bilinear(xv, m, xv) != -2:
-                    continue
-                nz = charge_norm_sq(z_row, s, xv)
+                nz = _form_value(norm, x)
                 if best is None or nz < best or (nz == best and x < best_vec):
                     best, best_vec = nz, x
         except BudgetError:
@@ -315,10 +336,11 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
         visited_total += count
         last_completed = bound
         if best is not None:
-            if best <= bound:
-                return RootNormResult(best, MukaiVector.from_coords(best_vec),
+            c_squared = Fraction(best, norm_den)
+            if c_squared <= bound:
+                return RootNormResult(c_squared, MukaiVector.from_coords(best_vec),
                                       bound, visited_total)
-            bound = best
+            bound = c_squared
         else:
             bound *= 2
 
@@ -429,14 +451,15 @@ def discreteness_classes(z_row: Sequence[GaussianRational],
                          budget: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Finite list of lattice classes with Q_Z(v) >= 0 and ||Z(v)||_S^2 <=
     radius_sq: the computable shadow of charge-image discreteness."""
-    q_z = build_q_z(z_row, s, c_squared, ambient_gram)
+    _integral_rows(ambient_gram)
+    q_z, _ = _integer_form(build_q_z(z_row, s, c_squared, ambient_gram).gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
+    norm, norm_den = _integer_form(_norm_pullback_gram(z_row, s))
+    norm_cap = floor(Fraction(radius_sq) * norm_den)
     cap = 2 * Fraction(radius_sq) + (Fraction(2) / Fraction(c_squared)) * Fraction(radius_sq)
     out = []
     for x in enumerate_ellipsoid(q_aux, cap, budget=effective_budget(budget)):
-        if all(c == 0 for c in x):
-            continue
-        xv = [Fraction(c) for c in x]
-        if charge_norm_sq(z_row, s, xv) <= radius_sq and q_z.evaluate(xv) >= 0:
+        if (any(x) and _form_value(norm, x) <= norm_cap
+                and _form_value(q_z, x) >= 0):
             out.append(x)
     return sorted(out)

@@ -1,29 +1,42 @@
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from stabkit.ellipsoid import (_ceil_minus_sqrt, _floor_plus_sqrt,
-                               enumerate_ellipsoid, ldl_decompose)
+from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, ldl_decompose
 from stabkit.errors import BudgetError
+from stabkit.linalg import inverse
 
 
-def test_exact_sqrt_bounds():
-    assert _floor_plus_sqrt(Fraction(0), Fraction(2)) == 1
-    assert _floor_plus_sqrt(Fraction(0), Fraction(4)) == 2
-    assert _floor_plus_sqrt(Fraction(1, 2), Fraction(9, 4)) == 2
-    assert _ceil_minus_sqrt(Fraction(0), Fraction(2)) == -1
-    assert _ceil_minus_sqrt(Fraction(-3), Fraction(4)) == -5
+def test_level_range_exact():
+    # (rem, w, den, cn) for the rational ranges |x + c| <= sqrt(q), where
+    # c = cn / den and q = rem / (w den^2):
+    # c = 0, q = 2 -> [-1, 1]; c = 0, q = 4 -> [-2, 2];
+    # c = -1/2, q = 9/4 -> [-1, 2]; c = 3, q = 4 -> [-5, -1]
+    assert _level_range(2, 1, 1, 0) == range(-1, 2)
+    assert _level_range(4, 1, 1, 0) == range(-2, 3)
+    assert _level_range(9, 1, 2, -1) == range(-1, 3)
+    assert _level_range(4, 1, 1, 3) == range(-5, 0)
+    assert _level_range(0, 3, 2, 1) == range(0, 0)
     rng = random.Random(81)
     for _ in range(500):
-        c = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-        q = Fraction(rng.randint(0, 400), rng.randint(1, 9))
-        k = _floor_plus_sqrt(c, q)
-        # k <= c + sqrt(q) < k + 1, checked by squaring exactly
-        t = k - c
-        assert t <= 0 or t * t <= q
-        t1 = k + 1 - c
-        assert t1 > 0 and t1 * t1 > q
+        rem, w = rng.randint(0, 4000), rng.randint(1, 90)
+        den, cn = rng.randint(1, 9), rng.randint(-400, 400)
+        r = _level_range(rem, w, den, cn)
+
+        def inside(x):
+            return w * (den * x + cn) ** 2 <= rem
+
+        # exactly the integers with w (den x + cn)^2 <= rem: every x in the
+        # range qualifies, and the integers just outside it do not
+        assert all(inside(x) for x in r)
+        assert not inside(r.start - 1) and not inside(r.stop)
+        if not r:
+            center = -cn // den
+            assert not any(inside(x) for x in range(center - 1, center + 2))
 
 
 def test_ldl_rejects_indefinite():
@@ -57,6 +70,105 @@ def test_budget_error_carries_bound():
     assert err.value.bound_reached == 10 ** 6
 
 
+def test_empty_form_yields_origin():
+    assert list(enumerate_ellipsoid([], Fraction(0))) == [()]
+
+
 def test_negative_bound_empty():
     g = [[Fraction(1)]]
     assert list(enumerate_ellipsoid(g, Fraction(-1))) == []
+
+
+# -- property tests: the integer walk against brute force and a counting
+# reference walk in rationals --------------------------------------------------
+
+_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def pd_forms(draw):
+    """A PD Gram A^T A + D (rational entries, D diagonal >= 1/2, at least one
+    entry not an integer) and a rational bound <= 40."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 2)))
+            for _ in range(n)]
+    g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (diag[i] if i == j else 0)
+          for j in range(n)] for i in range(n)]
+    assume(any(e.denominator > 1 for row in g for e in row))
+    bound = draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
+    return g, bound
+
+
+def _box(g, bound):
+    """|x_i| <= sqrt(bound (G^-1)_ii) on the ellipsoid."""
+    ginv = inverse(g)
+    return [isqrt(int(bound * ginv[i][i])) + 1 for i in range(len(g))]
+
+
+def _brute_force(g, bound):
+    n = len(g)
+    den = lcm(*(e.denominator for row in g for e in row))
+    rows = [[int(e * den) for e in row] for row in g]
+    cap = bound * den
+    pts = [()]
+    for b in _box(g, bound):
+        pts = [p + (x,) for p in pts for x in range(-b, b + 1)]
+    return [p for p in pts
+            if sum(p[i] * rows[i][j] * p[j] for i in range(n) for j in range(n)) <= cap]
+
+
+def _reference_events(g, bound):
+    """The Fincke-Pohst walk in rationals, scanning a box at every level:
+    ("node", None) for each value tried at any level, ("point", x) for each
+    point, in walk order."""
+    d, low = ldl_decompose(g)
+    n = len(g)
+    box = _box(g, bound)
+    x = [0] * n
+
+    def rec(i, rem):
+        c = sum((low[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        for xi in range(-box[i] - 1, box[i] + 2):
+            if d[i] * (xi + c) ** 2 <= rem:
+                yield ("node", None)
+                x[i] = xi
+                if i == 0:
+                    yield ("point", tuple(x))
+                else:
+                    yield from rec(i - 1, rem - d[i] * (xi + c) ** 2)
+
+    return list(rec(n - 1, bound))
+
+
+@given(pd_forms())
+def test_walk_yields_brute_force_set_in_walk_order(form):
+    g, bound = form
+    got = list(enumerate_ellipsoid(g, bound))
+    # walk order: x_{n-1} outermost, every coordinate ascending
+    assert got == sorted(_brute_force(g, bound), key=lambda p: p[::-1])
+
+
+@given(pd_forms(), st.integers(0, 10 ** 6))
+def test_budget_fires_at_reference_node_count(form, budget):
+    g, bound = form
+    events = _reference_events(g, bound)
+    nodes = sum(1 for kind, _ in events if kind == "node")
+    budget %= nodes + 2  # from 0 to one more than the walk needs
+    # the points reached within the first ``budget`` nodes
+    expected, seen = [], 0
+    for kind, p in events:
+        if kind == "node":
+            seen += 1
+            if seen > budget:
+                break
+        else:
+            expected.append(p)
+    got = []
+    if nodes > budget:
+        with pytest.raises(BudgetError):
+            for p in enumerate_ellipsoid(g, bound, budget=budget):
+                got.append(p)
+    else:
+        got = list(enumerate_ellipsoid(g, bound, budget=budget))
+    assert got == expected

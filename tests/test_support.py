@@ -7,7 +7,7 @@ from stabkit import (ChargeParams, QuadraticForm, build_q_z,
                      charge_kernel, charge_norm_form, charge_row,
                      discreteness_classes, equivalent_support_roundtrip,
                      is_negative_definite_on, min_root_norm, support_check)
-from stabkit.errors import BudgetError, ChargeError, DegenerateError
+from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.linalg import identity
 from stabkit.support import charge_norm_sq
@@ -151,6 +151,16 @@ def test_min_root_norm_budget_error(k3d2):
     with pytest.raises(BudgetError):
         min_root_norm(z, s, gram, budget=3)
 
+
+
+def test_root_searches_reject_non_integral_gram(k3d2):
+    z, gram = worked_example(k3d2)
+    s = charge_norm_form(z, charge_kernel(z, gram), gram)
+    half = [[Fraction(x, 2) for x in row] for row in gram]
+    with pytest.raises(LatticeError, match="not integral"):
+        min_root_norm(z, s, half)
+    with pytest.raises(LatticeError, match="not integral"):
+        discreteness_classes(z, s, Fraction(9, 8), half, radius_sq=Fraction(4))
 
 def test_build_q_z_properties(k3d2):
     z, gram = worked_example(k3d2)
