@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError
 from .linalg import frac_rows
@@ -47,12 +47,14 @@ def _level_range(rem: int, w: int, den: int, cn: int) -> range:
 
 
 def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
-                        budget: int = 1 << 20) -> Iterator[Tuple[int, ...]]:
+                        budget: int = 1 << 20,
+                        nodes: Optional[List[int]] = None) -> Iterator[Tuple[int, ...]]:
     """Yield every integer x with Q(x) <= bound (including 0 and both signs).
 
     Points come in walk order: x_{n-1} outermost, every coordinate ascending.
     Raises BudgetError when more than ``budget`` nodes (values tried at any
-    level) would be visited.
+    level) would be visited. When the walk ends, however it ends, the number
+    of nodes it visited (at most the budget) is added to ``nodes[0]``.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -69,18 +71,15 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     x = [0] * n
     visited = 0
 
-    def exhausted() -> BudgetError:
-        return BudgetError(f"ellipsoid enumeration exceeded budget of {budget} points",
-                           bound_reached=bound)
-
     def rec(i: int, rem: int) -> Iterator[Tuple[int, ...]]:
         nonlocal visited
         row, den, w = rows[i], dens[i], weights[i]
         cn = sum(row[j] * x[j] for j in range(i + 1, n))
         for xi in _level_range(rem, w, den, cn):
+            if visited >= budget:
+                raise BudgetError(f"ellipsoid enumeration exceeded budget of {budget} nodes",
+                                  bound_reached=bound)
             visited += 1
-            if visited > budget:
-                raise exhausted()
             x[i] = xi
             if i == 0:
                 yield tuple(x)
@@ -88,4 +87,8 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
                 y = den * xi + cn
                 yield from rec(i - 1, rem - w * y * y)
 
-    yield from rec(n - 1, int(scale * bound))
+    try:
+        yield from rec(n - 1, int(scale * bound))
+    finally:
+        if nodes is not None:
+            nodes[0] += visited

@@ -300,26 +300,25 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
 
     Iterative deepening on the bound B: every root with ||Z||^2 <= B satisfies
     Q_aux <= 2B + 2 (from |||p(delta)|||^2 = 2 + ||Z(delta)||^2), so a root
-    found with norm <= B is a certified minimum. When the budget runs out
-    before any root appears, the result carries c_squared = None with the last
-    completed bound ("no roots in the searched region").
+    found with norm <= B is a certified minimum. ``points_visited`` counts the
+    ellipsoid nodes of all rounds together, and the budget caps that total.
+    When the budget runs out before any root appears, the result carries
+    c_squared = None with the last completed bound ("no roots in the searched
+    region").
     """
     budget_n = effective_budget(budget)
     mukai = _integral_rows(ambient_gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
     norm, norm_den = _integer_form(_norm_pullback_gram(z_row, s))
     bound = Fraction(start_bound)
-    visited_total = 0
+    nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
     while True:
         best: Optional[int] = None  # numerator of ||Z||_S^2 over norm_den
         best_vec: Optional[Tuple[int, ...]] = None
-        count = 0
-        remaining = budget_n - visited_total
         try:
             for x in enumerate_ellipsoid(q_aux, 2 * bound + 2,
-                                         budget=max(remaining, 0)):
-                count += 1
+                                         budget=budget_n - nodes[0], nodes=nodes):
                 if _form_value(mukai, x) != -2:
                     continue
                 nz = _form_value(norm, x)
@@ -327,19 +326,17 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
                     best, best_vec = nz, x
         except BudgetError:
             if best is None and last_completed > 0:
-                return RootNormResult(None, None, last_completed,
-                                      visited_total + count)
+                return RootNormResult(None, None, last_completed, nodes[0])
             raise BudgetError(
-                f"root search budget of {budget_n} points exhausted before "
+                f"root search budget of {budget_n} nodes exhausted before "
                 f"certification (bound reached {bound})",
                 bound_reached=bound) from None
-        visited_total += count
         last_completed = bound
         if best is not None:
             c_squared = Fraction(best, norm_den)
             if c_squared <= bound:
                 return RootNormResult(c_squared, MukaiVector.from_coords(best_vec),
-                                      bound, visited_total)
+                                      bound, nodes[0])
             bound = c_squared
         else:
             bound *= 2

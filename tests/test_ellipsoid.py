@@ -164,11 +164,12 @@ def test_budget_fires_at_reference_node_count(form, budget):
                 break
         else:
             expected.append(p)
-    got = []
+    got, tally = [], [0]
     if nodes > budget:
         with pytest.raises(BudgetError):
-            for p in enumerate_ellipsoid(g, bound, budget=budget):
+            for p in enumerate_ellipsoid(g, bound, budget=budget, nodes=tally):
                 got.append(p)
     else:
-        got = list(enumerate_ellipsoid(g, bound, budget=budget))
+        got = list(enumerate_ellipsoid(g, bound, budget=budget, nodes=tally))
     assert got == expected
+    assert tally == [min(nodes, budget)]

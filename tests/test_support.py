@@ -10,7 +10,8 @@ from stabkit import (ChargeParams, QuadraticForm, build_q_z,
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.linalg import identity
-from stabkit.support import charge_norm_sq
+from stabkit.ellipsoid import enumerate_ellipsoid
+from stabkit.support import aux_positive_gram, charge_norm_sq
 
 
 def worked_example(k3d2):
@@ -152,6 +153,29 @@ def test_min_root_norm_budget_error(k3d2):
         min_root_norm(z, s, gram, budget=3)
 
 
+
+
+def test_min_root_norm_budget_counts_nodes_of_all_rounds(k3d2):
+    z, gram = worked_example(k3d2)
+    s = charge_norm_form(z, charge_kernel(z, gram), gram)
+    q_aux = aux_positive_gram(z, s, gram)
+    start = Fraction(1, 8)
+    # bounds 1/8, 1/4, 1/2 and 1 hold no root; bound 2 certifies C^2 = 9/8
+    per_round = []
+    for b in (start, 2 * start, 4 * start, 8 * start, 16 * start):
+        nodes = [0]
+        list(enumerate_ellipsoid(q_aux, 2 * b + 2, nodes=nodes))
+        per_round.append(nodes[0])
+    assert sum(per_round) == 233 and sum(per_round[:3]) < 150
+    res = min_root_norm(z, s, gram, start_bound=start)
+    assert res.c_squared == Fraction(9, 8) and res.points_visited == 233
+    # 150 nodes run out in the fourth round: the last completed bound is
+    # 1/2, and the walk stopped at the budget
+    res = min_root_norm(z, s, gram, budget=150, start_bound=start)
+    assert not res.found
+    assert res.bound_reached == Fraction(1, 2) and res.points_visited == 150
+    with pytest.raises(BudgetError):
+        min_root_norm(z, s, gram, budget=232, start_bound=start)
 
 def test_root_searches_reject_non_integral_gram(k3d2):
     z, gram = worked_example(k3d2)
