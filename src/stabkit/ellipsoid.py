@@ -4,16 +4,18 @@ rational quadratic forms (Fincke-Pohst recursion, integer form).
 The rational LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
 c_i = sum_{j>i} l_ij x_j, runs once. The walk then scales every level to
 integers: with den_i the least common denominator of row i of l and M the
-lcm of the bound's denominator and every den(d_i) den_i^2, level i keeps the
-center numerator cn_i = den_i c_i and the remainder R = M (bound - sum of the
-levels above), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with
-the integer weight w_i = M d_i / den_i^2. Every range and remainder is then
-plain int arithmetic with isqrt, exact and free of floating point.
+lcm of every den(d_i) den_i^2, level i keeps the center numerator
+cn_i = den_i c_i and the remainder R = floor(M (bound - sum of the levels
+above)), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with the
+integer weight w_i = M d_i / den_i^2. Every term compared with or subtracted
+from R is an integer, so flooring M bound once loses nothing. Every range
+and remainder is then plain int arithmetic with isqrt, exact and free of
+floating point.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError
@@ -66,7 +68,7 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
         return
     dens = [lcm(*(low[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     rows = [[int(low[i][j] * dens[i]) for j in range(n)] for i in range(n)]
-    scale = lcm(bound.denominator, *(d[i].denominator * dens[i] ** 2 for i in range(n)))
+    scale = lcm(*(d[i].denominator * dens[i] ** 2 for i in range(n)))
     weights = [int(scale * d[i] / dens[i] ** 2) for i in range(n)]
     x = [0] * n
     visited = 0
@@ -88,7 +90,7 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
                 yield from rec(i - 1, rem - w * y * y)
 
     try:
-        yield from rec(n - 1, int(scale * bound))
+        yield from rec(n - 1, floor(scale * bound))
     finally:
         if nodes is not None:
             nodes[0] += visited

@@ -251,6 +251,24 @@ def test_discreteness_finite_list(k3d2):
     assert set(classes) <= set(bigger)
 
 
+
+def test_discreteness_filters_match_rational_reference(k3d2):
+    z, gram = worked_example(k3d2)
+    s = charge_norm_form(z, charge_kernel(z, gram), gram)
+    res = min_root_norm(z, s, gram)
+    c2 = res.c_squared
+    q_z = build_q_z(z, s, c2, gram)
+    q_aux = aux_positive_gram(z, s, gram)
+    # just below C^2 the witness pair drops out; at C^2 it is in
+    for radius in (c2 - Fraction(1, 10 ** 6), c2, Fraction(4)):
+        cap = 2 * radius + 2 / c2 * radius
+        expected = sorted(x for x in enumerate_ellipsoid(q_aux, cap)
+                          if any(x) and charge_norm_sq(z, s, x) <= radius
+                          and q_z.evaluate(x) >= 0)
+        got = discreteness_classes(z, s, c2, gram, radius_sq=radius)
+        assert got == expected
+        assert (res.witness.coords() in got) == (radius >= c2)
+
 def test_min_root_norm_second_configuration(k3d2):
     """Brute-force cross-check at a second slice point (beta = H/2)."""
     params = ChargeParams(k3d2, (Fraction(1, 2),), (Fraction(2),))
