@@ -8,8 +8,8 @@ lcm of every den(d_i) den_i^2, level i keeps the center numerator
 cn_i = den_i c_i and the remainder R = floor(M (bound - sum of the levels
 above)), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with the
 integer weight w_i = M d_i / den_i^2. Every term compared with or subtracted
-from R is an integer, so flooring M bound once loses nothing. Every range
-and remainder is then plain int arithmetic with isqrt, exact and free of
+from R is an integer, so flooring M bound once loses nothing, and every
+range and remainder is plain int arithmetic with isqrt: exact, with no
 floating point.
 """
 from __future__ import annotations

@@ -319,7 +319,7 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
         try:
             for x in enumerate_ellipsoid(q_aux, 2 * bound + 2,
                                          budget=budget_n - nodes[0], nodes=nodes):
-                if _form_value(mukai, x) != -2:
+                if _form_value(mukai, x) != -2:  # also skips the origin
                     continue
                 nz = _form_value(norm, x)
                 if best is None or nz < best or (nz == best and x < best_vec):

@@ -281,3 +281,75 @@ def test_classify_wall_bound_flag(tmp_path, lattice_file):
     assert code == 0
     # bound 6 admits the two roots of the worked example lattice
     assert len(doc["result"]["roots"]) == 2
+
+
+# support payloads (the "result" block, without the manifest), pinned so that
+# later work on the support layer keeps them byte for byte
+K3D2_SUPPORT = {
+    "discreteness_sample": {"classes": 52, "radius_sq": "9/2"},
+    "kernel_basis": [["1", "0", "4"]],
+    "norm_form": [["1/8", "0"], ["0", "1/8"]],
+    "q_z": [["32/9", "0", "-17/9"], ["0", "50/9", "0"], ["-17/9", "0", "2/9"]],
+    "root_search": {"bound_reached": "8", "c_squared": "9/8", "points_visited": 307,
+                    "witness": ["-1", ["0"], "-1"]},
+    "roundtrip": {"all_pass": True, "c_squared": "1/2", "classes_checked": 2, "k": "1",
+                  "verdicts": [{"class": ["-1", "0", "-1"], "passed": True,
+                                "q_value": "0", "skipped": False},
+                               {"class": ["0", "0", "1"], "passed": True,
+                                "q_value": "2/9", "skipped": False}]},
+}
+
+# Gram [[2, 1], [1, -2]] in the basis e'_1 = 3 e_1 + e_2, e'_2 = 2 e_1 + e_2;
+# beta and omega are (-1/3, -1/2) and (3/2, -1/13) in the original basis
+SKEW2_LATTICE = {"rank": 2, "gram": [["22", "15"], ["15", "10"]],
+                 "ample": ["1", "-1"], "k3": True}
+SKEW2_SUPPORT = {
+    "discreteness_sample": {"classes": 36, "radius_sq": "19940/12951"},
+    "kernel_basis": [["122694", "593476", "-854247", "0"],
+                     ["549588", "-94978", "0", "1423745"]],
+    "norm_form": [["338/1439", "0"], ["0", "338/1439"]],
+    "q_z": [["56695841/6065748", "93613/5982", "73067/5982", "-17767/4985"],
+            ["93613/5982", "163896/997", "115822/997", "17238/4985"],
+            ["73067/5982", "115822/997", "81795/997", "2028/997"],
+            ["-17767/4985", "17238/4985", "2028/997", "6084/4985"]],
+    "root_search": {"bound_reached": "8", "c_squared": "4985/12951",
+                    "points_visited": 1202, "witness": ["0", ["-3", "4"], "2"]},
+    "roundtrip": {"all_pass": True, "c_squared": "1/3", "classes_checked": 2, "k": "1/2",
+                  "verdicts": [{"class": ["0", "-3", "4", "2"], "passed": True,
+                                "q_value": "0", "skipped": False},
+                               {"class": ["0", "0", "0", "1"], "passed": True,
+                                "q_value": "6084/4985", "skipped": False}]},
+}
+
+
+def test_support_payload_pinned(tmp_path, lattice_file):
+    code, doc = run(tmp_path, "support", "--lattice", lattice_file,
+                    "--beta", "0", "--omega", "2")
+    assert code == 0 and doc["result"] == K3D2_SUPPORT
+    skew = tmp_path / "skew2.json"
+    skew.write_text(dumps(SKEW2_LATTICE))
+    code, doc = run(tmp_path, "support", "--lattice", str(skew),
+                    "--beta", "2/3,-7/6", "--omega", "43/26,-45/26")
+    assert code == 0 and doc["result"] == SKEW2_SUPPORT
+    # C^2 does not depend on the basis
+    reduced = tmp_path / "red2.json"
+    reduced.write_text(dumps({"rank": 2, "gram": [["2", "1"], ["1", "-2"]],
+                              "ample": ["1", "0"], "k3": True}))
+    code, doc = run(tmp_path, "support", "--lattice", str(reduced),
+                    "--beta", "-1/3,-1/2", "--omega", "3/2,-1/13")
+    assert code == 0
+    assert doc["result"]["root_search"]["c_squared"] == "4985/12951"
+
+
+def test_support_output_same_under_python_O(tmp_path, lattice_file):
+    """No postcondition rides on ``assert``, which ``python -O`` strips."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "support.json"
+    outputs = []
+    for flags in ([], ["-O"]):
+        subprocess.run([sys.executable, *flags, "-m", "stabkit.cli", "support",
+                        "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append(strip_timestamps(out.read_text()))
+    assert outputs[0] == outputs[1]
