@@ -8,6 +8,8 @@ error (budget exceeded, degenerate configuration).
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +24,7 @@ from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
 from .gaussian import GaussianRational, as_fraction
 from .hn import hn_filtration, seesaw_check, validate, validate_or_raise
 from .lattice import ChernCharacter, MukaiVector, mukai_pairing
-from .manifest import build_manifest
+from .manifest import build_manifest, file_hash
 from .nef import bb_square, lagrangian_candidates, moduli_dimension, \
     omega_class, wall_report
 from .support import (build_q_z, charge_kernel, charge_norm_form,
@@ -63,6 +65,8 @@ def _load_json(path: str) -> Any:
 def _emit(args, payload: Dict[str, Any], summary: str,
           inputs: Optional[Dict[str, str]] = None,
           bounds: Optional[Dict[str, Any]] = None) -> None:
+    """Write the payload with its manifest; ``inputs`` maps each input's
+    name to the SHA-256 digest of its content."""
     manifest = build_manifest(args.argv, inputs or {}, bounds or {},
                               seed=getattr(args, "seed", None))
     doc = {"manifest": manifest.to_json(), "result": payload}
@@ -96,7 +100,7 @@ def cmd_pairing(args) -> None:
     v, w = _mukai(args.v), _mukai(args.w)
     val = mukai_pairing(v, w, lat)
     _emit(args, {"value": str(val)}, f"({args.v}, {args.w}) = {val}",
-          inputs={"lattice": args.lattice})
+          inputs={"lattice": file_hash(args.lattice)})
 
 
 def cmd_charge(args) -> None:
@@ -107,7 +111,8 @@ def cmd_charge(args) -> None:
     else:
         c0, *c1, c2 = _parse_vec_rat(args.v)
         z = surface_charge(ChernCharacter(c0, tuple(c1), c2), params)
-    _emit(args, ser.gauss_to_json(z), f"Z = {z}", inputs={"lattice": args.lattice})
+    _emit(args, ser.gauss_to_json(z), f"Z = {z}",
+          inputs={"lattice": file_hash(args.lattice)})
 
 
 def cmd_phase_compare(args) -> None:
@@ -137,7 +142,8 @@ def cmd_hn(args) -> None:
     }
     _emit(args, payload,
           f"HN filtration of {args.object}: {' < '.join(filt.steps)}",
-          inputs={"category": args.category, "charge": args.charge})
+          inputs={"category": file_hash(args.category),
+                  "charge": file_hash(args.charge)})
 
 
 def cmd_validate_category(args) -> None:
@@ -148,7 +154,8 @@ def cmd_validate_category(args) -> None:
         {"code": v.code, "subject": v.subject, "message": v.message}
         for v in violations]}
     _emit(args, payload, f"{len(violations)} violation(s)",
-          inputs={"category": args.category, "charge": args.charge})
+          inputs={"category": file_hash(args.category),
+                  "charge": file_hash(args.charge)})
 
 
 def cmd_support(args) -> None:
@@ -202,7 +209,7 @@ def cmd_support(args) -> None:
         }
         summary = (f"C^2 = {res.c_squared}, witness {res.witness.coords()}, "
                    f"roundtrip {'ok' if roundtrip.all_pass else 'FAILED'}")
-    _emit(args, payload, summary, inputs={"lattice": args.lattice},
+    _emit(args, payload, summary, inputs={"lattice": file_hash(args.lattice)},
           bounds={"budget": budget})
 
 
@@ -249,12 +256,15 @@ def cmd_walls(args) -> None:
             "agrees": detected == enumerated,
         }
         summary += f"; oracle {'agrees' if detected == enumerated else 'DISAGREES'}"
-    _emit(args, payload, summary, inputs={"lattice": args.lattice},
+    _emit(args, payload, summary, inputs={"lattice": file_hash(args.lattice)},
           bounds={"bound": args.bound, "grid": args.grid})
 
 
 def cmd_chambers(args) -> None:
     doc = _load_json(args.walls)
+    # the walls result in canonical form, not the file: its manifest carries
+    # the walls run's own timestamp
+    walls_hash = hashlib.sha256(ser.dumps(doc["result"]).encode("utf-8")).hexdigest()
     walls = [ser.wall_from_json(w) for w in doc["result"]["walls"]]
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)
@@ -274,7 +284,7 @@ def cmd_chambers(args) -> None:
     }
     _emit(args, payload,
           f"{len(path.crossings)} crossing(s), {path.chamber_count} chamber(s)",
-          inputs={"walls": args.walls})
+          inputs={"walls": walls_hash})
 
 
 def cmd_plot(args) -> None:
@@ -287,7 +297,7 @@ def cmd_plot(args) -> None:
                     as_fraction(res["region"]["b_max"]),
                     as_fraction(res["region"]["t_min"]),
                     as_fraction(res["region"]["t_max"]))
-    manifest = build_manifest(args.argv, {"walls": args.walls}, {})
+    manifest = build_manifest(args.argv, {}, {})
     svg = render_walls_svg(walls, region, timestamp=manifest.timestamp,
                            title="potential walls")
     with open(args.out, "w", encoding="utf-8") as f:
@@ -313,7 +323,7 @@ def cmd_nef(args) -> None:
     }
     _emit(args, payload,
           f"q(l_sigma) = {sq}, dim M = {dim.dimension}",
-          inputs={"lattice": args.lattice})
+          inputs={"lattice": file_hash(args.lattice)})
 
 
 def cmd_classify_wall(args) -> None:
@@ -350,7 +360,7 @@ def cmd_classify_wall(args) -> None:
     _emit(args, payload,
           f"H_W gram {rep.hw.gram2}; root: {rep.has_root}, "
           f"isotropic: {rep.has_isotropic}",
-          inputs={"lattice": args.lattice},
+          inputs={"lattice": file_hash(args.lattice)},
           bounds={"max_m": args.max_m, "box": args.box})
 
 
@@ -361,7 +371,7 @@ def cmd_lagrangian(args) -> None:
     cands = lagrangian_candidates(v, lat, args.bound)
     payload = {"candidates": [ser.mukai_to_json(u) for u in cands]}
     _emit(args, payload, f"{len(cands)} Lagrangian candidate ray(s)",
-          inputs={"lattice": args.lattice}, bounds={"bound": args.bound})
+          inputs={"lattice": file_hash(args.lattice)}, bounds={"bound": args.bound})
 
 
 def cmd_gieseker(args) -> None:
@@ -374,7 +384,11 @@ def cmd_gieseker(args) -> None:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use. It stores
+    each handler's name, which :func:`main` looks up per call, so a handler
+    replaced on the module after the first call is the one that runs."""
     ap = argparse.ArgumentParser(
         prog="stabkit",
         description="Exact numerical toolkit for stability conditions on "
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=None)
         return p
@@ -504,7 +518,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(_normalize_argv(list(argv)))
     args.argv = list(argv)  # the manifest records the command as given
     try:
-        args.fn(args)
+        globals()[args.fn](args)
     except (LatticeError, ChargeError, PresentationError, ValueError,
             FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

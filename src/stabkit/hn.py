@@ -107,8 +107,8 @@ class Filtration:
 ChargeRow = Sequence[GaussianRational]
 
 
-def _charge_of(cat: CategoryPresentation, charge: ChargeRow, name: str) -> GaussianRational:
-    return evaluate_charge_row(charge, cat.class_of(name))
+def _charge_table(cat: CategoryPresentation, charge: ChargeRow) -> Dict[str, GaussianRational]:
+    return {name: evaluate_charge_row(charge, cls) for name, cls in cat.objects.items()}
 
 
 def validate(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
@@ -168,7 +168,7 @@ def validate(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
     for name in sorted(cat.objects):
         if name == cat.zero:
             continue
-        z = _charge_of(cat, charge, name)
+        z = evaluate_charge_row(charge, cat.class_of(name))
         if not phase_valid(z):
             out.append(Violation(
                 "invalid-charge", name,
@@ -187,13 +187,10 @@ def is_semistable(cat: CategoryPresentation, charge: ChargeRow, a: str) -> bool:
     """No strict nonzero subobject of larger phase."""
     if a not in cat.objects or a == cat.zero:
         raise PresentationError(f"need a nonzero object id, got {a!r}")
-    za = _charge_of(cat, charge, a)
-    for b in cat.subobjects_below(a):
-        if b in (a, cat.zero):
-            continue
-        if phase_compare(_charge_of(cat, charge, b), za) is Order.GT:
-            return False
-    return True
+    z = {b: evaluate_charge_row(charge, cat.class_of(b))
+         for b in cat.subobjects_below(a)}
+    return not any(phase_compare(z[b], z[a]) is Order.GT
+                   for b in z if b not in (a, cat.zero))
 
 
 def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtration:
@@ -210,6 +207,7 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
         raise PresentationError(f"need a nonzero object id, got {a!r}")
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
+    z = _charge_table(cat, charge)
     steps = [cat.zero]
     factor_ids: List[str] = []
     notes: List[str] = []
@@ -223,11 +221,10 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
                 "presentation too sparse for a filtration")
         best: List[Edge] = []
         for e in cands:
-            zf = _charge_of(cat, charge, e.quotient)
             if not best:
                 best = [e]
                 continue
-            cmp = phase_compare(zf, _charge_of(cat, charge, best[0].quotient))
+            cmp = phase_compare(z[e.quotient], z[best[0].quotient])
             if cmp is Order.GT:
                 best = [e]
             elif cmp is Order.EQ:
@@ -248,8 +245,7 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
     factor_classes = tuple(cat.class_of(f) for f in factor_ids)
     # consistency: strictly decreasing phases and semistable factors
     for f1, f2 in zip(factor_ids, factor_ids[1:]):
-        if phase_compare(_charge_of(cat, charge, f1),
-                         _charge_of(cat, charge, f2)) is not Order.GT:
+        if phase_compare(z[f1], z[f2]) is not Order.GT:
             raise PresentationError(
                 f"greedy filtration of {a!r} has non-decreasing factor phases "
                 f"({f1!r} then {f2!r}): presentation is inconsistent")
@@ -271,12 +267,12 @@ def jh_factors(cat: CategoryPresentation, charge: ChargeRow, a: str) -> List[Cla
     multisets must agree, otherwise the presentation is inconsistent."""
     if not is_semistable(cat, charge, a):
         raise PresentationError(f"{a!r} is not semistable; no JH factors")
-    za = _charge_of(cat, charge, a)
+    z = _charge_table(cat, charge)
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
 
     def on_ray(name: str) -> bool:
-        return phase_compare(_charge_of(cat, charge, name), za) is Order.EQ
+        return phase_compare(z[name], z[a]) is Order.EQ
 
     pool = {b for b in subs_a if b == cat.zero or (b != cat.zero and on_ray(b))}
 
@@ -311,12 +307,11 @@ def seesaw_check(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation
     phi(B) <= phi(A) iff phi(C) >= phi(A), and symmetrically. Any violation
     indicates an inconsistent charge/presentation pair."""
     out: List[Violation] = []
+    z = _charge_table(cat, charge)
     for e in cat.edges:
         if cat.zero in (e.sub, e.ambient, e.quotient):
             continue
-        zb = _charge_of(cat, charge, e.sub)
-        za = _charge_of(cat, charge, e.ambient)
-        zc = _charge_of(cat, charge, e.quotient)
+        zb, za, zc = z[e.sub], z[e.ambient], z[e.quotient]
         o_ba = phase_compare(zb, za)
         o_ca = phase_compare(zc, za)
         if (o_ba in (Order.LT, Order.EQ)) != (o_ca in (Order.GT, Order.EQ)):

@@ -41,12 +41,13 @@ def file_hash(path: str) -> str:
     return h.hexdigest()
 
 
-def build_manifest(argv: Sequence[str], inputs: Dict[str, str],
+def build_manifest(argv: Sequence[str], input_hashes: Dict[str, str],
                    bounds: Dict[str, Any], seed: Optional[int] = None) -> RunManifest:
-    hashes = {name: file_hash(path) for name, path in inputs.items()}
+    """Manifest of a run; ``input_hashes`` maps each input's name to the
+    SHA-256 hex digest of its content."""
     return RunManifest(
         command=" ".join(argv),
-        input_hashes=hashes,
+        input_hashes=input_hashes,
         version=VERSION,
         bounds=bounds,
         seed=seed,

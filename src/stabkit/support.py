@@ -112,7 +112,6 @@ def charge_kernel(z_row: Sequence[GaussianRational],
     Fails when the ambient pairing restricted to Ker Z is degenerate (the
     projector is then undefined -- the charge sits outside the good locus).
     """
-    n = len(z_row)
     if all(z.is_zero() for z in z_row):
         raise ChargeError("zero charge functional")
     rows = charge_rows(z_row)
@@ -122,29 +121,32 @@ def charge_kernel(z_row: Sequence[GaussianRational],
             "charge has real rank < 2 (parts proportional): the kernel is too "
             "large for the good locus")
     basis = nullspace(rows)
-    if not basis:
-        proj = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        return ChargeKernel((), proj)
-    k = [[Fraction(x) for x in b] for b in basis]  # r x n, rows are basis
-    kt = transpose(k)  # n x r, columns are basis
-    m = frac_rows(ambient_gram)
-    inner = mat_mul(k, mat_mul(m, kt))  # r x r, restricted pairing
     try:
-        inner_inv = inverse(inner)
+        proj = _orthogonal_projector(basis, frac_rows(ambient_gram))
     except ValueError:
         raise DegenerateError(
             "pairing degenerate on Ker Z: charge lies outside the good locus"
         ) from None
-    proj = mat_mul(kt, mat_mul(inner_inv, mat_mul(k, m)))
-    kernel = ChargeKernel(tuple(tuple(b) for b in basis),
-                          tuple(tuple(row) for row in proj))
     for b in basis:
         if not evaluate_charge_row(z_row, b).is_zero():
             raise StabkitError("kernel basis vector not annihilated by Z")
-    p2 = mat_mul(proj, proj)
-    if p2 != [list(row) for row in proj]:
+    if mat_mul(proj, proj) != proj:
         raise StabkitError("projector is not idempotent")
-    return kernel
+    return ChargeKernel(tuple(tuple(b) for b in basis),
+                        tuple(tuple(row) for row in proj))
+
+
+def _orthogonal_projector(basis: Sequence[Sequence], gram) -> List[List[Fraction]]:
+    """K^T (K G K^T)^-1 K G for the basis rows K: the projector onto their
+    span along its G-orthogonal complement. ValueError when G is degenerate
+    on the span."""
+    n = len(gram)
+    if not basis:
+        return [[Fraction(0)] * n for _ in range(n)]
+    k = frac_rows(basis)
+    kt = transpose(k)
+    kg = mat_mul(k, gram)
+    return mat_mul(kt, mat_mul(inverse(mat_mul(kg, kt)), kg))
 
 
 def is_negative_definite_on(q: QuadraticForm, basis: Sequence[Sequence]) -> bool:
@@ -187,52 +189,27 @@ def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
     """The unique symmetric S with (v,w) = Z(v)^T S Z(w) - <p v, p w> for all
     v, w, where <.,.> is minus the pairing on Ker Z.
 
-    Solved on a rank-2 complement and re-verified on the full basis; S must
-    come out positive definite, otherwise the charge does not span a positive
-    2-plane and the construction refuses.
+    With M the ambient Gram and P the kernel's projector, (p v, p w) =
+    v^T M P w, so the identity says R^T S R = G for G = M - M P and the
+    2 x n matrix R = (Re Z; Im Z). At two pivot columns of R, where R is an
+    invertible 2 x 2 block C, this reads C^T S C = G_pp, hence
+    S = C^-T G_pp C^-1. The full identity is then checked as one matrix
+    equation. S must come out positive definite, otherwise the charge does
+    not span a positive 2-plane and the construction refuses.
     """
-    n = len(z_row)
     m = frac_rows(ambient_gram)
     rows = charge_rows(z_row)
     _, pivots = rref(rows)
     if len(pivots) != 2:
         raise DegenerateError("charge has real rank < 2: no 2x2 norm form")
-    i, j = pivots
-    basis_c = []
-    for idx in (i, j):
-        e = [Fraction(0)] * n
-        e[idx] = Fraction(1)
-        basis_c.append(e)
-
-    def rhs(u, w) -> Fraction:
-        pu, pw = kernel.project(u), kernel.project(w)
-        return bilinear(u, m, w) - bilinear(pu, m, pw)
-
-    def z2(u) -> Tuple[Fraction, Fraction]:
-        zu = evaluate_charge_row(z_row, u)
-        return (zu.re, zu.im)
-
-    eqs = []
-    vals = []
-    for (u, w) in ((basis_c[0], basis_c[0]), (basis_c[0], basis_c[1]),
-                   (basis_c[1], basis_c[1])):
-        (x1, y1), (x2, y2) = z2(u), z2(w)
-        eqs.append([x1 * x2, x1 * y2 + y1 * x2, y1 * y2])
-        vals.append(rhs(u, w))
-    from .linalg import solve
-    s11, s12, s22 = solve(eqs, vals)
-    s = [[s11, s12], [s12, s22]]
-    # residual must vanish identically; verify on the full basis
-    for a in range(n):
-        ea = [Fraction(0)] * n
-        ea[a] = Fraction(1)
-        for b in range(a, n):
-            eb = [Fraction(0)] * n
-            eb[b] = Fraction(1)
-            (x1, y1), (x2, y2) = z2(ea), z2(eb)
-            lhs = s11 * x1 * x2 + s12 * (x1 * y2 + y1 * x2) + s22 * y1 * y2
-            if lhs != rhs(ea, eb):
-                raise StabkitError("norm-form residual does not vanish on the basis")
+    g = [[x - y for x, y in zip(mr, pr)]
+         for mr, pr in zip(m, mat_mul(m, kernel.projector))]
+    c_inv = inverse([[row[p] for p in pivots] for row in rows])
+    g_pp = [[g[a][b] for b in pivots] for a in pivots]
+    s = mat_mul(transpose(c_inv), mat_mul(g_pp, c_inv))
+    if mat_mul(transpose(rows), mat_mul(s, rows)) != g:
+        raise StabkitError("norm form does not reproduce the pairing: "
+                           "R^T S R != M - M P")
     if not is_positive_definite(s):
         raise DegenerateError(
             "no positive definite norm form: charge outside the positive locus")
@@ -394,20 +371,18 @@ def equivalent_support_roundtrip(q: QuadraticForm,
     the underlying proof is constructive.
     """
     n = len(z_row)
+    gram = frac_rows(q.gram)
     kernel_basis = nullspace(charge_rows(z_row))
     if kernel_basis and not is_negative_definite_on(q, kernel_basis):
         raise DegenerateError("Q is not negative definite on Ker Z")
     if kernel_basis:
-        k_rows = [[Fraction(x) for x in b] for b in kernel_basis]
-        ortho_rows = mat_mul(k_rows, [list(r) for r in q.gram])
-        complement = nullspace(ortho_rows)
+        complement = nullspace(mat_mul(frac_rows(kernel_basis), gram))
     else:
-        complement = [row[:] for row in identity(n)]
-    comp = [[Fraction(x) for x in b] for b in complement]
-    z_abs_gram = _norm_pullback_gram(z_row, [[Fraction(1), Fraction(0)],
-                                             [Fraction(0), Fraction(1)]])
+        complement = identity(n)
+    comp = frac_rows(complement)
+    z_abs_gram = _norm_pullback_gram(z_row, identity(2))
     n_res = [[bilinear(u, z_abs_gram, w) for w in comp] for u in comp]
-    q_res = [[bilinear(u, [list(r) for r in q.gram], w) for w in comp] for u in comp]
+    q_res = [[bilinear(u, gram, w) for w in comp] for u in comp]
     k_const = Fraction(1)
     for _ in range(200):
         trial = [[n_res[i][j] - k_const * q_res[i][j] for j in range(len(comp))]
@@ -419,12 +394,7 @@ def equivalent_support_roundtrip(q: QuadraticForm,
         raise DegenerateError("could not find K with K Q <= |Z|^2 on the complement")
     c2 = k_const / (1 + k_const)
     # Q-orthogonal projection onto the kernel for the norm decomposition
-    if kernel_basis:
-        kt = transpose(k_rows)
-        inner = mat_mul(k_rows, mat_mul([list(r) for r in q.gram], kt))
-        proj = mat_mul(kt, mat_mul(inverse(inner), mat_mul(k_rows, [list(r) for r in q.gram])))
-    else:
-        proj = [[Fraction(0)] * n for _ in range(n)]
+    proj = _orthogonal_projector(kernel_basis, gram)
     verdicts = []
     for cls in test_classes:
         v = _coords(cls)
@@ -433,7 +403,7 @@ def equivalent_support_roundtrip(q: QuadraticForm,
             verdicts.append(RoundtripVerdict(tuple(v), qv, True, None, None, None))
             continue
         a = mat_vec(proj, v)
-        qa = bilinear(a, [list(r) for r in q.gram], a)
+        qa = bilinear(a, gram, a)
         zabs = evaluate_charge_row(z_row, v).norm2()
         norm_sq = -qa + zabs
         verdicts.append(RoundtripVerdict(tuple(v), qv, False, norm_sq, zabs,

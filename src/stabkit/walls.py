@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,6 +39,8 @@ class SliceParams:
     beta0: Tuple[Fraction, ...]
     direction: Tuple[int, ...] = ()
     t_axis: Tuple[int, ...] = ()
+    # the charge at the base point (beta0, t_axis), derived on construction
+    z0: Tuple[GaussianRational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         beta0 = tuple(as_fraction(x) for x in self.beta0)
@@ -53,6 +55,7 @@ class SliceParams:
         object.__setattr__(self, "beta0", beta0)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "t_axis", t_axis)
+        object.__setattr__(self, "z0", tuple(charge_functional(self.lattice, beta0, t_axis)))
 
     def axis_sq(self) -> Fraction:
         return self.lattice.ns_dot(self.t_axis, self.t_axis)
@@ -113,22 +116,6 @@ class WallLocus:
 # -- exact charge on the slice -------------------------------------------------
 
 
-def _slice_profile(slice_: SliceParams, vec: MukaiVector) -> Tuple[int, Fraction, Fraction]:
-    """Constants (r, P, K) of a class on the slice, with
-
-        P = H.c - r beta0.H,    K = beta0.c - s - r beta0^2 / 2,
-
-    so that Re Z = K + b P - (r d / 2)(b^2 - t^2) and Im Z = t (P - r b d),
-    d = H^2 (the degree-4 slot s is Mukai s on a K3, ch2 otherwise)."""
-    lat = slice_.lattice
-    if len(vec.c) != lat.rank:
-        raise LatticeError("vector has wrong NS rank")
-    beta0, axis = slice_.beta0, slice_.t_axis
-    p = lat.ns_dot(axis, vec.c) - vec.r * lat.ns_dot(beta0, axis)
-    k = lat.ns_dot(beta0, vec.c) - vec.s - vec.r * lat.ns_dot(beta0, beta0) / 2
-    return vec.r, p, k
-
-
 def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRational:
     """Exact charge of a class at a rational point (b, t) of the slice (any
     rational t: no positive-cone check)."""
@@ -144,20 +131,31 @@ def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRationa
 def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
     """Classify the zero locus of Im(Z(w) conj(Z(v))) within t > 0.
 
-    With d, P and K as in :func:`_slice_profile`, the alignment expands to
-    t (A (b^2 + t^2) + B b + D) with
+    With d = H^2, a class of rank r has the charge
 
-        A = (d/2)(r_v P_w - r_w P_v),  B = d (r_v K_w - r_w K_v),
-        D = P_w K_v - K_w P_v,
+        Z(b, t) = K + b P - (r d / 2)(b^2 - t^2) + i t (P - r b d)
+
+    on the slice, so its charge Z0 = Z(0, 1) at the base point (beta0, H)
+    has P = Im Z0 and K = Re Z0 - r d/2. The alignment expands to
+    t (A (b^2 + t^2) + B b + D) with A = (d/2)(r_v P_w - r_w P_v),
+    B = d (r_v K_w - r_w K_v) and D = P_w K_v - K_w P_v; the r_v r_w d/2
+    terms cancel, which leaves
+
+        A = (d/2)(r_v Im Z0(w) - r_w Im Z0(v)),
+        B = d (r_v Re Z0(w) - r_w Re Z0(v)),
+        D = Im(Z0(w) conj Z0(v)) - A,
 
     the nested-semicircle shape of the walls.
     """
-    r_v, p_v, k_v = _slice_profile(slice_, v)
-    r_w, p_w, k_w = _slice_profile(slice_, w)
+    rank = slice_.lattice.rank
+    if len(v.c) != rank or len(w.c) != rank:
+        raise LatticeError("vector has wrong NS rank")
+    z_v = evaluate_charge_row(slice_.z0, v.coords())
+    z_w = evaluate_charge_row(slice_.z0, w.coords())
     d = slice_.axis_sq()
-    a = d * (r_v * p_w - r_w * p_v) / 2
-    b_coef = d * (r_v * k_w - r_w * k_v)
-    d_coef = p_w * k_v - k_w * p_v
+    a = d * (v.r * z_w.im - w.r * z_v.im) / 2
+    b_coef = d * (v.r * z_w.re - w.r * z_v.re)
+    d_coef = z_w.im * z_v.re - z_w.re * z_v.im - a
     conic = (a, b_coef, Fraction(0), d_coef)
     if a == 0 and b_coef == 0 and d_coef == 0:
         return WallLocus(v, w, conic, WallKind.DEGENERATE)

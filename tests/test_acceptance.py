@@ -140,10 +140,9 @@ def test_criterion_4_hn_engine():
         assert validate(cat, charge) == []
         assert seesaw_check(cat, charge) == []
         filt = hn_filtration(cat, charge, top)
-        from stabkit.hn import _charge_of
         for f1, f2 in zip(filt.factor_ids, filt.factor_ids[1:]):
-            assert phase_compare(_charge_of(cat, charge, f1),
-                                 _charge_of(cat, charge, f2)) is Order.GT
+            assert phase_compare(evaluate_charge_row(charge, cat.class_of(f1)),
+                                 evaluate_charge_row(charge, cat.class_of(f2))) is Order.GT
         for f in filt.factor_ids:
             assert is_semistable(cat, charge, f)
         total = [sum(col) for col in zip(*filt.factor_classes)]

@@ -209,6 +209,39 @@ def test_determinism_three_runs(tmp_path, lattice_file):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_one_parser_serves_repeated_commands(tmp_path, lattice_file):
+    """main builds the parser once per process; a command rerun after
+    another one gives the same output."""
+    from stabkit.cli import build_parser
+    support = ["support", "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+               "--out", str(tmp_path / "support.json")]
+    walls = ["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+             "--b", "-3:0", "--t", "1/10:4", "--bound", "4",
+             "--out", str(tmp_path / "walls.json")]
+    outs = []
+    for argv in (support, walls, support):
+        assert main(argv) == 0
+        outs.append(strip_timestamps((tmp_path / "support.json").read_text()))
+    assert outs[0] == outs[2]
+    assert build_parser() is build_parser()
+
+
+def test_chambers_rerun_identical_after_walls_rerun(tmp_path, lattice_file):
+    """The chambers manifest hashes the walls result, not the walls file,
+    whose timestamp changes with every walls run."""
+    wallsf = tmp_path / "walls.json"
+    outs = []
+    for _ in range(2):
+        assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",
+                     "--beta0", "0", "--b", "-3:0", "--t", "1/10:4",
+                     "--bound", "4", "--out", str(wallsf)]) == 0
+        code, doc = run(tmp_path, "chambers", "--walls", str(wallsf),
+                        "--b", "-1", "--t", "1/10:4")
+        assert code == 0
+        outs.append(strip_timestamps(json.dumps(doc)))
+    assert outs[0] == outs[1]
+
+
 def test_validate_category_command(tmp_path):
     cat = {"objects": [{"id": "0", "class": ["0"]},
                        {"id": "A", "class": ["1"]}],

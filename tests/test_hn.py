@@ -150,11 +150,10 @@ def test_random_presentations_full_pipeline():
         assert seesaw_check(cat, charge) == []
         filt = hn_filtration(cat, charge, top)
         # factors semistable with strictly decreasing phases, classes add up
-        from stabkit.charges import Order, phase_compare
-        from stabkit.hn import _charge_of
+        from stabkit.charges import Order, evaluate_charge_row, phase_compare
         for f1, f2 in zip(filt.factor_ids, filt.factor_ids[1:]):
-            assert phase_compare(_charge_of(cat, charge, f1),
-                                 _charge_of(cat, charge, f2)) is Order.GT
+            assert phase_compare(evaluate_charge_row(charge, cat.class_of(f1)),
+                                 evaluate_charge_row(charge, cat.class_of(f2))) is Order.GT
         for f in filt.factor_ids:
             assert is_semistable(cat, charge, f)
         total = [sum(col) for col in zip(*filt.factor_classes)]

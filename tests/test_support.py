@@ -292,3 +292,65 @@ def test_min_root_norm_second_configuration(k3d2):
             if best is None or nz < best:
                 best = nz
     assert res.found and res.c_squared == best
+
+
+def _reference_projection(basis, gram, u):
+    """Pairing-orthogonal projection of u onto the span of the basis, by
+    solving (k_i, sum_j c_j k_j) = (k_i, u) for the coefficients c."""
+    from stabkit.linalg import bilinear, solve
+    inner = [[bilinear(a, gram, b) for b in basis] for a in basis]
+    c = solve(inner, [bilinear(a, gram, u) for a in basis])
+    return [sum(cj * kj[i] for cj, kj in zip(c, basis)) for i in range(len(u))]
+
+
+def _charge_vector(z, u):
+    from stabkit.charges import evaluate_charge_row
+    zu = evaluate_charge_row(z, u)
+    return [zu.re, zu.im]
+
+
+def test_charge_norm_form_on_random_lattices():
+    """(u, w) = Z(u)^T S Z(w) + (p u, p w) on every basis pair and on random
+    classes, with p computed here, on seeded lattices of NS rank 1-3."""
+    from conftest import random_even_ns_lattice
+    from stabkit.linalg import bilinear, nullspace
+    from stabkit.support import charge_rows
+    rng = random.Random(61)
+    for rank in (1, 1, 2, 2, 3, 3):
+        lat = random_even_ns_lattice(rng, rank)
+        gram = lat.mukai_gram()
+        n = lat.mukai_rank
+        beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+        omega = tuple(Fraction(2 * x) for x in lat.ample)
+        z = charge_row(ChargeParams(lat, beta, omega))
+        s = charge_norm_form(z, charge_kernel(z, gram), gram)
+        basis = nullspace(charge_rows(z))
+
+        def check(u, w):
+            zu, zw = _charge_vector(z, u), _charge_vector(z, w)
+            pu = _reference_projection(basis, gram, u)
+            pw = _reference_projection(basis, gram, w)
+            assert bilinear(u, gram, w) == (bilinear(zu, s, zw)
+                                             + bilinear(pu, gram, pw))
+
+        units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for a in range(n):
+            for b in range(n):
+                check(units[a], units[b])
+        for _ in range(10):
+            check([Fraction(rng.randint(-5, 5)) for _ in range(n)],
+                  [Fraction(rng.randint(-5, 5)) for _ in range(n)])
+
+
+def test_charge_norm_form_rejects_wrong_projector(k3d2):
+    """The postcondition R^T S R = M - M P fires on a kernel whose
+    projector is not the pairing-orthogonal one."""
+    from stabkit.errors import StabkitError
+    from stabkit.support import ChargeKernel
+    z, gram = worked_example(k3d2)
+    k = charge_kernel(z, gram)
+    zero = tuple(tuple(Fraction(0) for _ in row) for row in k.projector)
+    doubled = tuple(tuple(2 * x for x in row) for row in k.projector)
+    for proj in (zero, doubled):
+        with pytest.raises(StabkitError, match="does not reproduce the pairing"):
+            charge_norm_form(z, ChargeKernel(k.basis, proj), gram)

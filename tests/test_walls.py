@@ -9,6 +9,7 @@ from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
                      WallKind, candidate_classes, chambers_along_path,
                      gl2_act_on_charge, nesting_check, scan_walls,
                      slice_charge, wall_locus)
+from stabkit.errors import LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.walls import WallLocus, locus_meets_region, sampling_oracle, sqrt_decimal
 
@@ -400,3 +401,11 @@ def test_conic_matches_expanded_alignment(data, lat, b, t):
     zw = expanded_charge(lat.gram, beta, omega, w.coords())
     assert cc == 0
     assert t * (a * (b * b + t * t) + bc * b + dc) == zw.im * zv.re - zw.re * zv.im
+
+
+def test_wall_locus_rejects_wrong_ns_rank(setup):
+    sl, v, _ = setup
+    with pytest.raises(LatticeError):
+        wall_locus(v, MukaiVector(1, (0, 0), -1), sl)
+    with pytest.raises(LatticeError):
+        wall_locus(MukaiVector(1, (0, 0), -1), v, sl)
