@@ -14,13 +14,15 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
-from .errors import ChargeError, DegenerateError, LatticeError, StabkitError
+from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
+                     StabkitError)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
 from .linalg import (bilinear, integer_kernel, mat_vec, minors2_gcd,
                      primitive_vector, solve)
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
+from .support import effective_budget
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
 
 
@@ -112,37 +114,74 @@ def decomposition_scan(v_coords: Tuple[int, int], hw: Rank2Lattice,
     bound coordinates on their own (isotropic splits b + c with b + c fixed,
     and root pairs delta, -delta, slide off to infinity in a hyperbolic
     plane), so completeness is certified only within the box.
+
+    The pool holds the nonzero box points a with a^2 >= -2, ordered by the
+    cost 2 + a^2 (then by a). Multisets are nondecreasing index sequences
+    into it, searched in rounds m = 1..max_m. Two rules keep the search
+    small; both are exact, so the result is the full set:
+
+    - Lookup closure: once m - 1 parts are chosen, the last one is forced to
+      be v minus their sum. It is looked up in the pool and kept only if its
+      index is at least the last chosen one, so each multiset appears once.
+    - Slack prune: let s(k) = v^2 + 2 - sum over the k chosen parts of
+      (2 + a_i^2), so a decomposition into m parts has slack s(m). Each
+      further part a lowers s by its cost 2 + a^2, which is >= 0 because
+      a^2 >= -2; once s(k) < 0, every completion has negative slack and the
+      branch stops. Costs ascend along the pool, so the first part that
+      makes s negative ends its level.
+
+    A third rule skips a part that leaves the rest of v farther than the
+    remaining parts can reach inside the box. Every part tried at any level
+    counts as one node against ``support.effective_budget()``; running out
+    raises BudgetError with the round's part count as ``bound_reached``
+    (all decompositions with fewer parts were complete by then). Parts are
+    reported in coordinate order and decompositions sorted by (m, parts).
     """
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
+    if box < 1:
+        raise ValueError("box must be at least 1")
+    budget = effective_budget()
+    vx, vy = v_coords
     vsq = hw.square(v_coords)
-    pool = sorted((x, y)
-                  for x in range(-box, box + 1)
-                  for y in range(-box, box + 1)
-                  if (x, y) != (0, 0) and hw.square((x, y)) >= -2)
+    box_points = ((hw.square((x, y)), (x, y))
+                  for x in range(-box, box + 1) for y in range(-box, box + 1))
+    ranked = sorted((2 + sq, p) for sq, p in box_points if p != (0, 0) and sq >= -2)
+    cost = [c for c, _ in ranked]
+    pool = [p for _, p in ranked]
+    index = {p: i for i, p in enumerate(pool)}
     out: List[Decomposition] = []
     n = len(pool)
+    nodes = 0
 
-    def rec(start: int, chosen: List[Tuple[int, int]], sum_xy: Tuple[int, int],
-            sum_sq: int):
-        m = len(chosen)
-        if m >= 1 and sum_xy == v_coords:
-            slack = vsq - 2 * (m - 1) - sum_sq
-            if slack >= 0:
-                out.append(Decomposition(tuple(chosen), slack))
-        if m == max_m:
+    def rec(start: int, chosen: List[Tuple[int, int]], sx: int, sy: int,
+            slack: int, left: int):
+        nonlocal nodes
+        if left == 1:
+            idx = index.get((vx - sx, vy - sy))
+            if idx is not None and idx >= start and slack >= cost[idx]:
+                parts = tuple(sorted((*chosen, pool[idx])))
+                out.append(Decomposition(parts, slack - cost[idx]))
             return
+        reach = (left - 1) * box  # farthest the remaining parts can move the sum
         for idx in range(start, n):
-            p = pool[idx]
-            nxt = (sum_xy[0] + p[0], sum_xy[1] + p[1])
-            after = max_m - m - 1  # parts still addable after p
-            gap_x = abs(v_coords[0] - nxt[0])
-            gap_y = abs(v_coords[1] - nxt[1])
-            if (gap_x, gap_y) != (0, 0) and (gap_x > after * box or gap_y > after * box):
+            if nodes >= budget:
+                m = len(chosen) + left
+                raise BudgetError(f"decomposition scan exceeded budget of {budget} "
+                                  f"nodes in the round for {m} parts", bound_reached=m)
+            nodes += 1
+            rest = slack - cost[idx]
+            if rest < 0:
+                break
+            px, py = pool[idx]
+            if abs(vx - sx - px) > reach or abs(vy - sy - py) > reach:
                 continue
-            rec(idx, chosen + [p], nxt, sum_sq + hw.square(p))
+            chosen.append(pool[idx])
+            rec(idx, chosen, sx + px, sy + py, rest, left - 1)
+            chosen.pop()
 
-    rec(0, [], (0, 0), 0)
+    for m in range(1, max_m + 1):
+        rec(0, [], 0, 0, vsq + 2, m)
     out.sort(key=lambda d: (d.m, d.parts))
     return out
 

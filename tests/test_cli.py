@@ -386,3 +386,115 @@ def test_support_output_same_under_python_O(tmp_path, lattice_file):
                         "--out", str(out)], env=env, check=True, capture_output=True)
         outputs.append(strip_timestamps(out.read_text()))
     assert outputs[0] == outputs[1]
+
+
+# classify-wall payloads, pinned so that work on the decomposition scan keeps
+# them byte for byte. Decompositions are listed as (parts, slack).
+def _decompositions(rows):
+    return [{"m": len(parts), "parts": [list(p) for p in parts], "slack": slack}
+            for parts, slack in rows]
+
+
+_HINTS = {"admits_totally_semistable_candidate": True, "has_isotropic": False,
+          "has_root": True, "provenance": "advisory numerical hints, not a classification"}
+
+# the wall of v = (1,0,-1) on k3d2 through the skewed H_W basis (v, (-8,1,5))
+K3D2_PROBE_WALL = {
+    "decompositions": _decompositions([
+        (((1, 0),), 0),
+        (((-5, -1), (6, 1)), 0),
+        (((-6, -1), (1, 0), (6, 1)), 0),
+        (((-6, -1), (-5, -1), (6, 1), (6, 1)), 0),
+    ]),
+    "hints": _HINTS,
+    "hw_basis": [["1", ["0"], "-1"], ["-8", ["1"], "5"]],
+    "hw_gram": [["2", "-13"], ["-13", "82"]],
+    "isotropic": "none",
+    "roots": [["1", ["-1"], "2"], ["2", ["-1"], "1"], ["-2", ["1"], "-1"],
+              ["-1", ["1"], "-2"]],
+    "v_in_hw": [1, 0],
+    "wall": {"center": "-3/2", "conic": ["2", "6", "0", "2"], "id": "W",
+             "kind": "SEMICIRCLE", "radius_sq": "5/4", "v": ["1", ["0"], "-1"],
+             "w": ["-8", ["1"], "5"]},
+}
+
+U2_LATTICE = {"rank": 2, "gram": [["2", "1"], ["1", "-2"]], "ample": ["1", "0"], "k3": True}
+U2_WALL = {
+    "decompositions": _decompositions([
+        (((1, 0),), 0),
+        (((-2, -1), (3, 1)), 0),
+        (((-1, -1), (2, 1)), 4),
+        (((0, -1), (1, 1)), 0),
+        (((-5, -2), (1, 0), (5, 2)), 0),
+        (((-3, -1), (-1, -1), (5, 2)), 0),
+        (((-2, -5), (1, 0), (2, 5)), 0),
+        (((-2, -1), (-2, -1), (5, 2)), 4),
+        (((-2, -1), (1, 0), (2, 1)), 0),
+        (((-1, -3), (1, 1), (1, 2)), 0),
+        (((-1, -2), (0, 1), (2, 1)), 0),
+        (((-1, -2), (1, 0), (1, 2)), 0),
+        (((-1, -2), (1, 1), (1, 1)), 4),
+        (((-1, -1), (1, 0), (1, 1)), 0),
+        (((-5, -2), (-2, -1), (3, 1), (5, 2)), 0),
+        (((-5, -2), (-1, -1), (2, 1), (5, 2)), 4),
+        (((-5, -2), (0, -1), (1, 1), (5, 2)), 0),
+        (((-2, -5), (-2, -1), (2, 5), (3, 1)), 0),
+        (((-2, -5), (-1, -1), (2, 1), (2, 5)), 4),
+        (((-2, -5), (0, -1), (1, 1), (2, 5)), 0),
+        (((-2, -5), (1, 1), (1, 1), (1, 3)), 0),
+        (((-2, -5), (1, 1), (1, 2), (1, 2)), 4),
+        (((-2, -1), (-2, -1), (2, 1), (3, 1)), 0),
+        (((-2, -1), (-1, -2), (1, 2), (3, 1)), 0),
+        (((-2, -1), (-1, -1), (-1, 0), (5, 2)), 0),
+        (((-2, -1), (-1, -1), (1, 1), (3, 1)), 0),
+        (((-2, -1), (-1, -1), (2, 1), (2, 1)), 4),
+        (((-2, -1), (0, -1), (1, 1), (2, 1)), 0),
+        (((-1, -2), (-1, -2), (1, 3), (2, 1)), 0),
+        (((-1, -2), (-1, -1), (1, 2), (2, 1)), 4),
+        (((-1, -2), (-1, 0), (1, 1), (2, 1)), 0),
+        (((-1, -2), (0, -1), (1, 1), (1, 2)), 0),
+        (((-1, -1), (-1, -1), (1, 1), (2, 1)), 4),
+        (((-1, -1), (0, -1), (1, 1), (1, 1)), 0),
+    ]),
+    "hints": _HINTS,
+    "hw_basis": [["1", ["0", "0"], "-1"], ["-2", ["0", "1"], "1"]],
+    "hw_gram": [["2", "-3"], ["-3", "2"]],
+    "isotropic": "none",
+    "point_residual": "785/24",
+    "roots": [["0", ["0", "-1"], "1"], ["1", ["0", "-1"], "0"], ["-1", ["0", "1"], "0"],
+              ["0", ["0", "1"], "-1"]],
+    "v_in_hw": [1, 0],
+    "wall": {"center": "-8/3", "conic": ["1", "16/3", "0", "44/9"], "id": "W",
+             "kind": "SEMICIRCLE", "radius_sq": "20/9", "v": ["1", ["0", "0"], "-1"],
+             "w": ["-2", ["0", "1"], "1"]},
+}
+
+
+def test_classify_wall_payload_pinned(tmp_path, lattice_file):
+    code, doc = run(tmp_path, "classify-wall", "--lattice", lattice_file,
+                    "--v", "1,0,-1", "--w", "-8,1,5", "--beta0", "0",
+                    "--max-m", "4", "--box", "6")
+    assert code == 0 and doc["result"] == K3D2_PROBE_WALL
+    u2 = tmp_path / "u2.json"
+    u2.write_text(dumps(U2_LATTICE))
+    code, doc = run(tmp_path, "classify-wall", "--lattice", str(u2),
+                    "--v", "1,0,0,-1", "--w", "-2,0,1,1", "--beta0", "1,-1/3",
+                    "--max-m", "4", "--box", "5", "--point", "2,3/2")
+    assert code == 0 and doc["result"] == U2_WALL
+
+
+def test_classify_wall_rejects_empty_box(tmp_path, lattice_file, capsys):
+    for box in ("0", "-1"):
+        assert main(["classify-wall", "--lattice", lattice_file, "--v", "1,0,-1",
+                     "--w", "-8,1,5", "--beta0", "0", "--box", box,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        assert "box must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
+    assert main(["classify-wall", "--lattice", lattice_file, "--v", "1,0,-1",
+                 "--w", "0,0,1", "--beta0", "0", "--max-m", "4",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "decomposition scan exceeded budget of 50 nodes" in capsys.readouterr().err

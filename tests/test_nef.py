@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_even_ns_lattice
 from stabkit import (ChargeParams, MukaiVector, Rank2Lattice, SliceParams,
                      bb_square, charge_row, decomposition_scan,
                      lagrangian_candidates, moduli_dimension, mukai_pairing,
                      mukai_square, omega_class, wall_report)
-from stabkit.errors import DegenerateError, LatticeError
+from stabkit.errors import BudgetError, DegenerateError, LatticeError
 from stabkit.gaussian import GaussianRational
 from stabkit.linalg import bilinear
 from stabkit.charges import evaluate_charge_row as z_eval
@@ -106,41 +109,26 @@ def test_moduli_dimension(k3d2):
 
 
 def brute_decompositions(gram2, v_coords, max_m, box):
-    """Independent oracle: direct multiset enumeration over the box."""
+    """Independent oracle: every multiset of m - 1 box points (nonzero,
+    square >= -2) in turn, closed by the one last part that makes the sum v
+    and is no smaller than the others; no pruning, any m."""
     h = Rank2Lattice((MukaiVector(1, (0,), 0), MukaiVector(0, (0,), 1)),
                      tuple(tuple(r) for r in gram2))
-    pool = sorted((x, y)
-                  for x in range(-box, box + 1)
-                  for y in range(-box, box + 1)
-                  if (x, y) != (0, 0) and h.square((x, y)) >= -2)
+    pool = sorted(p for p in itertools.product(range(-box, box + 1), repeat=2)
+                  if p != (0, 0) and h.square(p) >= -2)
+    members = set(pool)
     vsq = h.square(v_coords)
     out = []
-    if v_coords in pool or h.square(v_coords) >= -2:
-        if v_coords[0] or v_coords[1]:
-            if abs(v_coords[0]) <= box and abs(v_coords[1]) <= box \
-                    and h.square(v_coords) >= -2:
-                out.append(((v_coords,), vsq - 0 - vsq))
-    if max_m >= 2:
-        for i, a in enumerate(pool):
-            for b in pool[i:]:
-                if (a[0] + b[0], a[1] + b[1]) == v_coords:
-                    ssum = h.square(a) + h.square(b)
-                    slack = vsq - 2 - ssum
-                    if slack >= 0:
-                        out.append(((a, b), slack))
-    if max_m >= 3:
-        for i, a in enumerate(pool):
-            for j in range(i, len(pool)):
-                b = pool[j]
-                c = (v_coords[0] - a[0] - b[0], v_coords[1] - a[1] - b[1])
-                if c < b or c == (0, 0):
-                    continue
-                if abs(c[0]) > box or abs(c[1]) > box or h.square(c) < -2:
-                    continue
-                ssum = h.square(a) + h.square(b) + h.square(c)
-                slack = vsq - 4 - ssum
-                if slack >= 0:
-                    out.append(((a, b, c), slack))
+    for m in range(1, max_m + 1):
+        for head in itertools.combinations_with_replacement(pool, m - 1):
+            last = (v_coords[0] - sum(p[0] for p in head),
+                    v_coords[1] - sum(p[1] for p in head))
+            if last not in members or (head and last < head[-1]):
+                continue
+            parts = head + (last,)
+            slack = vsq - 2 * (m - 1) - sum(h.square(p) for p in parts)
+            if slack >= 0:
+                out.append((parts, slack))
     return sorted(out, key=lambda d: (len(d[0]), d[0]))
 
 
@@ -179,6 +167,52 @@ def test_decomposition_scan_random_vs_brute():
         expected = brute_decompositions(gram2, v, 3, 4)
         assert [(d.parts, d.slack) for d in got] == expected
         cases += 1
+
+
+@settings(max_examples=60)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       st.integers(1, 5), st.integers(1, 3))
+@example(2, 1, 4, (1, 1), 5, 3)       # positive definite
+@example(-2, 0, -4, (1, 0), 5, 3)     # negative definite
+@example(2, -13, 82, (1, 0), 5, 3)    # the skewed probe wall
+def test_decomposition_scan_matches_oracle(a, b, c, v, max_m, box):
+    """The pruned scan equals the unpruned oracle on definite and
+    indefinite Grams, and every slack closes the displayed inequality."""
+    gram2 = ((a, b), (b, c))
+    h = Rank2Lattice((MukaiVector(1, (0,), 0), MukaiVector(0, (0,), 1)), gram2)
+    got = decomposition_scan(v, h, max_m=max_m, box=box)
+    assert [(d.parts, d.slack) for d in got] == brute_decompositions(gram2, v, max_m, box)
+    for d in got:
+        assert sum(h.square(p) for p in d.parts) + 2 * (d.m - 1) + d.slack == h.square(v)
+        assert d.slack >= 0 and tuple(map(sum, zip(*d.parts))) == v
+
+
+def test_decomposition_scan_budget(monkeypatch):
+    """The scan counts every part it tries against BRIDGELAND_BUDGET and
+    reports the round it stopped in; a roomy budget changes nothing."""
+    gram2 = ((2, -1), (-1, 0))
+    h = Rank2Lattice((MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), gram2)
+    full = decomposition_scan((1, 0), h, max_m=4, box=6)
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
+    with pytest.raises(BudgetError) as err:
+        decomposition_scan((1, 0), h, max_m=4, box=6)
+    assert err.value.bound_reached == 3
+    assert "budget of 50 nodes" in str(err.value)
+    # rounds below the reported part count finished within the budget
+    assert decomposition_scan((1, 0), h, max_m=2, box=6) == [d for d in full if d.m <= 2]
+    monkeypatch.setenv("BRIDGELAND_BUDGET", str(1 << 14))
+    assert decomposition_scan((1, 0), h, max_m=4, box=6) == full
+
+
+def test_decomposition_scan_rejects_empty_box():
+    h = Rank2Lattice((MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)),
+                     ((2, -1), (-1, 0)))
+    for box in (0, -1):
+        with pytest.raises(ValueError):
+            decomposition_scan((1, 0), h, max_m=3, box=box)
+    with pytest.raises(ValueError):
+        decomposition_scan((1, 0), h, max_m=0, box=3)
 
 
 def test_wall_report_example(k3d2):
