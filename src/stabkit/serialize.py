@@ -22,6 +22,26 @@ def unrat(s) -> Fraction:
     return as_fraction(s)
 
 
+def unint(s) -> int:
+    """An integer from its JSON form: a JSON int, a string ``int()`` reads,
+    or an integral rational such as ``"4/2"``. A non-integral value, a
+    float or a bool raises ``ValueError`` instead of being truncated."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError:
+            pass
+    try:
+        x = as_fraction(s)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {s!r}") from None
+    if x.denominator != 1:
+        raise ValueError(f"expected an integer, got {s!r}")
+    return x.numerator
+
+
 def dumps(payload: Any) -> str:
     """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "),
@@ -42,9 +62,9 @@ def lattice_to_json(lat: NSLattice) -> Dict[str, Any]:
 
 def lattice_from_json(data: Dict[str, Any]) -> NSLattice:
     return NSLattice(
-        rank=int(data["rank"]),
-        gram=tuple(tuple(int(unrat(x)) for x in row) for row in data["gram"]),
-        ample=tuple(int(unrat(x)) for x in data["ample"]),
+        rank=unint(data["rank"]),
+        gram=tuple(tuple(unint(x) for x in row) for row in data["gram"]),
+        ample=tuple(unint(x) for x in data["ample"]),
         k3=bool(data.get("k3", True)),
     )
 
@@ -58,7 +78,7 @@ def mukai_to_json(v: MukaiVector) -> List[Any]:
 
 def mukai_from_json(data: Sequence[Any]) -> MukaiVector:
     r, c, s = data
-    return MukaiVector(int(unrat(r)), tuple(int(unrat(x)) for x in c), int(unrat(s)))
+    return MukaiVector(unint(r), tuple(unint(x) for x in c), unint(s))
 
 
 def chern_to_json(ch: ChernCharacter) -> List[Any]:
@@ -129,7 +149,7 @@ def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
         if obj["id"] in objects:
             from .errors import PresentationError
             raise PresentationError(f"duplicate object id {obj['id']!r}")
-        objects[obj["id"]] = tuple(int(unrat(x)) for x in obj["class"])
+        objects[obj["id"]] = tuple(unint(x) for x in obj["class"])
     edges = tuple(Edge(e["sub"], e["ambient"], e["quotient"])
                   for e in data.get("edges", ()))
     return CategoryPresentation(objects, edges, data["zero"])

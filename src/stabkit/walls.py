@@ -5,26 +5,39 @@ A potential wall for v is the locus where some class w has Z(w) / Z(v) real.
 The charge is linear in the class, so this locus, divided by the overall
 factor t, is an exact conic A (b^2 + t^2) + B b + D = 0 in closed form: a
 semicircle centered on the b-axis, a vertical line, or nothing. Everything
-is computed and classified in exact rational arithmetic. Walls are
-"potential" (charge alignment only): among classes w inside the search box
-(every coordinate bounded by the search bound) they include every actual
-wall, but walls of classes outside the box are not seen, and the sampling
-oracle enumerates the same box, so it cannot find them either.
+is computed and classified in exact arithmetic. Walls are "potential"
+(charge alignment only): among classes w inside the search box (every
+coordinate bounded by the search bound) they include every actual wall,
+but walls of classes outside the box are not seen, and the sampling oracle
+reads the same box, so it cannot find them either.
+
+The box scan runs on plain ints. For fixed (v, slice) the coefficients
+(A, B, D) are three integer rows on w over one common denominator
+(``_conic_rows``), so a box class costs two integer quadratic tests and,
+if it passes, three dot products whose primitive vector keys its conic.
+Exact ``Fraction`` centers and radii are built once per distinct key. The
+distinct loci of the last box are kept in a one-slot memo, so ``walls
+--grid`` enumerates the box once for the scan and its oracle. The box has
+(2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration budget
+(``support.effective_budget``) raises ``BudgetError`` before any work.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
-from .errors import ChargeError, LatticeError
+from .errors import BudgetError, ChargeError, LatticeError
 from .gaussian import GaussianRational, as_fraction
-from .lattice import MukaiVector, NSLattice, mukai_pairing
+from .lattice import MukaiVector, NSLattice
 from .linalg import primitive_vector
+from .support import effective_budget
 
 
 @dataclass(frozen=True)
@@ -128,8 +141,11 @@ def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRationa
     return evaluate_charge_row(charge_functional(lat, beta, omega), vec.coords())
 
 
-def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
-    """Classify the zero locus of Im(Z(w) conj(Z(v))) within t > 0.
+def _conic_rows(v: MukaiVector, slice_: SliceParams
+                ) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """The wall conic of (v, w) as three integer rows on the coordinates of
+    w over one common denominator L > 0: A = rows[0].w / L, B = rows[1].w / L
+    and D = rows[2].w / L.
 
     With d = H^2, a class of rank r has the charge
 
@@ -145,17 +161,24 @@ def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus
         B = d (r_v Re Z0(w) - r_w Re Z0(v)),
         D = Im(Z0(w) conj Z0(v)) - A,
 
-    the nested-semicircle shape of the walls.
+    each linear in w (r_w is its first coordinate).
     """
-    rank = slice_.lattice.rank
-    if len(v.c) != rank or len(w.c) != rank:
-        raise LatticeError("vector has wrong NS rank")
     z_v = evaluate_charge_row(slice_.z0, v.coords())
-    z_w = evaluate_charge_row(slice_.z0, w.coords())
     d = slice_.axis_sq()
-    a = d * (v.r * z_w.im - w.r * z_v.im) / 2
-    b_coef = d * (v.r * z_w.re - w.r * z_v.re)
-    d_coef = z_w.im * z_v.re - z_w.re * z_v.im - a
+    a_row = [d * v.r * z.im / 2 for z in slice_.z0]
+    b_row = [d * v.r * z.re for z in slice_.z0]
+    a_row[0] -= d * z_v.im / 2
+    b_row[0] -= d * z_v.re
+    d_row = [z.im * z_v.re - z.re * z_v.im - a for z, a in zip(slice_.z0, a_row)]
+    rows = (a_row, b_row, d_row)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
+
+
+def _locus(v: MukaiVector, w: MukaiVector, a: Fraction, b_coef: Fraction,
+           d_coef: Fraction) -> WallLocus:
+    """Classify the conic a (b^2 + t^2) + b_coef b + d_coef = 0 in t > 0."""
     conic = (a, b_coef, Fraction(0), d_coef)
     if a == 0 and b_coef == 0 and d_coef == 0:
         return WallLocus(v, w, conic, WallKind.DEGENERATE)
@@ -170,6 +193,18 @@ def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus
         return WallLocus(v, w, conic, WallKind.EMPTY)
     return WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=center,
                      radius_sq=radius_sq)
+
+
+def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
+    """Classify the zero locus of Im(Z(w) conj(Z(v))) within t > 0: the
+    conic of ``_conic_rows``, whose closed form gives the nested-semicircle
+    shape of the walls."""
+    rank = slice_.lattice.rank
+    if len(v.c) != rank or len(w.c) != rank:
+        raise LatticeError("vector has wrong NS rank")
+    rows, den = _conic_rows(v, slice_)
+    wc = w.coords()
+    return _locus(v, w, *(Fraction(sum(map(mul, row, wc)), den) for row in rows))
 
 
 def locus_meets_region(loc: WallLocus, region: Region) -> bool:
@@ -193,74 +228,98 @@ def locus_meets_region(loc: WallLocus, region: Region) -> bool:
 # -- candidate enumeration -----------------------------------------------------
 
 
-def _is_proportional(v: MukaiVector, w: MukaiVector) -> bool:
-    cv, cw = v.coords(), w.coords()
-    for i in range(len(cv)):
-        for j in range(i + 1, len(cv)):
-            if cv[i] * cw[j] - cv[j] * cw[i] != 0:
-                return False
-    return True
-
-
-def _candidate_filter(v: MukaiVector, w: MukaiVector, lat: NSLattice) -> bool:
-    """Numerical constraints a destabilizing class must satisfy: both w and
-    v - w are classes of would-be semistable objects (square >= -2) and
-    span(v, w) is hyperbolic."""
-    if w.is_zero() or _is_proportional(v, w):
-        return False
-    ww = mukai_pairing(w, w, lat)
-    if ww < -2:
-        return False
-    rest = v - w
-    if mukai_pairing(rest, rest, lat) < -2:
-        return False
-    vw = mukai_pairing(v, w, lat)
-    vv = mukai_pairing(v, v, lat)
-    return vw * vw > vv * ww
-
-
-def _enumerate_candidates(v: MukaiVector, slice_: SliceParams,
-                          search_bound: int) -> Iterable[MukaiVector]:
+def _box_loci(v: MukaiVector, slice_: SliceParams,
+              search_bound: int) -> Tuple[WallLocus, ...]:
+    """The distinct non-degenerate loci of the box, after the checks that
+    come before any enumeration: a K3 lattice, an even Gram, v of the
+    lattice's NS rank, and a box of at most ``support.effective_budget()``
+    classes. An oversized box raises ``BudgetError`` whose ``bound_reached``
+    is the largest bound whose box fits."""
     lat = slice_.lattice
     if not lat.k3:
         raise ChargeError("candidate enumeration uses the K3 square bounds; "
                           "flag the lattice k3 or enumerate classes yourself")
     lat.require_even()
+    if len(v.c) != lat.rank:
+        raise LatticeError("Mukai vector has wrong NS rank")
     n = lat.mukai_rank
+    box, budget = (2 * search_bound + 1) ** n, effective_budget()
+    if box > budget:
+        fit = 0
+        while (2 * fit + 3) ** n <= budget:
+            fit += 1
+        raise BudgetError(f"wall box of {box} classes exceeds the budget of "
+                          f"{budget} (bound reached {fit})", bound_reached=fit)
+    return _distinct_loci(v, slice_, search_bound)
+
+
+@functools.lru_cache(maxsize=1)
+def _distinct_loci(v: MukaiVector, slice_: SliceParams,
+                   search_bound: int) -> Tuple[WallLocus, ...]:
+    """One non-degenerate locus per distinct conic key among the box classes
+    w that a destabilizing class could be: w and v - w have square >= -2
+    and span(v, w) is hyperbolic, (v.w)^2 > v^2 w^2. Cauchy-Schwarz holds
+    with equality for w = 0 and every w proportional to v, so the strict
+    test drops those too.
+
+    All of it runs on ints. With the Mukai pairing
+    (r, c, s).(r', c', s') = c.c' - r s' - r' s, the box is walked with s
+    innermost, where w^2 = c.c - 2 r s and v.w are affine in s, and
+    (v - w)^2 = v^2 - 2 v.w + w^2. A class that passes gets its conic key,
+    the primitive vector of the three integer row products of
+    ``_conic_rows``; the representative of a key is its least w, which the
+    lexicographic box order meets first. Its exact locus is built then and
+    only then: loci with equal keys share kind, center and radius.
+    """
+    gram = slice_.lattice.gram
+    rv, sv = v.r, v.s
+    gv_c = [sum(map(mul, row, v.c)) for row in gram]
+    vv = sum(map(mul, v.c, gv_c)) - 2 * rv * sv
+    gv_head = (-sv, *gv_c)  # v.w = gv_head . (r, c) - r_v s
+    rows, den = _conic_rows(v, slice_)
     rng = range(-search_bound, search_bound + 1)
-    for coords in itertools.product(rng, repeat=n):
-        w = MukaiVector.from_coords(coords)
-        if _candidate_filter(v, w, lat):
-            yield w
-
-
-def _distinct_loci(v: MukaiVector, slice_: SliceParams, search_bound: int,
-                   keep: Callable[[WallLocus], bool]) -> List[WallLocus]:
-    """One kept locus per distinct conic key: the one with the least w. The
-    candidates come in increasing lexicographic order, so that is the first
-    one seen. Loci with equal keys share kind and region verdict, so
-    ``keep`` never separates them."""
-    chosen: Dict[Tuple[int, int, int, int], WallLocus] = {}
-    for w in _enumerate_candidates(v, slice_, search_bound):
-        loc = wall_locus(v, w, slice_)
-        if keep(loc):
-            chosen.setdefault(loc.key(), loc)
-    return list(chosen.values())
+    seen = set()
+    out = []
+    for head in itertools.product(rng, repeat=len(gv_head)):
+        r, c = head[0], head[1:]
+        cc = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram))
+        vw_head = sum(map(mul, gv_head, head))
+        for s in rng:
+            ww = cc - 2 * r * s
+            vw = vw_head - rv * s
+            if ww < -2 or vv - 2 * vw + ww < -2 or vw * vw <= vv * ww:
+                continue
+            w = (*head, s)
+            a, b, d = (sum(map(mul, row, w)) for row in rows)
+            g = gcd(a, b, d)
+            if g == 0:
+                continue
+            if (a or b or d) < 0:
+                g = -g
+            key = (a // g, b // g, d // g)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(_locus(v, MukaiVector(r, c, s), Fraction(a, den),
+                              Fraction(b, den), Fraction(d, den)))
+    return tuple(out)
 
 
 def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
                search_bound: int) -> List[WallLocus]:
     """Potential walls for v meeting the region, one representative per
     distinct conic (the wall only depends on the rank-2 span, so w, v - w and
-    w + k v all collapse to the same locus). Deterministically sorted."""
+    w + k v all collapse to the same locus). Deterministically sorted.
+
+    The box is walked on ints and keyed by integer conics (see
+    ``_distinct_loci``); its loci are shared with ``sampling_oracle`` for
+    the same (v, slice, bound). A box over the enumeration budget raises
+    ``BudgetError`` before it is walked."""
     if search_bound <= 0:
         raise ValueError("search_bound must be positive")
-
-    def keep(loc: WallLocus) -> bool:
-        return (loc.kind not in (WallKind.EMPTY, WallKind.DEGENERATE)
-                and locus_meets_region(loc, region))
-
-    return sorted(_distinct_loci(v, slice_, search_bound, keep),
+    return sorted((loc for loc in _box_loci(v, slice_, search_bound)
+                   if loc.kind is not WallKind.EMPTY
+                   and locus_meets_region(loc, region)),
                   key=WallLocus.sort_key)
 
 
@@ -284,12 +343,14 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
     """Sign-flip sampling oracle: evaluate the exact sign of
     Im(Z(w) conj(Z(v))) on a (grid+1) x (grid+1) lattice over the region and
     flag each candidate wall whose sign flips between adjacent nodes (or hits
-    an exact zero). Cross-checks the scan at grid scale; it enumerates the
-    same candidate box, so it cannot see walls of classes outside it."""
+    an exact zero). Cross-checks the scan at grid scale. It tests every
+    non-degenerate locus of the candidate box, those outside the region
+    included, but it reads the same box as ``scan_walls`` (one enumeration
+    serves both, under the same budget), so it cannot see walls of classes
+    outside it."""
     if grid < 2:
         raise ValueError("grid too coarse")
-    cands = _distinct_loci(v, slice_, search_bound,
-                           lambda loc: loc.kind is not WallKind.DEGENERATE)
+    cands = _box_loci(v, slice_, search_bound)
     b_den = grid * region.b_min.denominator * region.b_max.denominator
     t_den = grid * region.t_min.denominator * region.t_max.denominator
     b_nums = [int((region.b_min + Fraction(i, grid) * (region.b_max - region.b_min)) * b_den)
@@ -409,17 +470,18 @@ class NestingReport:
 def nesting_check(slice_: SliceParams, walls: Sequence[WallLocus]) -> NestingReport:
     """Pairwise geometry of the walls of a fixed v on a rank-1 slice: every
     pair of semicircles should be nested or disjoint; anything crossing is a
-    finding (reported, not an error), touching pairs are listed separately."""
+    finding (reported, not an error), touching pairs are listed separately.
+    Each pair is decided by exact integer comparisons on the conic keys."""
     if slice_.lattice.rank != 1:
         raise LatticeError("nesting check is a rank-1 slice statement")
     violations = []
     touching = []
     pairs = 0
-    geoms = [wl for wl in walls if wl.kind in (WallKind.SEMICIRCLE,
-                                               WallKind.VERTICAL_LINE)]
-    for a, b in itertools.combinations(geoms, 2):
+    geoms = [(wl, wl.key()) for wl in walls
+             if wl.kind in (WallKind.SEMICIRCLE, WallKind.VERTICAL_LINE)]
+    for (a, key_a), (b, key_b) in itertools.combinations(geoms, 2):
         pairs += 1
-        rel = _pair_relation(a, b)
+        rel = _key_relation(key_a, key_b)
         if rel == "crossing":
             violations.append((a, b, rel))
         elif rel.startswith("touching"):
@@ -427,22 +489,37 @@ def nesting_check(slice_: SliceParams, walls: Sequence[WallLocus]) -> NestingRep
     return NestingReport(pairs, tuple(violations), tuple(touching))
 
 
-def _pair_relation(a: WallLocus, b: WallLocus) -> str:
-    if a.kind is WallKind.VERTICAL_LINE and b.kind is WallKind.VERTICAL_LINE:
-        return "identical" if a.center == b.center else "disjoint"
-    if a.kind is WallKind.VERTICAL_LINE or b.kind is WallKind.VERTICAL_LINE:
-        line, circ = (a, b) if a.kind is WallKind.VERTICAL_LINE else (b, a)
-        d2 = (line.center - circ.center) ** 2
-        if d2 > circ.radius_sq:
+def _key_relation(p: Sequence[int], q: Sequence[int]) -> str:
+    """Relation of two walls given by integer conics (a, b, 0, d): a circle
+    when a != 0, with center -b / 2a and radius^2 n / 4a^2 for
+    n = b^2 - 4ad > 0, and the line b x + d = 0 when a = 0 (b != 0).
+
+    Two circles at center distance^2 gap with radii^2 q1, q2 are identical,
+    touching, disjoint, nested or crossing by the signs of gap - q1 - q2 and
+    (gap - q1 - q2)^2 - 4 q1 q2. Scaled by 4 a1^2 a2^2 > 0, which keeps
+    those signs, gap, q1, q2 become (a1 b2 - a2 b1)^2, n1 a2^2, n2 a1^2. A line
+    against a circle compares distance^2 with radius^2; scaled by
+    4 a^2 b_l^2 these are (b b_l - 2 a d_l)^2 and n b_l^2."""
+    a1, b1, _, d1 = p
+    a2, b2, _, d2 = q
+    if a1 == 0 and a2 == 0:
+        return "identical" if d1 * b2 == d2 * b1 else "disjoint"
+    if a1 == 0 or a2 == 0:
+        (_, bl, _, dl), (a, b, _, d) = (p, q) if a1 == 0 else (q, p)
+        gap = (b * bl - 2 * a * dl) ** 2
+        rad = (b * b - 4 * a * d) * bl * bl
+        if gap > rad:
             return "disjoint"
-        if d2 == circ.radius_sq:
+        if gap == rad:
             return "touching at boundary"
         return "crossing"
-    d2 = (a.center - b.center) ** 2
-    diff = d2 - a.radius_sq - b.radius_sq
-    rhs = 4 * a.radius_sq * b.radius_sq
+    gap = (a1 * b2 - a2 * b1) ** 2
+    q1 = (b1 * b1 - 4 * a1 * d1) * a2 * a2
+    q2 = (b2 * b2 - 4 * a2 * d2) * a1 * a1
+    diff = gap - q1 - q2
+    rhs = 4 * q1 * q2
     if diff * diff == rhs:
-        if d2 == 0 and a.radius_sq == b.radius_sq:
+        if gap == 0 and q1 == q2:
             return "identical"
         return "touching"
     if diff > 0 and diff * diff > rhs:

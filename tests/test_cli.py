@@ -498,3 +498,142 @@ def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsy
                  "--w", "0,0,1", "--beta0", "0", "--max-m", "4",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "decomposition scan exceeded budget of 50 nodes" in capsys.readouterr().err
+
+
+# walls payloads, pinned so that work on the box scan keeps them byte for
+# byte. Walls are listed as (w, (A, B, D), kind, center, radius_sq).
+def _walls(v, rows):
+    out = []
+    for i, (w, (a, b, d), kind, center, radius_sq) in enumerate(rows):
+        wall = {"conic": [a, b, "0", d], "id": f"W{i}", "v": v,
+                "w": [str(w[0]), [str(x) for x in w[1:-1]], str(w[-1])],
+                "kind": {"S": "SEMICIRCLE", "V": "VERTICAL_LINE"}[kind],
+                "center": center}
+        if radius_sq is not None:
+            wall["radius_sq"] = radius_sq
+        out.append(wall)
+    return out
+
+
+_WALLS_NOTE = ("potential walls (charge alignment); actual-wall "
+               "certification is object-level and out of scope")
+K3D2_WALLS = {
+    "beta0": ["0"],
+    "nesting": {"pairs_checked": 78, "touching": 0, "violations": 0},
+    "note": _WALLS_NOTE,
+    "oracle": {"agrees": True, "detected": 13, "grid": 24},
+    "region": {"b_max": "0", "b_min": "-3", "t_max": "4", "t_min": "1/10"},
+    "v": ["1", ["0"], "-1"],
+    "walls": _walls(["1", ["0"], "-1"], [
+        ((-8, 0, 0), ("0", "16", "0"), "V", "0", None),
+        ((-8, 1, 0), ("2", "16", "2"), "S", "-4", "15"),
+        ((-8, 1, 1), ("2", "14", "2"), "S", "-7/2", "45/4"),
+        ((-8, 1, 2), ("2", "12", "2"), "S", "-3", "8"),
+        ((-8, 1, 3), ("2", "10", "2"), "S", "-5/2", "21/4"),
+        ((-8, 1, 4), ("2", "8", "2"), "S", "-2", "3"),
+        ((-8, 2, 1), ("4", "14", "4"), "S", "-7/4", "33/16"),
+        ((-8, 1, 5), ("2", "6", "2"), "S", "-3/2", "5/4"),
+        ((-8, 3, 0), ("6", "16", "6"), "S", "-4/3", "7/9"),
+        ((-8, 2, 3), ("4", "10", "4"), "S", "-5/4", "9/16"),
+        ((-8, 3, 1), ("6", "14", "6"), "S", "-7/6", "13/36"),
+        ((-8, 4, -1), ("8", "18", "8"), "S", "-9/8", "17/64"),
+        ((-8, 5, -3), ("10", "22", "10"), "S", "-11/10", "21/100"),
+    ]),
+}
+
+U2_WALLS = {
+    "beta0": ["1", "-1/3"],
+    "note": _WALLS_NOTE,
+    "oracle": {"agrees": True, "detected": 17, "grid": 24},
+    "region": {"b_max": "0", "b_min": "-4", "t_max": "3", "t_min": "1/4"},
+    "v": ["1", ["0", "0"], "-1"],
+    "walls": _walls(["1", ["0", "0"], "-1"], [
+        ((-3, -1, 2, 2), ("0", "16/3", "40/9"), "V", "-5/6", None),
+        ((-3, 0, 1, 0), ("1", "28/3", "74/9"), "S", "-14/3", "122/9"),
+        ((-3, 0, 1, 1), ("1", "22/3", "59/9"), "S", "-11/3", "62/9"),
+        ((-3, 1, -1, 0), ("1", "6", "49/9"), "S", "-3", "32/9"),
+        ((-3, 0, 1, 2), ("1", "16/3", "44/9"), "S", "-8/3", "20/9"),
+        ((-3, 1, 0, 0), ("2", "28/3", "26/3"), "S", "-7/3", "10/9"),
+        ((-3, 0, 2, 2), ("2", "26/3", "73/9"), "S", "-13/6", "23/36"),
+        ((-3, 1, 1, 0), ("3", "38/3", "107/9"), "S", "-19/9", "40/81"),
+        ((-3, 1, -1, 1), ("1", "4", "34/9"), "S", "-2", "2/9"),
+        ((-3, -3, 1, -2), ("-5", "10/3", "5/9"), "S", "1/3", "2/9"),
+        ((-3, -2, 1, 0), ("-3", "8/3", "8/9"), "S", "4/9", "40/81"),
+        ((-3, -2, 2, 2), ("-2", "2", "7/9"), "S", "1/2", "23/36"),
+        ((-3, -1, 0, 0), ("-2", "8/3", "4/3"), "S", "2/3", "10/9"),
+        ((-3, -2, 2, 1), ("-2", "4", "22/9"), "S", "1", "20/9"),
+        ((-3, 0, -1, 0), ("-1", "8/3", "16/9"), "S", "4/3", "32/9"),
+        ((-3, -1, 1, 1), ("-1", "4", "26/9"), "S", "2", "62/9"),
+        ((-3, -1, 1, 0), ("-1", "6", "41/9"), "S", "3", "122/9"),
+    ]),
+}
+
+
+def test_walls_payload_pinned(tmp_path, lattice_file):
+    code, doc = run(tmp_path, "walls", "--lattice", lattice_file, "--v", "1,0,-1",
+                    "--beta0", "0", "--b", "-3:0", "--t", "1/10:4", "--bound", "8",
+                    "--grid", "24")
+    assert code == 0 and doc["result"] == K3D2_WALLS
+    u2 = tmp_path / "u2.json"
+    u2.write_text(dumps(U2_LATTICE))
+    code, doc = run(tmp_path, "walls", "--lattice", str(u2), "--v", "1,0,0,-1",
+                    "--beta0", "1,-1/3", "--b", "-4:0", "--t", "1/4:3", "--bound", "3",
+                    "--grid", "24")
+    assert code == 0 and doc["result"] == U2_WALLS
+
+
+def test_walls_box_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    """A box of 7^3 classes over a budget of 100 stops before the walk; the
+    largest box that fits is bound 1 (3^3 classes)."""
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "100")
+    argv = ["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+            "--b", "-3:0", "--t", "1/10:4", "--out", str(tmp_path / "x.json")]
+    assert main([*argv, "--bound", "3"]) == 2
+    assert ("wall box of 343 classes exceeds the budget of 100 (bound reached 1)"
+            in capsys.readouterr().err)
+    assert main([*argv, "--bound", "0"]) == 1
+    assert "search_bound must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    assert main([*argv, "--bound", "1"]) == 0
+
+
+def test_lattice_json_rejects_non_integral_entries(tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    lat.write_text(dumps({"rank": 1, "gram": [["5/2"]], "ample": ["1"], "k3": True}))
+    assert main(["pairing", "--lattice", str(lat), "--v", "1,0,1", "--w", "1,0,1",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "expected an integer, got '5/2'" in capsys.readouterr().err
+    # an integral rational still reads as its integer
+    lat.write_text(dumps({"rank": 1, "gram": [["4/2"]], "ample": ["1"], "k3": True}))
+    code, doc = run(tmp_path, "pairing", "--lattice", str(lat),
+                    "--v", "0,1,0", "--w", "0,1,0")
+    assert code == 0 and doc["result"]["value"] == "2"
+
+
+def test_walls_json_rejects_non_integral_class(tmp_path, lattice_file, capsys):
+    wallsf = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
+                 "--out", str(wallsf)]) == 0
+    doc = json.loads(wallsf.read_text())
+    doc["result"]["walls"][0]["w"][1][0] = "1/2"
+    wallsf.write_text(dumps(doc))
+    assert main(["chambers", "--walls", str(wallsf), "--b", "-1", "--t", "1/10:4",
+                 "--out", str(tmp_path / "c.json")]) == 1
+    assert "expected an integer, got '1/2'" in capsys.readouterr().err
+
+
+def test_category_json_rejects_non_integral_class(tmp_path, capsys):
+    cat = {"objects": [{"id": "0", "class": ["0", "0"]},
+                       {"id": "S1", "class": ["0", "1"]},
+                       {"id": "S2", "class": ["1/2", "0"]},
+                       {"id": "A", "class": ["1", "1"]}],
+           "edges": [{"sub": "S2", "ambient": "A", "quotient": "S1"}],
+           "zero": "0"}
+    catf = tmp_path / "cat.json"
+    chf = tmp_path / "charge.json"
+    catf.write_text(dumps(cat))
+    chf.write_text(dumps([["-1", "0"], ["0", "1"]]))
+    assert main(["hn", "--category", str(catf), "--charge", str(chf),
+                 "--object", "A", "--out", str(tmp_path / "x.json")]) == 1
+    assert "expected an integer, got '1/2'" in capsys.readouterr().err

@@ -1,17 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
                      WallKind, candidate_classes, chambers_along_path,
                      gl2_act_on_charge, nesting_check, scan_walls,
                      slice_charge, wall_locus)
-from stabkit.errors import LatticeError
+from conftest import random_even_ns_lattice
+from stabkit.charges import evaluate_charge_row
+from stabkit.errors import BudgetError, LatticeError
 from stabkit.gaussian import gaussian
-from stabkit.walls import WallLocus, locus_meets_region, sampling_oracle, sqrt_decimal
+from stabkit.lattice import mukai_pairing
+from stabkit.walls import (WallLocus, _key_relation, locus_meets_region,
+                           sampling_oracle, sqrt_decimal)
 
 
 @pytest.fixture
@@ -409,3 +414,187 @@ def test_wall_locus_rejects_wrong_ns_rank(setup):
         wall_locus(v, MukaiVector(1, (0, 0), -1), sl)
     with pytest.raises(LatticeError):
         wall_locus(MukaiVector(1, (0, 0), -1), v, sl)
+
+
+# -- reference: the Fraction box scan that the integer kernel replaced ---------
+
+
+def ref_locus(v, w, sl):
+    """The wall conic from two charge evaluations at the base point, then
+    classified in Fractions."""
+    z_v = evaluate_charge_row(sl.z0, v.coords())
+    z_w = evaluate_charge_row(sl.z0, w.coords())
+    d = sl.axis_sq()
+    a = d * (v.r * z_w.im - w.r * z_v.im) / 2
+    b = d * (v.r * z_w.re - w.r * z_v.re)
+    dc = z_w.im * z_v.re - z_w.re * z_v.im - a
+    conic = (a, b, Fraction(0), dc)
+    if a == 0 and b == 0 and dc == 0:
+        return WallLocus(v, w, conic, WallKind.DEGENERATE)
+    if a == 0:
+        if b == 0:
+            return WallLocus(v, w, conic, WallKind.EMPTY)
+        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=-dc / b)
+    center = -b / (2 * a)
+    radius_sq = center * center - dc / a
+    if radius_sq <= 0:
+        return WallLocus(v, w, conic, WallKind.EMPTY)
+    return WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=center,
+                     radius_sq=radius_sq)
+
+
+def ref_candidate(v, w, lat):
+    """w != 0, w not proportional to v, w^2 >= -2, (v - w)^2 >= -2 and
+    (v.w)^2 > v^2 w^2, through the Mukai pairing."""
+    cv, cw = v.coords(), w.coords()
+    if w.is_zero() or all(cv[i] * cw[j] == cv[j] * cw[i]
+                          for i in range(len(cv)) for j in range(i + 1, len(cv))):
+        return False
+    ww = mukai_pairing(w, w, lat)
+    if ww < -2 or mukai_pairing(v - w, v - w, lat) < -2:
+        return False
+    vw = mukai_pairing(v, w, lat)
+    return vw * vw > mukai_pairing(v, v, lat) * ww
+
+
+def ref_box_loci(v, sl, bound):
+    """One non-degenerate locus per conic key, the one of the least w."""
+    chosen = {}
+    rng = range(-bound, bound + 1)
+    for coords in itertools.product(rng, repeat=sl.lattice.mukai_rank):
+        w = MukaiVector.from_coords(coords)
+        if ref_candidate(v, w, sl.lattice):
+            loc = ref_locus(v, w, sl)
+            if loc.kind is not WallKind.DEGENERATE:
+                chosen.setdefault(loc.key(), loc)
+    return sorted(chosen.values(), key=WallLocus.sort_key)
+
+
+def ref_walls_in(loci, region):
+    """The loci that scan_walls keeps: not empty and meeting the region."""
+    return [loc for loc in loci
+            if loc.kind is not WallKind.EMPTY and locus_meets_region(loc, region)]
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def box_scans(draw):
+    """A random even K3 lattice of rank 1-3 with v, beta0, a region and a
+    bound of 1-3."""
+    rank = draw(st.integers(1, 3))
+    lat = random_even_ns_lattice(random.Random(draw(st.integers(0, 2 ** 32))), rank)
+    v = MukaiVector.from_coords(draw(
+        st.lists(st.integers(-3, 3), min_size=rank + 2, max_size=rank + 2).filter(any)))
+    beta0 = tuple(draw(small_rationals) for _ in range(rank))
+    b_min = draw(st.fractions(min_value=-8, max_value=2, max_denominator=3))
+    t_min = draw(st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10))
+    width = st.fractions(min_value=0, max_value=8, max_denominator=3)
+    region = Region(b_min, b_min + draw(width), t_min, t_min + draw(width))
+    return lat, v, SliceParams(lat, beta0), region, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40)
+@given(case=box_scans(), grid=st.integers(2, 12))
+def test_integer_scan_matches_fraction_reference(case, grid):
+    """scan_walls and sampling_oracle return exactly the loci of the Fraction
+    box scan: same keys, same least w, same conic, kind, center and radius."""
+    lat, v, sl, region, bound = case
+    loci = ref_box_loci(v, sl, bound)
+    assert scan_walls(v, sl, region, bound) == ref_walls_in(loci, region)
+    assert [ow.locus for ow in sampling_oracle(v, sl, region, grid, bound)] == loci
+
+
+def ref_pair_relation(a, b):
+    """Relation of two walls from their Fraction centers and radii."""
+    if a.kind is WallKind.VERTICAL_LINE and b.kind is WallKind.VERTICAL_LINE:
+        return "identical" if a.center == b.center else "disjoint"
+    if a.kind is WallKind.VERTICAL_LINE or b.kind is WallKind.VERTICAL_LINE:
+        line, circ = (a, b) if a.kind is WallKind.VERTICAL_LINE else (b, a)
+        d2 = (line.center - circ.center) ** 2
+        if d2 > circ.radius_sq:
+            return "disjoint"
+        if d2 == circ.radius_sq:
+            return "touching at boundary"
+        return "crossing"
+    d2 = (a.center - b.center) ** 2
+    diff = d2 - a.radius_sq - b.radius_sq
+    rhs = 4 * a.radius_sq * b.radius_sq
+    if diff * diff == rhs:
+        if d2 == 0 and a.radius_sq == b.radius_sq:
+            return "identical"
+        return "touching"
+    if diff > 0 and diff * diff > rhs:
+        return "disjoint"
+    if diff < 0 and diff * diff > rhs:
+        return "nested"
+    return "crossing"
+
+
+def circle_wall(c, q, scale=1):
+    """Semicircle of center c and radius^2 q, its conic scaled by ``scale``."""
+    c, q = Fraction(c), Fraction(q)
+    v = MukaiVector(1, (0,), -1)
+    conic = tuple(scale * x for x in (Fraction(1), -2 * c, Fraction(0), c * c - q))
+    return WallLocus(v, v, conic, WallKind.SEMICIRCLE, center=c, radius_sq=q)
+
+
+def line_wall(b, scale=1):
+    b = Fraction(b)
+    v = MukaiVector(1, (0,), -1)
+    conic = tuple(scale * x for x in (Fraction(0), Fraction(1), Fraction(0), -b))
+    return WallLocus(v, v, conic, WallKind.VERTICAL_LINE, center=b)
+
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+radii_sq = st.fractions(min_value=Fraction(1, 36), max_value=9, max_denominator=36)
+scales = st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(2, 7), Fraction(5)])
+walls_st = st.one_of(st.builds(circle_wall, coords, radii_sq, scales),
+                     st.builds(line_wall, coords, scales))
+
+
+@pytest.mark.parametrize("a, b, rel", [
+    (circle_wall(0, 1), circle_wall(3, 4), "touching"),  # outside
+    (circle_wall(0, 4), circle_wall(1, 1), "touching"),  # inside
+    (circle_wall(Fraction(1, 3), Fraction(5, 9)),
+     circle_wall(Fraction(1, 3), Fraction(5, 9), -2), "identical"),
+    (circle_wall(-1, 2), line_wall(-1), "crossing"),  # through the center
+    (circle_wall(0, 4), line_wall(-2), "touching at boundary"),
+    (line_wall(Fraction(1, 2)), line_wall(Fraction(1, 2), 4), "identical"),
+    (line_wall(Fraction(1, 2)), line_wall(1), "disjoint"),  # equal d in the keys
+    (circle_wall(0, 4), circle_wall(0, 1), "nested"),
+    (circle_wall(0, 1), circle_wall(5, 1), "disjoint"),
+])
+def test_key_relation_pinned(a, b, rel):
+    assert ref_pair_relation(a, b) == rel
+    assert _key_relation(a.key(), b.key()) == rel
+    assert _key_relation(b.key(), a.key()) == rel
+
+
+@given(a=walls_st, b=walls_st)
+def test_key_relation_matches_fraction_reference(a, b):
+    """The integer relation on primitive conic keys is the Fraction relation
+    on centers and radii, for circles and lines at any conic scale."""
+    assert _key_relation(a.key(), b.key()) == ref_pair_relation(a, b)
+
+
+def test_wall_box_budget(setup, monkeypatch):
+    """A box over the budget raises before it is walked and reports the
+    largest bound whose box fits; the oracle shares the budget."""
+    sl, v, region = setup
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "100")  # 5^3 > 100 >= 3^3
+    for scan in (lambda: scan_walls(v, sl, region, 3),
+                 lambda: sampling_oracle(v, sl, region, 10, 3)):
+        with pytest.raises(BudgetError) as err:
+            scan()
+        assert err.value.bound_reached == 1
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "125")  # exactly the bound-2 box
+    assert scan_walls(v, sl, region, 2) == ref_walls_in(ref_box_loci(v, sl, 2), region)
+    with pytest.raises(BudgetError) as err:
+        scan_walls(v, sl, region, 3)
+    assert err.value.bound_reached == 2
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "124")
+    with pytest.raises(BudgetError) as err:
+        scan_walls(v, sl, region, 2)
+    assert err.value.bound_reached == 1
