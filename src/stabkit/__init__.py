@@ -9,7 +9,7 @@ Layers:
     windings from rational sign tests, the Gieseker / large-volume
     comparison;
   - hn: Harder-Narasimhan and Jordan-Holder filtrations over finite
-    presentations;
+    presentations, read from one integer charge table per charge row;
   - support: charge kernels, norm forms, minimal root norms, support forms;
   - walls: wall-and-chamber scans on a two-parameter slice with a sampling
     oracle;
@@ -18,17 +18,18 @@ Layers:
   - cli: the stabkit command.
 """
 
-from .charges import (ChargeParams, HeartPosition, Order, SlopeProfile,
-                      charge_row, curve_charge, gieseker_compare,
-                      heart_position, k3_charge, large_volume_phase,
-                      large_volume_threshold, phase_compare, phase_valid,
-                      slope, surface_charge)
+from .charges import (ChargeParams, HeartPosition, IntCharge, Order,
+                      SlopeProfile, charge_row, curve_charge,
+                      gieseker_compare, heart_position, k3_charge,
+                      large_volume_phase, large_volume_threshold,
+                      phase_compare, phase_valid, slope, surface_charge)
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      PresentationError, StabkitError)
 from .gaussian import GaussianRational, gaussian
 from .gl2 import LiftedGL2, gl2_act_on_charge, gl2_compose
-from .hn import (CategoryPresentation, Edge, Filtration, hn_filtration,
-                 is_semistable, jh_factors, seesaw_check, validate)
+from .hn import (CategoryPresentation, ChargeTable, Edge, Filtration,
+                 charge_table, hn_filtration, is_semistable, jh_factors,
+                 seesaw_check, validate)
 from .lattice import (ChernCharacter, MukaiVector, NSLattice,
                       bogomolov_discriminant, euler_pairing, mukai_pairing,
                       mukai_square, mukai_vector_of, twist_chern)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import ChargeError, LatticeError
 from .gaussian import GaussianRational, as_fraction, gaussian
@@ -140,29 +140,47 @@ def evaluate_charge_row(row: Sequence[GaussianRational], coords: Sequence) -> Ga
     return GaussianRational(re, im)
 
 
-def phase_valid(z: GaussianRational) -> bool:
+class IntCharge(NamedTuple):
+    """A charge Z scaled by a positive integer D into integer parts:
+    re = D Re Z and im = D Im Z. ``phase_valid`` and ``phase_compare`` take
+    these in place of Gaussian rationals and give the same answers, because
+    both read only signs that a factor D > 0 keeps."""
+
+    re: int
+    im: int
+
+
+def phase_valid(z: Union[GaussianRational, IntCharge]) -> bool:
     """True iff z lies in the upper half-plane or on the strictly negative
-    real axis (the allowed range of a stability function)."""
+    real axis (the allowed range of a stability function).
+
+    Only the signs of Im z and Re z are read, and D z has the same signs for
+    every D > 0, so z may be a Gaussian rational or its ``IntCharge`` over
+    any positive common denominator."""
     return z.im > 0 or (z.im == 0 and z.re < 0)
 
 
-def phase_compare(z1: GaussianRational, z2: GaussianRational) -> Order:
+def phase_compare(z1: Union[GaussianRational, IntCharge],
+                  z2: Union[GaussianRational, IntCharge]) -> Order:
     """Exact comparison of phases in (0, 1].
 
     A charge on the negative real axis has phase 1 and beats everything else;
     inside the open upper half-plane the sign of re1*im2 - im1*re2 decides
     (positive means phi(z1) < phi(z2)). EQ holds exactly on common rays.
+
+    Scaling both charges by one D > 0 keeps every sign read here: the axis
+    tests read the signs of Im and Re, and the cross product becomes D^2
+    times itself. So the order of two ``IntCharge`` values over a common
+    denominator D is the order of the rational charges they scale, and a
+    whole table of them compares on plain ints.
     """
-    for z in (z1, z2):
-        if not phase_valid(z):
-            raise ChargeError(f"charge {z} outside the allowed half-plane")
-    on_axis1 = z1.im == 0
-    on_axis2 = z2.im == 0
-    if on_axis1 and on_axis2:
-        return Order.EQ
-    if on_axis1:
-        return Order.GT
-    if on_axis2:
+    if not phase_valid(z1):
+        raise ChargeError(f"charge {z1} outside the allowed half-plane")
+    if not phase_valid(z2):
+        raise ChargeError(f"charge {z2} outside the allowed half-plane")
+    if z1.im == 0:
+        return Order.EQ if z2.im == 0 else Order.GT
+    if z2.im == 0:
         return Order.LT
     cross = z1.re * z2.im - z1.im * z2.re
     if cross > 0:

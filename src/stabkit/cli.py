@@ -22,7 +22,8 @@ from .charges import (ChargeParams, SlopeProfile, charge_row,
 from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
     PresentationError, StabkitError
 from .gaussian import GaussianRational, as_fraction
-from .hn import hn_filtration, seesaw_check, validate, validate_or_raise
+from .hn import (charge_table, hn_filtration, seesaw_check, validate,
+                 validate_or_raise)
 from .lattice import ChernCharacter, MukaiVector, mukai_pairing
 from .manifest import build_manifest, file_hash
 from .nef import bb_square, lagrangian_candidates, moduli_dimension, \
@@ -129,10 +130,10 @@ def cmd_heart(args) -> None:
 
 def cmd_hn(args) -> None:
     cat = ser.category_from_json(_load_json(args.category))
-    charge = ser.charge_row_from_json(_load_json(args.charge))
-    validate_or_raise(cat, charge)
-    filt = hn_filtration(cat, charge, args.object)
-    seesaw = seesaw_check(cat, charge)
+    table = charge_table(cat, ser.charge_row_from_json(_load_json(args.charge)))
+    validate_or_raise(cat, table)
+    filt = hn_filtration(cat, table, args.object)
+    seesaw = seesaw_check(cat, table)
     payload = {
         "steps": list(filt.steps),
         "factor_ids": list(filt.factor_ids),
@@ -148,8 +149,8 @@ def cmd_hn(args) -> None:
 
 def cmd_validate_category(args) -> None:
     cat = ser.category_from_json(_load_json(args.category))
-    charge = ser.charge_row_from_json(_load_json(args.charge))
-    violations = validate(cat, charge)
+    table = charge_table(cat, ser.charge_row_from_json(_load_json(args.charge)))
+    violations = validate(cat, table)
     payload = {"violations": [
         {"code": v.code, "subject": v.subject, "message": v.message}
         for v in violations]}

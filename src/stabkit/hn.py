@@ -5,15 +5,22 @@ A presentation lists objects with classes in a lattice, a zero object, and
 subobject edges (sub, ambient, quotient). The engine works purely with the
 listed data: greedy maximal-destabilizer steps walk direct edges, so the
 filtration is reproducible and independent of input ordering.
+
+Every charge is read from one ``ChargeTable`` per presentation and charge
+row: each object's charge is evaluated once, as a pair of integers over one
+common positive denominator, and every phase comparison runs on those ints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .charges import Order, evaluate_charge_row, phase_compare, phase_valid
+from .charges import IntCharge, Order, phase_compare, phase_valid
 from .errors import PresentationError
 from .gaussian import GaussianRational
+from .linalg import clear_denominators
 
 ClassVec = Tuple[int, ...]
 
@@ -107,13 +114,45 @@ class Filtration:
 ChargeRow = Sequence[GaussianRational]
 
 
-def _charge_table(cat: CategoryPresentation, charge: ChargeRow) -> Dict[str, GaussianRational]:
-    return {name: evaluate_charge_row(charge, cls) for name, cls in cat.objects.items()}
+@dataclass(frozen=True)
+class ChargeTable:
+    """The charge of every object of one presentation under one charge row,
+    as integer pairs over one common denominator ``den`` > 0: Z(name) =
+    (charges[name].re + i charges[name].im) / den. ``phase_valid`` and
+    ``phase_compare`` read these pairs directly (scaling by den is exact for
+    both); ``exact`` gives back the Gaussian rational."""
+
+    charges: Dict[str, IntCharge]
+    den: int
+
+    def exact(self, name: str) -> GaussianRational:
+        z = self.charges[name]
+        return GaussianRational(Fraction(z.re, self.den), Fraction(z.im, self.den))
 
 
-def validate(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
+def charge_table(cat: CategoryPresentation, charge: ChargeRow) -> ChargeTable:
+    """Evaluate the charge row once on every object: the row is cleared to
+    integer real and imaginary rows over their common denominator, so each
+    class costs two integer dot products. The row must have one entry per
+    class coordinate; a length mismatch raises ``PresentationError``."""
+    n = len(charge)
+    for name, cls in cat.objects.items():
+        if len(cls) != n:
+            raise PresentationError(
+                f"charge row has {n} entries but the class of {name!r} has "
+                f"{len(cls)} coordinates")
+    (re_row, im_row), den = clear_denominators(
+        ([z.re for z in charge], [z.im for z in charge]))
+    return ChargeTable({name: IntCharge(sum(map(mul, re_row, cls)),
+                                        sum(map(mul, im_row, cls)))
+                        for name, cls in cat.objects.items()}, den)
+
+
+def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
     """Structural and charge validation; an empty list means all invariants
-    hold and every nonzero object has a charge in the allowed half-plane."""
+    hold and every nonzero object has a charge in the allowed half-plane.
+    ``table`` is the ``charge_table`` of ``cat``, which also guarantees that
+    every class has the length of the charge row."""
     out: List[Violation] = []
     if any(x != 0 for x in cat.class_of(cat.zero)):
         out.append(Violation("zero-class", cat.zero, "zero object has nonzero class"))
@@ -123,11 +162,8 @@ def validate(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
                 out.append(Violation("unknown-id", name, f"edge {e} references unknown id"))
                 break
         else:
-            ca = cat.class_of(e.ambient)
-            cs = cat.class_of(e.sub)
-            cq = cat.class_of(e.quotient)
-            if len({len(ca), len(cs), len(cq)}) != 1 or any(
-                    a != s + q for a, s, q in zip(ca, cs, cq)):
+            if cat.objects[e.ambient] != tuple(
+                    map(add, cat.objects[e.sub], cat.objects[e.quotient])):
                 out.append(Violation(
                     "additivity", e.ambient,
                     f"edge {e.sub} < {e.ambient} / {e.quotient}: "
@@ -165,35 +201,34 @@ def validate(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
                                      "subobject relation is not a partial order: "
                                      + " < ".join(cyc)))
                 break
+    z = table.charges
     for name in sorted(cat.objects):
-        if name == cat.zero:
-            continue
-        z = evaluate_charge_row(charge, cat.class_of(name))
-        if not phase_valid(z):
+        if name != cat.zero and not phase_valid(z[name]):
             out.append(Violation(
                 "invalid-charge", name,
-                f"Z({name}) = {z} outside the upper half-plane union R_{{<0}}"))
+                f"Z({name}) = {table.exact(name)} outside the upper half-plane "
+                "union R_{<0}"))
     return out
 
 
-def validate_or_raise(cat: CategoryPresentation, charge: ChargeRow) -> None:
-    violations = validate(cat, charge)
+def validate_or_raise(cat: CategoryPresentation, table: ChargeTable) -> None:
+    violations = validate(cat, table)
     if violations:
         lines = "; ".join(f"[{v.code}] {v.subject}: {v.message}" for v in violations)
         raise PresentationError(f"invalid presentation: {lines}")
 
 
-def is_semistable(cat: CategoryPresentation, charge: ChargeRow, a: str) -> bool:
+def is_semistable(cat: CategoryPresentation, table: ChargeTable, a: str) -> bool:
     """No strict nonzero subobject of larger phase."""
     if a not in cat.objects or a == cat.zero:
         raise PresentationError(f"need a nonzero object id, got {a!r}")
-    z = {b: evaluate_charge_row(charge, cat.class_of(b))
-         for b in cat.subobjects_below(a)}
-    return not any(phase_compare(z[b], z[a]) is Order.GT
-                   for b in z if b not in (a, cat.zero))
+    z = table.charges
+    za = z[a]
+    return not any(phase_compare(z[b], za) is Order.GT
+                   for b in cat.subobjects_below(a) if b not in (a, cat.zero))
 
 
-def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtration:
+def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filtration:
     """Greedy Harder-Narasimhan filtration.
 
     At each stage, among the direct continuations of the current step inside
@@ -207,7 +242,7 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
         raise PresentationError(f"need a nonzero object id, got {a!r}")
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
-    z = _charge_table(cat, charge)
+    z = table.charges
     steps = [cat.zero]
     factor_ids: List[str] = []
     notes: List[str] = []
@@ -250,7 +285,7 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
                 f"greedy filtration of {a!r} has non-decreasing factor phases "
                 f"({f1!r} then {f2!r}): presentation is inconsistent")
     for f in factor_ids:
-        if not is_semistable(cat, charge, f):
+        if not is_semistable(cat, table, f):
             raise PresentationError(
                 f"factor {f!r} of the filtration of {a!r} is not semistable: "
                 "presentation is inconsistent")
@@ -261,13 +296,13 @@ def hn_filtration(cat: CategoryPresentation, charge: ChargeRow, a: str) -> Filtr
     return Filtration(tuple(steps), factor_classes, tuple(factor_ids), tuple(notes))
 
 
-def jh_factors(cat: CategoryPresentation, charge: ChargeRow, a: str) -> List[ClassVec]:
+def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[ClassVec]:
     """Factor classes of a maximal chain of same-phase subobjects of a
     semistable object. All maximal chains are enumerated; their factor
     multisets must agree, otherwise the presentation is inconsistent."""
-    if not is_semistable(cat, charge, a):
+    if not is_semistable(cat, table, a):
         raise PresentationError(f"{a!r} is not semistable; no JH factors")
-    z = _charge_table(cat, charge)
+    z = table.charges
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
 
@@ -302,12 +337,12 @@ def jh_factors(cat: CategoryPresentation, charge: ChargeRow, a: str) -> List[Cla
     return [cat.class_of(f) for f in chains[best][1]]
 
 
-def seesaw_check(cat: CategoryPresentation, charge: ChargeRow) -> List[Violation]:
+def seesaw_check(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
     """See-saw consistency on every edge with all three objects nonzero:
     phi(B) <= phi(A) iff phi(C) >= phi(A), and symmetrically. Any violation
     indicates an inconsistent charge/presentation pair."""
     out: List[Violation] = []
-    z = _charge_table(cat, charge)
+    z = table.charges
     for e in cat.edges:
         if cat.zero in (e.sub, e.ambient, e.quotient):
             continue

@@ -128,16 +128,27 @@ def nullspace(mat: Mat) -> List[List[Fraction]]:
     return basis
 
 
+def clear_denominators(rows: Sequence[Sequence]
+                       ) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """(int_rows, den) for rows of ints or Fractions: den > 0 is the least
+    common denominator of all entries and int_rows[i][j] = den * rows[i][j].
+
+    This is the one way rational rows become integer rows over a shared
+    denominator (charge tables, wall conics, quadratic forms)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
+
+
 def primitive_vector(v: Sequence) -> List[int]:
     """Rescale a rational vector (ints or Fractions) to a primitive integer
     vector with positive first nonzero entry; the zero vector maps to zeros.
 
     This is the one normalization of rays, conics and kernel vectors."""
-    scale = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
+    (ints,), _ = clear_denominators((v,))
     g = gcd(*ints)
     if g == 0:
-        return ints
+        return list(ints)
     if next(x for x in ints if x != 0) < 0:
         g = -g
     return [x // g for x in ints]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
@@ -261,7 +262,9 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     Rays are deduplicated (one canonical representative with positive leading
     coordinate). For (v, v) = 0 the search runs in v-perp / <v>: v lies in
     the radical of v-perp, so squares descend; candidates are reduced modulo
-    v to a canonical representative and must be primitive in the quotient."""
+    v to a canonical representative and must be primitive in the quotient.
+    Each box point is first tested on its integer Mukai square; only the
+    square-zero points become ``MukaiVector``s."""
     if not v.is_primitive():
         raise LatticeError(f"{v} is not primitive")
     vsq = mukai_square(v, lat)
@@ -277,10 +280,10 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     out = []
     seen = set()
     for u in _perp_box(perp, bound):
+        if _coords_square(u, lat.gram) != 0:
+            continue
         mv = MukaiVector.from_coords(u)
         if mv.is_zero() or not mv.is_primitive():
-            continue
-        if mukai_square(mv, lat) != 0:
             continue
         ray = tuple(primitive_vector(u))
         if ray not in seen:
@@ -323,6 +326,14 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
     yield from rec(0, [0] * n)
 
 
+def _coords_square(u: Sequence[int], gram: Sequence[Sequence[int]]) -> int:
+    """Mukai square c.c - 2 r s of the class with coordinates u = (r, c, s),
+    on plain ints: the cheap first test of the Lagrangian search."""
+    c = u[1:-1]
+    cc = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram) if x)
+    return cc - 2 * u[0] * u[-1]
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -335,8 +346,7 @@ def _lagrangian_isotropic_case(v: MukaiVector, lat: NSLattice,
     vcs = v.coords()
     out = {}
     for u in _perp_box(perp, bound):
-        mv = MukaiVector.from_coords(u)
-        if mukai_square(mv, lat) != 0:  # square is well defined mod v
+        if _coords_square(u, lat.gram) != 0:  # square is well defined mod v
             continue
         res = _reduce_mod_v(u, vcs)
         if all(x == 0 for x in res):

@@ -19,7 +19,12 @@ def rat(x) -> str:
 
 
 def unrat(s) -> Fraction:
-    return as_fraction(s)
+    """A rational from its JSON form: a JSON int or a string such as
+    ``"3/2"``. A float or a bool raises ``ValueError``, as in ``unint``."""
+    try:
+        return as_fraction(s)
+    except TypeError:
+        raise ValueError(f"expected a rational, got {s!r}") from None
 
 
 def unint(s) -> int:

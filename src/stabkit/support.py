@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,9 +25,10 @@ from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
     StabkitError
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector
-from .linalg import (bilinear, frac_rows, identity, inverse, is_negative_definite,
-                     is_positive_definite, is_positive_semidefinite, mat_mul,
-                     mat_vec, nullspace, rref, transpose)
+from .linalg import (bilinear, clear_denominators, frac_rows, identity, inverse,
+                     is_negative_definite, is_positive_definite,
+                     is_positive_semidefinite, mat_mul, mat_vec, nullspace, rref,
+                     transpose)
 
 DEFAULT_BUDGET = 1 << 20
 BUDGET_ENV = "BRIDGELAND_BUDGET"
@@ -223,20 +224,14 @@ def charge_norm_sq(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fract
     return bilinear(vec, s, vec)
 
 
-def _integer_form(gram) -> Tuple[List[List[int]], int]:
-    """(rows, den) with rows integral and den > 0 the least common
-    denominator of the Gram: Q(x) = _form_value(rows, x) / den on integer x."""
-    g = frac_rows(gram)
-    den = lcm(*(e.denominator for row in g for e in row))
-    return [[int(e * den) for e in row] for row in g], den
-
-
 def _form_value(rows: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """x^T rows x on integer x: with (rows, den) from ``clear_denominators``
+    of a Gram, Q(x) = _form_value(rows, x) / den."""
     return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, rows) if xi)
 
 
-def _integral_rows(ambient_gram) -> List[List[int]]:
-    rows, den = _integer_form(ambient_gram)
+def _integral_rows(ambient_gram) -> Tuple[Tuple[int, ...], ...]:
+    rows, den = clear_denominators(frac_rows(ambient_gram))
     if den != 1:
         raise LatticeError("ambient Gram is not integral: roots of square -2 "
                            "need an integral lattice")
@@ -286,7 +281,7 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
     budget_n = effective_budget(budget)
     mukai = _integral_rows(ambient_gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
-    norm, norm_den = _integer_form(_norm_pullback_gram(z_row, s))
+    norm, norm_den = clear_denominators(_norm_pullback_gram(z_row, s))
     bound = Fraction(start_bound)
     nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
@@ -419,9 +414,9 @@ def discreteness_classes(z_row: Sequence[GaussianRational],
     """Finite list of lattice classes with Q_Z(v) >= 0 and ||Z(v)||_S^2 <=
     radius_sq: the computable shadow of charge-image discreteness."""
     _integral_rows(ambient_gram)
-    q_z, _ = _integer_form(build_q_z(z_row, s, c_squared, ambient_gram).gram)
+    q_z, _ = clear_denominators(build_q_z(z_row, s, c_squared, ambient_gram).gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
-    norm, norm_den = _integer_form(_norm_pullback_gram(z_row, s))
+    norm, norm_den = clear_denominators(_norm_pullback_gram(z_row, s))
     norm_cap = floor(Fraction(radius_sq) * norm_den)
     cap = 2 * Fraction(radius_sq) + (Fraction(2) / Fraction(c_squared)) * Fraction(radius_sq)
     out = []

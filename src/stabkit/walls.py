@@ -28,7 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,7 +36,7 @@ from .charges import charge_functional, evaluate_charge_row
 from .errors import BudgetError, ChargeError, LatticeError
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice
-from .linalg import primitive_vector
+from .linalg import clear_denominators, primitive_vector
 from .support import effective_budget
 
 
@@ -170,10 +170,7 @@ def _conic_rows(v: MukaiVector, slice_: SliceParams
     a_row[0] -= d * z_v.im / 2
     b_row[0] -= d * z_v.re
     d_row = [z.im * z_v.re - z.re * z_v.im - a for z, a in zip(slice_.z0, a_row)]
-    rows = (a_row, b_row, d_row)
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                 for row in rows), den
+    return clear_denominators((a_row, b_row, d_row))
 
 
 def _locus(v: MukaiVector, w: MukaiVector, a: Fraction, b_coef: Fraction,

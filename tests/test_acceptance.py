@@ -13,7 +13,7 @@ import pytest
 from conftest import random_even_ns_lattice, random_presentation
 from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
                      Region, SliceParams, bb_square, build_q_z, charge_kernel,
-                     charge_norm_form, charge_row, decomposition_scan,
+                     charge_norm_form, charge_row, charge_table, decomposition_scan,
                      equivalent_support_roundtrip, gieseker_compare,
                      hn_filtration, is_negative_definite_on, is_semistable,
                      large_volume_phase, large_volume_threshold, min_root_norm,
@@ -137,14 +137,15 @@ def test_criterion_4_hn_engine():
     for _ in range(100):
         cat, charge, top = random_presentation(rng)
         assert len(cat.objects) <= 12
-        assert validate(cat, charge) == []
-        assert seesaw_check(cat, charge) == []
-        filt = hn_filtration(cat, charge, top)
+        table = charge_table(cat, charge)
+        assert validate(cat, table) == []
+        assert seesaw_check(cat, table) == []
+        filt = hn_filtration(cat, table, top)
         for f1, f2 in zip(filt.factor_ids, filt.factor_ids[1:]):
             assert phase_compare(evaluate_charge_row(charge, cat.class_of(f1)),
                                  evaluate_charge_row(charge, cat.class_of(f2))) is Order.GT
         for f in filt.factor_ids:
-            assert is_semistable(cat, charge, f)
+            assert is_semistable(cat, table, f)
         total = [sum(col) for col in zip(*filt.factor_classes)]
         assert tuple(total) == cat.class_of(top)
         z_total = evaluate_charge_row(charge, cat.class_of(top))
@@ -158,7 +159,7 @@ def test_criterion_4_hn_engine():
             rng.shuffle(objs)
             rng.shuffle(edges)
             cat2 = CategoryPresentation(dict(objs), tuple(edges), cat.zero)
-            assert hn_filtration(cat2, charge, top) == filt
+            assert hn_filtration(cat2, charge_table(cat2, charge), top) == filt
     report(4, "100 random presentations: HN exact, unique, permutation-stable",
            t0, 30)
 

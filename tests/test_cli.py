@@ -637,3 +637,95 @@ def test_category_json_rejects_non_integral_class(tmp_path, capsys):
     assert main(["hn", "--category", str(catf), "--charge", str(chf),
                  "--object", "A", "--out", str(tmp_path / "x.json")]) == 1
     assert "expected an integer, got '1/2'" in capsys.readouterr().err
+
+
+# hn and validate-category payloads, pinned so that work on the HN layer
+# keeps them byte for byte: an interval tower on four simples where X12 and
+# X23 lie on one ray (the HN step above X01 must take the larger X03), and
+# a charge with three invalid objects whose messages print exact rationals
+
+
+def interval_tower(m):
+    objects = [{"id": "0", "class": ["0"] * m}]
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            objects.append({"id": f"X{i}{j}",
+                            "class": [str(int(i <= k < j)) for k in range(m)]})
+    edges = [{"sub": f"X{i}{j}", "ambient": f"X{i}{k}", "quotient": f"X{j}{k}"}
+             for i in range(m) for j in range(i + 1, m + 1) for k in range(j + 1, m + 1)]
+    return {"objects": objects, "edges": edges, "zero": "0"}
+
+
+TOWER_CHARGE = [["-5/2", "0"], ["-1", "1"], ["-2/3", "2/3"], ["1", "2/5"]]
+TOWER_BAD_CHARGE = [["-5/2", "0"], ["1/2", "-3/7"], ["1/3", "1"], ["5/4", "0"]]
+TOWER_HN = {
+    "X04": {"factor_classes": [["1", "0", "0", "0"], ["0", "1", "1", "0"],
+                               ["0", "0", "0", "1"]],
+            "factor_ids": ["X01", "X13", "X34"], "notes": [], "seesaw_violations": [],
+            "steps": ["0", "X01", "X03", "X04"]},
+    "X13": {"factor_classes": [["0", "1", "1", "0"]], "factor_ids": ["X13"],
+            "notes": [], "seesaw_violations": [], "steps": ["0", "X13"]},
+}
+TOWER_VIOLATIONS = {"violations": [
+    {"code": "invalid-charge", "subject": "X02",
+     "message": "Z(X02) = -2-3/7i outside the upper half-plane union R_{<0}"},
+    {"code": "invalid-charge", "subject": "X12",
+     "message": "Z(X12) = 1/2-3/7i outside the upper half-plane union R_{<0}"},
+    {"code": "invalid-charge", "subject": "X34",
+     "message": "Z(X34) = 5/4+0i outside the upper half-plane union R_{<0}"},
+]}
+
+
+def test_hn_payloads_pinned(tmp_path):
+    catf, chf, badf = tmp_path / "cat.json", tmp_path / "z.json", tmp_path / "bad.json"
+    catf.write_text(dumps(interval_tower(4)))
+    chf.write_text(dumps(TOWER_CHARGE))
+    badf.write_text(dumps(TOWER_BAD_CHARGE))
+    for obj, want in TOWER_HN.items():
+        code, doc = run(tmp_path, "hn", "--category", str(catf), "--charge", str(chf),
+                        "--object", obj)
+        assert code == 0 and doc["result"] == want
+    code, doc = run(tmp_path, "validate-category", "--category", str(catf),
+                    "--charge", str(chf))
+    assert code == 0 and doc["result"] == {"violations": []}
+    code, doc = run(tmp_path, "validate-category", "--category", str(catf),
+                    "--charge", str(badf))
+    assert code == 0 and doc["result"] == TOWER_VIOLATIONS
+
+
+@pytest.mark.parametrize("charge, entries", [([["-1", "1"]], 1),
+                                             ([["-1", "1"], ["0", "1"], ["1", "1"]], 3)])
+def test_charge_row_length_must_match_classes(tmp_path, capsys, charge, entries):
+    cat = {"objects": [{"id": "0", "class": ["0", "0"]},
+                       {"id": "S", "class": ["1", "0"]},
+                       {"id": "T", "class": ["0", "1"]},
+                       {"id": "A", "class": ["1", "1"]}],
+           "edges": [{"sub": "S", "ambient": "A", "quotient": "T"}], "zero": "0"}
+    catf, chf = tmp_path / "cat.json", tmp_path / "z.json"
+    catf.write_text(dumps(cat))
+    chf.write_text(dumps(charge))
+    for argv in (["hn", "--category", str(catf), "--charge", str(chf), "--object", "A"],
+                 ["validate-category", "--category", str(catf), "--charge", str(chf)]):
+        assert main([*argv, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"charge row has {entries} entries but the class of '0' has 2 coordinates" in err
+
+
+def test_charge_json_rejects_float(tmp_path):
+    """A JSON float in a charge file is an input error, not a traceback."""
+    cat = {"objects": [{"id": "0", "class": ["0", "0"]},
+                       {"id": "S", "class": ["1", "0"]},
+                       {"id": "T", "class": ["0", "1"]},
+                       {"id": "A", "class": ["1", "1"]}],
+           "edges": [{"sub": "S", "ambient": "A", "quotient": "T"}], "zero": "0"}
+    catf, chf = tmp_path / "cat.json", tmp_path / "z.json"
+    catf.write_text(dumps(cat))
+    chf.write_text(json.dumps([[-1.5, 0], [0, 1]]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabkit.cli", "hn", "--category", str(catf),
+         "--charge", str(chf), "--object", "A", "--out", str(tmp_path / "x.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "input error: expected a rational, got -1.5" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_presentation
-from stabkit import (CategoryPresentation, Edge, hn_filtration, is_semistable,
-                     jh_factors, seesaw_check, validate)
-from stabkit.errors import PresentationError
-from stabkit.gaussian import gaussian
+from stabkit import (CategoryPresentation, Edge, Filtration, Order, charge_table,
+                     hn_filtration, is_semistable, jh_factors, phase_compare,
+                     phase_valid, seesaw_check, validate)
+from stabkit.errors import ChargeError, PresentationError
+from stabkit.gaussian import GaussianRational, gaussian
+from stabkit.hn import Violation
 
 
 def chain_cat():
@@ -17,17 +21,17 @@ def chain_cat():
         edges=(Edge("S2", "A", "S1"),),
         zero="0")
     charge = [gaussian(-1, 0), gaussian(0, 1)]
-    return cat, charge
+    return cat, charge_table(cat, charge)
 
 
 def test_validate_clean():
-    cat, charge = chain_cat()
-    assert validate(cat, charge) == []
+    cat, table = chain_cat()
+    assert validate(cat, table) == []
 
 
 def test_validate_flags_bad_charge():
     cat = CategoryPresentation(objects={"0": (0,), "A": (1,)}, edges=(), zero="0")
-    violations = validate(cat, [gaussian(1, 0)])
+    violations = validate(cat, charge_table(cat, [gaussian(1, 0)]))
     assert any(v.code == "invalid-charge" for v in violations)
 
 
@@ -35,7 +39,7 @@ def test_validate_flags_additivity():
     cat = CategoryPresentation(
         objects={"0": (0,), "B": (1,), "A": (3,), "C": (1,)},
         edges=(Edge("B", "A", "C"),), zero="0")
-    violations = validate(cat, [gaussian(0, 1)])
+    violations = validate(cat, charge_table(cat, [gaussian(0, 1)]))
     assert any(v.code == "additivity" for v in violations)
 
 
@@ -43,25 +47,25 @@ def test_validate_flags_cycles():
     cat = CategoryPresentation(
         objects={"0": (0,), "A": (1,), "B": (1,)},
         edges=(Edge("A", "B", "0"), Edge("B", "A", "0")), zero="0")
-    violations = validate(cat, [gaussian(0, 1)])
+    violations = validate(cat, charge_table(cat, [gaussian(0, 1)]))
     assert any(v.code == "cycle" for v in violations)
 
 
 def test_is_semistable():
-    cat, charge = chain_cat()
-    assert not is_semistable(cat, charge, "A")   # phi(S2) = 1 > phi(A) = 3/4
-    assert is_semistable(cat, charge, "S1")
-    assert is_semistable(cat, charge, "S2")
+    cat, table = chain_cat()
+    assert not is_semistable(cat, table, "A")   # phi(S2) = 1 > phi(A) = 3/4
+    assert is_semistable(cat, table, "S1")
+    assert is_semistable(cat, table, "S2")
     # sub of smaller phase does not destabilize
     cat2 = CategoryPresentation(
         objects={"0": (0, 0), "S1": (0, 1), "S2": (1, 0), "A": (1, 1)},
         edges=(Edge("S1", "A", "S2"),), zero="0")
-    assert is_semistable(cat2, charge, "A")
+    assert is_semistable(cat2, charge_table(cat2, [gaussian(-1, 0), gaussian(0, 1)]), "A")
 
 
 def test_hn_two_step():
-    cat, charge = chain_cat()
-    filt = hn_filtration(cat, charge, "A")
+    cat, table = chain_cat()
+    filt = hn_filtration(cat, table, "A")
     assert filt.steps == ("0", "S2", "A")
     assert filt.factor_ids == ("S2", "S1")
     assert filt.factor_classes == ((1, 0), (0, 1))
@@ -69,19 +73,19 @@ def test_hn_two_step():
 
 
 def test_hn_semistable_single_step():
-    cat, charge = chain_cat()
-    assert hn_filtration(cat, charge, "S2").steps == ("0", "S2")
+    cat, table = chain_cat()
+    assert hn_filtration(cat, table, "S2").steps == ("0", "S2")
     # same-ray tower is semistable in one step
     cat2 = CategoryPresentation(
         objects={"0": (0,), "S": (1,), "A": (2,)},
         edges=(Edge("S", "A", "S"),), zero="0")
-    filt = hn_filtration(cat2, [gaussian(-1, 1)], "A")
+    filt = hn_filtration(cat2, charge_table(cat2, [gaussian(-1, 1)]), "A")
     assert filt.steps == ("0", "A")
 
 
 def test_hn_edge_order_invariance():
-    cat, charge = chain_cat()
-    ref = hn_filtration(cat, charge, "A")
+    cat, table = chain_cat()
+    ref = hn_filtration(cat, table, "A")
     rng = random.Random(41)
     objs = list(cat.objects.items())
     edges = list(cat.edges)
@@ -89,7 +93,7 @@ def test_hn_edge_order_invariance():
         rng.shuffle(objs)
         rng.shuffle(edges)
         cat2 = CategoryPresentation(dict(objs), tuple(edges), "0")
-        assert hn_filtration(cat2, charge, "A") == ref
+        assert hn_filtration(cat2, table, "A") == ref
 
 
 def test_hn_malformed_reported_not_guessed():
@@ -99,7 +103,7 @@ def test_hn_malformed_reported_not_guessed():
         edges=(Edge("B", "A", "Q"),), zero="0")
     charge = [gaussian(-1, 0), gaussian(0, 1)]
     with pytest.raises(PresentationError):
-        hn_filtration(cat, charge, "A")
+        hn_filtration(cat, charge_table(cat, charge), "A")
 
 
 def test_hn_ambiguous_tie_noted():
@@ -110,7 +114,7 @@ def test_hn_ambiguous_tie_noted():
                  "QS": (2, 1), "QT": (1, 1)},
         edges=(Edge("S", "A", "QS"), Edge("T", "A", "QT")), zero="0")
     charge = [gaussian(-1, 0), gaussian(0, 1)]
-    filt = hn_filtration(cat, charge, "A")
+    filt = hn_filtration(cat, charge_table(cat, charge), "A")
     assert filt.notes and "ambiguous" in filt.notes[0]
     assert filt.steps[1] == "S"  # smallest id among the tied candidates
 
@@ -119,43 +123,44 @@ def test_jh_factors():
     cat2 = CategoryPresentation(
         objects={"0": (0,), "S": (1,), "A": (2,)},
         edges=(Edge("S", "A", "S"),), zero="0")
-    charge = [gaussian(0, 1)]
-    assert jh_factors(cat2, charge, "A") == [(1,), (1,)]
-    assert jh_factors(cat2, charge, "S") == [(1,)]
-    total = [sum(col) for col in zip(*jh_factors(cat2, charge, "A"))]
+    table = charge_table(cat2, [gaussian(0, 1)])
+    assert jh_factors(cat2, table, "A") == [(1,), (1,)]
+    assert jh_factors(cat2, table, "S") == [(1,)]
+    total = [sum(col) for col in zip(*jh_factors(cat2, table, "A"))]
     assert tuple(total) == cat2.class_of("A")
 
 
 def test_jh_requires_semistable():
-    cat, charge = chain_cat()
+    cat, table = chain_cat()
     with pytest.raises(PresentationError):
-        jh_factors(cat, charge, "A")
+        jh_factors(cat, table, "A")
 
 
 def test_seesaw_examples():
-    cat, charge = chain_cat()
-    assert seesaw_check(cat, charge) == []
+    cat, table = chain_cat()
+    assert seesaw_check(cat, table) == []
     # same-ray extension: all three phases equal
     cat2 = CategoryPresentation(
         objects={"0": (0,), "S": (1,), "A": (2,)},
         edges=(Edge("S", "A", "S"),), zero="0")
-    assert seesaw_check(cat2, [gaussian(0, 1)]) == []
+    assert seesaw_check(cat2, charge_table(cat2, [gaussian(0, 1)])) == []
 
 
 def test_random_presentations_full_pipeline():
     rng = random.Random(42)
     for _ in range(40):
         cat, charge, top = random_presentation(rng)
-        assert validate(cat, charge) == []
-        assert seesaw_check(cat, charge) == []
-        filt = hn_filtration(cat, charge, top)
+        table = charge_table(cat, charge)
+        assert validate(cat, table) == []
+        assert seesaw_check(cat, table) == []
+        filt = hn_filtration(cat, table, top)
         # factors semistable with strictly decreasing phases, classes add up
         from stabkit.charges import Order, evaluate_charge_row, phase_compare
         for f1, f2 in zip(filt.factor_ids, filt.factor_ids[1:]):
             assert phase_compare(evaluate_charge_row(charge, cat.class_of(f1)),
                                  evaluate_charge_row(charge, cat.class_of(f2))) is Order.GT
         for f in filt.factor_ids:
-            assert is_semistable(cat, charge, f)
+            assert is_semistable(cat, table, f)
         total = [sum(col) for col in zip(*filt.factor_classes)]
         assert tuple(total) == cat.class_of(top)
         # permutation invariance
@@ -165,7 +170,7 @@ def test_random_presentations_full_pipeline():
             rng.shuffle(objs)
             rng.shuffle(edges)
             cat2 = CategoryPresentation(dict(objs), tuple(edges), cat.zero)
-            assert hn_filtration(cat2, charge, top) == filt
+            assert hn_filtration(cat2, charge_table(cat2, charge), top) == filt
 
 
 def test_single_ray_category_everything_semistable():
@@ -174,12 +179,12 @@ def test_single_ray_category_everything_semistable():
     for _ in range(20):
         cat, charge, top = random_presentation(rng)
         ray = gaussian(-2, 3)
-        charge = [ray * Fraction(rng.randint(1, 5)) for _ in charge]
+        table = charge_table(cat, [ray * Fraction(rng.randint(1, 5)) for _ in charge])
         for name in cat.objects:
             if name == cat.zero:
                 continue
-            assert is_semistable(cat, charge, name)
-            assert len(hn_filtration(cat, charge, name).steps) == 2
+            assert is_semistable(cat, table, name)
+            assert len(hn_filtration(cat, table, name).steps) == 2
 
 
 def test_hn_three_step_tower():
@@ -195,11 +200,186 @@ def test_hn_three_step_tower():
         Edge("X02", "X03", "X23"), Edge("X12", "X13", "X23"),
     )
     cat = CategoryPresentation(objects, edges, "0")
-    charge = [gaussian(-1, 0), gaussian(0, 1), gaussian(1, 1)]
-    assert validate(cat, charge) == []
-    filt = hn_filtration(cat, charge, "X03")
+    table = charge_table(cat, [gaussian(-1, 0), gaussian(0, 1), gaussian(1, 1)])
+    assert validate(cat, table) == []
+    filt = hn_filtration(cat, table, "X03")
     assert filt.steps == ("0", "X01", "X02", "X03")
     assert filt.factor_ids == ("X01", "X12", "X23")
     assert filt.factor_classes == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    sub = hn_filtration(cat, charge, "X13")
+    sub = hn_filtration(cat, table, "X13")
     assert sub.steps == ("0", "X12", "X13")
+
+
+# -- the integer charge table against charges the test sums in Fractions -------
+
+
+def frac_charges(cat, row):
+    """Each object's charge as an exact (re, im) pair of Fractions."""
+    return {name: (sum((z.re * x for z, x in zip(row, cls)), Fraction(0)),
+                   sum((z.im * x for z, x in zip(row, cls)), Fraction(0)))
+            for name, cls in cat.objects.items()}
+
+
+def ref_valid(z):
+    re, im = z
+    return im > 0 or (im == 0 and re < 0)
+
+
+def ref_phase_key(z):
+    """Sorts like the phase in (0, 1]: in the open upper half-plane
+    cot(pi phi) = re / im falls as phi rises, and the negative real axis
+    (phi = 1) comes after everything else."""
+    re, im = z
+    return (1, Fraction(0)) if im == 0 else (0, -re / im)
+
+
+def ref_order(z1, z2):
+    k1, k2 = ref_phase_key(z1), ref_phase_key(z2)
+    return Order.GT if k1 > k2 else Order.LT if k1 < k2 else Order.EQ
+
+
+def ref_semistable(cat, z, a):
+    return all(ref_phase_key(z[b]) <= ref_phase_key(z[a])
+               for b in cat.subobjects_below(a) if b not in (a, cat.zero))
+
+
+def ref_hn(cat, z, a):
+    """The greedy HN filtration on Fraction charges, or None where the
+    presentation is inconsistent."""
+    up = cat.up_edges()
+    subs = cat.subobjects_below(a)
+    steps, factors, notes = [cat.zero], [], []
+    cur = cat.zero
+    while cur != a:
+        cands = [e for e in up[cur]
+                 if e.ambient in subs and e.ambient != cur and e.quotient != cat.zero]
+        if not cands:
+            return None
+        top = max(ref_phase_key(z[e.quotient]) for e in cands)
+        best = [e for e in cands if ref_phase_key(z[e.quotient]) == top]
+        maximal = sorted((e for e in best
+                          if not any(e.ambient != o.ambient and cat.leq(e.ambient, o.ambient)
+                                     for o in best)),
+                         key=lambda e: (e.ambient, e.quotient))
+        tops = sorted({e.ambient for e in maximal})
+        if len(tops) > 1:
+            notes.append(f"ambiguous maximal destabilizer above {cur!r}: "
+                         f"incomparable candidates {tops}; smallest id chosen")
+        steps.append(maximal[0].ambient)
+        factors.append(maximal[0].quotient)
+        cur = maximal[0].ambient
+    keys = [ref_phase_key(z[f]) for f in factors]
+    if any(k1 <= k2 for k1, k2 in zip(keys, keys[1:])):
+        return None
+    if not all(ref_semistable(cat, z, f) for f in factors):
+        return None
+    classes = tuple(cat.class_of(f) for f in factors)
+    if tuple(map(sum, zip(*classes))) != cat.class_of(a):
+        return None
+    return Filtration(tuple(steps), classes, tuple(factors), tuple(notes))
+
+
+def ref_seesaw(cat, z):
+    out = []
+    for e in cat.edges:
+        if cat.zero in (e.sub, e.ambient, e.quotient):
+            continue
+        o_ba = ref_order(z[e.sub], z[e.ambient])
+        o_ca = ref_order(z[e.quotient], z[e.ambient])
+        head = f"edge {e.sub} < {e.ambient} / {e.quotient}: "
+        if (o_ba is not Order.GT) != (o_ca is not Order.LT):
+            out.append(Violation("seesaw", e.ambient, head + f"phi(B)<=phi(A) is {o_ba} "
+                                 f"but phi(C)>=phi(A) is {o_ca}"))
+        if (o_ba is not Order.LT) != (o_ca is not Order.GT):
+            out.append(Violation("seesaw", e.ambient, head + f"phi(B)>=phi(A) is {o_ba} "
+                                 f"but phi(C)<=phi(A) is {o_ca}"))
+    return out
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+charge_entries = st.one_of(
+    st.builds(GaussianRational, rationals, rationals),
+    st.builds(GaussianRational, rationals.filter(lambda x: x < 0), st.just(Fraction(0))))
+
+
+@given(data=st.data())
+def test_charge_table_order_matches_fraction_evaluation(data):
+    n = data.draw(st.integers(1, 4))
+    row = data.draw(st.lists(charge_entries, min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        # the last simple on the ray of the first: an exact tie of E0 and En-1
+        row[-1] = row[0] * data.draw(st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)))
+    classes = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                 min_size=1, max_size=4))
+    objects = {"0": (0,) * n}
+    for i in range(n):
+        objects[f"E{i}"] = tuple(int(k == i) for k in range(n))
+    for k, cls in enumerate(classes):
+        # a class and its multiples lie on one ray
+        objects[f"C{k}"] = tuple(cls)
+        objects[f"D{k}"] = tuple(3 * x for x in cls)
+    cat = CategoryPresentation(objects, (), "0")
+    table = charge_table(cat, row)
+    z = frac_charges(cat, row)
+    assert table.den > 0
+    for name in objects:
+        assert table.exact(name) == GaussianRational(*z[name])
+        assert phase_valid(table.charges[name]) == ref_valid(z[name])
+    valid = [name for name in objects if ref_valid(z[name])]
+    for a in valid:
+        for b in valid:
+            assert phase_compare(table.charges[a], table.charges[b]) is ref_order(z[a], z[b])
+    invalid = [name for name in objects if not ref_valid(z[name])]
+    for a in invalid[:1]:
+        with pytest.raises(ChargeError):
+            phase_compare(table.charges[a], table.charges[a])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans(), axis=st.booleans(),
+       change=st.sampled_from(["none", "invalid", "class"]))
+def test_hn_layer_matches_fraction_oracle(seed, tie, axis, change):
+    """hn_filtration, is_semistable, seesaw_check and validate on the integer
+    table equal the same steps run on Fraction charges: on random towers and
+    diamonds with phase ties, negative-real charges, an invalid charge, or a
+    class moved so that some edges stop being additive."""
+    rng = random.Random(seed)
+    cat, row, _ = random_presentation(rng)
+    n = len(row)
+    if tie:
+        i, j = rng.sample(range(n), 2)
+        row[j] = row[i] * Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    if axis:
+        row[rng.randrange(n)] = gaussian(Fraction(-rng.randint(1, 8), rng.randint(1, 4)))
+    if change == "invalid":
+        row[rng.randrange(n)] = gaussian(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                         -Fraction(rng.randint(0, 4), rng.randint(1, 3)))
+    elif change == "class":
+        names = sorted(name for name in cat.objects if name != cat.zero)
+        x, y = rng.sample(names, 2)
+        objects = dict(cat.objects)
+        objects[x] = objects[y]
+        cat = CategoryPresentation(objects, cat.edges, cat.zero)
+    table = charge_table(cat, row)
+    z = frac_charges(cat, row)
+    names = sorted(name for name in cat.objects if name != cat.zero)
+    want_invalid = [Violation("invalid-charge", name,
+                              f"Z({name}) = {GaussianRational(*z[name])} outside the "
+                              "upper half-plane union R_{<0}")
+                    for name in names if not ref_valid(z[name])]
+    violations = validate(cat, table)
+    assert [v for v in violations if v.code == "invalid-charge"] == want_invalid
+    non_additive = [e.ambient for e in cat.edges
+                    if cat.class_of(e.ambient)
+                    != tuple(map(sum, zip(cat.class_of(e.sub), cat.class_of(e.quotient))))]
+    assert [v.subject for v in violations if v.code != "invalid-charge"] == non_additive
+    if want_invalid:
+        return
+    assert seesaw_check(cat, table) == ref_seesaw(cat, z)
+    for a in names:
+        assert is_semistable(cat, table, a) == ref_semistable(cat, z, a)
+        want = ref_hn(cat, z, a)
+        if want is None:
+            with pytest.raises(PresentationError):
+                hn_filtration(cat, table, a)
+        else:
+            assert hn_filtration(cat, table, a) == want

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from stabkit import (CategoryPresentation, ChernCharacter, Edge, MukaiVector,
                      SliceParams, wall_locus)
 from stabkit import serialize as ser
@@ -10,6 +12,15 @@ from stabkit.gaussian import gaussian
 def test_rational_strings_roundtrip():
     for x in (Fraction(3, 2), Fraction(-7), Fraction(0), Fraction(22, 7)):
         assert ser.unrat(ser.rat(x)) == x
+
+
+def test_unrat_rejects_float_and_bool():
+    assert ser.unrat(3) == 3 and ser.unrat("0.5") == Fraction(1, 2)
+    for bad in (1.5, 0.0, True, None):
+        with pytest.raises(ValueError, match="expected a rational"):
+            ser.unrat(bad)
+    with pytest.raises(ValueError):
+        ser.chern_from_json([1, [0.5], 0])
 
 
 def test_lattice_roundtrip(k3d2):
