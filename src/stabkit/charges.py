@@ -141,13 +141,18 @@ def evaluate_charge_row(row: Sequence[GaussianRational], coords: Sequence) -> Ga
 
 
 class IntCharge(NamedTuple):
-    """A charge Z scaled by a positive integer D into integer parts:
-    re = D Re Z and im = D Im Z. ``phase_valid`` and ``phase_compare`` take
-    these in place of Gaussian rationals and give the same answers, because
-    both read only signs that a factor D > 0 keeps."""
+    """The charge Z = (re + i im) / den with integer parts over a positive
+    integer denominator. ``phase_valid`` and ``phase_compare`` read only re
+    and im, which is exact: den Z has the phase of Z. ``str`` prints Z as
+    its ``GaussianRational`` would."""
 
     re: int
     im: int
+    den: int
+
+    def __str__(self) -> str:
+        return str(GaussianRational(Fraction(self.re, self.den),
+                                    Fraction(self.im, self.den)))
 
 
 def phase_valid(z: Union[GaussianRational, IntCharge]) -> bool:
@@ -155,8 +160,7 @@ def phase_valid(z: Union[GaussianRational, IntCharge]) -> bool:
     real axis (the allowed range of a stability function).
 
     Only the signs of Im z and Re z are read, and D z has the same signs for
-    every D > 0, so z may be a Gaussian rational or its ``IntCharge`` over
-    any positive common denominator."""
+    every D > 0, so an ``IntCharge`` is tested on its integer parts."""
     return z.im > 0 or (z.im == 0 and z.re < 0)
 
 
@@ -168,11 +172,10 @@ def phase_compare(z1: Union[GaussianRational, IntCharge],
     inside the open upper half-plane the sign of re1*im2 - im1*re2 decides
     (positive means phi(z1) < phi(z2)). EQ holds exactly on common rays.
 
-    Scaling both charges by one D > 0 keeps every sign read here: the axis
-    tests read the signs of Im and Re, and the cross product becomes D^2
-    times itself. So the order of two ``IntCharge`` values over a common
-    denominator D is the order of the rational charges they scale, and a
-    whole table of them compares on plain ints.
+    Scaling z1 by D1 > 0 and z2 by D2 > 0 keeps every sign read here: the
+    axis tests read the signs of Im and Re, and the cross product becomes
+    D1 D2 times itself. So two ``IntCharge`` values compare on their integer
+    parts exactly as the rational charges they stand for.
     """
     if not phase_valid(z1):
         raise ChargeError(f"charge {z1} outside the allowed half-plane")

@@ -13,7 +13,6 @@ common positive denominator, and every phase comparison runs on those ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -114,20 +113,8 @@ class Filtration:
 ChargeRow = Sequence[GaussianRational]
 
 
-@dataclass(frozen=True)
-class ChargeTable:
-    """The charge of every object of one presentation under one charge row,
-    as integer pairs over one common denominator ``den`` > 0: Z(name) =
-    (charges[name].re + i charges[name].im) / den. ``phase_valid`` and
-    ``phase_compare`` read these pairs directly (scaling by den is exact for
-    both); ``exact`` gives back the Gaussian rational."""
-
-    charges: Dict[str, IntCharge]
-    den: int
-
-    def exact(self, name: str) -> GaussianRational:
-        z = self.charges[name]
-        return GaussianRational(Fraction(z.re, self.den), Fraction(z.im, self.den))
+# every object's charge under one charge row, all over one denominator
+ChargeTable = Dict[str, IntCharge]
 
 
 def charge_table(cat: CategoryPresentation, charge: ChargeRow) -> ChargeTable:
@@ -143,9 +130,8 @@ def charge_table(cat: CategoryPresentation, charge: ChargeRow) -> ChargeTable:
                 f"{len(cls)} coordinates")
     (re_row, im_row), den = clear_denominators(
         ([z.re for z in charge], [z.im for z in charge]))
-    return ChargeTable({name: IntCharge(sum(map(mul, re_row, cls)),
-                                        sum(map(mul, im_row, cls)))
-                        for name, cls in cat.objects.items()}, den)
+    return {name: IntCharge(sum(map(mul, re_row, cls)), sum(map(mul, im_row, cls)), den)
+            for name, cls in cat.objects.items()}
 
 
 def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
@@ -201,13 +187,11 @@ def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
                                      "subobject relation is not a partial order: "
                                      + " < ".join(cyc)))
                 break
-    z = table.charges
     for name in sorted(cat.objects):
-        if name != cat.zero and not phase_valid(z[name]):
+        if name != cat.zero and not phase_valid(table[name]):
             out.append(Violation(
                 "invalid-charge", name,
-                f"Z({name}) = {table.exact(name)} outside the upper half-plane "
-                "union R_{<0}"))
+                f"Z({name}) = {table[name]} outside the upper half-plane union R_{{<0}}"))
     return out
 
 
@@ -222,9 +206,8 @@ def is_semistable(cat: CategoryPresentation, table: ChargeTable, a: str) -> bool
     """No strict nonzero subobject of larger phase."""
     if a not in cat.objects or a == cat.zero:
         raise PresentationError(f"need a nonzero object id, got {a!r}")
-    z = table.charges
-    za = z[a]
-    return not any(phase_compare(z[b], za) is Order.GT
+    za = table[a]
+    return not any(phase_compare(table[b], za) is Order.GT
                    for b in cat.subobjects_below(a) if b not in (a, cat.zero))
 
 
@@ -242,7 +225,6 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
         raise PresentationError(f"need a nonzero object id, got {a!r}")
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
-    z = table.charges
     steps = [cat.zero]
     factor_ids: List[str] = []
     notes: List[str] = []
@@ -259,7 +241,7 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
             if not best:
                 best = [e]
                 continue
-            cmp = phase_compare(z[e.quotient], z[best[0].quotient])
+            cmp = phase_compare(table[e.quotient], table[best[0].quotient])
             if cmp is Order.GT:
                 best = [e]
             elif cmp is Order.EQ:
@@ -280,7 +262,7 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
     factor_classes = tuple(cat.class_of(f) for f in factor_ids)
     # consistency: strictly decreasing phases and semistable factors
     for f1, f2 in zip(factor_ids, factor_ids[1:]):
-        if phase_compare(z[f1], z[f2]) is not Order.GT:
+        if phase_compare(table[f1], table[f2]) is not Order.GT:
             raise PresentationError(
                 f"greedy filtration of {a!r} has non-decreasing factor phases "
                 f"({f1!r} then {f2!r}): presentation is inconsistent")
@@ -302,12 +284,11 @@ def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[Cl
     multisets must agree, otherwise the presentation is inconsistent."""
     if not is_semistable(cat, table, a):
         raise PresentationError(f"{a!r} is not semistable; no JH factors")
-    z = table.charges
     up = cat.up_edges()
     subs_a = cat.subobjects_below(a)
 
     def on_ray(name: str) -> bool:
-        return phase_compare(z[name], z[a]) is Order.EQ
+        return phase_compare(table[name], table[a]) is Order.EQ
 
     pool = {b for b in subs_a if b == cat.zero or (b != cat.zero and on_ray(b))}
 
@@ -342,11 +323,10 @@ def seesaw_check(cat: CategoryPresentation, table: ChargeTable) -> List[Violatio
     phi(B) <= phi(A) iff phi(C) >= phi(A), and symmetrically. Any violation
     indicates an inconsistent charge/presentation pair."""
     out: List[Violation] = []
-    z = table.charges
     for e in cat.edges:
         if cat.zero in (e.sub, e.ambient, e.quotient):
             continue
-        zb, za, zc = z[e.sub], z[e.ambient], z[e.quotient]
+        zb, za, zc = table[e.sub], table[e.ambient], table[e.quotient]
         o_ba = phase_compare(zb, za)
         o_ca = phase_compare(zc, za)
         if (o_ba in (Order.LT, Order.EQ)) != (o_ca in (Order.GT, Order.EQ)):

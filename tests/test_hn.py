@@ -146,6 +146,14 @@ def test_seesaw_examples():
     assert seesaw_check(cat2, charge_table(cat2, [gaussian(0, 1)])) == []
 
 
+def test_invalid_charge_error_prints_the_rational_charge():
+    cat, _ = chain_cat()
+    table = charge_table(cat, [gaussian(Fraction(1, 2), -3), gaussian(0, Fraction(1, 3))])
+    assert str(table["A"]) == "1/2-8/3i"
+    with pytest.raises(ChargeError, match="charge 1/2-3i outside the allowed half-plane"):
+        seesaw_check(cat, table)
+
+
 def test_random_presentations_full_pipeline():
     rng = random.Random(42)
     for _ in range(40):
@@ -321,18 +329,21 @@ def test_charge_table_order_matches_fraction_evaluation(data):
     cat = CategoryPresentation(objects, (), "0")
     table = charge_table(cat, row)
     z = frac_charges(cat, row)
-    assert table.den > 0
+    (den,) = {t.den for t in table.values()}
+    assert den > 0
     for name in objects:
-        assert table.exact(name) == GaussianRational(*z[name])
-        assert phase_valid(table.charges[name]) == ref_valid(z[name])
+        t = table[name]
+        assert (Fraction(t.re, den), Fraction(t.im, den)) == z[name]
+        assert str(t) == str(GaussianRational(*z[name]))
+        assert phase_valid(t) == ref_valid(z[name])
     valid = [name for name in objects if ref_valid(z[name])]
     for a in valid:
         for b in valid:
-            assert phase_compare(table.charges[a], table.charges[b]) is ref_order(z[a], z[b])
+            assert phase_compare(table[a], table[b]) is ref_order(z[a], z[b])
     invalid = [name for name in objects if not ref_valid(z[name])]
     for a in invalid[:1]:
         with pytest.raises(ChargeError):
-            phase_compare(table.charges[a], table.charges[a])
+            phase_compare(table[a], table[a])
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), tie=st.booleans(), axis=st.booleans(),
