@@ -50,15 +50,29 @@ def _level_range(rem: int, w: int, den: int, cn: int) -> range:
 
 def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
                         budget: int = 1 << 20,
-                        nodes: Optional[List[int]] = None) -> Iterator[Tuple[int, ...]]:
+                        nodes: Optional[List[int]] = None,
+                        limit: Optional[List[Fraction]] = None) -> Iterator[Tuple[int, ...]]:
     """Yield every integer x with Q(x) <= bound (including 0 and both signs).
 
     Points come in walk order: x_{n-1} outermost, every coordinate ascending.
     Raises BudgetError when more than ``budget`` nodes (values tried at any
     level) would be visited. When the walk ends, however it ends, the number
     of nodes it visited (at most the budget) is added to ``nodes[0]``.
+
+    ``limit`` is a one-item list owned by the caller, who may lower
+    ``limit[0]`` between two points to shrink the ellipsoid while the walk
+    runs (the Fincke-Pohst radius update); the walk's bound is always
+    min(bound, limit[0]), so raising it has no effect. The walk reads the
+    cell after every point. When the bound drops from B to B', the integer
+    remainder of every open level drops by floor(M B) - floor(M B'), exactly,
+    since every term subtracted from it is an integer; each open level then
+    clips the rest of its range at its next step. Every point still to come
+    with Q(x) <= B' is yielded, and none above it. A walk whose bound is
+    never lowered is node for node the walk without ``limit``.
     """
     bound = Fraction(bound)
+    if limit is not None:
+        bound = min(bound, limit[0])
     if bound < 0:
         return
     d, low = ldl_decompose(gram)
@@ -72,25 +86,44 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     weights = [int(scale * d[i] / dens[i] ** 2) for i in range(n)]
     x = [0] * n
     visited = 0
+    cap = floor(scale * bound)  # floor(M B) for the current bound B
+    seen = limit[0] if limit is not None else None
 
-    def rec(i: int, rem: int) -> Iterator[Tuple[int, ...]]:
-        nonlocal visited
+    def rec(i: int, used: int) -> Iterator[Tuple[int, ...]]:
+        # ``used`` is the integer sum of the terms of the levels above, so
+        # the remainder of this level is cap - used
+        nonlocal visited, cap, seen
         row, den, w = rows[i], dens[i], weights[i]
         cn = sum(row[j] * x[j] for j in range(i + 1, n))
-        for xi in _level_range(rem, w, den, cn):
-            if visited >= budget:
-                raise BudgetError(f"ellipsoid enumeration exceeded budget of {budget} nodes",
-                                  bound_reached=bound)
-            visited += 1
-            x[i] = xi
-            if i == 0:
-                yield tuple(x)
+        level = _level_range(cap - used, w, den, cn)
+        while level:
+            top = cap
+            for xi in level:
+                if visited >= budget:
+                    raise BudgetError(f"ellipsoid enumeration exceeded budget of {budget} nodes",
+                                      bound_reached=bound)
+                visited += 1
+                x[i] = xi
+                if i == 0:
+                    yield tuple(x)
+                    if limit is not None and limit[0] is not seen:
+                        seen = limit[0]
+                        cap = min(cap, floor(scale * seen))
+                else:
+                    y = den * xi + cn
+                    yield from rec(i - 1, used + w * y * y)
+                if cap != top:  # the caller lowered the bound: clip the rest
+                    left = cap - used
+                    if left < 0:
+                        return
+                    rest = _level_range(left, w, den, cn)
+                    level = range(max(xi + 1, rest.start), min(level.stop, rest.stop))
+                    break
             else:
-                y = den * xi + cn
-                yield from rec(i - 1, rem - w * y * y)
+                return
 
     try:
-        yield from rec(n - 1, floor(scale * bound))
+        yield from rec(n - 1, 0)
     finally:
         if nodes is not None:
             nodes[0] += visited

@@ -160,33 +160,38 @@ def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
             if e.sub == e.ambient and e.quotient != cat.zero:
                 out.append(Violation("reflexive-edge", e.ambient,
                                      "reflexive edge must have quotient = zero"))
-    # antisymmetry of the closure: no directed cycle through strict edges
+    # antisymmetry of the closure: no directed cycle through strict edges.
+    # Depth-first search with an explicit stack of edge iterators; ``path``
+    # holds the gray nodes (color 1) from the root of the current tree.
     colors: Dict[str, int] = {}
-
-    def dfs(node: str, stack: List[str]) -> Optional[List[str]]:
-        colors[node] = 1
-        for e in up[node]:
-            if e.ambient == node:
-                continue
-            c = colors.get(e.ambient, 0)
-            if c == 1:
-                return stack + [node, e.ambient]
-            if c == 0:
-                cyc = dfs(e.ambient, stack + [node])
-                if cyc:
-                    return cyc
-        colors[node] = 2
-        return None
-
     up = cat.up_edges()
+    cycle: Optional[List[str]] = None
     for name in sorted(cat.objects):
-        if colors.get(name, 0) == 0:
-            cyc = dfs(name, [])
-            if cyc:
-                out.append(Violation("cycle", cyc[-1],
-                                     "subobject relation is not a partial order: "
-                                     + " < ".join(cyc)))
-                break
+        if colors.get(name, 0):
+            continue
+        colors[name] = 1
+        path, frames = [name], [iter(up[name])]
+        while frames and cycle is None:
+            for e in frames[-1]:
+                if e.ambient == path[-1]:
+                    continue
+                c = colors.get(e.ambient, 0)
+                if c == 1:
+                    cycle = path + [e.ambient]
+                    break
+                if c == 0:
+                    colors[e.ambient] = 1
+                    path.append(e.ambient)
+                    frames.append(iter(up[e.ambient]))
+                    break
+            else:
+                colors[path.pop()] = 2
+                frames.pop()
+        if cycle:
+            out.append(Violation("cycle", cycle[-1],
+                                 "subobject relation is not a partial order: "
+                                 + " < ".join(cycle)))
+            break
     for name in sorted(cat.objects):
         if name != cat.zero and not phase_valid(table[name]):
             out.append(Violation(

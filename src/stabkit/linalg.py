@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 Vec = Sequence[Fraction]
@@ -25,17 +26,29 @@ def transpose(mat: Mat) -> List[List[Fraction]]:
     return [list(col) for col in zip(*mat)]
 
 
+def _over_lcm(v: Sequence) -> Tuple[List[int], int]:
+    """(ints, den) with v[i] = ints[i] / den for a vector of ints or
+    Fractions: a product of two vectors is then one int sum over one
+    denominator, with no gcd per term."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def mat_vec(mat: Mat, v: Vec) -> List[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat]
+    vi, dv = _over_lcm(v)
+    return [Fraction(sum(map(mul, ri, vi)), dr * dv) for ri, dr in map(_over_lcm, mat)]
 
 
 def mat_mul(a: Mat, b: Mat) -> List[List[Fraction]]:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    cols = [_over_lcm(col) for col in zip(*b)]
+    return [[Fraction(sum(map(mul, ri, ci)), dr * dc) for ci, dc in cols]
+            for ri, dr in map(_over_lcm, a)]
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    ui, du = _over_lcm(u)
+    vi, dv = _over_lcm(v)
+    return Fraction(sum(map(mul, ui, vi)), du * dv)
 
 
 def bilinear(u: Vec, gram: Mat, v: Vec) -> Fraction:

@@ -299,15 +299,20 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
     The basis is in row HNF, so the pivot columns give a triangular system:
     the coefficient of row k is pinned (within an exact interval) by the
     pivot-column coordinate once the earlier coefficients are fixed. This
-    makes the enumeration complete for the box.
+    makes the enumeration complete for the box. Every coefficient tried at
+    any level counts as one node against ``support.effective_budget()``;
+    running out raises BudgetError with ``bound`` as ``bound_reached``.
     """
     rows = [list(r) for r in perp_basis]
     if not rows:
         return
     n = len(rows[0])
     pivots = [next(i for i, x in enumerate(r) if x != 0) for r in rows]
+    budget = effective_budget()
+    nodes = 0
 
     def rec(k: int, partial: List[int]):
+        nonlocal nodes
         if k == len(rows):
             if all(abs(x) <= bound for x in partial):
                 yield tuple(partial)
@@ -320,6 +325,10 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
         lo = _ceil_div(-bound - partial[j], p)
         hi = (bound - partial[j]) // p
         for c in range(lo, hi + 1):
+            if nodes >= budget:
+                raise BudgetError(f"v-perp box search exceeded budget of {budget} nodes",
+                                  bound_reached=bound)
+            nodes += 1
             nxt = [a + c * b for a, b in zip(partial, rows[k])]
             yield from rec(k + 1, nxt)
 

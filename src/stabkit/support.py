@@ -272,30 +272,42 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
 
     Iterative deepening on the bound B: every root with ||Z||^2 <= B satisfies
     Q_aux <= 2B + 2 (from |||p(delta)|||^2 = 2 + ||Z(delta)||^2), so a root
-    found with norm <= B is a certified minimum. ``points_visited`` counts the
-    ellipsoid nodes of all rounds together, and the budget caps that total.
+    found in a round is a certified minimum once that round ends. Inside a
+    round, each strictly better root, of norm c, lowers the walk's bound to
+    2c + 2 (the Fincke-Pohst radius update). A root of norm c has
+    Q_aux = 2c + 2 exactly, so roots of equal norm lie on the lowered
+    boundary and are still visited, and the least coordinate tuple among them
+    is still the witness: C^2, the witness and ``bound_reached`` are those of
+    the fixed-radius round. ``points_visited`` counts the nodes of the
+    shrinking walks of all rounds together, and the budget caps that total.
     When the budget runs out before any root appears, the result carries
     c_squared = None with the last completed bound ("no roots in the searched
-    region").
+    region"). ``start_bound`` must be positive.
     """
+    bound = Fraction(start_bound)
+    if bound <= 0:
+        raise ValueError(f"start bound must be positive, got {bound}")
     budget_n = effective_budget(budget)
     mukai = _integral_rows(ambient_gram)
     q_aux = aux_positive_gram(z_row, s, ambient_gram)
     norm, norm_den = clear_denominators(_norm_pullback_gram(z_row, s))
-    bound = Fraction(start_bound)
     nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
     while True:
         best: Optional[int] = None  # numerator of ||Z||_S^2 over norm_den
         best_vec: Optional[Tuple[int, ...]] = None
+        limit = [2 * bound + 2]
         try:
-            for x in enumerate_ellipsoid(q_aux, 2 * bound + 2,
-                                         budget=budget_n - nodes[0], nodes=nodes):
+            for x in enumerate_ellipsoid(q_aux, limit[0], budget=budget_n - nodes[0],
+                                         nodes=nodes, limit=limit):
                 if _form_value(mukai, x) != -2:  # also skips the origin
                     continue
                 nz = _form_value(norm, x)
-                if best is None or nz < best or (nz == best and x < best_vec):
+                if best is None or nz < best:
                     best, best_vec = nz, x
+                    limit[0] = Fraction(2 * nz, norm_den) + 2
+                elif nz == best and x < best_vec:
+                    best_vec = x
         except BudgetError:
             if best is None and last_completed > 0:
                 return RootNormResult(None, None, last_completed, nodes[0])
@@ -303,15 +315,12 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
                 f"root search budget of {budget_n} nodes exhausted before "
                 f"certification (bound reached {bound})",
                 bound_reached=bound) from None
-        last_completed = bound
         if best is not None:
-            c_squared = Fraction(best, norm_den)
-            if c_squared <= bound:
-                return RootNormResult(c_squared, MukaiVector.from_coords(best_vec),
-                                      bound, nodes[0])
-            bound = c_squared
-        else:
-            bound *= 2
+            # the round only reaches roots of norm <= bound: certified
+            return RootNormResult(Fraction(best, norm_den),
+                                  MukaiVector.from_coords(best_vec), bound, nodes[0])
+        last_completed = bound
+        bound *= 2
 
 
 def build_q_z(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],

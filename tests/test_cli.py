@@ -296,6 +296,21 @@ def test_support_start_bound_flag(tmp_path, lattice_file):
     assert doc["result"]["root_search"]["c_squared"] == "9/8"
 
 
+@pytest.mark.parametrize("start", ["0", "-1"])
+def test_support_rejects_nonpositive_start_bound(tmp_path, lattice_file, start):
+    """A start bound of 0 would double forever and a negative one would walk
+    empty rounds forever: both are input errors."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabkit.cli", "support", "--lattice", lattice_file,
+         "--beta", "0", "--omega", "2", f"--start-bound={start}",
+         "--out", str(tmp_path / "x.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert f"start bound must be positive, got {start}" in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_chambers_labels_gieseker_end(tmp_path, lattice_file):
     wallsf = tmp_path / "w.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",
@@ -323,7 +338,7 @@ K3D2_SUPPORT = {
     "kernel_basis": [["1", "0", "4"]],
     "norm_form": [["1/8", "0"], ["0", "1/8"]],
     "q_z": [["32/9", "0", "-17/9"], ["0", "50/9", "0"], ["-17/9", "0", "2/9"]],
-    "root_search": {"bound_reached": "8", "c_squared": "9/8", "points_visited": 307,
+    "root_search": {"bound_reached": "8", "c_squared": "9/8", "points_visited": 155,
                     "witness": ["-1", ["0"], "-1"]},
     "roundtrip": {"all_pass": True, "c_squared": "1/2", "classes_checked": 2, "k": "1",
                   "verdicts": [{"class": ["-1", "0", "-1"], "passed": True,
@@ -346,7 +361,7 @@ SKEW2_SUPPORT = {
             ["73067/5982", "115822/997", "81795/997", "2028/997"],
             ["-17767/4985", "17238/4985", "2028/997", "6084/4985"]],
     "root_search": {"bound_reached": "8", "c_squared": "4985/12951",
-                    "points_visited": 1202, "witness": ["0", ["-3", "4"], "2"]},
+                    "points_visited": 148, "witness": ["0", ["-3", "4"], "2"]},
     "roundtrip": {"all_pass": True, "c_squared": "1/3", "classes_checked": 2, "k": "1/2",
                   "verdicts": [{"class": ["0", "-3", "4", "2"], "passed": True,
                                 "q_value": "0", "skipped": False},
@@ -498,6 +513,13 @@ def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsy
                  "--w", "0,0,1", "--beta0", "0", "--max-m", "4",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "decomposition scan exceeded budget of 50 nodes" in capsys.readouterr().err
+
+
+def test_lagrangian_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
+    assert main(["lagrangian", "--lattice", lattice_file, "--v", "1,0,-1",
+                 "--bound", "6", "--out", str(tmp_path / "x.json")]) == 2
+    assert "v-perp box search exceeded budget of 50 nodes" in capsys.readouterr().err
 
 
 # walls payloads, pinned so that work on the box scan keeps them byte for

@@ -173,3 +173,48 @@ def test_budget_fires_at_reference_node_count(form, budget):
         got = list(enumerate_ellipsoid(g, bound, budget=budget, nodes=tally))
     assert got == expected
     assert tally == [min(nodes, budget)]
+
+
+def _form(g, p):
+    return sum(p[i] * g[i][j] * p[j] for i in range(len(g)) for j in range(len(g)))
+
+
+@given(pd_forms(), st.data())
+def test_lowered_bound_yields_reference_points_inside_it(form, data):
+    """Lowering ``limit[0]`` right after the k-th point keeps the first k
+    points and yields exactly the later reference points inside the new
+    bound, in walk order, with no more nodes than the fixed walk."""
+    g, bound = form
+    ref, ref_nodes = [], [0]
+    ref.extend(enumerate_ellipsoid(g, bound, nodes=ref_nodes))
+    k = data.draw(st.integers(1, len(ref)), label="k")
+    # a random bound, a point's value (the point sits on the new boundary)
+    # or just below one (the point is the first one outside it)
+    values = sorted({_form(g, p) for p in ref})
+    lower = data.draw(st.one_of(
+        st.builds(Fraction, st.integers(-2, 40), st.integers(1, 4)),
+        st.sampled_from(values),
+        st.sampled_from(values).map(lambda q: q - Fraction(1, 10 ** 12))), label="lower")
+    lower = min(lower, bound)
+    limit, got, nodes = [bound], [], [0]
+    for p in enumerate_ellipsoid(g, bound, nodes=nodes, limit=limit):
+        got.append(p)
+        if len(got) == k:
+            limit[0] = lower
+    assert got == ref[:k] + [p for p in ref[k:] if _form(g, p) <= lower]
+    assert nodes[0] <= ref_nodes[0]
+
+
+@given(pd_forms())
+def test_unlowered_limit_is_the_fixed_walk(form):
+    """A bound cell that is never lowered (or only raised) changes nothing,
+    node for node."""
+    g, bound = form
+    ref_nodes = [0]
+    ref = list(enumerate_ellipsoid(g, bound, nodes=ref_nodes))
+    for start in (bound, bound + 5):
+        limit, got, nodes = [start], [], [0]
+        for p in enumerate_ellipsoid(g, bound, nodes=nodes, limit=limit):
+            got.append(p)
+            limit[0] = limit[0] + 1
+        assert got == ref and nodes == ref_nodes

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -49,6 +50,67 @@ def test_validate_flags_cycles():
         edges=(Edge("A", "B", "0"), Edge("B", "A", "0")), zero="0")
     violations = validate(cat, charge_table(cat, [gaussian(0, 1)]))
     assert any(v.code == "cycle" for v in violations)
+
+
+def test_validate_leaves_no_reference_cycle():
+    """The cycle check is an iterative search: one validate call on a
+    four-object presentation leaves nothing for the cyclic collector, and
+    the cycle it reports is unchanged."""
+    cat = CategoryPresentation(
+        objects={"0": (0, 0), "S": (1, 0), "T": (0, 1), "A": (1, 1)},
+        edges=(Edge("S", "A", "T"), Edge("T", "A", "S")), zero="0")
+    table = charge_table(cat, [gaussian(0, 1), gaussian(-1, 1)])
+    gc.collect()
+    assert validate(cat, table) == []
+    assert gc.collect() == 0
+    loop = CategoryPresentation(
+        objects={"0": (0,), "A": (1,), "B": (1,), "C": (1,)},
+        edges=(Edge("A", "B", "0"), Edge("B", "C", "0"), Edge("C", "A", "0")), zero="0")
+    violations = validate(loop, charge_table(loop, [gaussian(0, 1)]))
+    assert [(v.code, v.subject, v.message) for v in violations if v.code == "cycle"] == [
+        ("cycle", "A", "subobject relation is not a partial order: 0 < A < B < C < A")]
+
+
+def _recursive_cycle(cat):
+    """The first cycle of a recursive depth-first search over the strict up
+    edges, roots in sorted order."""
+    up, colors = cat.up_edges(), {}
+
+    def dfs(node, stack):
+        colors[node] = 1
+        for e in up[node]:
+            if e.ambient == node:
+                continue
+            c = colors.get(e.ambient, 0)
+            if c == 1:
+                return stack + [node, e.ambient]
+            if c == 0:
+                cyc = dfs(e.ambient, stack + [node])
+                if cyc:
+                    return cyc
+        colors[node] = 2
+        return None
+
+    for name in sorted(cat.objects):
+        if colors.get(name, 0) == 0:
+            cyc = dfs(name, [])
+            if cyc:
+                return cyc
+    return None
+
+
+@given(st.lists(st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE")),
+                max_size=9))
+def test_validate_reports_the_recursive_search_cycle(pairs):
+    names = "0ABCDE"
+    cat = CategoryPresentation(
+        objects={name: (int(name != "0"),) for name in names},
+        edges=tuple(Edge(a, b, "0") for a, b in pairs), zero="0")
+    cyc = _recursive_cycle(cat)
+    got = [(v.subject, v.message) for v in validate(cat, charge_table(cat, [gaussian(0, 1)]))
+           if v.code == "cycle"]
+    assert got == ([] if cyc is None else [
+        (cyc[-1], "subobject relation is not a partial order: " + " < ".join(cyc))])
 
 
 def test_is_semistable():

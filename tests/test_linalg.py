@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
-from stabkit.linalg import (determinant, hnf_rows, hnf_rows_transform,
+from hypothesis import given
+from hypothesis import strategies as st
+
+from stabkit.linalg import (bilinear, determinant, dot, hnf_rows, hnf_rows_transform,
                             integer_kernel, inverse, is_negative_definite,
-                            is_positive_definite, mat_mul, minors2_gcd,
+                            is_positive_definite, mat_mul, mat_vec, minors2_gcd,
                             nullspace, primitive_vector, rref, signature,
                             solve)
 
@@ -88,3 +91,38 @@ def test_minors2_gcd():
     assert minors2_gcd([2, 0, 0], [0, 0, 2]) == 4
     assert minors2_gcd([1, 0, -1], [0, 0, 1]) == 1
     assert minors2_gcd([1, 2, 3], [2, 4, 6]) == 0
+
+
+# -- products over common denominators against naive Fraction sums ------------
+
+_scalars = st.one_of(st.integers(-50, 50),
+                     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+def _naive_dot(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_products_match_naive_fraction_sums(m, k, n, data):
+    def matrix(rows, cols):
+        return data.draw(st.lists(st.lists(_scalars, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+
+    a, b = matrix(m, k), matrix(k, n)
+    u = data.draw(st.lists(_scalars, min_size=k, max_size=k))
+    v = data.draw(st.lists(_scalars, min_size=k, max_size=k))
+    g = matrix(k, k)
+    prod = mat_mul(a, b)
+    assert prod == [[_naive_dot(row, col) for col in zip(*b)] for row in a]
+    assert all(type(x) is Fraction for row in prod for x in row)
+    assert mat_vec(a, u) == [_naive_dot(row, u) for row in a]
+    assert dot(u, v) == _naive_dot(u, v) and type(dot(u, v)) is Fraction
+    assert bilinear(u, g, v) == _naive_dot(u, [_naive_dot(row, v) for row in g])
+
+
+def test_products_of_empty_matrices():
+    assert mat_mul([], []) == [] and mat_vec([], []) == []
+    assert mat_mul([[]], [[]]) == [[]]
+    assert mat_mul([[Fraction(1)], [Fraction(2)]], [[]]) == [[], []]
+    assert dot([], []) == 0 and bilinear([], [], []) == 0

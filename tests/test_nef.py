@@ -269,6 +269,20 @@ def test_lagrangian_candidates(k3d2):
         lagrangian_candidates(MukaiVector(2, (0,), 0), k3d2, 4)
 
 
+def test_lagrangian_box_budget(k3d2, monkeypatch):
+    """The v-perp box walk counts every coefficient it tries against
+    BRIDGELAND_BUDGET: 182 nodes for v = (1, 0, -1) at bound 6."""
+    v = MukaiVector(1, (0,), -1)
+    full = lagrangian_candidates(v, k3d2, 6)
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "181")
+    with pytest.raises(BudgetError) as err:
+        lagrangian_candidates(v, k3d2, 6)
+    assert err.value.bound_reached == 6
+    assert "budget of 181 nodes" in str(err.value)
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "182")
+    assert lagrangian_candidates(v, k3d2, 6) == full
+
+
 def test_lagrangian_quotient_case():
     """rho = 2 lattice with an isotropic NS direction: v = (0, 0, 1) has
     genuine candidates in v-perp / <v>."""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stabkit import (ChargeParams, QuadraticForm, build_q_z,
                      charge_kernel, charge_norm_form, charge_row,
@@ -167,15 +169,17 @@ def test_min_root_norm_budget_counts_nodes_of_all_rounds(k3d2):
         list(enumerate_ellipsoid(q_aux, 2 * b + 2, nodes=nodes))
         per_round.append(nodes[0])
     assert sum(per_round) == 233 and sum(per_round[:3]) < 150
+    # the last round shrinks its walk once it meets a root, so the search
+    # visits fewer nodes than the five fixed-radius rounds
     res = min_root_norm(z, s, gram, start_bound=start)
-    assert res.c_squared == Fraction(9, 8) and res.points_visited == 233
+    assert res.c_squared == Fraction(9, 8) and res.points_visited == 223
     # 150 nodes run out in the fourth round: the last completed bound is
     # 1/2, and the walk stopped at the budget
     res = min_root_norm(z, s, gram, budget=150, start_bound=start)
     assert not res.found
     assert res.bound_reached == Fraction(1, 2) and res.points_visited == 150
     with pytest.raises(BudgetError):
-        min_root_norm(z, s, gram, budget=232, start_bound=start)
+        min_root_norm(z, s, gram, budget=222, start_bound=start)
 
 def test_root_searches_reject_non_integral_gram(k3d2):
     z, gram = worked_example(k3d2)
@@ -354,3 +358,50 @@ def test_charge_norm_form_rejects_wrong_projector(k3d2):
     for proj in (zero, doubled):
         with pytest.raises(StabkitError, match="does not reproduce the pairing"):
             charge_norm_form(z, ChargeKernel(k.basis, proj), gram)
+
+
+def _fixed_radius_search(z, s, gram, start, budget):
+    """The deepening loop with a fixed radius in every round: (C^2, witness
+    coordinates, bound reached, nodes of all rounds)."""
+    from stabkit.linalg import bilinear
+    q_aux = aux_positive_gram(z, s, gram)
+    bound, total = start, 0
+    while True:
+        nodes, best = [0], None
+        for x in enumerate_ellipsoid(q_aux, 2 * bound + 2, budget=budget - total,
+                                     nodes=nodes):
+            if bilinear(x, gram, x) == -2:
+                cand = (charge_norm_sq(z, s, x), x)
+                best = cand if best is None else min(best, cand)
+        total += nodes[0]
+        if best is not None:
+            return best[0], best[1], bound, total
+        bound *= 2
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3), st.randoms(use_true_random=False),
+       st.sampled_from([Fraction(1, 4), Fraction(2), Fraction(8)]))
+def test_shrinking_search_matches_fixed_radius_reference(rank, rng, start):
+    """On random K3 lattices of NS rank 1-3 and generic charges, the
+    shrinking walk certifies the C^2, witness and bound of the fixed-radius
+    loop, and never visits more nodes."""
+    from conftest import random_even_ns_lattice
+    lat = random_even_ns_lattice(rng, rank)
+    gram = lat.mukai_gram()
+    beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+    t = Fraction(rng.randint(2, 6), 2)
+    omega = tuple(t * x for x in lat.ample)
+    z = charge_row(ChargeParams(lat, beta, omega))
+    try:
+        s = charge_norm_form(z, charge_kernel(z, gram), gram)
+    except DegenerateError:
+        assume(False)
+    budget = 20000
+    try:
+        c2, witness, bound, nodes = _fixed_radius_search(z, s, gram, start, budget)
+    except BudgetError:
+        assume(False)
+    res = min_root_norm(z, s, gram, budget=budget, start_bound=start)
+    assert (res.c_squared, res.witness.coords(), res.bound_reached) == (c2, witness, bound)
+    assert res.points_visited <= nodes
