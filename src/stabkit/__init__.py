@@ -31,8 +31,8 @@ from .hn import (CategoryPresentation, ChargeTable, Edge, Filtration,
                  charge_table, hn_filtration, is_semistable, jh_factors,
                  seesaw_check, validate)
 from .lattice import (ChernCharacter, MukaiVector, NSLattice,
-                      bogomolov_discriminant, euler_pairing, mukai_pairing,
-                      mukai_square, mukai_vector_of, twist_chern)
+                      bogomolov_discriminant, mukai_pairing, mukai_square,
+                      twist_chern)
 from .nef import (Decomposition, ModuliDimension, OmegaClass, WallReport,
                   bb_square, decomposition_scan, lagrangian_candidates,
                   moduli_dimension, omega_class, wall_report)
@@ -41,9 +41,9 @@ from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
 from .support import (ChargeKernel, QuadraticForm, build_q_z, charge_kernel,
                       charge_norm_form, discreteness_classes,
                       equivalent_support_roundtrip, is_negative_definite_on,
-                      min_root_norm, support_check)
+                      min_root_norm)
 from .walls import (Region, SliceParams, WallKind, WallLocus,
-                    candidate_classes, chambers_along_path, nesting_check,
-                    sampling_oracle, scan_walls, slice_charge, wall_locus)
+                    chambers_along_path, nesting_check, sampling_oracle,
+                    scan_walls, slice_charge, wall_locus)
 
 __version__ = "0.1.0"

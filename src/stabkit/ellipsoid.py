@@ -125,5 +125,6 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     try:
         yield from rec(n - 1, 0)
     finally:
+        rec = None  # rec refers to itself through its closure: break the cycle
         if nodes is not None:
             nodes[0] += visited

@@ -76,9 +76,6 @@ class GaussianRational:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm2(self) -> Fraction:
         """|z|^2 = re^2 + im^2, an exact rational."""
         return self.re * self.re + self.im * self.im
@@ -101,8 +98,3 @@ def _coerce(x) -> GaussianRational:
 
 def gaussian(re: Rational, im: Rational = 0) -> GaussianRational:
     return GaussianRational(as_fraction(re), as_fraction(im))
-
-
-ZERO = gaussian(0)
-ONE = gaussian(1)
-I = gaussian(0, 1)

@@ -308,7 +308,10 @@ def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[Cl
                     and e.quotient != cat.zero and on_ray(e.quotient)):
                 dfs(e.ambient, path + (e.ambient,), facs + (e.quotient,))
 
-    dfs(cat.zero, (cat.zero,), ())
+    try:
+        dfs(cat.zero, (cat.zero,), ())
+    finally:
+        dfs = None  # dfs refers to itself through its closure: break the cycle
     if not chains:
         raise PresentationError(f"no same-phase chain from zero to {a!r}")
     step_sets = [frozenset(p) for p, _ in chains]

@@ -164,27 +164,6 @@ def mukai_square(v: MukaiVector, lat: NSLattice) -> int:
     return mukai_pairing(v, v, lat)
 
 
-def euler_pairing(v: MukaiVector, w: MukaiVector, lat: NSLattice) -> int:
-    """Euler characteristic chi(A, B) = -(v(A), v(B))."""
-    return -mukai_pairing(v, w, lat)
-
-
-def mukai_vector_of(ch: ChernCharacter, lat: NSLattice) -> MukaiVector:
-    """Mukai vector of a Chern character.
-
-    On a K3 the square root of the Todd class is (1, 0, 1), so the vector is
-    (ch0, ch1, ch0 + ch2); on a general surface the plain character is used.
-    Raises if the result is not integral.
-    """
-    if lat.k3:
-        comps = (ch.ch0, *ch.ch1, ch.ch0 + ch.ch2)
-    else:
-        comps = (ch.ch0, *ch.ch1, ch.ch2)
-    if any(as_fraction(x).denominator != 1 for x in comps):
-        raise LatticeError(f"class {comps} is not an integral Mukai vector")
-    return MukaiVector.from_coords([int(x) for x in comps])
-
-
 def twist_chern(ch: ChernCharacter, beta: Sequence, lat: NSLattice) -> ChernCharacter:
     """Twisted character ch^beta = e^(-beta) ch:
 
@@ -210,11 +189,3 @@ def bogomolov_discriminant(ch: ChernCharacter, beta: Sequence, lat: NSLattice) -
     """
     tw = twist_chern(ch, beta, lat)
     return lat.ns_dot(tw.ch1, tw.ch1) - 2 * tw.ch0 * tw.ch2
-
-
-def chern_of_mukai(v: MukaiVector, lat: NSLattice) -> ChernCharacter:
-    """Inverse of :func:`mukai_vector_of` on integral classes."""
-    if lat.k3:
-        return ChernCharacter(Fraction(v.r), tuple(Fraction(x) for x in v.c),
-                              Fraction(v.s - v.r))
-    return ChernCharacter(Fraction(v.r), tuple(Fraction(x) for x in v.c), Fraction(v.s))

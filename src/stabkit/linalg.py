@@ -100,27 +100,6 @@ def inverse(mat: Mat) -> List[List[Fraction]]:
     return [row[n:] for row in red]
 
 
-def determinant(mat: Mat) -> Fraction:
-    """Fraction-pivot Gaussian elimination determinant."""
-    a = frac_rows(mat)
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 def nullspace(mat: Mat) -> List[List[Fraction]]:
     """Canonical rational kernel basis of a matrix (solutions of M x = 0).
 
@@ -205,39 +184,14 @@ def signature(gram: Mat) -> Tuple[int, int, int]:
     return pos, neg, zero
 
 
-def leading_principal_minors(gram: Mat) -> List[Fraction]:
-    n = len(gram)
-    return [determinant([row[: k + 1] for row in list(gram)[: k + 1]]) for k in range(n)]
-
-
 def is_negative_definite(gram: Mat) -> bool:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k."""
-    if not gram:
-        return True
-    for k, m in enumerate(leading_principal_minors(gram), start=1):
-        if (-1) ** k * m <= 0:
-            return False
-    return True
+    """Signature (0, n, 0): the congruence diagonalization of ``signature``."""
+    return signature(gram) == (0, len(gram), 0)
 
 
 def is_positive_definite(gram: Mat) -> bool:
-    if not gram:
-        return True
-    return all(m > 0 for m in leading_principal_minors(gram))
-
-
-def is_positive_semidefinite(gram: Mat) -> bool:
-    """Every principal minor (all index subsets, not just leading) must be
-    nonnegative; exact, intended for small matrices."""
-    from itertools import combinations
-
-    n = len(gram)
-    for k in range(1, n + 1):
-        for idx in combinations(range(n), k):
-            sub = [[gram[i][j] for j in idx] for i in idx]
-            if determinant(sub) < 0:
-                return False
-    return True
+    """Signature (n, 0, 0): the congruence diagonalization of ``signature``."""
+    return signature(gram) == (len(gram), 0, 0)
 
 
 # -- integer lattices --------------------------------------------------------

@@ -44,24 +44,18 @@ def omega_class(v: MukaiVector, z_row: Sequence[GaussianRational],
     Z(w)/Z(v) is Gaussian rational, so the right-hand sides are exact; the
     pairing matrix must be invertible (it is, for any valid lattice)."""
     m = lat.mukai_gram()
+    if len(z_row) != len(m):
+        raise ChargeError(f"charge row has {len(z_row)} entries, not {len(m)}")
     zv = evaluate_charge_row(z_row, v.coords())
     if zv.is_zero():
         raise ChargeError("Z(v) = 0: Omega undefined")
-    n = lat.mukai_rank
-    rhs = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        rhs.append((evaluate_charge_row(z_row, e) / zv).im)
+    # Z(e_i) = z_row[i] on the standard basis vector e_i
+    rhs = [(z / zv).im for z in z_row]
     coords = solve(m, rhs)
     omega = OmegaClass(tuple(coords), v, tuple(z_row))
-    # re-verify the postcondition on the full basis
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        lhs = bilinear(coords, m, [Fraction(x) for x in e])
-        if lhs != rhs[i]:
-            raise StabkitError("Omega postcondition failed on a basis vector")
+    # re-verify the postcondition on the full basis (m is symmetric)
+    if mat_vec(m, coords) != rhs:
+        raise StabkitError("Omega postcondition failed on a basis vector")
     if bilinear(coords, m, [Fraction(x) for x in v.coords()]) != 0:
         raise StabkitError("(Omega, v) != 0")
     return omega
@@ -181,8 +175,11 @@ def decomposition_scan(v_coords: Tuple[int, int], hw: Rank2Lattice,
             rec(idx, chosen, sx + px, sy + py, rest, left - 1)
             chosen.pop()
 
-    for m in range(1, max_m + 1):
-        rec(0, [], 0, 0, vsq + 2, m)
+    try:
+        for m in range(1, max_m + 1):
+            rec(0, [], 0, 0, vsq + 2, m)
+    finally:
+        rec = None  # rec refers to itself through its closure: break the cycle
     out.sort(key=lambda d: (d.m, d.parts))
     return out
 
@@ -332,7 +329,10 @@ def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
             nxt = [a + c * b for a, b in zip(partial, rows[k])]
             yield from rec(k + 1, nxt)
 
-    yield from rec(0, [0] * n)
+    try:
+        yield from rec(0, [0] * n)
+    finally:
+        rec = None  # rec refers to itself through its closure: break the cycle
 
 
 def _coords_square(u: Sequence[int], gram: Sequence[Sequence[int]]) -> int:

@@ -10,7 +10,7 @@ from typing import Any, Dict, List, Sequence
 
 from .gaussian import GaussianRational, as_fraction
 from .hn import CategoryPresentation, Edge
-from .lattice import ChernCharacter, MukaiVector, NSLattice
+from .lattice import MukaiVector, NSLattice
 from .walls import WallKind, WallLocus
 
 
@@ -56,15 +56,6 @@ def dumps(payload: Any) -> str:
 # -- lattices -----------------------------------------------------------------
 
 
-def lattice_to_json(lat: NSLattice) -> Dict[str, Any]:
-    return {
-        "rank": lat.rank,
-        "gram": [[str(x) for x in row] for row in lat.gram],
-        "ample": [str(x) for x in lat.ample],
-        "k3": lat.k3,
-    }
-
-
 def lattice_from_json(data: Dict[str, Any]) -> NSLattice:
     return NSLattice(
         rank=unint(data["rank"]),
@@ -86,36 +77,6 @@ def mukai_from_json(data: Sequence[Any]) -> MukaiVector:
     return MukaiVector(unint(r), tuple(unint(x) for x in c), unint(s))
 
 
-def chern_to_json(ch: ChernCharacter) -> List[Any]:
-    return [rat(ch.ch0), [rat(x) for x in ch.ch1], rat(ch.ch2)]
-
-
-def chern_from_json(data: Sequence[Any]) -> ChernCharacter:
-    c0, c1, c2 = data
-    return ChernCharacter(unrat(c0), tuple(unrat(x) for x in c1), unrat(c2))
-
-
-def charge_params_to_json(params, inline_lattice: bool = True) -> Dict[str, Any]:
-    """Schema: { "beta": ["0"], "omega": ["2"], "lattice": {...} } with
-    coordinates in the NS basis; the lattice may be inlined or left to an
-    external reference."""
-    out: Dict[str, Any] = {
-        "beta": [rat(x) for x in params.beta],
-        "omega": [rat(x) for x in params.omega],
-    }
-    if inline_lattice:
-        out["lattice"] = lattice_to_json(params.lattice)
-    return out
-
-
-def charge_params_from_json(data: Dict[str, Any], lattice: NSLattice = None):
-    from .charges import ChargeParams
-    lat = lattice if lattice is not None else lattice_from_json(data["lattice"])
-    return ChargeParams(lat,
-                        tuple(unrat(x) for x in data["beta"]),
-                        tuple(unrat(x) for x in data["omega"]))
-
-
 def gauss_to_json(z: GaussianRational) -> Dict[str, str]:
     return {"im": rat(z.im), "re": rat(z.re)}
 
@@ -127,25 +88,11 @@ def gauss_from_json(data) -> GaussianRational:
     return GaussianRational(unrat(re), unrat(im))
 
 
-def charge_row_to_json(row: Sequence[GaussianRational]) -> List[List[str]]:
-    return [[rat(z.re), rat(z.im)] for z in row]
-
-
 def charge_row_from_json(data) -> List[GaussianRational]:
     return [gauss_from_json(item) for item in data]
 
 
 # -- categories -----------------------------------------------------------------
-
-
-def category_to_json(cat: CategoryPresentation) -> Dict[str, Any]:
-    return {
-        "objects": [{"class": [str(x) for x in cls], "id": name}
-                    for name, cls in sorted(cat.objects.items())],
-        "edges": [{"ambient": e.ambient, "quotient": e.quotient, "sub": e.sub}
-                  for e in cat.edges],
-        "zero": cat.zero,
-    }
 
 
 def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:

@@ -26,9 +26,8 @@ from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector
 from .linalg import (bilinear, clear_denominators, frac_rows, identity, inverse,
-                     is_negative_definite, is_positive_definite,
-                     is_positive_semidefinite, mat_mul, mat_vec, nullspace, rref,
-                     transpose)
+                     is_negative_definite, is_positive_definite, mat_mul,
+                     mat_vec, nullspace, rref, signature, transpose)
 
 DEFAULT_BUDGET = 1 << 20
 BUDGET_ENV = "BRIDGELAND_BUDGET"
@@ -76,9 +75,6 @@ class QuadraticForm:
     def evaluate(self, v) -> Fraction:
         c = _coords(v)
         return bilinear(c, self.gram, c)
-
-    def pair(self, u, v) -> Fraction:
-        return bilinear(_coords(u), self.gram, _coords(v))
 
     def restrict(self, basis: Sequence[Sequence]) -> List[List[Fraction]]:
         vecs = [_coords(b) for b in basis]
@@ -151,7 +147,8 @@ def _orthogonal_projector(basis: Sequence[Sequence], gram) -> List[List[Fraction
 
 
 def is_negative_definite_on(q: QuadraticForm, basis: Sequence[Sequence]) -> bool:
-    """Exact Sylvester test of Q restricted to the span of the basis."""
+    """Exact negative-definiteness test, by ``linalg.signature``, of Q
+    restricted to the span of the basis."""
     if not basis:
         return True
     vecs = [_coords(b) for b in basis]
@@ -159,30 +156,6 @@ def is_negative_definite_on(q: QuadraticForm, basis: Sequence[Sequence]) -> bool
     if len(pivots) != len(vecs):
         raise ValueError("basis vectors are linearly dependent")
     return is_negative_definite(q.restrict(basis))
-
-
-@dataclass(frozen=True)
-class SupportCheckResult:
-    kernel_negative_definite: bool
-    verdicts: Tuple[Tuple[Vec, Fraction, bool], ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return self.kernel_negative_definite and all(ok for _, _, ok in self.verdicts)
-
-
-def support_check(q: QuadraticForm, z_row: Sequence[GaussianRational],
-                  classes: Sequence) -> SupportCheckResult:
-    """Per-class support verdicts: Q must be negative definite on Ker Z and
-    nonnegative on every supplied class (the caller asserts these are classes
-    of semistable objects). Failures are data, not errors."""
-    basis = nullspace(charge_rows(z_row))
-    kernel_ok = is_negative_definite_on(q, basis) if basis else True
-    verdicts = []
-    for cls in classes:
-        val = q.evaluate(cls)
-        verdicts.append((tuple(_coords(cls)), val, val >= 0))
-    return SupportCheckResult(kernel_ok, tuple(verdicts))
 
 
 def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
@@ -391,7 +364,7 @@ def equivalent_support_roundtrip(q: QuadraticForm,
     for _ in range(200):
         trial = [[n_res[i][j] - k_const * q_res[i][j] for j in range(len(comp))]
                  for i in range(len(comp))]
-        if is_positive_semidefinite(trial):
+        if signature(trial)[1] == 0:  # no negative square: semidefinite
             break
         k_const /= 2
     else:

@@ -320,12 +320,6 @@ def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
                   key=WallLocus.sort_key)
 
 
-def candidate_classes(v: MukaiVector, slice_: SliceParams, region: Region,
-                      search_bound: int) -> List[MukaiVector]:
-    """Representative destabilizing classes, one per potential wall."""
-    return [loc.w for loc in scan_walls(v, slice_, region, search_bound)]
-
-
 # -- sampling oracle -----------------------------------------------------------
 
 
@@ -344,10 +338,19 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
     non-degenerate locus of the candidate box, those outside the region
     included, but it reads the same box as ``scan_walls`` (one enumeration
     serves both, under the same budget), so it cannot see walls of classes
-    outside it."""
+    outside it. The (grid+1)^2 nodes of every locus count against the same
+    budget before any sign is evaluated: a grid over it raises
+    ``BudgetError`` whose ``bound_reached`` is the largest grid that fits."""
     if grid < 2:
         raise ValueError("grid too coarse")
     cands = _box_loci(v, slice_, search_bound)
+    nodes, budget = (grid + 1) ** 2 * len(cands), effective_budget()
+    if nodes > budget:
+        # the box check above keeps budget >= len(cands), so fit >= 0
+        fit = isqrt(budget // len(cands)) - 1
+        raise BudgetError(f"oracle grid of {nodes} nodes ({len(cands)} loci) exceeds "
+                          f"the budget of {budget} (grid reached {fit})",
+                          bound_reached=fit)
     b_den = grid * region.b_min.denominator * region.b_max.denominator
     t_den = grid * region.t_min.denominator * region.t_max.denominator
     b_nums = [int((region.b_min + Fraction(i, grid) * (region.b_max - region.b_min)) * b_den)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
@@ -12,6 +13,49 @@ from stabkit.linalg import inverse, mat_mul, transpose
 # deadline (timings on a shared machine vary too much to be a failure)
 settings.register_profile("stabkit", derandomize=True, deadline=None)
 settings.load_profile("stabkit")
+
+
+def determinant(mat):
+    """Fraction-pivot Gaussian elimination determinant: the independent
+    reference for the Sylvester definiteness tests below."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def leading_principal_minors(gram):
+    return [determinant([row[:k] for row in gram[:k]]) for k in range(1, len(gram) + 1)]
+
+
+def minors_positive_definite(gram):
+    """Sylvester: every leading principal minor is positive."""
+    return all(m > 0 for m in leading_principal_minors(gram))
+
+
+def minors_negative_definite(gram):
+    """Sylvester: the k-th leading principal minor has the sign (-1)^k."""
+    return all((-1) ** k * m > 0
+               for k, m in enumerate(leading_principal_minors(gram), start=1))
+
+
+def minors_positive_semidefinite(gram):
+    """Every principal minor, over all index subsets, is nonnegative."""
+    n = len(gram)
+    return all(determinant([[gram[i][j] for j in idx] for i in idx]) >= 0
+               for k in range(1, n + 1) for idx in combinations(range(n), k))
 
 
 @pytest.fixture

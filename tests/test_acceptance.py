@@ -10,7 +10,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_even_ns_lattice, random_presentation
+from conftest import (leading_principal_minors, random_even_ns_lattice,
+                      random_presentation)
 from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
                      Region, SliceParams, bb_square, build_q_z, charge_kernel,
                      charge_norm_form, charge_row, charge_table, decomposition_scan,
@@ -23,7 +24,7 @@ from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
 from stabkit.charges import evaluate_charge_row
 from stabkit.gaussian import GaussianRational, gaussian
 from stabkit.hn import CategoryPresentation
-from stabkit.linalg import bilinear, leading_principal_minors
+from stabkit.linalg import bilinear
 from stabkit.support import charge_norm_sq
 from stabkit.walls import WallKind, sampling_oracle
 from test_nef import brute_decompositions
@@ -203,7 +204,7 @@ def test_criterion_5_support_kit():
            t0, 60)
 
 
-def test_criterion_6_wall_scan():
+def test_criterion_6_wall_scan(monkeypatch):
     t0 = time.time()
     sl = SliceParams(K3D2, (Fraction(0),))
     v = MukaiVector(1, (0,), -1)
@@ -215,6 +216,9 @@ def test_criterion_6_wall_scan():
     line = wall_locus(v, MukaiVector(0, (0,), 1), sl)
     assert line.kind is WallKind.VERTICAL_LINE and line.center == 0
     assert line.key() in {w.key() for w in walls}
+    # the 400x400 oracle needs 401^2 nodes for each of the 25 loci of the
+    # bound-8 box, over the default budget of 2^20
+    monkeypatch.setenv("BRIDGELAND_BUDGET", str(401 ** 2 * 25))
     oracle = sampling_oracle(v, sl, region, 400, 8)
     detected = {ow.locus.key() for ow in oracle if ow.detected}
     enumerated = {w.key() for w in walls}

@@ -619,6 +619,21 @@ def test_walls_box_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
     assert main([*argv, "--bound", "1"]) == 0
 
 
+def test_walls_grid_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    """The bound-8 box has 25 distinct loci: grid 40 needs 41^2 * 25 = 42025
+    oracle nodes, over a budget of 10000, and grid 19 is the largest that
+    fits (20^2 * 25 = 10000)."""
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "10000")
+    out = tmp_path / "x.json"
+    argv = ["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+            "--b", "-3:0", "--t", "1/10:4", "--bound", "8", "--out", str(out)]
+    assert main([*argv, "--grid", "40"]) == 2
+    assert ("oracle grid of 42025 nodes (25 loci) exceeds the budget of 10000 "
+            "(grid reached 19)" in capsys.readouterr().err)
+    assert not out.exists()
+    assert main([*argv, "--grid", "19"]) == 0
+
+
 def test_lattice_json_rejects_non_integral_entries(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     lat.write_text(dumps({"rank": 1, "gram": [["5/2"]], "ample": ["1"], "k3": True}))

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -6,9 +7,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from stabkit import CategoryPresentation, Edge, MukaiVector, Rank2Lattice
 from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, ldl_decompose
 from stabkit.errors import BudgetError
+from stabkit.gaussian import gaussian
+from stabkit.hn import charge_table, jh_factors
 from stabkit.linalg import inverse
+from stabkit.nef import _perp_box, decomposition_scan
 
 
 def test_level_range_exact():
@@ -218,3 +223,29 @@ def test_unlowered_limit_is_the_fixed_walk(form):
             got.append(p)
             limit[0] = limit[0] + 1
         assert got == ref and nodes == ref_nodes
+
+
+def _jh_walk():
+    cat = CategoryPresentation(objects={"0": (0,), "S": (1,), "A": (2,)},
+                               edges=(Edge("S", "A", "S"),), zero="0")
+    return jh_factors(cat, charge_table(cat, [gaussian(0, 1)]), "A")
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: list(enumerate_ellipsoid([[2, 1], [1, 3]], 5)),
+    lambda: list(_perp_box([[1, 0, 1], [0, 1, 0]], 3)),
+    lambda: decomposition_scan((1, 0), Rank2Lattice(
+        (MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), ((2, -1), (-1, 0))),
+        max_m=3, box=10),
+    _jh_walk,
+], ids=["enumerate_ellipsoid", "perp_box", "decomposition_scan", "jh_factors"])
+def test_recursive_walks_leave_no_reference_cycle(walk):
+    """Each nested recursive walk drops its self-reference when it ends, so
+    one call leaves nothing for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert walk()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_even_ns_lattice
 from stabkit import (ChernCharacter, MukaiVector, NSLattice,
-                     bogomolov_discriminant, euler_pairing, mukai_pairing,
-                     mukai_square, mukai_vector_of, twist_chern)
+                     bogomolov_discriminant, mukai_pairing, mukai_square,
+                     twist_chern)
 from stabkit.errors import LatticeError
 
 
@@ -51,25 +51,6 @@ def test_square_even_on_random_lattices():
             assert mukai_square(v, lat) % 2 == 0
 
 
-def test_euler_pairing(k3d2):
-    v = MukaiVector(1, (0,), 1)
-    assert euler_pairing(v, v, k3d2) == 2
-    assert euler_pairing(MukaiVector(0, (0,), 1), v, k3d2) == 1
-    rng = random.Random(3)
-    for _ in range(100):
-        a = MukaiVector(rng.randint(-5, 5), (rng.randint(-5, 5),), rng.randint(-5, 5))
-        b = MukaiVector(rng.randint(-5, 5), (rng.randint(-5, 5),), rng.randint(-5, 5))
-        assert euler_pairing(a, b, k3d2) + mukai_pairing(a, b, k3d2) == 0
-
-
-def test_mukai_vector_of(k3d2):
-    assert mukai_vector_of(ChernCharacter(1, (0,), 0), k3d2) == MukaiVector(1, (0,), 1)
-    assert mukai_vector_of(ChernCharacter(0, (0,), 1), k3d2) == MukaiVector(0, (0,), 1)
-    assert mukai_vector_of(ChernCharacter(2, (1,), -1), k3d2) == MukaiVector(2, (1,), 1)
-    with pytest.raises(LatticeError):
-        mukai_vector_of(ChernCharacter(Fraction(1, 2), (0,), 0), k3d2)
-
-
 def test_twist_identity_and_group_action(k3d2):
     ch = ChernCharacter(1, (1,), 1)
     assert twist_chern(ch, (0,), k3d2) == ch
@@ -109,17 +90,3 @@ def test_even_lattice_required_for_mukai_ops():
     odd = NSLattice(1, ((1,),), (1,), k3=True)
     with pytest.raises(LatticeError):
         odd.require_even()
-
-
-def test_chern_mukai_roundtrip(k3d2):
-    from stabkit.lattice import chern_of_mukai
-    rng = random.Random(6)
-    for _ in range(100):
-        v = MukaiVector(rng.randint(-6, 6), (rng.randint(-6, 6),),
-                        rng.randint(-6, 6))
-        assert mukai_vector_of(chern_of_mukai(v, k3d2), k3d2) == v
-    surf = NSLattice(1, ((2,),), (1,), k3=False)
-    for _ in range(50):
-        v = MukaiVector(rng.randint(-6, 6), (rng.randint(-6, 6),),
-                        rng.randint(-6, 6))
-        assert mukai_vector_of(chern_of_mukai(v, surf), surf) == v

@@ -4,7 +4,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabkit.linalg import (bilinear, determinant, dot, hnf_rows, hnf_rows_transform,
+from conftest import (determinant, minors_negative_definite,
+                      minors_positive_definite, minors_positive_semidefinite)
+from stabkit.linalg import (bilinear, dot, hnf_rows, hnf_rows_transform,
                             integer_kernel, inverse, is_negative_definite,
                             is_positive_definite, mat_mul, mat_vec, minors2_gcd,
                             nullspace, primitive_vector, rref, signature,
@@ -52,6 +54,38 @@ def test_definiteness_tests():
     assert not is_negative_definite([[Fraction(-2), 3], [3, Fraction(-2)]])
     assert is_positive_definite([[Fraction(2), 1], [1, Fraction(2)]])
     assert not is_positive_definite([[Fraction(2), 3], [3, Fraction(2)]])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices with n <= 5: Gram matrices of rational
+    vectors, whose rank and signs are drawn, so that singular, semidefinite,
+    definite, indefinite and zero-diagonal forms all occur."""
+    n = draw(st.integers(0, 5))
+    rat = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if draw(st.booleans()):
+        entries = draw(st.lists(rat, min_size=n * n, max_size=n * n))
+        a = [[entries[i * n + j] if i <= j else entries[j * n + i] for j in range(n)]
+             for i in range(n)]
+        if draw(st.booleans()):
+            for i in range(n):
+                a[i][i] = Fraction(0)
+        return a
+    k = draw(st.integers(0, n))
+    vecs = [draw(st.lists(rat, min_size=n, max_size=n)) for _ in range(k)]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    return [[sum(e * v[i] * v[j] for e, v in zip(signs, vecs)) for j in range(n)]
+            for i in range(n)]
+
+
+@given(symmetric_matrices())
+def test_definiteness_by_signature_matches_minors(g):
+    n = len(g)
+    sig = signature(g)
+    assert sum(sig) == n and min(sig) >= 0
+    assert is_positive_definite(g) == minors_positive_definite(g)
+    assert is_negative_definite(g) == minors_negative_definite(g)
+    assert (sig[1] == 0) == minors_positive_semidefinite(g)
 
 
 def test_hnf_canonical():

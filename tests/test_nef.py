@@ -85,6 +85,10 @@ def test_omega_rejects_zero_charge(k3d2):
     kernel_vec = MukaiVector(1, (0,), 4)
     with pytest.raises(ChargeError):
         omega_class(kernel_vec, z, k3d2)
+    v = MukaiVector(1, (0,), -1)
+    for row in (z[:2], [*z, z[0]]):
+        with pytest.raises(ChargeError, match="charge row has"):
+            omega_class(v, row, k3d2)
 
 
 def test_moduli_dimension(k3d2):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stabkit import (ChargeParams, QuadraticForm, build_q_z,
                      charge_kernel, charge_norm_form, charge_row,
                      discreteness_classes, equivalent_support_roundtrip,
-                     is_negative_definite_on, min_root_norm, support_check)
+                     is_negative_definite_on, min_root_norm)
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.linalg import identity
@@ -66,21 +66,6 @@ def test_negative_definite_on(k3d2):
     assert is_negative_definite_on(q, [])
     with pytest.raises(ValueError):
         is_negative_definite_on(q, [(1, 0, 4), (2, 0, 8)])
-
-
-def test_support_check(k3d2):
-    z, gram = worked_example(k3d2)
-    q = QuadraticForm(tuple(tuple(row) for row in gram))
-    rep = support_check(q, z, [(1, 0, -1), (0, 0, 1), (1, 0, 1)])
-    assert rep.kernel_negative_definite
-    # (1,0,-1) has square 2, (0,0,1) square 0, (1,0,1) square -2 -> fails
-    assert [ok for _, _, ok in rep.verdicts] == [True, True, False]
-    assert not rep.all_pass
-    # positive definite Q on a curve lattice passes anything
-    zc = [gaussian(-1, 0), gaussian(0, 1)]
-    qc = QuadraticForm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    rep2 = support_check(qc, zc, [(3, 4), (-2, 5), (0, 7)])
-    assert rep2.all_pass
 
 
 def test_charge_norm_form_worked_example(k3d2):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
-                     WallKind, candidate_classes, chambers_along_path,
-                     gl2_act_on_charge, nesting_check, scan_walls,
-                     slice_charge, wall_locus)
+                     WallKind, chambers_along_path, gl2_act_on_charge,
+                     nesting_check, scan_walls, slice_charge, wall_locus)
 from conftest import random_even_ns_lattice
 from stabkit.charges import evaluate_charge_row
 from stabkit.errors import BudgetError, LatticeError
@@ -132,7 +131,7 @@ def test_point_class_walls_are_vertical_lines(k3d2):
         assert loc.kind is WallKind.VERTICAL_LINE
         assert loc.center.denominator in (1, 2)
     narrow = Region(Fraction(-3, 8), Fraction(-1, 8), Fraction(1, 10), Fraction(2))
-    assert candidate_classes(v, sl, narrow, 1) == []
+    assert scan_walls(v, sl, narrow, 1) == []
 
 
 def test_region_validation():
@@ -598,3 +597,20 @@ def test_wall_box_budget(setup, monkeypatch):
     with pytest.raises(BudgetError) as err:
         scan_walls(v, sl, region, 2)
     assert err.value.bound_reached == 1
+
+
+def test_oracle_grid_budget(setup, monkeypatch):
+    """The oracle counts (grid + 1)^2 nodes per locus against the budget
+    before it evaluates a sign, and reports the largest grid that fits. The
+    bound-3 box has 7^3 = 343 classes and 3 distinct loci, so grid 10 needs
+    121 * 3 = 363 nodes."""
+    sl, v, region = setup
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "363")
+    assert len(sampling_oracle(v, sl, region, 10, 3)) == 3
+    with pytest.raises(BudgetError, match="oracle grid of 432 nodes") as err:
+        sampling_oracle(v, sl, region, 11, 3)
+    assert err.value.bound_reached == 10
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "362")
+    with pytest.raises(BudgetError) as err:
+        sampling_oracle(v, sl, region, 10, 3)
+    assert err.value.bound_reached == 9
