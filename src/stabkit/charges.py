@@ -297,14 +297,7 @@ def large_volume_phase(poly: Sequence[Fraction], n: Fraction) -> GaussianRationa
     n = as_fraction(n)
     if n <= 0:
         raise ChargeError("n must be positive")
-    cs = [as_fraction(c) for c in poly]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) != 3:
-        raise ChargeError("large-volume charge needs a genuinely quadratic polynomial")
-    c0, c1, c2 = cs
-    if c2 <= 0:
-        raise ChargeError("leading coefficient must be positive (positive rank)")
+    c0, c1, c2 = _quadratic(poly)
     # P(in) = -c2 n^2 + i c1 n + c0; multiply by -i
     return gaussian(c1 * n, c2 * n * n - c0)
 
@@ -318,8 +311,8 @@ def large_volume_threshold(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> 
     so beyond N = 1 + floor(sqrt(|b'c - bc'| / |b - b'|)) (and beyond the
     zeros n^2 = c, c' of the imaginary parts) the sign is frozen.
     """
-    _, b1, c1 = _monic_quadratic(p_a)
-    _, b2, c2 = _monic_quadratic(p_b)
+    _, b1, c1 = monic_normalize(_quadratic(p_a))
+    _, b2, c2 = monic_normalize(_quadratic(p_b))
     bound = Fraction(1)
     for c in (c1, c2):
         if c > 0:
@@ -332,11 +325,12 @@ def large_volume_threshold(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> 
     return n
 
 
-def _monic_quadratic(poly: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:
+def _quadratic(poly: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (c0, c1, c2), constant first, of a polynomial that is
+    quadratic with c2 > 0 once trailing zeros are trimmed."""
     cs = [as_fraction(c) for c in poly]
     while cs and cs[-1] == 0:
         cs.pop()
     if len(cs) != 3 or cs[-1] <= 0:
         raise ChargeError("need a quadratic with positive leading coefficient")
-    a = cs[2]
-    return (Fraction(1), cs[1] / a, cs[0] / a)
+    return tuple(cs)

@@ -9,6 +9,7 @@ Everything is solved exactly over Q.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -19,11 +20,10 @@ from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
-from .linalg import (bilinear, integer_kernel, mat_vec, minors2_gcd,
-                     primitive_vector, solve)
+from .linalg import bilinear, mat_vec, minors2_gcd, primitive_vector, solve
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .support import effective_budget
+from .support import effective_budget, require_box_budget
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
 
 
@@ -267,16 +267,13 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     vsq = mukai_square(v, lat)
     if vsq < 0:
         raise LatticeError("need (v, v) >= 0")
-    m = lat.mukai_gram()
-    n = lat.mukai_rank
-    lform = mat_vec(m, [Fraction(x) for x in v.coords()])
-    lint = [int(x) for x in lform]
-    perp = integer_kernel([lint], ncols=n)  # HNF basis rows of v-perp
+    lform = mat_vec(lat.mukai_gram(), [Fraction(x) for x in v.coords()])
+    lint = [int(x) for x in lform]  # v-perp is the kernel of this row
     if vsq == 0:
-        return _lagrangian_isotropic_case(v, lat, perp, bound)
+        return _lagrangian_isotropic_case(v, lat, lint, bound)
     out = []
     seen = set()
-    for u in _perp_box(perp, bound):
+    for u in _perp_box(lint, bound):
         if _coords_square(u, lat.gram) != 0:
             continue
         mv = MukaiVector.from_coords(u)
@@ -289,50 +286,23 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     return sorted(out, key=lambda x: x.coords())
 
 
-def _perp_box(perp_basis: Sequence[Sequence[int]], bound: int):
-    """All integer combinations of the HNF basis rows whose ambient
-    coordinates stay in the box |x_i| <= bound.
+def _perp_box(row: Sequence[int], bound: int):
+    """All integer points u of the box |u_i| <= bound with row . u = 0, for
+    a nonzero integer row of length n.
 
-    The basis is in row HNF, so the pivot columns give a triangular system:
-    the coefficient of row k is pinned (within an exact interval) by the
-    pivot-column coordinate once the earlier coefficients are fixed. This
-    makes the enumeration complete for the box. Every coefficient tried at
-    any level counts as one node against ``support.effective_budget()``;
-    running out raises BudgetError with ``bound`` as ``bound_reached``.
+    The box of every coordinate but one pivot j with row_j != 0 is walked
+    flat, and row . u = 0 pins u_j: the point is kept when u_j is an integer
+    inside the box. The (2 bound + 1)^(n - 1) heads are checked against
+    ``support.effective_budget()`` before the walk; over it, BudgetError
+    names the largest bound that fits.
     """
-    rows = [list(r) for r in perp_basis]
-    if not rows:
-        return
-    n = len(rows[0])
-    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in rows]
-    budget = effective_budget()
-    nodes = 0
-
-    def rec(k: int, partial: List[int]):
-        nonlocal nodes
-        if k == len(rows):
-            if all(abs(x) <= bound for x in partial):
-                yield tuple(partial)
-            return
-        j = pivots[k]
-        p = rows[k][j]
-        if p <= 0:
-            raise StabkitError("HNF pivot is not positive")
-        # |partial[j] + c * p| <= bound pins c to an exact integer interval
-        lo = _ceil_div(-bound - partial[j], p)
-        hi = (bound - partial[j]) // p
-        for c in range(lo, hi + 1):
-            if nodes >= budget:
-                raise BudgetError(f"v-perp box search exceeded budget of {budget} nodes",
-                                  bound_reached=bound)
-            nodes += 1
-            nxt = [a + c * b for a, b in zip(partial, rows[k])]
-            yield from rec(k + 1, nxt)
-
-    try:
-        yield from rec(0, [0] * n)
-    finally:
-        rec = None  # rec refers to itself through its closure: break the cycle
+    require_box_budget(len(row) - 1, bound, "v-perp box", "heads")
+    j = next(i for i, x in enumerate(row) if x)
+    pivot, rest = row[j], [*row[:j], *row[j + 1:]]
+    for head in itertools.product(range(-bound, bound + 1), repeat=len(rest)):
+        uj, rem = divmod(-sum(map(mul, rest, head)), pivot)
+        if not rem and -bound <= uj <= bound:
+            yield (*head[:j], uj, *head[j:])
 
 
 def _coords_square(u: Sequence[int], gram: Sequence[Sequence[int]]) -> int:
@@ -343,18 +313,14 @@ def _coords_square(u: Sequence[int], gram: Sequence[Sequence[int]]) -> int:
     return cc - 2 * u[0] * u[-1]
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _lagrangian_isotropic_case(v: MukaiVector, lat: NSLattice,
-                               perp: Sequence[Sequence[int]], bound: int) -> List[MukaiVector]:
+                               lint: Sequence[int], bound: int) -> List[MukaiVector]:
     """(v, v) = 0: classes live in v-perp / <v>. Enumerate representatives in
     the box, reduce modulo v deterministically, keep residues primitive in
     the quotient, and return one canonical ambient representative per ray."""
     vcs = v.coords()
     out = {}
-    for u in _perp_box(perp, bound):
+    for u in _perp_box(lint, bound):
         if _coords_square(u, lat.gram) != 0:  # square is well defined mod v
             continue
         res = _reduce_mod_v(u, vcs)

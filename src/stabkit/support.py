@@ -42,6 +42,19 @@ def effective_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_BUDGET
 
 
+def require_box_budget(dim: int, bound: int, name: str, unit: str) -> None:
+    """Raise ``BudgetError`` before any work when the box [-bound, bound]^dim
+    holds more points than ``effective_budget()``; its ``bound_reached`` is
+    the largest bound whose box fits."""
+    box, budget = len(range(-bound, bound + 1)) ** dim, effective_budget()
+    if box > budget:
+        fit = 0
+        while (2 * fit + 3) ** dim <= budget:
+            fit += 1
+        raise BudgetError(f"{name} of {box} {unit} exceeds the budget of "
+                          f"{budget} (bound reached {fit})", bound_reached=fit)
+
+
 Vec = Tuple[Fraction, ...]
 
 

@@ -37,41 +37,29 @@ from .errors import BudgetError, ChargeError, LatticeError
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice
 from .linalg import clear_denominators, primitive_vector
-from .support import effective_budget
+from .support import effective_budget, require_box_budget
 
 
 @dataclass(frozen=True)
 class SliceParams:
-    """Two-parameter family beta = beta0 + b * direction, omega = t * t_axis.
-
-    The conic classification below needs direction == t_axis (the standard
-    slice along the ample class), which is enforced.
-    """
+    """Two-parameter family beta = beta0 + b H, omega = t H along the ample
+    class H of the lattice: the standard slice, whose walls are conics."""
 
     lattice: NSLattice
     beta0: Tuple[Fraction, ...]
-    direction: Tuple[int, ...] = ()
-    t_axis: Tuple[int, ...] = ()
-    # the charge at the base point (beta0, t_axis), derived on construction
+    # the charge at the base point (beta0, H), derived on construction
     z0: Tuple[GaussianRational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         beta0 = tuple(as_fraction(x) for x in self.beta0)
         if len(beta0) != self.lattice.rank:
             raise LatticeError("beta0 has wrong NS rank")
-        direction = tuple(int(x) for x in (self.direction or self.lattice.ample))
-        t_axis = tuple(int(x) for x in (self.t_axis or self.lattice.ample))
-        if direction != t_axis:
-            raise LatticeError("slice needs direction == t_axis for the conic shape")
-        if self.lattice.ns_dot(t_axis, t_axis) <= 0:
-            raise LatticeError("slice axis must have positive self-intersection")
         object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "t_axis", t_axis)
-        object.__setattr__(self, "z0", tuple(charge_functional(self.lattice, beta0, t_axis)))
+        object.__setattr__(self, "z0", tuple(charge_functional(
+            self.lattice, beta0, self.lattice.ample)))
 
     def axis_sq(self) -> Fraction:
-        return self.lattice.ns_dot(self.t_axis, self.t_axis)
+        return self.lattice.ns_dot(self.lattice.ample, self.lattice.ample)
 
 
 @dataclass(frozen=True)
@@ -136,8 +124,8 @@ def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRationa
     if len(vec.c) != lat.rank:
         raise LatticeError("vector has wrong NS rank")
     b, t = as_fraction(b), as_fraction(t)
-    beta = [x + b * h for x, h in zip(slice_.beta0, slice_.t_axis)]
-    omega = [t * h for h in slice_.t_axis]
+    beta = [x + b * h for x, h in zip(slice_.beta0, lat.ample)]
+    omega = [t * h for h in lat.ample]
     return evaluate_charge_row(charge_functional(lat, beta, omega), vec.coords())
 
 
@@ -239,14 +227,7 @@ def _box_loci(v: MukaiVector, slice_: SliceParams,
     lat.require_even()
     if len(v.c) != lat.rank:
         raise LatticeError("Mukai vector has wrong NS rank")
-    n = lat.mukai_rank
-    box, budget = (2 * search_bound + 1) ** n, effective_budget()
-    if box > budget:
-        fit = 0
-        while (2 * fit + 3) ** n <= budget:
-            fit += 1
-        raise BudgetError(f"wall box of {box} classes exceeds the budget of "
-                          f"{budget} (bound reached {fit})", bound_reached=fit)
+    require_box_budget(lat.mukai_rank, search_bound, "wall box", "classes")
     return _distinct_loci(v, slice_, search_bound)
 
 
@@ -364,6 +345,11 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
 
 def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
                 t_nums: List[int], t_den: int) -> bool:
+    """True when the conic of the locus is zero at a grid node or differs in
+    sign between adjacent nodes. The grid is connected, so that is when some
+    node is zero or differs in sign from the first; in row order the first
+    such node also differs from its left or upper neighbour, so the walk
+    stops there and keeps no table."""
     # sign changes and zeros survive scaling by a nonzero integer
     ai, bi, _, di = loc.key()
     td2 = t_den * t_den
@@ -371,24 +357,11 @@ def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
     cols = [ai * bn * bn * td2 + bi * bn * b_den * td2 + di * bd2 * td2
             for bn in b_nums]
     t_terms = [ai * tn * tn * bd2 for tn in t_nums]
-    nb, nt = len(b_nums), len(t_nums)
-    signs = [[0] * nt for _ in range(nb)]
-    for i in range(nb):
-        ci = cols[i]
-        row = signs[i]
-        for j in range(nt):
-            val = ci + t_terms[j]
-            if val == 0:
-                return True
-            row[j] = 1 if val > 0 else -1
-    for i in range(nb):
-        row = signs[i]
-        for j in range(nt - 1):
-            if row[j] != row[j + 1]:
-                return True
-    for j in range(nt):
-        for i in range(nb - 1):
-            if signs[i][j] != signs[i + 1][j]:
+    positive = cols[0] + t_terms[0] > 0
+    for col in cols:
+        for t_term in t_terms:
+            val = col + t_term
+            if val == 0 or (val > 0) != positive:
                 return True
     return False
 

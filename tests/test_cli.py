@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import stabkit
-from stabkit.cli import main
+from stabkit.cli import build_parser, main
 from stabkit.serialize import dumps
 
 
@@ -516,10 +519,14 @@ def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsy
 
 
 def test_lagrangian_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
+    """The 13^2 heads of the bound-6 box exceed a budget of 50 before any
+    work; 7^2 = 49 fits, so the error names bound 3."""
     monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
     assert main(["lagrangian", "--lattice", lattice_file, "--v", "1,0,-1",
                  "--bound", "6", "--out", str(tmp_path / "x.json")]) == 2
-    assert "v-perp box search exceeded budget of 50 nodes" in capsys.readouterr().err
+    assert ("v-perp box of 169 heads exceeds the budget of 50 (bound reached 3)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists()
 
 
 # walls payloads, pinned so that work on the box scan keeps them byte for
@@ -766,3 +773,15 @@ def test_charge_json_rejects_float(tmp_path):
     assert proc.returncode == 1
     assert "input error: expected a rational, got -1.5" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_flags_are_the_parser_options():
+    """The README's Flags: line lists every option string of every
+    subcommand, and nothing else."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Flags: `([^`]*)`", readme).group(1).split()
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    defined = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt not in ("-h", "--help")}
+    assert sorted(listed) == sorted(defined)

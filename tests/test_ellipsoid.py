@@ -233,7 +233,7 @@ def _jh_walk():
 
 @pytest.mark.parametrize("walk", [
     lambda: list(enumerate_ellipsoid([[2, 1], [1, 3]], 5)),
-    lambda: list(_perp_box([[1, 0, 1], [0, 1, 0]], 3)),
+    lambda: list(_perp_box([1, 0, -1], 3)),
     lambda: decomposition_scan((1, 0), Rank2Lattice(
         (MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), ((2, -1), (-1, 0))),
         max_m=3, box=10),

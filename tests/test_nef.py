@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from stabkit import (ChargeParams, MukaiVector, Rank2Lattice, SliceParams,
 from stabkit.errors import BudgetError, DegenerateError, LatticeError
 from stabkit.gaussian import GaussianRational
 from stabkit.linalg import bilinear
+from stabkit.nef import _perp_box
 from stabkit.charges import evaluate_charge_row as z_eval
 
 
@@ -274,17 +276,30 @@ def test_lagrangian_candidates(k3d2):
 
 
 def test_lagrangian_box_budget(k3d2, monkeypatch):
-    """The v-perp box walk counts every coefficient it tries against
-    BRIDGELAND_BUDGET: 182 nodes for v = (1, 0, -1) at bound 6."""
+    """The v-perp box walk checks its (2 bound + 1)^(rho + 1) heads against
+    BRIDGELAND_BUDGET before any work: 13^2 = 169 for v = (1, 0, -1) at
+    bound 6. Over it, the error names the largest bound that fits."""
     v = MukaiVector(1, (0,), -1)
     full = lagrangian_candidates(v, k3d2, 6)
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "181")
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "168")
     with pytest.raises(BudgetError) as err:
         lagrangian_candidates(v, k3d2, 6)
-    assert err.value.bound_reached == 6
-    assert "budget of 181 nodes" in str(err.value)
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "182")
+    assert err.value.bound_reached == 5
+    assert str(err.value) == ("v-perp box of 169 heads exceeds the budget of "
+                              "168 (bound reached 5)")
+    assert lagrangian_candidates(v, k3d2, -7) == []  # an empty box fits any budget
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "169")
     assert lagrangian_candidates(v, k3d2, 6) == full
+
+
+@given(st.lists(st.integers(-6, 6), min_size=3, max_size=5).filter(any),
+       st.integers(-1, 4))
+def test_perp_box_is_the_box_cut_by_the_row(row, bound):
+    """The flat walk yields every integer point u of [-B, B]^n with
+    row . u = 0, each once."""
+    box = itertools.product(range(-bound, bound + 1), repeat=len(row))
+    assert sorted(_perp_box(row, bound)) == \
+        [u for u in box if sum(map(mul, row, u)) == 0]
 
 
 def test_lagrangian_quotient_case():

@@ -14,8 +14,8 @@ from stabkit.charges import evaluate_charge_row
 from stabkit.errors import BudgetError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.lattice import mukai_pairing
-from stabkit.walls import (WallLocus, _key_relation, locus_meets_region,
-                           sampling_oracle, sqrt_decimal)
+from stabkit.walls import (WallLocus, _key_relation, _signs_flip,
+                           locus_meets_region, sampling_oracle, sqrt_decimal)
 
 
 @pytest.fixture
@@ -614,3 +614,39 @@ def test_oracle_grid_budget(setup, monkeypatch):
     with pytest.raises(BudgetError) as err:
         sampling_oracle(v, sl, region, 10, 3)
     assert err.value.bound_reached == 9
+
+
+def table_signs_flip(loc, b_nums, b_den, t_nums, t_den):
+    """Reference sign-flip test: fill the whole sign table of the conic on
+    the grid, then compare every pair of adjacent nodes."""
+    ai, bi, _, di = loc.key()
+    signs = []
+    for bn in b_nums:
+        row = []
+        for tn in t_nums:
+            val = (ai * (bn * bn * t_den * t_den + tn * tn * b_den * b_den)
+                   + bi * bn * b_den * t_den * t_den + di * b_den * b_den * t_den * t_den)
+            if val == 0:
+                return True
+            row.append(val > 0)
+        signs.append(row)
+    rows_flip = any(row[j] != row[j + 1] for row in signs for j in range(len(row) - 1))
+    cols_flip = any(signs[i][j] != signs[i + 1][j]
+                    for i in range(len(signs) - 1) for j in range(len(t_nums)))
+    return rows_flip or cols_flip
+
+
+@given(key=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)).filter(any),
+       nums=st.integers(2, 12).flatmap(lambda g: st.tuples(
+           *[st.lists(st.integers(-12, 12), min_size=g + 1, max_size=g + 1)] * 2)),
+       b_den=st.integers(1, 4), t_den=st.integers(1, 4))
+def test_streaming_signs_flip_matches_full_table(key, nums, b_den, t_den):
+    """The streaming oracle test gives the verdict of the full sign table on
+    every grid, for integer conic keys (a, b, 0, d)."""
+    a, b, d = key
+    v = MukaiVector(1, (0,), -1)
+    loc = WallLocus(v, v, (Fraction(a), Fraction(b), Fraction(0), Fraction(d)),
+                    WallKind.SEMICIRCLE)
+    b_nums, t_nums = nums
+    assert _signs_flip(loc, b_nums, b_den, t_nums, t_den) == \
+        table_signs_flip(loc, b_nums, b_den, t_nums, t_den)
