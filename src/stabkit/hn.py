@@ -72,11 +72,12 @@ class CategoryPresentation:
             raise PresentationError(f"unknown object id {name!r}") from None
 
     def up_edges(self) -> Dict[str, List[Edge]]:
+        """Edges by sub, each list in (ambient, quotient) order (the edges
+        are sorted on construction). An edge whose sub is not an object
+        gets a list of its own, so ``validate`` can report it."""
         up: Dict[str, List[Edge]] = {name: [] for name in self.objects}
         for e in self.edges:
-            up[e.sub].append(e)
-        for lst in up.values():
-            lst.sort(key=lambda e: (e.ambient, e.quotient))
+            up.setdefault(e.sub, []).append(e)
         return up
 
     def subobjects_below(self, name: str) -> FrozenSet[str]:
@@ -182,7 +183,7 @@ def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
                 if c == 0:
                     colors[e.ambient] = 1
                     path.append(e.ambient)
-                    frames.append(iter(up[e.ambient]))
+                    frames.append(iter(up.get(e.ambient, ())))
                     break
             else:
                 colors[path.pop()] = 2

@@ -197,82 +197,6 @@ def is_positive_definite(gram: Mat) -> bool:
 # -- integer lattices --------------------------------------------------------
 
 
-def hnf_rows(mat: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Canonical row Hermite normal form of an integer matrix.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows are dropped. This is the deterministic basis normal form used
-    for saturations and kernels.
-    """
-    h, _ = hnf_rows_transform(mat)
-    return h
-
-
-def hnf_rows_transform(
-    mat: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Row HNF together with a unimodular transform: T @ mat == [H; 0]."""
-    rows = [list(map(int, r)) for r in mat]
-    m = len(rows)
-    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    if m == 0:
-        return [], []
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            t[r], t[i0] = t[i0], t[r]
-            if len(nz) == 1:
-                break
-            p = rows[r][c]
-            for i in range(r + 1, m):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
-        if r < m and rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
-                t[r] = [-x for x in t[r]]
-            p = rows[r][c]
-            for i in range(r):
-                q = rows[i][c] // p
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
-            r += 1
-            if r == m:
-                break
-    return rows[:r], t
-
-
-def integer_kernel(mat: Sequence[Sequence[int]], ncols: int | None = None) -> List[List[int]]:
-    """Basis of the integer kernel {x in Z^n : mat @ x = 0}.
-
-    The basis spans the full (saturated) kernel lattice; rows are returned in
-    canonical HNF.
-    """
-    rows = [list(map(int, r)) for r in mat]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        return hnf_rows([[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)])
-    bt = [list(col) for col in zip(*rows)]  # ncols x m
-    h, t = hnf_rows_transform(bt)
-    rank = len(h)
-    kernel = [t[i] for i in range(rank, ncols)]
-    if not kernel:
-        return []
-    return hnf_rows(kernel)
-
-
 def gcd_vector(v: Sequence[int]) -> int:
     return gcd(*(int(x) for x in v))
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateError, LatticeError
 from .lattice import MukaiVector, NSLattice, mukai_pairing
-from .linalg import integer_kernel, minors2_gcd, nullspace, primitive_vector
+from .linalg import minors2_gcd, primitive_vector
 
 Pair = Tuple[int, int]
 Gram2 = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -78,17 +79,29 @@ def saturate_rank2(v: MukaiVector, w: MukaiVector, lat: NSLattice) -> Rank2Latti
     sublattice (gcd of the 2x2 coordinate minors is 1) they are kept in the
     given order; otherwise the canonical Hermite-normal-form basis of the
     saturation is returned.
+
+    The saturation is built in closed form. A 2 x n integer matrix spans a
+    saturated lattice iff the gcd of its 2x2 minors is 1. Let v1 be the
+    primitive vector of v, so v = +-g v1 with g = gcd(v), c a Bezout row
+    with c . v1 = 1, m1 the minors gcd of (v1, w), and
+    u = (w - (c . w) v1) / m1. The division is exact: since c . v1 = 1,
+    w_i - (c . w) v1_i = sum_j c_j (w_i v1_j - w_j v1_i), a combination of
+    minors. Minors are bilinear and those of (v1, v1) vanish, so the minors
+    of (v1, u) are those of (v1, w) divided by m1; their gcd is 1 and
+    (v1, u) is saturated. It contains v = +-g v1 and
+    w = (c . w) v1 + m1 u and lies in the rational span of (v, w), so it is
+    the saturation. The row HNF of a lattice is unique, and for two rows it
+    is one extended gcd on the first nonzero column, a positive second
+    pivot, and row 1 reduced into [0, p) at that pivot p.
     """
-    rows = [list(v.coords()), list(w.coords())]
-    if minors2_gcd(rows[0], rows[1]) == 0:
+    v_c, w_c = v.coords(), w.coords()
+    m = minors2_gcd(v_c, w_c)
+    if m == 0:
         raise DegenerateError("v and w are proportional; no rank-2 lattice")
-    if minors2_gcd(rows[0], rows[1]) == 1:
+    if m == 1:
         basis = (v, w)
     else:
-        ortho = nullspace([[Fraction(x) for x in r] for r in rows])
-        bmat = [[int(x) for x in k] for k in ortho]
-        sat = integer_kernel(bmat, ncols=len(rows[0]))
-        basis = (MukaiVector.from_coords(sat[0]), MukaiVector.from_coords(sat[1]))
+        basis = tuple(map(MukaiVector.from_coords, _saturated_hnf(v_c, w_c)))
     g01 = mukai_pairing(basis[0], basis[1], lat)
     gram2 = ((mukai_pairing(basis[0], basis[0], lat), g01),
              (g01, mukai_pairing(basis[1], basis[1], lat)))
@@ -113,6 +126,28 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _saturated_hnf(v: Sequence[int], w: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Row HNF of the saturation of span(v, w) for non-proportional integer
+    v and w; ``saturate_rank2`` gives the construction and its proof."""
+    v1 = primitive_vector(v)
+    d, c = 0, []
+    for x in v1:  # Bezout row: c . v1 = gcd(v1) = 1
+        d, s, t = _ext_gcd(d, x)
+        c = [s * ci for ci in c] + [t]
+    m1, cw = minors2_gcd(v1, w), sum(map(mul, c, w))
+    u = [(wi - cw * vi) // m1 for wi, vi in zip(w, v1)]
+    k = next(i for i, (a, b) in enumerate(zip(v1, u)) if a or b)
+    p, x, y = _ext_gcd(v1[k], u[k])
+    a, b = v1[k] // p, u[k] // p
+    r0 = [x * s + y * t for s, t in zip(v1, u)]
+    r1 = [a * t - b * s for s, t in zip(v1, u)]
+    j = next(i for i, e in enumerate(r1) if e)
+    if r1[j] < 0:
+        r1 = [-e for e in r1]
+    q = r0[j] // r1[j]
+    return [s - q * t for s, t in zip(r0, r1)], r1
 
 
 def _perfect_square(n: int) -> Optional[int]:

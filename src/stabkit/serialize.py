@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence
 
+from .errors import PresentationError
 from .gaussian import GaussianRational, as_fraction
 from .hn import CategoryPresentation, Edge
 from .lattice import MukaiVector, NSLattice
@@ -99,7 +100,6 @@ def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
     objects = {}
     for obj in data["objects"]:
         if obj["id"] in objects:
-            from .errors import PresentationError
             raise PresentationError(f"duplicate object id {obj['id']!r}")
         objects[obj["id"]] = tuple(unint(x) for x in obj["class"])
     edges = tuple(Edge(e["sub"], e["ambient"], e["quotient"])

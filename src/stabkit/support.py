@@ -81,10 +81,6 @@ class QuadraticForm:
                     raise ValueError("gram must be symmetric")
         object.__setattr__(self, "gram", g)
 
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
-
     def evaluate(self, v) -> Fraction:
         c = _coords(v)
         return bilinear(c, self.gram, c)

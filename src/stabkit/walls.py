@@ -319,17 +319,18 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
     non-degenerate locus of the candidate box, those outside the region
     included, but it reads the same box as ``scan_walls`` (one enumeration
     serves both, under the same budget), so it cannot see walls of classes
-    outside it. The (grid+1)^2 nodes of every locus count against the same
-    budget before any sign is evaluated: a grid over it raises
-    ``BudgetError`` whose ``bound_reached`` is the largest grid that fits."""
+    outside it. The test of a locus computes grid + 1 column values (see
+    ``_signs_flip``); these count against the same budget before any sign is
+    evaluated: a grid over it raises ``BudgetError`` whose ``bound_reached``
+    is the largest grid that fits."""
     if grid < 2:
         raise ValueError("grid too coarse")
     cands = _box_loci(v, slice_, search_bound)
-    nodes, budget = (grid + 1) ** 2 * len(cands), effective_budget()
-    if nodes > budget:
+    values, budget = (grid + 1) * len(cands), effective_budget()
+    if values > budget:
         # the box check above keeps budget >= len(cands), so fit >= 0
-        fit = isqrt(budget // len(cands)) - 1
-        raise BudgetError(f"oracle grid of {nodes} nodes ({len(cands)} loci) exceeds "
+        fit = budget // len(cands) - 1
+        raise BudgetError(f"oracle grid of {values} values ({len(cands)} loci) exceeds "
                           f"the budget of {budget} (grid reached {fit})",
                           bound_reached=fit)
     b_den = grid * region.b_min.denominator * region.b_max.denominator
@@ -346,10 +347,10 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
 def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
                 t_nums: List[int], t_den: int) -> bool:
     """True when the conic of the locus is zero at a grid node or differs in
-    sign between adjacent nodes. The grid is connected, so that is when some
-    node is zero or differs in sign from the first; in row order the first
-    such node also differs from its left or upper neighbour, so the walk
-    stops there and keeps no table."""
+    sign between adjacent nodes. The grid is connected, so that is when the
+    values on it do not all share one strict sign. The value at node (i, j)
+    is cols[i] + t_terms[j], so the values range from
+    min(cols) + min(t_terms) to max(cols) + max(t_terms)."""
     # sign changes and zeros survive scaling by a nonzero integer
     ai, bi, _, di = loc.key()
     td2 = t_den * t_den
@@ -357,13 +358,7 @@ def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
     cols = [ai * bn * bn * td2 + bi * bn * b_den * td2 + di * bd2 * td2
             for bn in b_nums]
     t_terms = [ai * tn * tn * bd2 for tn in t_nums]
-    positive = cols[0] + t_terms[0] > 0
-    for col in cols:
-        for t_term in t_terms:
-            val = col + t_term
-            if val == 0 or (val > 0) != positive:
-                return True
-    return False
+    return min(cols) + min(t_terms) <= 0 <= max(cols) + max(t_terms)
 
 
 # -- chambers along a vertical path --------------------------------------------

@@ -204,7 +204,7 @@ def test_criterion_5_support_kit():
            t0, 60)
 
 
-def test_criterion_6_wall_scan(monkeypatch):
+def test_criterion_6_wall_scan():
     t0 = time.time()
     sl = SliceParams(K3D2, (Fraction(0),))
     v = MukaiVector(1, (0,), -1)
@@ -216,9 +216,6 @@ def test_criterion_6_wall_scan(monkeypatch):
     line = wall_locus(v, MukaiVector(0, (0,), 1), sl)
     assert line.kind is WallKind.VERTICAL_LINE and line.center == 0
     assert line.key() in {w.key() for w in walls}
-    # the 400x400 oracle needs 401^2 nodes for each of the 25 loci of the
-    # bound-8 box, over the default budget of 2^20
-    monkeypatch.setenv("BRIDGELAND_BUDGET", str(401 ** 2 * 25))
     oracle = sampling_oracle(v, sl, region, 400, 8)
     detected = {ow.locus.key() for ow in oracle if ow.detected}
     enumerated = {w.key() for w in walls}

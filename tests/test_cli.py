@@ -259,6 +259,30 @@ def test_validate_category_command(tmp_path):
     assert any(v["code"] == "invalid-charge" for v in doc["result"]["violations"])
 
 
+@pytest.mark.parametrize("field", ["sub", "ambient", "quotient"])
+def test_unknown_edge_id_is_a_violation(tmp_path, capsys, field):
+    """An edge naming an unknown object, in any of its three fields, is an
+    ``unknown-id`` violation: validate-category reports it and exits 0, and
+    hn exits 1 naming it."""
+    edge = {"sub": "S2", "ambient": "A", "quotient": "S1", field: "X"}
+    cat = {"objects": [{"id": "0", "class": ["0", "0"]},
+                       {"id": "S1", "class": ["0", "1"]},
+                       {"id": "S2", "class": ["1", "0"]},
+                       {"id": "A", "class": ["1", "1"]}],
+           "edges": [edge], "zero": "0"}
+    catf, chf = tmp_path / "c.json", tmp_path / "z.json"
+    catf.write_text(dumps(cat))
+    chf.write_text(dumps([["-1", "0"], ["0", "1"]]))
+    code, doc = run(tmp_path, "validate-category", "--category", str(catf),
+                    "--charge", str(chf))
+    assert code == 0
+    assert [(v["code"], v["subject"]) for v in doc["result"]["violations"]] == \
+        [("unknown-id", "X")]
+    assert main(["hn", "--category", str(catf), "--charge", str(chf),
+                 "--object", "A", "--out", str(tmp_path / "x.json")]) == 1
+    assert "[unknown-id] X:" in capsys.readouterr().err
+
+
 def test_svg_byte_stable(tmp_path, lattice_file):
     wallsf = tmp_path / "w.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",
@@ -627,18 +651,18 @@ def test_walls_box_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
 
 
 def test_walls_grid_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
-    """The bound-8 box has 25 distinct loci: grid 40 needs 41^2 * 25 = 42025
-    oracle nodes, over a budget of 10000, and grid 19 is the largest that
-    fits (20^2 * 25 = 10000)."""
+    """The bound-8 box has 25 distinct loci: grid 400 needs 401 * 25 = 10025
+    oracle values, over a budget of 10000, and grid 399 is the largest that
+    fits (400 * 25 = 10000)."""
     monkeypatch.setenv("BRIDGELAND_BUDGET", "10000")
     out = tmp_path / "x.json"
     argv = ["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
             "--b", "-3:0", "--t", "1/10:4", "--bound", "8", "--out", str(out)]
-    assert main([*argv, "--grid", "40"]) == 2
-    assert ("oracle grid of 42025 nodes (25 loci) exceeds the budget of 10000 "
-            "(grid reached 19)" in capsys.readouterr().err)
+    assert main([*argv, "--grid", "400"]) == 2
+    assert ("oracle grid of 10025 values (25 loci) exceeds the budget of 10000 "
+            "(grid reached 399)" in capsys.readouterr().err)
     assert not out.exists()
-    assert main([*argv, "--grid", "19"]) == 0
+    assert main([*argv, "--grid", "399"]) == 0
 
 
 def test_lattice_json_rejects_non_integral_entries(tmp_path, capsys):

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import (determinant, minors_negative_definite,
                       minors_positive_definite, minors_positive_semidefinite)
-from stabkit.linalg import (bilinear, dot, hnf_rows, hnf_rows_transform,
-                            integer_kernel, inverse, is_negative_definite,
+from stabkit.linalg import (bilinear, dot, inverse, is_negative_definite,
                             is_positive_definite, mat_mul, mat_vec, minors2_gcd,
-                            nullspace, primitive_vector, rref, signature,
-                            solve)
+                            nullspace, primitive_vector, rref, signature, solve)
 
 
 def test_rref_and_solve():
@@ -86,34 +84,6 @@ def test_definiteness_by_signature_matches_minors(g):
     assert is_positive_definite(g) == minors_positive_definite(g)
     assert is_negative_definite(g) == minors_negative_definite(g)
     assert (sig[1] == 0) == minors_positive_semidefinite(g)
-
-
-def test_hnf_canonical():
-    h = hnf_rows([[2, 0, 0], [0, 0, 2], [2, 0, 2]])
-    assert h == [[2, 0, 0], [0, 0, 2]]
-    h2 = hnf_rows([[1, 0, -1], [0, 0, 1]])
-    assert h2 == [[1, 0, 0], [0, 0, 1]]
-
-
-def test_hnf_transform_is_unimodular():
-    rng = random.Random(11)
-    for _ in range(40):
-        m = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        h, t = hnf_rows_transform(m)
-        det = determinant([[Fraction(x) for x in row] for row in t])
-        assert det in (1, -1)
-        prod = mat_mul([[Fraction(x) for x in row] for row in t],
-                       [[Fraction(x) for x in row] for row in m])
-        assert [[int(x) for x in row] for row in prod[:len(h)]] == h
-        assert all(all(x == 0 for x in row) for row in prod[len(h):])
-
-
-def test_integer_kernel_saturated():
-    k = integer_kernel([[0, 1, 0]])
-    assert k == [[1, 0, 0], [0, 0, 1]]
-    k2 = integer_kernel([[2, 4]])
-    # kernel of 2x + 4y = 0 is generated by (2, -1) (saturated, not (4, -2))
-    assert k2 == [[2, -1]]
 
 
 def test_primitive_vector():

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_even_ns_lattice
-from stabkit import (MukaiVector, Rank2Lattice, is_hyperbolic, mukai_pairing,
+from stabkit import (MukaiVector, NSLattice, Rank2Lattice, is_hyperbolic, mukai_pairing,
                      rank2_isotropic, rank2_roots, saturate_rank2)
 from stabkit.errors import DegenerateError
 from stabkit.linalg import minors2_gcd
@@ -37,6 +39,51 @@ def test_saturation_examples(k3d2):
 
     with pytest.raises(DegenerateError):
         saturate_rank2(v, v.scale(-2), k3d2)
+
+
+def is_row_hnf(rows):
+    """Two rows in row Hermite normal form: positive pivots, the second to
+    the right of the first, and the entry of row 1 above the second pivot
+    reduced into [0, pivot)."""
+    k0, k1 = (next((i for i, x in enumerate(r) if x), None) for r in rows)
+    return (k0 is not None and k1 is not None and k0 < k1
+            and rows[0][k0] > 0 and 0 <= rows[0][k1] < rows[1][k1])
+
+
+_SAT_LATTICES = {1: NSLattice(1, ((2,),), (1,)),
+                 2: NSLattice(2, ((2, 1), (1, -2)), (1, 0)),
+                 3: NSLattice(3, ((2, 0, 0), (0, -2, 1), (0, 1, -2)), (1, 0, 0))}
+
+
+@given(st.integers(1, 3), st.data())
+def test_saturation_is_the_hnf_of_a_saturated_lattice_through_v_and_w(rho, data):
+    """Three checks that pin the unique answer when the minors of (v, w)
+    have gcd m > 1: the basis is in row HNF, its minors have gcd 1 (it is
+    saturated), and v, w have integral coordinates in it (it contains the
+    span, so it is the saturation)."""
+    coords = st.lists(st.integers(-5, 5), min_size=rho + 2, max_size=rho + 2)
+    v0, w0 = data.draw(coords), data.draw(coords)
+    a, b, c, d = data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    s, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    v = [s * (a * x + b * y) for x, y in zip(v0, w0)]
+    w = [t * (c * x + d * y) for x, y in zip(v0, w0)]
+    assume(minors2_gcd(v, w) > 1)
+    mv, mw = MukaiVector.from_coords(v), MukaiVector.from_coords(w)
+    h = saturate_rank2(mv, mw, _SAT_LATTICES[rho])
+    rows = [list(x.coords()) for x in h.basis]
+    assert is_row_hnf(rows)
+    assert minors2_gcd(*rows) == 1
+    assert h.to_ambient(h.coords_of(mv)) == mv and h.to_ambient(h.coords_of(mw)) == mw
+
+
+@pytest.mark.parametrize("v, w, basis", [
+    ((3, 1, -1), (1, 3, 5), [(1, 0, -1), (0, 1, 2)]),
+    ((2, 2, 0), (1, -1, 3), [(1, 1, 0), (0, 2, -3)]),
+    ((0, 2, 4), (0, 0, 6), [(0, 1, 0), (0, 0, 1)]),
+])
+def test_saturation_hnf_pinned(k3d2, v, w, basis):
+    h = saturate_rank2(MukaiVector.from_coords(v), MukaiVector.from_coords(w), k3d2)
+    assert [b.coords() for b in h.basis] == basis
 
 
 def test_saturation_contains_inputs_and_divides_det():

@@ -600,20 +600,20 @@ def test_wall_box_budget(setup, monkeypatch):
 
 
 def test_oracle_grid_budget(setup, monkeypatch):
-    """The oracle counts (grid + 1)^2 nodes per locus against the budget
-    before it evaluates a sign, and reports the largest grid that fits. The
-    bound-3 box has 7^3 = 343 classes and 3 distinct loci, so grid 10 needs
-    121 * 3 = 363 nodes."""
+    """The oracle counts grid + 1 values per locus against the budget before
+    it evaluates a sign, and reports the largest grid that fits. The bound-3
+    box has 7^3 = 343 classes and 3 distinct loci, so grid 200 needs
+    201 * 3 = 603 values."""
     sl, v, region = setup
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "363")
-    assert len(sampling_oracle(v, sl, region, 10, 3)) == 3
-    with pytest.raises(BudgetError, match="oracle grid of 432 nodes") as err:
-        sampling_oracle(v, sl, region, 11, 3)
-    assert err.value.bound_reached == 10
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "362")
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "603")
+    assert len(sampling_oracle(v, sl, region, 200, 3)) == 3
+    with pytest.raises(BudgetError, match="oracle grid of 606 values") as err:
+        sampling_oracle(v, sl, region, 201, 3)
+    assert err.value.bound_reached == 200
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "602")
     with pytest.raises(BudgetError) as err:
-        sampling_oracle(v, sl, region, 10, 3)
-    assert err.value.bound_reached == 9
+        sampling_oracle(v, sl, region, 200, 3)
+    assert err.value.bound_reached == 199
 
 
 def table_signs_flip(loc, b_nums, b_den, t_nums, t_den):
@@ -641,8 +641,8 @@ def table_signs_flip(loc, b_nums, b_den, t_nums, t_den):
            *[st.lists(st.integers(-12, 12), min_size=g + 1, max_size=g + 1)] * 2)),
        b_den=st.integers(1, 4), t_den=st.integers(1, 4))
 def test_streaming_signs_flip_matches_full_table(key, nums, b_den, t_den):
-    """The streaming oracle test gives the verdict of the full sign table on
-    every grid, for integer conic keys (a, b, 0, d)."""
+    """The closed-form oracle test gives the verdict of the full sign table
+    on every grid, for integer conic keys (a, b, 0, d)."""
     a, b, d = key
     v = MukaiVector(1, (0,), -1)
     loc = WallLocus(v, v, (Fraction(a), Fraction(b), Fraction(0), Fraction(d)),
