@@ -265,7 +265,11 @@ def cmd_chambers(args) -> None:
     doc = _load_json(args.walls)
     # the walls result in canonical form, not the file: its manifest carries
     # the walls run's own timestamp
-    walls_hash = hashlib.sha256(ser.dumps(doc["result"]).encode("utf-8")).hexdigest()
+    try:
+        canonical = ser.dumps(doc["result"])
+    except TypeError as exc:  # a JSON float: no stabkit output holds one
+        raise ValueError(f"walls result is not stabkit JSON: {exc}") from None
+    walls_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     walls = [ser.wall_from_json(w) for w in doc["result"]["walls"]]
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)

@@ -13,7 +13,8 @@ Rational = Union[int, Fraction, str]
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Coerce ints, strings like ``"3/2"`` or ``"0.1"``, and Fractions."""
+    """Coerce ints, strings like ``"3/2"`` or ``"0.1"``, and Fractions. A
+    string with a zero denominator raises ``ValueError``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -21,8 +22,31 @@ def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r} (floats are rejected)")
+
+
+def as_int(x: Rational) -> int:
+    """Coerce an exact integer: an int, a string ``int()`` reads such as
+    ``"-3"``, or an integral rational such as ``"4/2"``. A float, a bool or
+    a non-integral value raises ``ValueError`` instead of being truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    try:
+        q = as_fraction(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return q.numerator
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ common positive denominator, and every phase comparison runs on those ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charges import IntCharge, Order, phase_compare, phase_valid
 from .errors import PresentationError
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, as_int
 from .linalg import clear_denominators
 
 ClassVec = Tuple[int, ...]
@@ -45,6 +46,10 @@ class CategoryPresentation:
     Zero edges (zero below everything) and reflexive edges (everything below
     itself with zero quotient) are implied and added on construction when
     absent, so authored files only need the interesting extensions.
+    Object ids, in ``objects``, ``edges`` and ``zero``, are read as their
+    ``str``. Class coordinates are coerced with ``as_int``: a non-integral
+    one raises ``ValueError``. The adjacency and the down-closures are derived
+    once per presentation, on first use.
     """
 
     objects: Dict[str, ClassVec]
@@ -52,14 +57,16 @@ class CategoryPresentation:
     zero: str
 
     def __post_init__(self):
-        objects = {str(k): tuple(int(x) for x in v) for k, v in self.objects.items()}
-        if self.zero not in objects:
-            raise PresentationError(f"zero object {self.zero!r} missing")
-        edges = {(e.sub, e.ambient, e.quotient) for e in self.edges}
+        zero = str(self.zero)
+        objects = {str(k): tuple(map(as_int, v)) for k, v in self.objects.items()}
+        if zero not in objects:
+            raise PresentationError(f"zero object {zero!r} missing")
+        edges = {(str(e.sub), str(e.ambient), str(e.quotient)) for e in self.edges}
         for name in objects:
-            if name != self.zero:
-                edges.add((self.zero, name, name))
-                edges.add((name, name, self.zero))
+            if name != zero:
+                edges.add((zero, name, name))
+                edges.add((name, name, zero))
+        object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "edges", tuple(Edge(*t) for t in sorted(edges)))
 
@@ -71,30 +78,49 @@ class CategoryPresentation:
         except KeyError:
             raise PresentationError(f"unknown object id {name!r}") from None
 
-    def up_edges(self) -> Dict[str, List[Edge]]:
-        """Edges by sub, each list in (ambient, quotient) order (the edges
-        are sorted on construction). An edge whose sub is not an object
-        gets a list of its own, so ``validate`` can report it."""
+    @cached_property
+    def _up(self) -> Dict[str, List[Edge]]:
         up: Dict[str, List[Edge]] = {name: [] for name in self.objects}
         for e in self.edges:
             up.setdefault(e.sub, []).append(e)
         return up
 
-    def subobjects_below(self, name: str) -> FrozenSet[str]:
-        """All B with B <= name in the reflexive-transitive closure."""
+    @cached_property
+    def _down(self) -> Dict[str, List[str]]:
         down: Dict[str, List[str]] = {n: [] for n in self.objects}
         for e in self.edges:
             if e.sub != e.ambient:
                 down[e.ambient].append(e.sub)
-        seen = {name}
-        stack = [name]
-        while stack:
-            cur = stack.pop()
-            for nxt in down[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
+        return down
+
+    @cached_property
+    def _below(self) -> Dict[str, FrozenSet[str]]:
+        return {}  # filled by subobjects_below, one closure per name asked
+
+    def up_edges(self) -> Dict[str, List[Edge]]:
+        """Edges by sub, each list in (ambient, quotient) order (the edges
+        are sorted on construction). An edge whose sub is not an object
+        gets a list of its own, so ``validate`` can report it. The mapping
+        and its lists are shared by every caller: read them, do not
+        modify them."""
+        return self._up
+
+    def subobjects_below(self, name: str) -> FrozenSet[str]:
+        """All B with B <= name in the reflexive-transitive closure,
+        computed once per name and then shared."""
+        below = self._below.get(name)
+        if below is None:
+            down = self._down
+            seen = {name}
+            stack = [name]
+            while stack:
+                cur = stack.pop()
+                for nxt in down[cur]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            below = self._below[name] = frozenset(seen)
+        return below
 
     def leq(self, a: str, b: str) -> bool:
         return a in self.subobjects_below(b)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import LatticeError
-from .gaussian import as_fraction
+from .gaussian import as_fraction, as_int
 from .linalg import bilinear, gcd_vector, signature
 
 IntVec = Tuple[int, ...]
@@ -35,16 +35,18 @@ class NSLattice:
     k3: bool = True
 
     def __post_init__(self):
-        if self.rank <= 0:
+        rank = as_int(self.rank)
+        if rank <= 0:
             raise LatticeError("rank must be a positive integer")
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "rank", rank)
+        gram = tuple(tuple(map(as_int, row)) for row in self.gram)
         if len(gram) != self.rank or any(len(r) != self.rank for r in gram):
             raise LatticeError("gram must be rank x rank")
         for i in range(self.rank):
             for j in range(self.rank):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError("gram must be symmetric")
-        ample = tuple(int(x) for x in self.ample)
+        ample = tuple(map(as_int, self.ample))
         if len(ample) != self.rank:
             raise LatticeError("ample class has wrong length")
         object.__setattr__(self, "gram", gram)
@@ -93,23 +95,24 @@ class NSLattice:
 
 @dataclass(frozen=True)
 class MukaiVector:
-    """Integral class (r, c, s) in the extended lattice."""
+    """Integral class (r, c, s) in the extended lattice. Coordinates are
+    coerced with ``as_int``: a non-integral one raises ``ValueError``."""
 
     r: int
     c: IntVec
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "r", as_int(self.r))
+        object.__setattr__(self, "c", tuple(map(as_int, self.c)))
+        object.__setattr__(self, "s", as_int(self.s))
 
     def coords(self) -> IntVec:
         return (self.r, *self.c, self.s)
 
     @staticmethod
     def from_coords(coords: Sequence[int]) -> "MukaiVector":
-        coords = [int(x) for x in coords]
+        coords = list(coords)
         if len(coords) < 3:
             raise LatticeError("a Mukai vector needs at least 3 coordinates")
         return MukaiVector(coords[0], tuple(coords[1:-1]), coords[-1])

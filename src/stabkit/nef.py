@@ -220,6 +220,12 @@ def wall_report(v: MukaiVector, w: MukaiVector, slice_: SliceParams,
     loc = wall_locus(v, w, slice_)
     if loc.kind is WallKind.DEGENERATE:
         raise DegenerateError("degenerate wall: charges proportional on the slice")
+    if loc.kind is WallKind.EMPTY:
+        a, b_coef, _, d_coef = loc.conic
+        raise LatticeError(
+            f"w = {w.coords()} spans no wall with v: the conic "
+            f"A (b^2 + t^2) + B b + D = 0 with (A, B, D) = ({a}, {b_coef}, {d_coef}) "
+            "has no point with t > 0")
     lat = slice_.lattice
     hw = saturate_rank2(v, w, lat)
     if not is_hyperbolic(hw):

@@ -4,8 +4,8 @@ output key order is canonical so byte-identical reruns are possible.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Sequence
 
 from .errors import PresentationError
@@ -21,37 +21,83 @@ def rat(x) -> str:
 
 def unrat(s) -> Fraction:
     """A rational from its JSON form: a JSON int or a string such as
-    ``"3/2"``. A float or a bool raises ``ValueError``, as in ``unint``."""
+    ``"3/2"``. A float or a bool raises ``ValueError``, as does a zero
+    denominator. The form ``-?[0-9]+(/[0-9]+)?`` is read with ``int()``;
+    every other input goes through ``as_fraction``, with the same values
+    and exceptions."""
+    if type(s) is str and s.isascii():
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
     try:
         return as_fraction(s)
     except TypeError:
         raise ValueError(f"expected a rational, got {s!r}") from None
 
 
-def unint(s) -> int:
-    """An integer from its JSON form: a JSON int, a string ``int()`` reads,
-    or an integral rational such as ``"4/2"``. A non-integral value, a
-    float or a bool raises ``ValueError`` instead of being truncated."""
-    if isinstance(s, int) and not isinstance(s, bool):
-        return s
-    if isinstance(s, str):
-        try:
-            return int(s)
-        except ValueError:
-            pass
-    try:
-        x = as_fraction(s)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {s!r}") from None
-    if x.denominator != 1:
-        raise ValueError(f"expected an integer, got {s!r}")
-    return x.numerator
-
-
 def dumps(payload: Any) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "),
-                      indent=1) + "\n"
+    """Canonical JSON text, byte for byte ``json.dumps(payload,
+    sort_keys=True, separators=(", ", ": "), indent=1)`` plus a newline.
+    Only dicts with str keys, lists, tuples, strs, ints, bools and None are
+    encoded; anything else raises ``TypeError``."""
+    out: List[str] = []
+    _encode(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(x: Any, out: List[str], nl: str) -> None:
+    """Append the text of ``x`` to ``out``; ``nl`` is a newline followed by
+    the indent of the line ``x`` starts on. A container appends its
+    separator after every item and overwrites the last one with its
+    closing bracket."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = ", " + inner
+        out.append("{" + inner)
+        for k in sorted(x):
+            if type(k) is not str:
+                raise TypeError(f"JSON object keys must be str, got {k!r}")
+            v = x[k]
+            out.append(_quote(k) + ": ")
+            if type(v) is str:
+                out.append(_quote(v))
+            else:
+                _encode(v, out, inner)
+            out.append(sep)
+        out[-1] = nl + "}"
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = ", " + inner
+        out.append("[" + inner)
+        for v in x:
+            if type(v) is str:
+                out.append(_quote(v))
+            else:
+                _encode(v, out, inner)
+            out.append(sep)
+        out[-1] = nl + "]"
+    elif t is int:
+        out.append(repr(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    else:
+        raise TypeError(f"not a canonical JSON value: {x!r}")
 
 
 # -- lattices -----------------------------------------------------------------
@@ -59,9 +105,9 @@ def dumps(payload: Any) -> str:
 
 def lattice_from_json(data: Dict[str, Any]) -> NSLattice:
     return NSLattice(
-        rank=unint(data["rank"]),
-        gram=tuple(tuple(unint(x) for x in row) for row in data["gram"]),
-        ample=tuple(unint(x) for x in data["ample"]),
+        rank=data["rank"],
+        gram=data["gram"],
+        ample=data["ample"],
         k3=bool(data.get("k3", True)),
     )
 
@@ -75,7 +121,7 @@ def mukai_to_json(v: MukaiVector) -> List[Any]:
 
 def mukai_from_json(data: Sequence[Any]) -> MukaiVector:
     r, c, s = data
-    return MukaiVector(unint(r), tuple(unint(x) for x in c), unint(s))
+    return MukaiVector(r, c, s)
 
 
 def gauss_to_json(z: GaussianRational) -> Dict[str, str]:
@@ -101,7 +147,7 @@ def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
     for obj in data["objects"]:
         if obj["id"] in objects:
             raise PresentationError(f"duplicate object id {obj['id']!r}")
-        objects[obj["id"]] = tuple(unint(x) for x in obj["class"])
+        objects[obj["id"]] = obj["class"]
     edges = tuple(Edge(e["sub"], e["ambient"], e["quotient"])
                   for e in data.get("edges", ()))
     return CategoryPresentation(objects, edges, data["zero"])

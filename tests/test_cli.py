@@ -21,11 +21,17 @@ def lattice_file(tmp_path):
 
 
 def run(tmp_path, *argv):
+    """Exit code and parsed output of one command. The output text must be
+    the canonical text of its own JSON, byte for byte."""
     out = tmp_path / "out.json"
     code = main([*argv, "--out", str(out)])
     if code != 0:
         return code, None
-    return code, json.loads(out.read_text())
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(", ", ": "),
+                              indent=1) + "\n"
+    return code, doc
 
 
 def test_pairing(tmp_path, lattice_file):
@@ -178,6 +184,35 @@ def test_exit_codes(tmp_path, lattice_file):
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_classify_wall_empty_wall_exits_1(tmp_path, lattice_file, capsys):
+    """A w whose conic 16((b - 1)^2 + t^2) has no point with t > 0 names no
+    wall: an input error that names the conic."""
+    assert main(["classify-wall", "--lattice", lattice_file, "--v", "3,1,-1",
+                 "--w", "1,3,5", "--beta0", "0", "--point", "-1,1",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: w = (1, 3, 5) spans no wall with v")
+    assert "(A, B, D) = (16, -32, 16) has no point with t > 0" in err
+
+
+def test_zero_denominator_is_input_error(tmp_path, capsys):
+    """A zero denominator in a JSON rational or in a flag exits 1."""
+    cat = {"objects": [{"id": "0", "class": ["0", "0"]},
+                       {"id": "S", "class": ["1", "0"]},
+                       {"id": "T", "class": ["0", "1"]},
+                       {"id": "A", "class": ["1", "1"]}],
+           "edges": [{"sub": "S", "ambient": "A", "quotient": "T"}], "zero": "0"}
+    catf, chf = tmp_path / "cat.json", tmp_path / "z.json"
+    catf.write_text(dumps(cat))
+    chf.write_text(dumps([["-1", "1/0"], ["0", "1"]]))
+    out = str(tmp_path / "x.json")
+    assert main(["validate-category", "--category", str(catf), "--charge", str(chf),
+                 "--out", out]) == 1
+    assert "input error: zero denominator in '1/0'" in capsys.readouterr().err
+    assert main(["phase-compare", "--z1", "1/0,1", "--z2", "1,1", "--out", out]) == 1
+    assert "input error: zero denominator in '1/0'" in capsys.readouterr().err
+
+
 def test_failed_postcondition_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
     """A violated postcondition is a stabkit error, not a traceback."""
     # a kernel "basis" that Z does not annihilate
@@ -281,6 +316,21 @@ def test_unknown_edge_id_is_a_violation(tmp_path, capsys, field):
     assert main(["hn", "--category", str(catf), "--charge", str(chf),
                  "--object", "A", "--out", str(tmp_path / "x.json")]) == 1
     assert "[unknown-id] X:" in capsys.readouterr().err
+
+
+def test_category_ids_read_as_strings(tmp_path):
+    """Ids that are JSON numbers read as their str, so an unknown one is
+    reported like any other and the output stays canonical JSON."""
+    cat = {"objects": [{"id": 0, "class": ["0"]}, {"id": "A", "class": ["1"]}],
+           "edges": [{"sub": 1.5, "ambient": "A", "quotient": "A"}], "zero": 0}
+    catf, chf = tmp_path / "c.json", tmp_path / "z.json"
+    catf.write_text(json.dumps(cat))
+    chf.write_text(dumps([["0", "1"]]))
+    code, doc = run(tmp_path, "validate-category", "--category", str(catf),
+                    "--charge", str(chf))
+    assert code == 0
+    assert [(v["code"], v["subject"]) for v in doc["result"]["violations"]] == \
+        [("unknown-id", "1.5")]
 
 
 def test_svg_byte_stable(tmp_path, lattice_file):
@@ -689,6 +739,22 @@ def test_walls_json_rejects_non_integral_class(tmp_path, lattice_file, capsys):
     assert main(["chambers", "--walls", str(wallsf), "--b", "-1", "--t", "1/10:4",
                  "--out", str(tmp_path / "c.json")]) == 1
     assert "expected an integer, got '1/2'" in capsys.readouterr().err
+
+
+def test_chambers_rejects_float_in_walls_result(tmp_path, lattice_file, capsys):
+    """The walls result is hashed in canonical form; a JSON float anywhere
+    in it is an input error, not a traceback."""
+    wallsf = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
+                 "--out", str(wallsf)]) == 0
+    doc = json.loads(wallsf.read_text())
+    doc["result"]["nesting"]["pairs_checked"] = 1.5
+    wallsf.write_text(json.dumps(doc))
+    assert main(["chambers", "--walls", str(wallsf), "--b", "-1", "--t", "1/10:4",
+                 "--out", str(tmp_path / "c.json")]) == 1
+    assert ("input error: walls result is not stabkit JSON: "
+            "not a canonical JSON value: 1.5" in capsys.readouterr().err)
 
 
 def test_category_json_rejects_non_integral_class(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit.gaussian import as_fraction, gaussian
+from stabkit.gaussian import as_fraction, as_int, gaussian
 
 
 def test_basic_arithmetic():
@@ -30,6 +30,22 @@ def test_division_exact():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         gaussian(1, 0) / gaussian(0, 0)
+
+
+def test_zero_denominator_is_a_value_error():
+    for bad in ("1/0", "-3/00", " +2/0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_fraction(bad)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_int("1/0")
+
+
+def test_as_int_is_exact():
+    assert as_int(7) == 7 and as_int("-12") == -12 and as_int("4/2") == 2
+    assert as_int(Fraction(-6, 3)) == -2 and type(as_int(Fraction(4))) is int
+    for bad in (1.0, 2.5, True, False, None, "1/2", Fraction(1, 3), "x"):
+        with pytest.raises(ValueError):
+            as_int(bad)
 
 
 def test_norm_and_conjugate():

@@ -25,6 +25,23 @@ def chain_cat():
     return cat, charge_table(cat, charge)
 
 
+def test_presentation_rejects_non_integral_classes():
+    cat = CategoryPresentation({"0": ("0",), "A": (Fraction(4, 2),)}, (), "0")
+    assert cat.objects == {"0": (0,), "A": (2,)}
+    for bad in (1.5, True, Fraction(3, 2), "1/2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            CategoryPresentation({"0": (0,), "A": (bad,)}, (), "0")
+
+
+def test_presentation_structure_is_derived_once():
+    """The adjacency and each down-closure are computed once and shared."""
+    cat, _ = chain_cat()
+    assert cat.up_edges() is cat.up_edges()
+    assert cat.subobjects_below("A") is cat.subobjects_below("A")
+    assert cat.subobjects_below("A") == {"0", "S2", "A"}
+    assert [e.ambient for e in cat.up_edges()["S2"]] == ["A", "S2"]
+
+
 def test_validate_clean():
     cat, table = chain_cat()
     assert validate(cat, table) == []

@@ -21,6 +21,20 @@ def test_lattice_validation():
         NSLattice(2, ((2, 1), (0, -2)), (1, 0))  # not symmetric
 
 
+def test_mukai_vector_rejects_non_integral_coordinates():
+    """Coordinates are coerced exactly: integral rationals and integer
+    strings read as ints; a float, a bool or a fraction is not truncated."""
+    v = MukaiVector("2", (Fraction(4, 2), "-3"), "6/3")
+    assert (v.r, v.c, v.s) == (2, (2, -3), 2)
+    assert all(type(x) is int for x in v.coords())
+    for r, c, s in ((1.5, (0,), 2), (1, (0.9,), 2), (1, (0,), 2.7),
+                    (True, (0,), 1), (1, (Fraction(1, 2),), 1), (1, ("1/2",), 1)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            MukaiVector(r, c, s)
+    with pytest.raises(ValueError, match="expected an integer"):
+        MukaiVector.from_coords([1, 0.5, 1])
+
+
 def test_pairing_anchor_values(k3d2):
     v = MukaiVector(1, (0,), 1)
     assert mukai_pairing(v, v, k3d2) == -2

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import random_even_ns_lattice
 from stabkit import (ChargeParams, MukaiVector, Rank2Lattice, SliceParams,
-                     bb_square, charge_row, decomposition_scan,
+                     WallKind, bb_square, charge_row, decomposition_scan,
                      lagrangian_candidates, moduli_dimension, mukai_pairing,
-                     mukai_square, omega_class, wall_report)
+                     mukai_square, omega_class, wall_locus, wall_report)
 from stabkit.errors import BudgetError, DegenerateError, LatticeError
 from stabkit.gaussian import GaussianRational
 from stabkit.linalg import bilinear
@@ -329,10 +329,15 @@ def test_wall_report_non_hyperbolic_guard():
     from stabkit import NSLattice
     lat = NSLattice(2, ((2, 0), (0, -2)), (1, 0))
     sl = SliceParams(lat, (Fraction(0), Fraction(0)))
-    v = MukaiVector(1, (0, 0), 0)   # isotropic
-    w = MukaiVector(0, (1, 0), 0)   # (v, w) = 0, so det(hw) = 0
-    with pytest.raises(DegenerateError):
+    v = MukaiVector(1, (0, 0), 1)   # a root
+    w = MukaiVector(0, (1, 1), 0)   # isotropic, (v, w) = 0, so det(hw) = 0
+    assert wall_locus(v, w, sl).kind is WallKind.SEMICIRCLE  # b^2 + t^2 = 1
+    with pytest.raises(DegenerateError, match="not hyperbolic"):
         wall_report(v, w, sl)
+    # (1, 0, 0, 0) and (0, (1, 0), 0) also span a plane with det 0, but
+    # their conic 2 (b^2 + t^2) = 0 is empty: no wall, an input error
+    with pytest.raises(LatticeError, match="spans no wall"):
+        wall_report(MukaiVector(1, (0, 0), 0), MukaiVector(0, (1, 0), 0), sl)
 
 
 def test_wall_report_deterministic(k3d2):

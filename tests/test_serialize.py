@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stabkit import (CategoryPresentation, Edge, MukaiVector, SliceParams,
                      wall_locus)
@@ -66,3 +68,50 @@ def test_dumps_canonical():
     b = ser.dumps({"a": [2, 3], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+def stdlib_canonical(x):
+    return json.dumps(x, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(alphabet=st.sampled_from('ab"\\/ \x00\x1f\x7f\n\té€\u2028😀'), max_size=6)
+SCALARS = (TEXT | st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+           | st.booleans() | st.none())
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+@given(TREES)
+def test_dumps_is_the_stdlib_indent_form(tree):
+    assert ser.dumps(tree) == stdlib_canonical(tree)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), {1: "a"}, {"a": [0.0]},
+                                 [{"k": Fraction(3)}], {("a",): 1}, {"a": 1, 2: 3}])
+def test_dumps_rejects_non_json_values(bad):
+    with pytest.raises(TypeError):
+        ser.dumps(bad)
+
+
+@pytest.mark.parametrize("text", ["+3", " 3", "3 ", "1/-2", "3/ 2", "1_0", "\u0663",
+                                  "-0", "007/014", "1/0", "", "-", "/2", "2/",
+                                  "-12/36", "12", "1/00", "3.5", "\u00b2"])
+def test_unrat_matches_fraction(text):
+    """The int() fast path agrees with Fraction(str) on strings near its
+    form; a zero denominator is a ValueError on both paths."""
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        want = ValueError
+    except ValueError:
+        want = ValueError
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            ser.unrat(text)
+    else:
+        got = ser.unrat(text)
+        assert got == want and type(got) is Fraction
