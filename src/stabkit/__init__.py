@@ -10,7 +10,8 @@ Layers:
     comparison;
   - hn: Harder-Narasimhan and Jordan-Holder filtrations over finite
     presentations, read from one integer charge table per charge row;
-  - support: charge kernels, norm forms, minimal root norms, support forms;
+  - support: charge kernels with their norm Grams, norm forms, minimal root
+    norms, support forms;
   - walls: wall-and-chamber scans on a two-parameter slice with a sampling
     oracle;
   - nef: the divisor-class layer (Omega, Beauville-Bogomolov squares, wall
@@ -38,9 +39,8 @@ from .nef import (Decomposition, ModuliDimension, OmegaClass, WallReport,
                   moduli_dimension, omega_class, wall_report)
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .support import (ChargeKernel, QuadraticForm, build_q_z, charge_kernel,
-                      charge_norm_form, discreteness_classes,
-                      equivalent_support_roundtrip, is_negative_definite_on,
+from .support import (ChargeKernel, build_q_z, charge_kernel, charge_norm_form,
+                      discreteness_classes, equivalent_support_roundtrip,
                       min_root_norm)
 from .walls import (Region, SliceParams, WallKind, WallLocus,
                     chambers_along_path, nesting_check, sampling_oracle,

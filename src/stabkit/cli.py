@@ -20,7 +20,7 @@ from .charges import (ChargeParams, SlopeProfile, charge_row,
                       gieseker_compare, heart_position, k3_charge,
                       phase_compare, surface_charge)
 from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
-    PresentationError, StabkitError
+    PresentationError, StabkitError, effective_budget
 from .gaussian import GaussianRational, as_fraction
 from .hn import (charge_table, hn_filtration, seesaw_check, validate,
                  validate_or_raise)
@@ -29,8 +29,8 @@ from .manifest import build_manifest, file_hash
 from .nef import bb_square, lagrangian_candidates, moduli_dimension, \
     omega_class, wall_report
 from .support import (build_q_z, charge_kernel, charge_norm_form,
-                      discreteness_classes, effective_budget,
-                      equivalent_support_roundtrip, min_root_norm)
+                      discreteness_classes, equivalent_support_roundtrip,
+                      min_root_norm)
 from .svgplot import render_walls_svg
 from .walls import (Region, SliceParams, chambers_along_path,
                     nesting_check, sampling_oracle, scan_walls)
@@ -166,10 +166,10 @@ def cmd_support(args) -> None:
     gram = lat.mukai_gram()
     z_row = charge_row(params)
     kernel = charge_kernel(z_row, gram)
-    s = charge_norm_form(z_row, kernel, gram)
+    s = charge_norm_form(z_row, kernel.norm)
     budget = effective_budget(args.budget)
     # the Gram goes by keyword: bench/spans.py reads it as args[3] or kwargs
-    res = min_root_norm(z_row, s, ambient_gram=gram, budget=budget,
+    res = min_root_norm(kernel.norm, ambient_gram=gram, budget=budget,
                         start_bound=as_fraction(args.start_bound))
     payload: Dict[str, Any] = {
         "kernel_basis": [[str(x) for x in b] for b in kernel.basis],
@@ -183,15 +183,15 @@ def cmd_support(args) -> None:
     }
     summary = "no roots in searched region"
     if res.found:
-        q_z = build_q_z(z_row, s, res.c_squared, gram)
+        q_z = build_q_z(kernel.norm, res.c_squared, gram)
         classes = [v.coords() for v in
                    (res.witness, MukaiVector.from_coords([0] * (lat.mukai_rank - 1) + [1]))]
         if args.classes:
             classes = [tuple(_parse_vec_int(c)) for c in args.classes]
         roundtrip = equivalent_support_roundtrip(q_z, z_row, classes)
-        disc = discreteness_classes(z_row, s, res.c_squared, gram,
+        disc = discreteness_classes(kernel.norm, res.c_squared, gram,
                                     radius_sq=res.c_squared * 4, budget=budget)
-        payload["q_z"] = [[str(x) for x in row] for row in q_z.gram]
+        payload["q_z"] = [[str(x) for x in row] for row in q_z]
         payload["roundtrip"] = {
             "k": str(roundtrip.k_const),
             "c_squared": str(roundtrip.c_squared),
@@ -298,10 +298,8 @@ def cmd_plot(args) -> None:
     doc = _load_json(args.walls)
     res = doc["result"]
     walls = [ser.wall_from_json(w) for w in res["walls"]]
-    region = Region(as_fraction(res["region"]["b_min"]),
-                    as_fraction(res["region"]["b_max"]),
-                    as_fraction(res["region"]["t_min"]),
-                    as_fraction(res["region"]["t_max"]))
+    region = Region(*(ser.unrat(res["region"][k])
+                      for k in ("b_min", "b_max", "t_min", "t_max")))
     manifest = build_manifest(args.argv, {}, {})
     svg = render_walls_svg(walls, region, timestamp=manifest.timestamp,
                            title="potential walls")

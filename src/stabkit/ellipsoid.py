@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import floor, isqrt, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError
+from .errors import BudgetError, effective_budget
 from .linalg import frac_rows
 
 
@@ -49,15 +49,16 @@ def _level_range(rem: int, w: int, den: int, cn: int) -> range:
 
 
 def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
-                        budget: int = 1 << 20,
+                        budget: Optional[int] = None,
                         nodes: Optional[List[int]] = None,
                         limit: Optional[List[Fraction]] = None) -> Iterator[Tuple[int, ...]]:
     """Yield every integer x with Q(x) <= bound (including 0 and both signs).
 
     Points come in walk order: x_{n-1} outermost, every coordinate ascending.
     Raises BudgetError when more than ``budget`` nodes (values tried at any
-    level) would be visited. When the walk ends, however it ends, the number
-    of nodes it visited (at most the budget) is added to ``nodes[0]``.
+    level; ``errors.effective_budget()`` when None) would be visited. When
+    the walk ends, however it ends, the number of nodes it visited (at most
+    the budget) is added to ``nodes[0]``.
 
     ``limit`` is a one-item list owned by the caller, who may lower
     ``limit[0]`` between two points to shrink the ellipsoid while the walk
@@ -71,6 +72,7 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     never lowered is node for node the walk without ``limit``.
     """
     bound = Fraction(bound)
+    budget = effective_budget(budget)
     if limit is not None:
         bound = min(bound, limit[0])
     if bound < 0:

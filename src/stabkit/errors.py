@@ -1,8 +1,11 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: user-input problems exit 1,
-computation failures (budgets, degenerate configurations) exit 2.
+computation failures (budgets, degenerate configurations) exit 2. The
+enumeration budget that ``BudgetError`` enforces is set here too.
 """
+import os
+from typing import Optional
 
 
 class StabkitError(Exception):
@@ -35,3 +38,31 @@ class BudgetError(StabkitError):
     def __init__(self, message: str, bound_reached=None):
         super().__init__(message)
         self.bound_reached = bound_reached
+
+
+# -- the enumeration budget --------------------------------------------------
+
+DEFAULT_BUDGET = 1 << 20
+BUDGET_ENV = "BRIDGELAND_BUDGET"
+
+
+def effective_budget(budget: Optional[int] = None) -> int:
+    if budget is not None:
+        return int(budget)
+    env = os.environ.get(BUDGET_ENV)
+    if env:
+        return int(env)
+    return DEFAULT_BUDGET
+
+
+def require_box_budget(dim: int, bound: int, name: str, unit: str) -> None:
+    """Raise ``BudgetError`` before any work when the box [-bound, bound]^dim
+    holds more points than ``effective_budget()``; its ``bound_reached`` is
+    the largest bound whose box fits."""
+    box, budget = len(range(-bound, bound + 1)) ** dim, effective_budget()
+    if box > budget:
+        fit = 0
+        while (2 * fit + 3) ** dim <= budget:
+            fit += 1
+        raise BudgetError(f"{name} of {box} {unit} exceeds the budget of "
+                          f"{budget} (bound reached {fit})", bound_reached=fit)

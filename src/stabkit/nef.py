@@ -17,13 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
-                     StabkitError)
+                     StabkitError, effective_budget, require_box_budget)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
 from .linalg import bilinear, mat_vec, minors2_gcd, primitive_vector, solve
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .support import effective_budget, require_box_budget
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
 
 
@@ -127,7 +126,7 @@ def decomposition_scan(v_coords: Tuple[int, int], hw: Rank2Lattice,
 
     A third rule skips a part that leaves the rest of v farther than the
     remaining parts can reach inside the box. Every part tried at any level
-    counts as one node against ``support.effective_budget()``; running out
+    counts as one node against ``errors.effective_budget()``; running out
     raises BudgetError with the round's part count as ``bound_reached``
     (all decompositions with fewer parts were complete by then). Parts are
     reported in coordinate order and decompositions sorted by (m, parts).
@@ -299,7 +298,7 @@ def _perp_box(row: Sequence[int], bound: int):
     The box of every coordinate but one pivot j with row_j != 0 is walked
     flat, and row . u = 0 pins u_j: the point is kept when u_j is an integer
     inside the box. The (2 bound + 1)^(n - 1) heads are checked against
-    ``support.effective_budget()`` before the walk; over it, BudgetError
+    ``errors.effective_budget()`` before the walk; over it, BudgetError
     names the largest bound that fits.
     """
     require_box_budget(len(row) - 1, bound, "v-perp box", "heads")

@@ -8,7 +8,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Sequence
 
-from .errors import PresentationError
+from .errors import LatticeError, PresentationError
 from .gaussian import GaussianRational, as_fraction
 from .hn import CategoryPresentation, Edge
 from .lattice import MukaiVector, NSLattice
@@ -104,12 +104,10 @@ def _encode(x: Any, out: List[str], nl: str) -> None:
 
 
 def lattice_from_json(data: Dict[str, Any]) -> NSLattice:
-    return NSLattice(
-        rank=data["rank"],
-        gram=data["gram"],
-        ample=data["ample"],
-        k3=bool(data.get("k3", True)),
-    )
+    k3 = data.get("k3", True)
+    if type(k3) is not bool:
+        raise LatticeError(f"k3 must be true or false, got {k3!r}")
+    return NSLattice(rank=data["rank"], gram=data["gram"], ample=data["ample"], k3=k3)
 
 
 # -- vectors and charges --------------------------------------------------------
@@ -145,9 +143,12 @@ def charge_row_from_json(data) -> List[GaussianRational]:
 def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
     objects = {}
     for obj in data["objects"]:
-        if obj["id"] in objects:
-            raise PresentationError(f"duplicate object id {obj['id']!r}")
-        objects[obj["id"]] = obj["class"]
+        if isinstance(obj["id"], (list, dict)):
+            raise PresentationError(f"object id {obj['id']!r} is not a string or number")
+        name = str(obj["id"])  # the presentation keys objects by str(id)
+        if name in objects:
+            raise PresentationError(f"duplicate object id {name!r}")
+        objects[name] = obj["class"]
     edges = tuple(Edge(e["sub"], e["ambient"], e["quotient"])
                   for e in data.get("edges", ()))
     return CategoryPresentation(objects, edges, data["zero"])

@@ -1,18 +1,20 @@
-"""Support-property machinery: charge kernels, negative-definiteness
-certificates, the exact 2x2 norm form replacing the GL2+ normalization, the
-minimal charge norm over roots, and the resulting support form.
+"""Support-property machinery: charge kernels, the exact 2x2 norm form
+replacing the GL2+ normalization, the minimal charge norm over roots, and
+the resulting support form.
 
-The norm normalization carries a positive symmetric 2x2 matrix S with
+With M the ambient Gram, R = (Re Z; Im Z) and P the pairing-orthogonal
+projector onto Ker Z, the norm normalization carries a positive symmetric
+2x2 matrix S with
 
-    (v, v) = Z(v)^T S Z(v) - |||p(v)|||^2,
+    R^T S R = N = M - M P,  that is  (v, v) = Z(v)^T S Z(v) - |||p(v)|||^2,
 
-where p is the pairing-orthogonal projection onto Ker Z and |||.|||^2 is the
-norm induced by minus the pairing there; irrational square roots never
-appear.
+where |||.|||^2 is the norm induced by minus the pairing on Ker Z;
+irrational square roots never appear. ``charge_kernel`` derives the norm
+Gram N once per charge, and every later form is a plain Gram built from M
+and N: ||Z(v)||_S^2 = v^T N v, Q_aux = 2N - M and Q_Z = M + (2 / C^2) N.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -21,89 +23,26 @@ from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid
-from .errors import BudgetError, ChargeError, DegenerateError, LatticeError, \
-    StabkitError
-from .gaussian import GaussianRational, as_fraction
+from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
+                     StabkitError, effective_budget)
+from .gaussian import GaussianRational
 from .lattice import MukaiVector
 from .linalg import (bilinear, clear_denominators, frac_rows, identity, inverse,
                      is_negative_definite, is_positive_definite, mat_mul,
-                     mat_vec, nullspace, rref, signature, transpose)
-
-DEFAULT_BUDGET = 1 << 20
-BUDGET_ENV = "BRIDGELAND_BUDGET"
-
-
-def effective_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
-def require_box_budget(dim: int, bound: int, name: str, unit: str) -> None:
-    """Raise ``BudgetError`` before any work when the box [-bound, bound]^dim
-    holds more points than ``effective_budget()``; its ``bound_reached`` is
-    the largest bound whose box fits."""
-    box, budget = len(range(-bound, bound + 1)) ** dim, effective_budget()
-    if box > budget:
-        fit = 0
-        while (2 * fit + 3) ** dim <= budget:
-            fit += 1
-        raise BudgetError(f"{name} of {box} {unit} exceeds the budget of "
-                          f"{budget} (bound reached {fit})", bound_reached=fit)
-
+                     mat_vec, nullspace, signature, transpose)
 
 Vec = Tuple[Fraction, ...]
-
-
-def _coords(v) -> List[Fraction]:
-    if isinstance(v, MukaiVector):
-        return [Fraction(x) for x in v.coords()]
-    return [as_fraction(x) for x in v]
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Symmetric rational Gram matrix with evaluation Q(v) = v^T gram v."""
-
-    gram: Tuple[Vec, ...]
-
-    def __post_init__(self):
-        g = tuple(tuple(as_fraction(x) for x in row) for row in self.gram)
-        n = len(g)
-        if any(len(r) != n for r in g):
-            raise ValueError("gram must be square")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram must be symmetric")
-        object.__setattr__(self, "gram", g)
-
-    def evaluate(self, v) -> Fraction:
-        c = _coords(v)
-        return bilinear(c, self.gram, c)
-
-    def restrict(self, basis: Sequence[Sequence]) -> List[List[Fraction]]:
-        vecs = [_coords(b) for b in basis]
-        return [[bilinear(u, self.gram, w) for w in vecs] for u in vecs]
+Gram = Sequence[Sequence[Fraction]]
 
 
 @dataclass(frozen=True)
 class ChargeKernel:
-    """Rational kernel of a charge functional with the pairing-orthogonal
-    projector onto it."""
+    """Rational kernel of a charge functional, the pairing-orthogonal
+    projector P onto it, and the norm Gram N = M - M P."""
 
     basis: Tuple[Vec, ...]
     projector: Tuple[Vec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def project(self, v) -> List[Fraction]:
-        return mat_vec(self.projector, _coords(v))
+    norm: Tuple[Vec, ...]
 
 
 def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
@@ -111,24 +50,24 @@ def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
     return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
-def charge_kernel(z_row: Sequence[GaussianRational],
-                  ambient_gram: Sequence[Sequence[Fraction]]) -> ChargeKernel:
-    """Exact kernel of Z with the pairing-orthogonal projector.
+def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> ChargeKernel:
+    """Exact kernel of Z with the pairing-orthogonal projector P and the norm
+    Gram N = M - M P.
 
-    Fails when the ambient pairing restricted to Ker Z is degenerate (the
-    projector is then undefined -- the charge sits outside the good locus).
+    Fails when Z has real rank < 2, and when the ambient pairing restricted
+    to Ker Z is degenerate (the projector is then undefined -- the charge
+    sits outside the good locus).
     """
     if all(z.is_zero() for z in z_row):
         raise ChargeError("zero charge functional")
-    rows = charge_rows(z_row)
-    _, pivots = rref(rows)
-    if len(pivots) < 2:
+    basis = nullspace(charge_rows(z_row))
+    if len(z_row) - len(basis) < 2:
         raise DegenerateError(
             "charge has real rank < 2 (parts proportional): the kernel is too "
             "large for the good locus")
-    basis = nullspace(rows)
+    m = frac_rows(ambient_gram)
     try:
-        proj = _orthogonal_projector(basis, frac_rows(ambient_gram))
+        proj = _orthogonal_projector(basis, m)
     except ValueError:
         raise DegenerateError(
             "pairing degenerate on Ker Z: charge lies outside the good locus"
@@ -138,8 +77,8 @@ def charge_kernel(z_row: Sequence[GaussianRational],
             raise StabkitError("kernel basis vector not annihilated by Z")
     if mat_mul(proj, proj) != proj:
         raise StabkitError("projector is not idempotent")
-    return ChargeKernel(tuple(tuple(b) for b in basis),
-                        tuple(tuple(row) for row in proj))
+    norm = [[x - y for x, y in zip(mr, pr)] for mr, pr in zip(m, mat_mul(m, proj))]
+    return ChargeKernel(*(tuple(map(tuple, a)) for a in (basis, proj, norm)))
 
 
 def _orthogonal_projector(basis: Sequence[Sequence], gram) -> List[List[Fraction]]:
@@ -155,42 +94,27 @@ def _orthogonal_projector(basis: Sequence[Sequence], gram) -> List[List[Fraction
     return mat_mul(kt, mat_mul(inverse(mat_mul(kg, kt)), kg))
 
 
-def is_negative_definite_on(q: QuadraticForm, basis: Sequence[Sequence]) -> bool:
-    """Exact negative-definiteness test, by ``linalg.signature``, of Q
-    restricted to the span of the basis."""
-    if not basis:
-        return True
-    vecs = [_coords(b) for b in basis]
-    _, pivots = rref(vecs)
-    if len(pivots) != len(vecs):
-        raise ValueError("basis vectors are linearly dependent")
-    return is_negative_definite(q.restrict(basis))
+def charge_norm_form(z_row: Sequence[GaussianRational], norm: Gram) -> List[List[Fraction]]:
+    """The unique symmetric S with R^T S R = N for the 2 x n matrix
+    R = (Re Z; Im Z) and the norm Gram N = M - M P of ``charge_kernel``:
+    (v, w) = Z(v)^T S Z(w) - <p v, p w> for all v, w, where <.,.> is minus
+    the pairing on Ker Z.
 
-
-def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
-                     ambient_gram: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """The unique symmetric S with (v,w) = Z(v)^T S Z(w) - <p v, p w> for all
-    v, w, where <.,.> is minus the pairing on Ker Z.
-
-    With M the ambient Gram and P the kernel's projector, (p v, p w) =
-    v^T M P w, so the identity says R^T S R = G for G = M - M P and the
-    2 x n matrix R = (Re Z; Im Z). At two pivot columns of R, where R is an
-    invertible 2 x 2 block C, this reads C^T S C = G_pp, hence
-    S = C^-T G_pp C^-1. The full identity is then checked as one matrix
-    equation. S must come out positive definite, otherwise the charge does
-    not span a positive 2-plane and the construction refuses.
+    R has rank 2, so A = (R R^T)^-1 exists, and multiplying the identity by
+    A R on the left and by R^T A on the right gives S = A R N R^T A. The
+    identity itself is then checked as one matrix equation (it holds when N
+    vanishes on Ker Z). S must come out positive definite, otherwise the
+    charge does not span a positive 2-plane and the construction refuses.
     """
-    m = frac_rows(ambient_gram)
     rows = charge_rows(z_row)
-    _, pivots = rref(rows)
-    if len(pivots) != 2:
-        raise DegenerateError("charge has real rank < 2: no 2x2 norm form")
-    g = [[x - y for x, y in zip(mr, pr)]
-         for mr, pr in zip(m, mat_mul(m, kernel.projector))]
-    c_inv = inverse([[row[p] for p in pivots] for row in rows])
-    g_pp = [[g[a][b] for b in pivots] for a in pivots]
-    s = mat_mul(transpose(c_inv), mat_mul(g_pp, c_inv))
-    if mat_mul(transpose(rows), mat_mul(s, rows)) != g:
+    try:
+        a = inverse(mat_mul(rows, transpose(rows)))
+    except ValueError:
+        raise DegenerateError("charge has real rank < 2: no 2x2 norm form") from None
+    n = frac_rows(norm)
+    ar = mat_mul(a, rows)
+    s = mat_mul(ar, mat_mul(n, transpose(ar)))
+    if mat_mul(transpose(rows), mat_mul(s, rows)) != n:
         raise StabkitError("norm form does not reproduce the pairing: "
                            "R^T S R != M - M P")
     if not is_positive_definite(s):
@@ -199,9 +123,8 @@ def charge_norm_form(z_row: Sequence[GaussianRational], kernel: ChargeKernel,
     return s
 
 
-def charge_norm_sq(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],
-                   v) -> Fraction:
-    z = evaluate_charge_row(z_row, _coords(v))
+def charge_norm_sq(z_row: Sequence[GaussianRational], s: Gram, v) -> Fraction:
+    z = evaluate_charge_row(z_row, v)
     vec = [z.re, z.im]
     return bilinear(vec, s, vec)
 
@@ -220,18 +143,10 @@ def _integral_rows(ambient_gram) -> Tuple[Tuple[int, ...], ...]:
     return rows
 
 
-def _norm_pullback_gram(z_row, s) -> List[List[Fraction]]:
-    """Gram of v -> Z(v)^T S Z(v) on the ambient lattice."""
-    p = charge_rows(z_row)  # 2 x n
-    return mat_mul(transpose(p), mat_mul(frac_rows(s), p))
-
-
-def aux_positive_gram(z_row, s, ambient_gram) -> List[List[Fraction]]:
-    """Gram of Q_aux(v) = 2 ||Z(v)||_S^2 - (v, v) = ||Z(v)||_S^2 + |||p(v)|||^2,
-    positive definite on the whole lattice."""
-    zs = _norm_pullback_gram(z_row, s)
-    m = frac_rows(ambient_gram)
-    return [[2 * zs[i][j] - m[i][j] for j in range(len(m))] for i in range(len(m))]
+def _aux_gram(norm: Gram, ambient_gram: Gram) -> List[List[Fraction]]:
+    """Q_aux = 2N - M: Q_aux(v) = ||Z(v)||_S^2 + |||p(v)|||^2, positive
+    definite on the whole lattice."""
+    return [[2 * x - m for x, m in zip(nr, mr)] for nr, mr in zip(norm, ambient_gram)]
 
 
 @dataclass(frozen=True)
@@ -246,11 +161,10 @@ class RootNormResult:
         return self.c_squared is not None
 
 
-def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],
-                  ambient_gram: Sequence[Sequence[Fraction]],
-                  budget: Optional[int] = None,
+def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = None,
                   start_bound: Fraction = Fraction(8)) -> RootNormResult:
-    """Minimize ||Z(delta)||_S^2 over roots ((delta, delta) = -2).
+    """Minimize ||Z(delta)||_S^2 = delta^T N delta over roots
+    ((delta, delta) = -2), for the norm Gram N of ``charge_kernel``.
 
     Iterative deepening on the bound B: every root with ||Z||^2 <= B satisfies
     Q_aux <= 2B + 2 (from |||p(delta)|||^2 = 2 + ||Z(delta)||^2), so a root
@@ -271,8 +185,8 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
         raise ValueError(f"start bound must be positive, got {bound}")
     budget_n = effective_budget(budget)
     mukai = _integral_rows(ambient_gram)
-    q_aux = aux_positive_gram(z_row, s, ambient_gram)
-    norm, norm_den = clear_denominators(_norm_pullback_gram(z_row, s))
+    q_aux = _aux_gram(norm, ambient_gram)
+    norm_rows, norm_den = clear_denominators(norm)
     nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
     while True:
@@ -284,7 +198,7 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
                                          nodes=nodes, limit=limit):
                 if _form_value(mukai, x) != -2:  # also skips the origin
                     continue
-                nz = _form_value(norm, x)
+                nz = _form_value(norm_rows, x)
                 if best is None or nz < best:
                     best, best_vec = nz, x
                     limit[0] = Fraction(2 * nz, norm_den) + 2
@@ -305,22 +219,17 @@ def min_root_norm(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fracti
         bound *= 2
 
 
-def build_q_z(z_row: Sequence[GaussianRational], s: Sequence[Sequence[Fraction]],
-              c_squared: Fraction,
-              ambient_gram: Sequence[Sequence[Fraction]]) -> QuadraticForm:
-    """Support form Q_Z(v) = (v, v) + (2 / C^2) ||Z(v)||_S^2.
+def build_q_z(norm: Gram, c_squared: Fraction, ambient_gram: Gram) -> List[List[Fraction]]:
+    """Gram of the support form Q_Z(v) = (v, v) + (2 / C^2) ||Z(v)||_S^2,
+    that is M + (2 / C^2) N.
 
     Negative definite on Ker Z by construction (the charge term vanishes
     there) and nonnegative on every root since ||Z(delta)||^2 >= C^2.
     """
     if c_squared <= 0:
         raise ValueError("need a positive minimal root norm")
-    zs = _norm_pullback_gram(z_row, s)
-    m = frac_rows(ambient_gram)
-    n = len(m)
     f = Fraction(2) / c_squared
-    gram = [[m[i][j] + f * zs[i][j] for j in range(n)] for i in range(n)]
-    return QuadraticForm(tuple(tuple(row) for row in gram))
+    return [[m + f * x for x, m in zip(nr, mr)] for nr, mr in zip(norm, ambient_gram)]
 
 
 @dataclass(frozen=True)
@@ -344,31 +253,32 @@ class RoundtripReport:
         return all(v.passed for v in self.verdicts if not v.skipped)
 
 
-def equivalent_support_roundtrip(q: QuadraticForm,
-                                 z_row: Sequence[GaussianRational],
+def _restrict(gram: Gram, basis: Sequence[Sequence]) -> List[List[Fraction]]:
+    return [[bilinear(u, gram, w) for w in basis] for u in basis]
+
+
+def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
                                  test_classes: Sequence) -> RoundtripReport:
     """Mechanize the equivalence of the two support formulations.
 
-    From Q (negative definite on Ker Z) build the norm
+    From the Gram of Q (negative definite on Ker Z) build the norm
     ||a + b||^2 = -Q(a) + |Z(b)|^2 on KerZ (+) its Q-orthogonal complement,
     pick a rational K > 0 with K Q(b) <= |Z(b)|^2 on the complement, and
     verify |Z(v)|^2 >= C^2 ||v||^2 with C^2 = K / (1 + K) for every test
     class with Q(v) >= 0. Exact throughout; a failure indicates a bug, since
     the underlying proof is constructive.
     """
-    n = len(z_row)
-    gram = frac_rows(q.gram)
-    kernel_basis = nullspace(charge_rows(z_row))
-    if kernel_basis and not is_negative_definite_on(q, kernel_basis):
+    gram = frac_rows(q)
+    rows = charge_rows(z_row)
+    kernel_basis = nullspace(rows)
+    if not is_negative_definite(_restrict(gram, kernel_basis)):
         raise DegenerateError("Q is not negative definite on Ker Z")
     if kernel_basis:
-        complement = nullspace(mat_mul(frac_rows(kernel_basis), gram))
+        comp = nullspace(mat_mul(kernel_basis, gram))
     else:
-        complement = identity(n)
-    comp = frac_rows(complement)
-    z_abs_gram = _norm_pullback_gram(z_row, identity(2))
-    n_res = [[bilinear(u, z_abs_gram, w) for w in comp] for u in comp]
-    q_res = [[bilinear(u, gram, w) for w in comp] for u in comp]
+        comp = identity(len(z_row))
+    n_res = _restrict(mat_mul(transpose(rows), rows), comp)  # |Z|^2 on the complement
+    q_res = _restrict(gram, comp)
     k_const = Fraction(1)
     for _ in range(200):
         trial = [[n_res[i][j] - k_const * q_res[i][j] for j in range(len(comp))]
@@ -383,36 +293,37 @@ def equivalent_support_roundtrip(q: QuadraticForm,
     proj = _orthogonal_projector(kernel_basis, gram)
     verdicts = []
     for cls in test_classes:
-        v = _coords(cls)
-        qv = q.evaluate(v)
+        v = tuple(map(Fraction, cls))
+        qv = bilinear(v, gram, v)
         if qv < 0:
-            verdicts.append(RoundtripVerdict(tuple(v), qv, True, None, None, None))
+            verdicts.append(RoundtripVerdict(v, qv, True, None, None, None))
             continue
         a = mat_vec(proj, v)
         qa = bilinear(a, gram, a)
         zabs = evaluate_charge_row(z_row, v).norm2()
         norm_sq = -qa + zabs
-        verdicts.append(RoundtripVerdict(tuple(v), qv, False, norm_sq, zabs,
+        verdicts.append(RoundtripVerdict(v, qv, False, norm_sq, zabs,
                                          zabs >= c2 * norm_sq))
     return RoundtripReport(k_const, c2, tuple(verdicts))
 
 
-def discreteness_classes(z_row: Sequence[GaussianRational],
-                         s: Sequence[Sequence[Fraction]], c_squared: Fraction,
-                         ambient_gram: Sequence[Sequence[Fraction]],
+def discreteness_classes(norm: Gram, c_squared: Fraction, ambient_gram: Gram,
                          radius_sq: Fraction,
                          budget: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Finite list of lattice classes with Q_Z(v) >= 0 and ||Z(v)||_S^2 <=
-    radius_sq: the computable shadow of charge-image discreteness."""
+    radius_sq: the computable shadow of charge-image discreteness.
+
+    Such a class has Q_aux = (2 + 2 / C^2) N - Q_Z <= (2 + 2 / C^2) radius_sq,
+    so one walk of that ellipsoid finds them all."""
     _integral_rows(ambient_gram)
-    q_z, _ = clear_denominators(build_q_z(z_row, s, c_squared, ambient_gram).gram)
-    q_aux = aux_positive_gram(z_row, s, ambient_gram)
-    norm, norm_den = clear_denominators(_norm_pullback_gram(z_row, s))
-    norm_cap = floor(Fraction(radius_sq) * norm_den)
-    cap = 2 * Fraction(radius_sq) + (Fraction(2) / Fraction(c_squared)) * Fraction(radius_sq)
+    q_z, _ = clear_denominators(build_q_z(norm, c_squared, ambient_gram))
+    norm_rows, norm_den = clear_denominators(norm)
+    radius_sq = Fraction(radius_sq)
+    norm_cap = floor(radius_sq * norm_den)
+    cap = 2 * radius_sq + (Fraction(2) / Fraction(c_squared)) * radius_sq
     out = []
-    for x in enumerate_ellipsoid(q_aux, cap, budget=effective_budget(budget)):
-        if (any(x) and _form_value(norm, x) <= norm_cap
+    for x in enumerate_ellipsoid(_aux_gram(norm, ambient_gram), cap, budget=budget):
+        if (any(x) and _form_value(norm_rows, x) <= norm_cap
                 and _form_value(q_z, x) >= 0):
             out.append(x)
     return sorted(out)

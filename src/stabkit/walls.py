@@ -19,7 +19,7 @@ Exact ``Fraction`` centers and radii are built once per distinct key. The
 distinct loci of the last box are kept in a one-slot memo, so ``walls
 --grid`` enumerates the box once for the scan and its oracle. The box has
 (2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration budget
-(``support.effective_budget``) raises ``BudgetError`` before any work.
+(``errors.effective_budget``) raises ``BudgetError`` before any work.
 """
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
-from .errors import BudgetError, ChargeError, LatticeError
+from .errors import (BudgetError, ChargeError, LatticeError, effective_budget,
+                     require_box_budget)
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice
 from .linalg import clear_denominators, primitive_vector
-from .support import effective_budget, require_box_budget
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _box_loci(v: MukaiVector, slice_: SliceParams,
               search_bound: int) -> Tuple[WallLocus, ...]:
     """The distinct non-degenerate loci of the box, after the checks that
     come before any enumeration: a K3 lattice, an even Gram, v of the
-    lattice's NS rank, and a box of at most ``support.effective_budget()``
+    lattice's NS rank, and a box of at most ``errors.effective_budget()``
     classes. An oversized box raises ``BudgetError`` whose ``bound_reached``
     is the largest bound whose box fits."""
     lat = slice_.lattice

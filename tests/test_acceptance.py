@@ -16,7 +16,7 @@ from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
                      Region, SliceParams, bb_square, build_q_z, charge_kernel,
                      charge_norm_form, charge_row, charge_table, decomposition_scan,
                      equivalent_support_roundtrip, gieseker_compare,
-                     hn_filtration, is_negative_definite_on, is_semistable,
+                     hn_filtration, is_semistable,
                      large_volume_phase, large_volume_threshold, min_root_norm,
                      mukai_pairing, mukai_square, nesting_check, omega_class,
                      phase_compare, phase_valid, scan_walls, seesaw_check,
@@ -24,7 +24,7 @@ from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
 from stabkit.charges import evaluate_charge_row
 from stabkit.gaussian import GaussianRational, gaussian
 from stabkit.hn import CategoryPresentation
-from stabkit.linalg import bilinear
+from stabkit.linalg import bilinear, is_negative_definite
 from stabkit.support import charge_norm_sq
 from stabkit.walls import WallKind, sampling_oracle
 from test_nef import brute_decompositions
@@ -174,8 +174,8 @@ def test_criterion_5_support_kit():
     assert kernel.basis == ((Fraction(1), Fraction(0), Fraction(4)),)
     b = kernel.basis[0]
     assert bilinear(b, gram, b) == -8
-    s = charge_norm_form(z, kernel, gram)
-    res = min_root_norm(z, s, gram)
+    s = charge_norm_form(z, kernel.norm)
+    res = min_root_norm(kernel.norm, ambient_gram=gram)
     # coordinate-box brute force, |r|, |m|, |s| <= 40
     best = None
     for r in range(-40, 41):
@@ -192,10 +192,11 @@ def test_criterion_5_support_kit():
             if best is None or nz < best:
                 best = nz
     assert res.found and res.c_squared == best
-    q_z = build_q_z(z, s, res.c_squared, gram)
-    minors = leading_principal_minors(q_z.restrict(kernel.basis))
+    q_z = build_q_z(kernel.norm, res.c_squared, gram)
+    q_on_kernel = [[bilinear(u, q_z, w) for w in kernel.basis] for u in kernel.basis]
+    minors = leading_principal_minors(q_on_kernel)
     assert all((-1) ** (k + 1) * mm > 0 for k, mm in enumerate(minors))
-    assert is_negative_definite_on(q_z, kernel.basis)
+    assert is_negative_definite(q_on_kernel)
     rng = random.Random(105)
     classes = [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(200)]
     rt = equivalent_support_roundtrip(q_z, z, classes)

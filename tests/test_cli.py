@@ -333,6 +333,65 @@ def test_category_ids_read_as_strings(tmp_path):
         [("unknown-id", "1.5")]
 
 
+@pytest.mark.parametrize("ids", [[1, "1"], ["1", 1]])
+def test_category_ids_equal_as_strings_are_duplicates(tmp_path, capsys, ids):
+    """The presentation keys objects by str(id), so ids 1 and "1" name the
+    same object: a duplicate, not a silent collapse to one object."""
+    cat = {"objects": [{"id": "0", "class": ["0"]}] +
+                      [{"id": i, "class": [str(k + 1)]} for k, i in enumerate(ids)],
+           "edges": [], "zero": "0"}
+    catf, chf = tmp_path / "c.json", tmp_path / "z.json"
+    catf.write_text(json.dumps(cat))
+    chf.write_text(dumps([["0", "1"]]))
+    assert main(["validate-category", "--category", str(catf), "--charge", str(chf),
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "input error: duplicate object id '1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [[1], {"a": 1}])
+def test_category_rejects_container_id(tmp_path, capsys, bad):
+    cat = {"objects": [{"id": "0", "class": ["0"]}, {"id": bad, "class": ["1"]}],
+           "edges": [], "zero": "0"}
+    catf, chf = tmp_path / "c.json", tmp_path / "z.json"
+    catf.write_text(json.dumps(cat))
+    chf.write_text(dumps([["0", "1"]]))
+    assert main(["validate-category", "--category", str(catf), "--charge", str(chf),
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "is not a string or number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k3", ["false", "true", 0, 1, None])
+def test_lattice_json_rejects_non_boolean_k3(tmp_path, capsys, k3):
+    """``"k3": "false"`` used to read as true (any non-empty string is); a
+    k3 flag that is not a JSON boolean is an input error. A boolean one
+    selects the convention: support needs a K3 lattice."""
+    lat = tmp_path / "lat.json"
+    argv = ["support", "--lattice", str(lat), "--beta", "0", "--omega", "2",
+            "--out", str(tmp_path / "x.json")]
+    lat.write_text(json.dumps({"rank": 1, "gram": [["2"]], "ample": ["1"], "k3": k3}))
+    assert main(argv) == 1
+    assert f"k3 must be true or false, got {k3!r}" in capsys.readouterr().err
+    lat.write_text(json.dumps({"rank": 1, "gram": [["2"]], "ample": ["1"], "k3": False}))
+    assert main(argv) == 1
+    assert "lattice is not flagged K3" in capsys.readouterr().err
+    lat.write_text(json.dumps({"rank": 1, "gram": [["2"]], "ample": ["1"], "k3": True}))
+    assert main(argv) == 0
+
+
+def test_plot_rejects_float_in_region(tmp_path, lattice_file, capsys):
+    """A JSON float in the walls region is an input error, not a traceback."""
+    wallsf = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
+                 "--out", str(wallsf)]) == 0
+    doc = json.loads(wallsf.read_text())
+    doc["result"]["region"]["b_min"] = -3.0
+    wallsf.write_text(json.dumps(doc))
+    assert main(["plot", "--walls", str(wallsf), "--out", str(tmp_path / "w.svg")]) == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "w.svg").exists()
+
+
 def test_svg_byte_stable(tmp_path, lattice_file):
     wallsf = tmp_path / "w.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",

@@ -249,3 +249,19 @@ def test_recursive_walks_leave_no_reference_cycle(walk):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_bare_walk_honours_budget_env(monkeypatch):
+    """A walk given no budget counts its nodes against
+    ``errors.effective_budget()``: BRIDGELAND_BUDGET, else 2^20."""
+    gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    nodes = [0]
+    full = list(enumerate_ellipsoid(gram, 4, nodes=nodes))
+    assert len(full) == 13
+    monkeypatch.setenv("BRIDGELAND_BUDGET", str(nodes[0]))
+    assert list(enumerate_ellipsoid(gram, 4)) == full
+    monkeypatch.setenv("BRIDGELAND_BUDGET", str(nodes[0] - 1))
+    with pytest.raises(BudgetError, match=f"budget of {nodes[0] - 1} nodes"):
+        list(enumerate_ellipsoid(gram, 4))
+    # an explicit budget still wins over the environment
+    assert list(enumerate_ellipsoid(gram, 4, budget=nodes[0])) == full

@@ -5,20 +5,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabkit import (ChargeParams, QuadraticForm, build_q_z,
-                     charge_kernel, charge_norm_form, charge_row,
-                     discreteness_classes, equivalent_support_roundtrip,
-                     is_negative_definite_on, min_root_norm)
+from stabkit import (ChargeParams, build_q_z, charge_kernel, charge_norm_form,
+                     charge_row, discreteness_classes,
+                     equivalent_support_roundtrip, min_root_norm)
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
 from stabkit.gaussian import gaussian
-from stabkit.linalg import identity
+from stabkit.linalg import (bilinear, identity, inverse, is_negative_definite,
+                            mat_mul, mat_vec, transpose)
 from stabkit.ellipsoid import enumerate_ellipsoid
-from stabkit.support import aux_positive_gram, charge_norm_sq
+from stabkit.support import charge_norm_sq, charge_rows
 
 
 def worked_example(k3d2):
     params = ChargeParams(k3d2, (Fraction(0),), (Fraction(2),))
     return charge_row(params), k3d2.mukai_gram()
+
+
+def aux_gram(norm, gram):
+    """Q_aux = 2N - M, the positive definite walk form of the root search."""
+    return [[2 * x - m for x, m in zip(nr, mr)] for nr, mr in zip(norm, gram)]
+
+
+def restrict(gram, basis):
+    return [[bilinear(u, gram, w) for w in basis] for u in basis]
 
 
 def test_charge_kernel_worked_example(k3d2):
@@ -28,13 +37,16 @@ def test_charge_kernel_worked_example(k3d2):
     assert k.basis == ((Fraction(1), Fraction(0), Fraction(4)),)
     # restricted pairing value is -8
     b = k.basis[0]
-    from stabkit.linalg import bilinear
     assert bilinear(b, gram, b) == -8
     # projector fixes the kernel and is pairing-orthogonal
-    assert tuple(k.project(b)) == b
+    assert tuple(mat_vec(k.projector, b)) == b
     v = [Fraction(3), Fraction(1), Fraction(0)]
-    pv = k.project(v)
+    pv = mat_vec(k.projector, v)
     assert bilinear([a - b for a, b in zip(v, pv)], gram, k.basis[0]) == 0
+    # the norm Gram is M - M P, and vanishes on the kernel
+    assert [list(r) for r in k.norm] == [
+        [m - x for m, x in zip(mr, xr)] for mr, xr in zip(gram, mat_mul(gram, k.projector))]
+    assert mat_vec(k.norm, b) == [0, 0, 0]
 
 
 def test_charge_kernel_trivial_for_curve():
@@ -42,6 +54,7 @@ def test_charge_kernel_trivial_for_curve():
     k = charge_kernel(z, identity(2))
     assert k.basis == ()
     assert all(all(x == 0 for x in row) for row in k.projector)
+    assert [list(r) for r in k.norm] == identity(2)  # P = 0: N = M
 
 
 def test_charge_kernel_degenerate_rejected(k3d2):
@@ -59,25 +72,41 @@ def test_charge_kernel_degenerate_rejected(k3d2):
 
 
 def test_negative_definite_on(k3d2):
+    """The Mukai form is negative definite on the worked example's kernel
+    (1, 0, 4), not on the kernel (1, 0, -1) of a charge with
+    Z(1, 0, -1) = 0, and never on a dependent basis; the roundtrip refuses a
+    Q that is not negative definite on Ker Z."""
     gram = k3d2.mukai_gram()
-    q = QuadraticForm(tuple(tuple(row) for row in gram))
-    assert is_negative_definite_on(q, [(1, 0, 4)])
-    assert not is_negative_definite_on(q, [(1, 0, -1)])
-    assert is_negative_definite_on(q, [])
-    with pytest.raises(ValueError):
-        is_negative_definite_on(q, [(1, 0, 4), (2, 0, 8)])
+    z, _ = worked_example(k3d2)
+    assert is_negative_definite(restrict(gram, [(1, 0, 4)]))
+    assert not is_negative_definite(restrict(gram, [(1, 0, -1)]))
+    assert is_negative_definite(restrict(gram, []))
+    assert not is_negative_definite(restrict(gram, [(1, 0, 4), (2, 0, 8)]))
+    equivalent_support_roundtrip(gram, z, [(1, 0, 0)])
+    z_bad = [gaussian(1, 0), gaussian(0, 1), gaussian(1, 0)]  # kernel (1, 0, -1)
+    with pytest.raises(DegenerateError, match="not negative definite on Ker Z"):
+        equivalent_support_roundtrip(gram, z_bad, [(1, 0, 0)])
 
 
 def test_charge_norm_form_worked_example(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
+    s = charge_norm_form(z, k.norm)
     assert s == [[Fraction(1, 8), Fraction(0)], [Fraction(0), Fraction(1, 8)]]
+
+
+def test_charge_norm_form_rejects_rank_one_charge(k3d2):
+    """R R^T is singular for a charge whose real and imaginary parts are
+    proportional: no 2x2 norm form."""
+    gram = k3d2.mukai_gram()
+    for z in ([gaussian(1, 2), gaussian(2, 4), gaussian(-1, -2)],
+              [gaussian(0, 0)] * 3):
+        with pytest.raises(DegenerateError, match="real rank < 2"):
+            charge_norm_form(z, gram)
 
 
 def test_charge_norm_form_residual_vanishes_randomly(k3d2):
     rng = random.Random(51)
-    from stabkit.linalg import bilinear
     for _ in range(20):
         beta = (Fraction(rng.randint(-3, 3), rng.randint(1, 2)),)
         omega = (Fraction(rng.randint(2, 4)),)
@@ -85,10 +114,10 @@ def test_charge_norm_form_residual_vanishes_randomly(k3d2):
         z = charge_row(params)
         gram = k3d2.mukai_gram()
         k = charge_kernel(z, gram)
-        s = charge_norm_form(z, k, gram)
+        s = charge_norm_form(z, k.norm)
         for _ in range(20):
             v = [Fraction(rng.randint(-6, 6)) for _ in range(3)]
-            pv = k.project(v)
+            pv = mat_vec(k.projector, v)
             lhs = bilinear(v, gram, v)
             rhs = charge_norm_sq(z, s, v) - (-bilinear(pv, gram, pv))
             assert lhs == rhs
@@ -97,17 +126,19 @@ def test_charge_norm_form_residual_vanishes_randomly(k3d2):
 def test_charge_norm_form_scaling(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
+    s = charge_norm_form(z, k.norm)
     z3 = [zi * 3 for zi in z]
-    s3 = charge_norm_form(z3, charge_kernel(z3, gram), gram)
+    s3 = charge_norm_form(z3, charge_kernel(z3, gram).norm)
     assert s3 == [[x / 9 for x in row] for row in s]
+
+
 
 
 def test_min_root_norm_matches_brute_force(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, s, gram)
+    s = charge_norm_form(z, k.norm)
+    res = min_root_norm(k.norm, ambient_gram=gram)
     assert res.found
     # brute force over the coordinate box |r|, |m|, |s| <= 40
     best = None
@@ -125,27 +156,23 @@ def test_min_root_norm_matches_brute_force(k3d2):
 
 def test_min_root_norm_monotone_under_deeper_bound(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    r1 = min_root_norm(z, s, gram, start_bound=Fraction(8))
-    r2 = min_root_norm(z, s, gram, start_bound=Fraction(16))
+    norm = charge_kernel(z, gram).norm
+    r1 = min_root_norm(norm, ambient_gram=gram, start_bound=Fraction(8))
+    r2 = min_root_norm(norm, ambient_gram=gram, start_bound=Fraction(16))
     assert r1.c_squared == r2.c_squared
 
 
 def test_min_root_norm_budget_error(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
+    norm = charge_kernel(z, gram).norm
     with pytest.raises(BudgetError):
-        min_root_norm(z, s, gram, budget=3)
-
-
+        min_root_norm(norm, ambient_gram=gram, budget=3)
 
 
 def test_min_root_norm_budget_counts_nodes_of_all_rounds(k3d2):
     z, gram = worked_example(k3d2)
-    s = charge_norm_form(z, charge_kernel(z, gram), gram)
-    q_aux = aux_positive_gram(z, s, gram)
+    norm = charge_kernel(z, gram).norm
+    q_aux = aux_gram(norm, gram)
     start = Fraction(1, 8)
     # bounds 1/8, 1/4, 1/2 and 1 hold no root; bound 2 certifies C^2 = 9/8
     per_round = []
@@ -156,47 +183,48 @@ def test_min_root_norm_budget_counts_nodes_of_all_rounds(k3d2):
     assert sum(per_round) == 233 and sum(per_round[:3]) < 150
     # the last round shrinks its walk once it meets a root, so the search
     # visits fewer nodes than the five fixed-radius rounds
-    res = min_root_norm(z, s, gram, start_bound=start)
+    res = min_root_norm(norm, ambient_gram=gram, start_bound=start)
     assert res.c_squared == Fraction(9, 8) and res.points_visited == 223
     # 150 nodes run out in the fourth round: the last completed bound is
     # 1/2, and the walk stopped at the budget
-    res = min_root_norm(z, s, gram, budget=150, start_bound=start)
+    res = min_root_norm(norm, ambient_gram=gram, budget=150, start_bound=start)
     assert not res.found
     assert res.bound_reached == Fraction(1, 2) and res.points_visited == 150
     with pytest.raises(BudgetError):
-        min_root_norm(z, s, gram, budget=222, start_bound=start)
+        min_root_norm(norm, ambient_gram=gram, budget=222, start_bound=start)
+
 
 def test_root_searches_reject_non_integral_gram(k3d2):
     z, gram = worked_example(k3d2)
-    s = charge_norm_form(z, charge_kernel(z, gram), gram)
+    norm = charge_kernel(z, gram).norm
     half = [[Fraction(x, 2) for x in row] for row in gram]
     with pytest.raises(LatticeError, match="not integral"):
-        min_root_norm(z, s, half)
+        min_root_norm(norm, ambient_gram=half)
     with pytest.raises(LatticeError, match="not integral"):
-        discreteness_classes(z, s, Fraction(9, 8), half, radius_sq=Fraction(4))
+        discreteness_classes(norm, Fraction(9, 8), half, radius_sq=Fraction(4))
+
 
 def test_build_q_z_properties(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, s, gram)
-    q_z = build_q_z(z, s, res.c_squared, gram)
-    assert is_negative_definite_on(q_z, k.basis)
-    assert q_z.evaluate(res.witness) == 0  # the witness attains C
+    res = min_root_norm(k.norm, ambient_gram=gram)
+    q_z = build_q_z(k.norm, res.c_squared, gram)
+    assert is_negative_definite(restrict(q_z, k.basis))
+    w = res.witness.coords()
+    assert bilinear(w, q_z, w) == 0  # the witness attains C
     # Q_Z >= Mukai square everywhere (the added term is nonnegative)
-    from stabkit.linalg import bilinear
     rng = random.Random(52)
     for _ in range(200):
         v = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        assert q_z.evaluate(v) >= bilinear(v, gram, v)
+        assert bilinear(v, q_z, v) >= bilinear(v, gram, v)
     # on the kernel, Q_Z equals the Mukai form
     b = k.basis[0]
-    assert q_z.evaluate(b) == bilinear(b, gram, b)
+    assert bilinear(b, q_z, b) == bilinear(b, gram, b)
 
 
 def test_roundtrip_curve_lattice():
     z = [gaussian(-1, 0), gaussian(0, 1)]
-    q = QuadraticForm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    q = identity(2)
     rng = random.Random(53)
     classes = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(50)]
     rep = equivalent_support_roundtrip(q, z, classes)
@@ -210,10 +238,9 @@ def test_roundtrip_curve_lattice():
 
 def test_roundtrip_on_built_support_form(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, s, gram)
-    q_z = build_q_z(z, s, res.c_squared, gram)
+    norm = charge_kernel(z, gram).norm
+    res = min_root_norm(norm, ambient_gram=gram)
+    q_z = build_q_z(norm, res.c_squared, gram)
     rng = random.Random(54)
     classes = [tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(200)]
     rep = equivalent_support_roundtrip(q_z, z, classes)
@@ -224,39 +251,38 @@ def test_roundtrip_on_built_support_form(k3d2):
 
 def test_discreteness_finite_list(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, s, gram)
-    classes = discreteness_classes(z, s, res.c_squared, gram,
-                                   radius_sq=Fraction(4))
+    norm = charge_kernel(z, gram).norm
+    s = charge_norm_form(z, norm)
+    res = min_root_norm(norm, ambient_gram=gram)
+    classes = discreteness_classes(norm, res.c_squared, gram, radius_sq=Fraction(4))
     assert classes  # some classes exist in the disc
-    q_z = build_q_z(z, s, res.c_squared, gram)
+    q_z = build_q_z(norm, res.c_squared, gram)
     for x in classes:
-        assert q_z.evaluate(x) >= 0
+        assert bilinear(x, q_z, x) >= 0
         assert charge_norm_sq(z, s, x) <= 4
     # growing the radius never loses classes
-    bigger = discreteness_classes(z, s, res.c_squared, gram,
-                                  radius_sq=Fraction(8))
+    bigger = discreteness_classes(norm, res.c_squared, gram, radius_sq=Fraction(8))
     assert set(classes) <= set(bigger)
-
 
 
 def test_discreteness_filters_match_rational_reference(k3d2):
     z, gram = worked_example(k3d2)
-    s = charge_norm_form(z, charge_kernel(z, gram), gram)
-    res = min_root_norm(z, s, gram)
+    norm = charge_kernel(z, gram).norm
+    s = charge_norm_form(z, norm)
+    res = min_root_norm(norm, ambient_gram=gram)
     c2 = res.c_squared
-    q_z = build_q_z(z, s, c2, gram)
-    q_aux = aux_positive_gram(z, s, gram)
+    q_z = build_q_z(norm, c2, gram)
+    q_aux = aux_gram(norm, gram)
     # just below C^2 the witness pair drops out; at C^2 it is in
     for radius in (c2 - Fraction(1, 10 ** 6), c2, Fraction(4)):
         cap = 2 * radius + 2 / c2 * radius
         expected = sorted(x for x in enumerate_ellipsoid(q_aux, cap)
                           if any(x) and charge_norm_sq(z, s, x) <= radius
-                          and q_z.evaluate(x) >= 0)
-        got = discreteness_classes(z, s, c2, gram, radius_sq=radius)
+                          and bilinear(x, q_z, x) >= 0)
+        got = discreteness_classes(norm, c2, gram, radius_sq=radius)
         assert got == expected
         assert (res.witness.coords() in got) == (radius >= c2)
+
 
 def test_min_root_norm_second_configuration(k3d2):
     """Brute-force cross-check at a second slice point (beta = H/2)."""
@@ -264,8 +290,8 @@ def test_min_root_norm_second_configuration(k3d2):
     z = charge_row(params)
     gram = k3d2.mukai_gram()
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k, gram)
-    res = min_root_norm(z, s, gram)
+    s = charge_norm_form(z, k.norm)
+    res = min_root_norm(k.norm, ambient_gram=gram)
     best = None
     for r in range(-30, 31):
         for m in range(-30, 31):
@@ -286,7 +312,7 @@ def test_min_root_norm_second_configuration(k3d2):
 def _reference_projection(basis, gram, u):
     """Pairing-orthogonal projection of u onto the span of the basis, by
     solving (k_i, sum_j c_j k_j) = (k_i, u) for the coefficients c."""
-    from stabkit.linalg import bilinear, solve
+    from stabkit.linalg import solve
     inner = [[bilinear(a, gram, b) for b in basis] for a in basis]
     c = solve(inner, [bilinear(a, gram, u) for a in basis])
     return [sum(cj * kj[i] for cj, kj in zip(c, basis)) for i in range(len(u))]
@@ -302,8 +328,7 @@ def test_charge_norm_form_on_random_lattices():
     """(u, w) = Z(u)^T S Z(w) + (p u, p w) on every basis pair and on random
     classes, with p computed here, on seeded lattices of NS rank 1-3."""
     from conftest import random_even_ns_lattice
-    from stabkit.linalg import bilinear, nullspace
-    from stabkit.support import charge_rows
+    from stabkit.linalg import nullspace
     rng = random.Random(61)
     for rank in (1, 1, 2, 2, 3, 3):
         lat = random_even_ns_lattice(rng, rank)
@@ -312,7 +337,7 @@ def test_charge_norm_form_on_random_lattices():
         beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
         omega = tuple(Fraction(2 * x) for x in lat.ample)
         z = charge_row(ChargeParams(lat, beta, omega))
-        s = charge_norm_form(z, charge_kernel(z, gram), gram)
+        s = charge_norm_form(z, charge_kernel(z, gram).norm)
         basis = nullspace(charge_rows(z))
 
         def check(u, w):
@@ -332,24 +357,65 @@ def test_charge_norm_form_on_random_lattices():
 
 
 def test_charge_norm_form_rejects_wrong_projector(k3d2):
-    """The postcondition R^T S R = M - M P fires on a kernel whose
-    projector is not the pairing-orthogonal one."""
+    """The postcondition R^T S R = M - M P fires on a norm Gram built from a
+    projector that is not the pairing-orthogonal one."""
     from stabkit.errors import StabkitError
-    from stabkit.support import ChargeKernel
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    zero = tuple(tuple(Fraction(0) for _ in row) for row in k.projector)
-    doubled = tuple(tuple(2 * x for x in row) for row in k.projector)
+    zero = [[Fraction(0) for _ in row] for row in k.projector]
+    doubled = [[2 * x for x in row] for row in k.projector]
     for proj in (zero, doubled):
+        norm = [[m - x for m, x in zip(mr, xr)] for mr, xr in zip(gram, mat_mul(gram, proj))]
         with pytest.raises(StabkitError, match="does not reproduce the pairing"):
-            charge_norm_form(z, ChargeKernel(k.basis, proj), gram)
+            charge_norm_form(z, norm)
 
 
-def _fixed_radius_search(z, s, gram, start, budget):
+def pivot_block_norm_form(z, norm):
+    """S by the pivot-block construction: at two pivot columns of
+    R = (Re Z; Im Z), where R is an invertible 2 x 2 block C, R^T S R = N
+    reads C^T S C = N_pp, hence S = C^-T N_pp C^-1."""
+    from stabkit.linalg import rref
+    rows = charge_rows(z)
+    _, pivots = rref(rows)
+    c_inv = inverse([[row[p] for p in pivots] for row in rows])
+    n_pp = [[norm[a][b] for b in pivots] for a in pivots]
+    return mat_mul(transpose(c_inv), mat_mul(n_pp, c_inv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False), st.booleans())
+def test_closed_form_norm_form_matches_pivot_block(rank, rng, stability_charge):
+    """On random K3 lattices of NS rank 1-3, for stability charges and for
+    random integer charge rows, the closed form S = A R N R^T A equals the
+    pivot-block S; when that S is not positive definite the closed form
+    refuses."""
+    from conftest import random_even_ns_lattice
+    from stabkit.linalg import is_positive_definite
+    lat = random_even_ns_lattice(rng, rank)
+    gram = lat.mukai_gram()
+    if stability_charge:
+        beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+        t = Fraction(rng.randint(2, 6), 2)
+        omega = tuple(t * x for x in lat.ample)
+        z = charge_row(ChargeParams(lat, beta, omega))
+    else:
+        z = [gaussian(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(lat.mukai_rank)]
+    try:
+        norm = charge_kernel(z, gram).norm
+    except (ChargeError, DegenerateError):
+        assume(False)
+    reference = pivot_block_norm_form(z, norm)
+    if is_positive_definite(reference):
+        assert charge_norm_form(z, norm) == reference
+    else:
+        with pytest.raises(DegenerateError, match="no positive definite norm form"):
+            charge_norm_form(z, norm)
+
+
+def _fixed_radius_search(z, s, norm, gram, start, budget):
     """The deepening loop with a fixed radius in every round: (C^2, witness
     coordinates, bound reached, nodes of all rounds)."""
-    from stabkit.linalg import bilinear
-    q_aux = aux_positive_gram(z, s, gram)
+    q_aux = aux_gram(norm, gram)
     bound, total = start, 0
     while True:
         nodes, best = [0], None
@@ -379,14 +445,15 @@ def test_shrinking_search_matches_fixed_radius_reference(rank, rng, start):
     omega = tuple(t * x for x in lat.ample)
     z = charge_row(ChargeParams(lat, beta, omega))
     try:
-        s = charge_norm_form(z, charge_kernel(z, gram), gram)
+        norm = charge_kernel(z, gram).norm
+        s = charge_norm_form(z, norm)
     except DegenerateError:
         assume(False)
     budget = 20000
     try:
-        c2, witness, bound, nodes = _fixed_radius_search(z, s, gram, start, budget)
+        c2, witness, bound, nodes = _fixed_radius_search(z, s, norm, gram, start, budget)
     except BudgetError:
         assume(False)
-    res = min_root_norm(z, s, gram, budget=budget, start_bound=start)
+    res = min_root_norm(norm, ambient_gram=gram, budget=budget, start_bound=start)
     assert (res.c_squared, res.witness.coords(), res.bound_reached) == (c2, witness, bound)
     assert res.points_visited <= nodes
