@@ -168,12 +168,13 @@ def phase_compare(z1: Union[GaussianRational, IntCharge],
                   z2: Union[GaussianRational, IntCharge]) -> Order:
     """Exact comparison of phases in (0, 1].
 
-    A charge on the negative real axis has phase 1 and beats everything else;
-    inside the open upper half-plane the sign of re1*im2 - im1*re2 decides
-    (positive means phi(z1) < phi(z2)). EQ holds exactly on common rays.
+    For valid charges the sign of the cross product re1*im2 - im1*re2
+    decides: it is |z1| |z2| sin(pi (phi2 - phi1)) with |phi2 - phi1| < 1,
+    so it is positive iff phi(z1) < phi(z2) and zero exactly on common rays.
+    That covers the negative real axis (phase 1, im = 0 and re < 0) too.
 
     Scaling z1 by D1 > 0 and z2 by D2 > 0 keeps every sign read here: the
-    axis tests read the signs of Im and Re, and the cross product becomes
+    validity tests read the signs of Im and Re, and the cross product becomes
     D1 D2 times itself. So two ``IntCharge`` values compare on their integer
     parts exactly as the rational charges they stand for.
     """
@@ -181,10 +182,6 @@ def phase_compare(z1: Union[GaussianRational, IntCharge],
         raise ChargeError(f"charge {z1} outside the allowed half-plane")
     if not phase_valid(z2):
         raise ChargeError(f"charge {z2} outside the allowed half-plane")
-    if z1.im == 0:
-        return Order.EQ if z2.im == 0 else Order.GT
-    if z2.im == 0:
-        return Order.LT
     cross = z1.re * z2.im - z1.im * z2.re
     if cross > 0:
         return Order.LT

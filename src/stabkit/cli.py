@@ -189,7 +189,7 @@ def cmd_support(args) -> None:
         if args.classes:
             classes = [tuple(_parse_vec_int(c)) for c in args.classes]
         roundtrip = equivalent_support_roundtrip(q_z, z_row, classes)
-        disc = discreteness_classes(kernel.norm, res.c_squared, gram,
+        disc = discreteness_classes(q_z, kernel.norm, res.c_squared, gram,
                                     radius_sq=res.c_squared * 4, budget=budget)
         payload["q_z"] = [[str(x) for x in row] for row in q_z]
         payload["roundtrip"] = {

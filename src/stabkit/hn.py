@@ -9,24 +9,28 @@ filtration is reproducible and independent of input ordering.
 Every charge is read from one ``ChargeTable`` per presentation and charge
 row: each object's charge is evaluated once, as a pair of integers over one
 common positive denominator, and every phase comparison runs on those ints.
+
+Checking a presentation is one integer pass over its edges: additivity is
+one addition of packed classes per edge, and the see-saw two integer cross
+products per edge once every charge has been tested for validity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain, groupby
+from operator import itemgetter, mul
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import IntCharge, Order, phase_compare, phase_valid
-from .errors import PresentationError
+from .errors import BudgetError, ChargeError, PresentationError, effective_budget
 from .gaussian import GaussianRational, as_int
 from .linalg import clear_denominators
 
 ClassVec = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     sub: str
     ambient: str
     quotient: str
@@ -47,9 +51,11 @@ class CategoryPresentation:
     itself with zero quotient) are implied and added on construction when
     absent, so authored files only need the interesting extensions.
     Object ids, in ``objects``, ``edges`` and ``zero``, are read as their
-    ``str``. Class coordinates are coerced with ``as_int``: a non-integral
-    one raises ``ValueError``. The adjacency and the down-closures are derived
-    once per presentation, on first use.
+    ``str``, and two ids with one ``str`` raise ``PresentationError``. Each
+    (sub, ambient, quotient) triple is stored as an ``Edge``. Class
+    coordinates are coerced with ``as_int``: a non-integral one raises
+    ``ValueError``. The adjacency and the down-closures are derived once per
+    presentation, on first use.
     """
 
     objects: Dict[str, ClassVec]
@@ -58,17 +64,26 @@ class CategoryPresentation:
 
     def __post_init__(self):
         zero = str(self.zero)
-        objects = {str(k): tuple(map(as_int, v)) for k, v in self.objects.items()}
+        objects: Dict[str, ClassVec] = {}
+        for key, cls in self.objects.items():
+            name = str(key)
+            if name in objects:
+                raise PresentationError(f"duplicate object id {name!r}")
+            cls = tuple(cls)
+            try:  # int() reads a str or an int as as_int does first, or raises
+                objects[name] = tuple(map(int if {*map(type, cls)} <= {str, int} else as_int, cls))
+            except ValueError:
+                objects[name] = tuple(map(as_int, cls))
         if zero not in objects:
             raise PresentationError(f"zero object {zero!r} missing")
-        edges = {(str(e.sub), str(e.ambient), str(e.quotient)) for e in self.edges}
+        edges = {(str(s), str(a), str(q)) for s, a, q in self.edges}
         for name in objects:
             if name != zero:
                 edges.add((zero, name, name))
                 edges.add((name, name, zero))
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "edges", tuple(Edge(*t) for t in sorted(edges)))
+        object.__setattr__(self, "edges", tuple(map(Edge._make, sorted(edges))))
 
     # -- structure queries ----------------------------------------------------
 
@@ -81,8 +96,8 @@ class CategoryPresentation:
     @cached_property
     def _up(self) -> Dict[str, List[Edge]]:
         up: Dict[str, List[Edge]] = {name: [] for name in self.objects}
-        for e in self.edges:
-            up.setdefault(e.sub, []).append(e)
+        for sub, run in groupby(self.edges, itemgetter(0)):  # sorted: one run per sub
+            up[sub] = list(run)
         return up
 
     @cached_property
@@ -165,28 +180,37 @@ def validate(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
     """Structural and charge validation; an empty list means all invariants
     hold and every nonzero object has a charge in the allowed half-plane.
     ``table`` is the ``charge_table`` of ``cat``, which also guarantees that
-    every class has the length of the charge row."""
+    every class has the length of the charge row.
+
+    Additivity is read off one integer per class, P(c) = sum c_i B^i with B =
+    4m + 1, m the largest |coordinate|. It is exact: P(a) - P(b) - P(c) is
+    sum d_i B^i with d = a - b - c, |d_i| <= 3m < B, and were it 0 with some
+    d_i != 0, B would divide the lowest such d_k."""
     out: List[Violation] = []
-    if any(x != 0 for x in cat.class_of(cat.zero)):
-        out.append(Violation("zero-class", cat.zero, "zero object has nonzero class"))
+    objects, zero = cat.objects, cat.zero
+    if any(cat.class_of(zero)):
+        out.append(Violation("zero-class", zero, "zero object has nonzero class"))
+    base = 4 * max(map(abs, chain.from_iterable(objects.values())), default=0) + 1
+    powers = [base ** i for i in range(len(objects[zero]))]
+    packed = {name: sum(map(mul, cls, powers)) for name, cls in objects.items()}
     for e in cat.edges:
-        for name in (e.sub, e.ambient, e.quotient):
-            if name not in cat.objects:
-                out.append(Violation("unknown-id", name, f"edge {e} references unknown id"))
-                break
-        else:
-            if cat.objects[e.ambient] != tuple(
-                    map(add, cat.objects[e.sub], cat.objects[e.quotient])):
-                out.append(Violation(
-                    "additivity", e.ambient,
-                    f"edge {e.sub} < {e.ambient} / {e.quotient}: "
-                    "class(ambient) != class(sub) + class(quotient)"))
-            if e.sub == cat.zero and e.quotient != e.ambient:
-                out.append(Violation("zero-edge", e.ambient,
-                                     "edge from zero must have quotient = ambient"))
-            if e.sub == e.ambient and e.quotient != cat.zero:
-                out.append(Violation("reflexive-edge", e.ambient,
-                                     "reflexive edge must have quotient = zero"))
+        sub, amb, quo = e
+        try:
+            additive = packed[amb] == packed[sub] + packed[quo]
+        except KeyError:
+            name = next(name for name in e if name not in objects)
+            out.append(Violation("unknown-id", name, f"edge {e} references unknown id"))
+            continue
+        if not additive:
+            out.append(Violation(
+                "additivity", amb, f"edge {sub} < {amb} / {quo}: "
+                "class(ambient) != class(sub) + class(quotient)"))
+        if sub == zero and quo != amb:
+            out.append(Violation("zero-edge", amb,
+                                 "edge from zero must have quotient = ambient"))
+        if sub == amb and quo != zero:
+            out.append(Violation("reflexive-edge", amb,
+                                 "reflexive edge must have quotient = zero"))
     # antisymmetry of the closure: no directed cycle through strict edges.
     # Depth-first search with an explicit stack of edge iterators; ``path``
     # holds the gray nodes (color 1) from the root of the current tree.
@@ -268,11 +292,8 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
             raise PresentationError(
                 f"no subobject-edge continuation from {cur!r} towards {a!r}: "
                 "presentation too sparse for a filtration")
-        best: List[Edge] = []
-        for e in cands:
-            if not best:
-                best = [e]
-                continue
+        best = cands[:1]
+        for e in cands[1:]:
             cmp = phase_compare(table[e.quotient], table[best[0].quotient])
             if cmp is Order.GT:
                 best = [e]
@@ -281,7 +302,6 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
         maximal = [e for e in best
                    if not any(o is not e and e.ambient != o.ambient
                               and cat.leq(e.ambient, o.ambient) for o in best)]
-        maximal.sort(key=lambda e: (e.ambient, e.quotient))
         distinct_tops = {e.ambient for e in maximal}
         if len(distinct_tops) > 1:
             notes.append(
@@ -303,9 +323,7 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
             raise PresentationError(
                 f"factor {f!r} of the filtration of {a!r} is not semistable: "
                 "presentation is inconsistent")
-    total = cat.class_of(a)
-    sums = [sum(col) for col in zip(*factor_classes)] if factor_classes else [0] * len(total)
-    if tuple(sums) != total:
+    if tuple(map(sum, zip(*factor_classes))) != cat.class_of(a):  # a != zero: one factor
         raise PresentationError("factor classes do not sum to the class of the object")
     return Filtration(tuple(steps), factor_classes, tuple(factor_ids), tuple(notes))
 
@@ -313,7 +331,9 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
 def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[ClassVec]:
     """Factor classes of a maximal chain of same-phase subobjects of a
     semistable object. All maximal chains are enumerated; their factor
-    multisets must agree, otherwise the presentation is inconsistent."""
+    multisets must agree, otherwise the presentation is inconsistent. Each
+    node of the chain search counts against ``effective_budget()``; running
+    out raises ``BudgetError``."""
     if not is_semistable(cat, table, a):
         raise PresentationError(f"{a!r} is not semistable; no JH factors")
     up = cat.up_edges()
@@ -325,8 +345,13 @@ def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[Cl
     pool = {b for b in subs_a if b == cat.zero or (b != cat.zero and on_ray(b))}
 
     chains: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
+    budget, nodes = effective_budget(), 0
 
     def dfs(cur: str, path: Tuple[str, ...], facs: Tuple[str, ...]):
+        nonlocal nodes
+        if nodes >= budget:
+            raise BudgetError(f"JH chain search exceeded budget of {budget} nodes")
+        nodes += 1
         if cur == a:
             chains.append((path, facs))
             return
@@ -356,20 +381,27 @@ def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[Cl
 def seesaw_check(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:
     """See-saw consistency on every edge with all three objects nonzero:
     phi(B) <= phi(A) iff phi(C) >= phi(A), and symmetrically. Any violation
-    indicates an inconsistent charge/presentation pair."""
+    indicates an inconsistent charge/presentation pair.
+
+    The first invalid charge on such an edge, in edge order and then sub,
+    ambient, quotient, raises ``phase_compare``'s ``ChargeError``. With every
+    charge valid, each comparison is the sign of a cross product."""
+    zero = cat.zero
+    edges = [e for e in cat.edges if zero not in e]
+    if not all(phase_valid(z) for name, z in table.items() if name != zero):
+        bad = next((z for e in edges for z in [table[n] for n in e] if not phase_valid(z)), None)
+        if bad is not None:
+            raise ChargeError(f"charge {bad} outside the allowed half-plane")
     out: List[Violation] = []
-    for e in cat.edges:
-        if cat.zero in (e.sub, e.ambient, e.quotient):
-            continue
-        zb, za, zc = table[e.sub], table[e.ambient], table[e.quotient]
-        o_ba = phase_compare(zb, za)
-        o_ca = phase_compare(zc, za)
-        if (o_ba in (Order.LT, Order.EQ)) != (o_ca in (Order.GT, Order.EQ)):
-            out.append(Violation("seesaw", e.ambient,
-                                 f"edge {e.sub} < {e.ambient} / {e.quotient}: "
-                                 f"phi(B)<=phi(A) is {o_ba} but phi(C)>=phi(A) is {o_ca}"))
-        if (o_ba in (Order.GT, Order.EQ)) != (o_ca in (Order.LT, Order.EQ)):
-            out.append(Violation("seesaw", e.ambient,
-                                 f"edge {e.sub} < {e.ambient} / {e.quotient}: "
-                                 f"phi(B)>=phi(A) is {o_ba} but phi(C)<=phi(A) is {o_ca}"))
+    for sub, amb, quo in edges:
+        (b_re, b_im, _), (a_re, a_im, _), (c_re, c_im, _) = table[sub], table[amb], table[quo]
+        ba = b_re * a_im - b_im * a_re  # > 0, = 0, < 0: phi(B) <, =, > phi(A)
+        ca = c_re * a_im - c_im * a_re
+        if (ba > 0) != (ca < 0) or (ba < 0) != (ca > 0):
+            o_ba, o_ca = (phase_compare(table[n], table[amb]) for n in (sub, quo))
+            for b, c, broken in (("<=", ">=", (ba >= 0) != (ca <= 0)),
+                                 (">=", "<=", (ba <= 0) != (ca >= 0))):
+                if broken:
+                    out.append(Violation("seesaw", amb, f"edge {sub} < {amb} / {quo}: phi(B)"
+                                         f"{b}phi(A) is {o_ba} but phi(C){c}phi(A) is {o_ca}"))
     return out

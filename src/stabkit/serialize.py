@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Any, Dict, List, Sequence
 
 from .errors import LatticeError, PresentationError
 from .gaussian import GaussianRational, as_fraction
-from .hn import CategoryPresentation, Edge
+from .hn import CategoryPresentation
 from .lattice import MukaiVector, NSLattice
 from .walls import WallKind, WallLocus
 
@@ -149,8 +150,7 @@ def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
         if name in objects:
             raise PresentationError(f"duplicate object id {name!r}")
         objects[name] = obj["class"]
-    edges = tuple(Edge(e["sub"], e["ambient"], e["quotient"])
-                  for e in data.get("edges", ()))
+    edges = tuple(map(itemgetter("sub", "ambient", "quotient"), data.get("edges", ())))
     return CategoryPresentation(objects, edges, data["zero"])
 
 

@@ -307,16 +307,17 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     return RoundtripReport(k_const, c2, tuple(verdicts))
 
 
-def discreteness_classes(norm: Gram, c_squared: Fraction, ambient_gram: Gram,
-                         radius_sq: Fraction,
+def discreteness_classes(q_gram: Gram, norm: Gram, c_squared: Fraction,
+                         ambient_gram: Gram, radius_sq: Fraction,
                          budget: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Finite list of lattice classes with Q_Z(v) >= 0 and ||Z(v)||_S^2 <=
-    radius_sq: the computable shadow of charge-image discreteness.
+    radius_sq, the computable shadow of charge-image discreteness; q_gram is
+    Q_Z, ``build_q_z(norm, c_squared, ambient_gram)``.
 
     Such a class has Q_aux = (2 + 2 / C^2) N - Q_Z <= (2 + 2 / C^2) radius_sq,
     so one walk of that ellipsoid finds them all."""
     _integral_rows(ambient_gram)
-    q_z, _ = clear_denominators(build_q_z(norm, c_squared, ambient_gram))
+    q_z, _ = clear_denominators(q_gram)
     norm_rows, norm_den = clear_denominators(norm)
     radius_sq = Fraction(radius_sq)
     norm_cap = floor(radius_sq * norm_den)

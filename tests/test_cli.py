@@ -116,6 +116,24 @@ def test_support_command(tmp_path, lattice_file):
     assert res["roundtrip"]["all_pass"] is True
 
 
+def test_support_builds_q_z_once(tmp_path, lattice_file, monkeypatch):
+    """A successful support job builds the Q_Z Gram once: the payload, the
+    roundtrip and the discreteness walk all read that one Gram."""
+    from stabkit.support import build_q_z
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_q_z(*args)
+
+    monkeypatch.setattr("stabkit.cli.build_q_z", counting)
+    monkeypatch.setattr("stabkit.support.build_q_z", counting)
+    code, doc = run(tmp_path, "support", "--lattice", lattice_file,
+                    "--beta", "0", "--omega", "2")
+    assert code == 0 and doc["result"]["discreteness_sample"]["classes"] > 0
+    assert len(calls) == 1
+
+
 def test_walls_chambers_plot_pipeline(tmp_path, lattice_file):
     wallsf = tmp_path / "walls.json"
     code = main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",
@@ -884,6 +902,49 @@ def test_hn_payloads_pinned(tmp_path):
     code, doc = run(tmp_path, "validate-category", "--category", str(catf),
                     "--charge", str(badf))
     assert code == 0 and doc["result"] == TOWER_VIOLATIONS
+
+
+# one presentation that triggers every violation code: the zero object has a
+# nonzero class (so every implied edge fails additivity), an edge names the
+# unknown X, an edge from zero and a reflexive edge have wrong quotients, B
+# and C contain each other, and Z(B) lies in the lower half-plane
+EVERY_VIOLATION_CATEGORY = {
+    "objects": [{"id": "0", "class": ["0", "1"]}, {"id": "A", "class": ["1", "0"]},
+                {"id": "B", "class": ["-1", "2"]}, {"id": "C", "class": ["0", "2"]}],
+    "edges": [{"sub": s, "ambient": a, "quotient": q} for s, a, q in (
+        ("A", "C", "B"), ("A", "B", "X"), ("C", "B", "0"), ("B", "C", "0"),
+        ("0", "A", "B"), ("A", "A", "C"))],
+    "zero": "0"}
+NOT_ADDITIVE = "class(ambient) != class(sub) + class(quotient)"
+EVERY_VIOLATION = [
+    ("zero-class", "0", "zero object has nonzero class"),
+    ("additivity", "A", f"edge 0 < A / A: {NOT_ADDITIVE}"),
+    ("additivity", "A", f"edge 0 < A / B: {NOT_ADDITIVE}"),
+    ("zero-edge", "A", "edge from zero must have quotient = ambient"),
+    ("additivity", "B", f"edge 0 < B / B: {NOT_ADDITIVE}"),
+    ("additivity", "C", f"edge 0 < C / C: {NOT_ADDITIVE}"),
+    ("additivity", "A", f"edge A < A / 0: {NOT_ADDITIVE}"),
+    ("additivity", "A", f"edge A < A / C: {NOT_ADDITIVE}"),
+    ("reflexive-edge", "A", "reflexive edge must have quotient = zero"),
+    ("unknown-id", "X", "edge Edge(sub='A', ambient='B', quotient='X') references unknown id"),
+    ("additivity", "B", f"edge B < B / 0: {NOT_ADDITIVE}"),
+    ("additivity", "C", f"edge B < C / 0: {NOT_ADDITIVE}"),
+    ("additivity", "B", f"edge C < B / 0: {NOT_ADDITIVE}"),
+    ("additivity", "C", f"edge C < C / 0: {NOT_ADDITIVE}"),
+    ("cycle", "B", "subobject relation is not a partial order: 0 < A < B < C < B"),
+    ("invalid-charge", "B", "Z(B) = -2-1i outside the upper half-plane union R_{<0}"),
+]
+
+
+def test_validate_category_payload_pinned_for_every_code(tmp_path):
+    catf, chf = tmp_path / "cat.json", tmp_path / "z.json"
+    catf.write_text(dumps(EVERY_VIOLATION_CATEGORY))
+    chf.write_text(dumps([["1", "1"], ["-1/2", "0"]]))
+    code, doc = run(tmp_path, "validate-category", "--category", str(catf),
+                    "--charge", str(chf))
+    assert code == 0
+    assert dumps(doc["result"]) == dumps({"violations": [
+        {"code": c, "message": m, "subject": s} for c, s, m in EVERY_VIOLATION]})
 
 
 @pytest.mark.parametrize("charge, entries", [([["-1", "1"]], 1),

@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_presentation
 from stabkit import (CategoryPresentation, Edge, Filtration, Order, charge_table,
                      hn_filtration, is_semistable, jh_factors, phase_compare,
                      phase_valid, seesaw_check, validate)
-from stabkit.errors import ChargeError, PresentationError
+from stabkit.errors import BudgetError, ChargeError, PresentationError
 from stabkit.gaussian import GaussianRational, gaussian
 from stabkit.hn import Violation
 
@@ -473,3 +473,271 @@ def test_hn_layer_matches_fraction_oracle(seed, tie, axis, change):
                 hn_filtration(cat, table, a)
         else:
             assert hn_filtration(cat, table, a) == want
+
+
+def test_presentation_rejects_ids_equal_as_strings():
+    """Ids are read as their str, so 1 and "1" are one id twice: the
+    constructor refuses it as the JSON reader does, instead of keeping one."""
+    with pytest.raises(PresentationError, match=r"^duplicate object id '1'$"):
+        CategoryPresentation({"0": (0,), 1: (1,), "1": (2,)}, (), "0")
+
+
+def test_edges_are_named_tuples_read_from_any_triple():
+    cat = CategoryPresentation({"0": (0,), "S": (1,), "A": (2,)}, (("S", "A", "S"),), "0")
+    assert cat.edges[0] == Edge("0", "A", "A")
+    assert Edge("S", "A", "S") in cat.edges
+    assert repr(Edge("S", "A", "S")) == "Edge(sub='S', ambient='A', quotient='S')"
+
+
+def test_jh_factors_honours_the_budget(monkeypatch):
+    """cube(5) with every simple on one ray: the chain search visits one
+    node per strict chain of subsets from the empty set. A set of k
+    elements ends F(k) such chains, F the ordered Bell numbers 1, 1, 3, 13,
+    75, 541, so there are sum_k C(5, k) F(k) = 1082 nodes."""
+    n = 5
+
+    def name(bits):
+        return "B" + "".join(str(bits >> k & 1) for k in range(n))
+
+    objects = {"0": (0,) * n}
+    objects.update({name(t): tuple(t >> k & 1 for k in range(n)) for t in range(1, 1 << n)})
+    edges = tuple(Edge(name(s), name(t), name(t & ~s))
+                  for t in range(1, 1 << n) for s in range(1, 1 << n)
+                  if s != t and s & t == s)
+    cat = CategoryPresentation(objects, edges, "0")
+    table = charge_table(cat, [gaussian(-1, 2) * (k + 1) for k in range(n)])
+    top = name((1 << n) - 1)
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "1082")
+    assert sorted(jh_factors(cat, table, top)) == sorted(
+        tuple(int(k == i) for k in range(n)) for i in range(n))
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "1081")
+    with pytest.raises(BudgetError, match="JH chain search exceeded budget of 1081 nodes"):
+        jh_factors(cat, table, top)
+
+
+def test_packed_additivity_is_exact_at_the_bound():
+    """Every edge among the classes of {-1, 0, 1}^2: the differences a - b - c
+    reach 3 = 3m, one short of the packing base 4m + 1, and validate flags
+    exactly the edges whose classes do not add up."""
+    vecs = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    objects = {f"V{x}{y}": (x, y) for x, y in vecs}
+    objects["0"] = (0, 0)
+    names = sorted(objects)
+    edges = tuple(Edge(b, a, c) for a in names for b in names for c in names
+                  if len({a, b, c, "0"}) == 4)
+    cat = CategoryPresentation(objects, edges, "0")
+    got = [(v.subject, v.message) for v in validate(cat, charge_table(cat, [gaussian(0, 1)] * 2))
+           if v.code == "additivity"]
+    assert got == [(e.ambient, f"edge {e.sub} < {e.ambient} / {e.quotient}: "
+                    "class(ambient) != class(sub) + class(quotient)") for e in cat.edges
+                   if objects[e.ambient] != tuple(map(sum, zip(objects[e.sub],
+                                                               objects[e.quotient])))]
+
+
+# -- the packed and inline checks against the per-edge loops they replaced ------
+
+
+def loop_phase_compare(z1, z2):
+    if not phase_valid(z1):
+        raise ChargeError(f"charge {z1} outside the allowed half-plane")
+    if not phase_valid(z2):
+        raise ChargeError(f"charge {z2} outside the allowed half-plane")
+    if z1.im == 0:
+        return Order.EQ if z2.im == 0 else Order.GT
+    if z2.im == 0:
+        return Order.LT
+    cross = z1.re * z2.im - z1.im * z2.re
+    return Order.LT if cross > 0 else Order.GT if cross < 0 else Order.EQ
+
+
+def loop_up(cat):
+    up = {name: [] for name in cat.objects}
+    for e in cat.edges:
+        up.setdefault(e.sub, []).append(e)
+    return up
+
+
+def loop_validate(cat, table):
+    """validate with one tuple sum per edge."""
+    out = []
+    if any(x != 0 for x in cat.class_of(cat.zero)):
+        out.append(Violation("zero-class", cat.zero, "zero object has nonzero class"))
+    for e in cat.edges:
+        for name in (e.sub, e.ambient, e.quotient):
+            if name not in cat.objects:
+                out.append(Violation("unknown-id", name, f"edge {e} references unknown id"))
+                break
+        else:
+            if cat.objects[e.ambient] != tuple(
+                    map(sum, zip(cat.objects[e.sub], cat.objects[e.quotient]))):
+                out.append(Violation(
+                    "additivity", e.ambient,
+                    f"edge {e.sub} < {e.ambient} / {e.quotient}: "
+                    "class(ambient) != class(sub) + class(quotient)"))
+            if e.sub == cat.zero and e.quotient != e.ambient:
+                out.append(Violation("zero-edge", e.ambient,
+                                     "edge from zero must have quotient = ambient"))
+            if e.sub == e.ambient and e.quotient != cat.zero:
+                out.append(Violation("reflexive-edge", e.ambient,
+                                     "reflexive edge must have quotient = zero"))
+    colors, up, cycle = {}, loop_up(cat), None
+    for name in sorted(cat.objects):
+        if colors.get(name, 0):
+            continue
+        colors[name] = 1
+        path, frames = [name], [iter(up[name])]
+        while frames and cycle is None:
+            for e in frames[-1]:
+                if e.ambient == path[-1]:
+                    continue
+                c = colors.get(e.ambient, 0)
+                if c == 1:
+                    cycle = path + [e.ambient]
+                    break
+                if c == 0:
+                    colors[e.ambient] = 1
+                    path.append(e.ambient)
+                    frames.append(iter(up.get(e.ambient, ())))
+                    break
+            else:
+                colors[path.pop()] = 2
+                frames.pop()
+        if cycle:
+            out.append(Violation("cycle", cycle[-1], "subobject relation is not a partial "
+                                 "order: " + " < ".join(cycle)))
+            break
+    for name in sorted(cat.objects):
+        if name != cat.zero and not phase_valid(table[name]):
+            out.append(Violation(
+                "invalid-charge", name,
+                f"Z({name}) = {table[name]} outside the upper half-plane union R_{{<0}}"))
+    return out
+
+
+def loop_seesaw(cat, table):
+    out = []
+    for e in cat.edges:
+        if cat.zero in (e.sub, e.ambient, e.quotient):
+            continue
+        zb, za, zc = table[e.sub], table[e.ambient], table[e.quotient]
+        o_ba = loop_phase_compare(zb, za)
+        o_ca = loop_phase_compare(zc, za)
+        if (o_ba in (Order.LT, Order.EQ)) != (o_ca in (Order.GT, Order.EQ)):
+            out.append(Violation("seesaw", e.ambient,
+                                 f"edge {e.sub} < {e.ambient} / {e.quotient}: "
+                                 f"phi(B)<=phi(A) is {o_ba} but phi(C)>=phi(A) is {o_ca}"))
+        if (o_ba in (Order.GT, Order.EQ)) != (o_ca in (Order.LT, Order.EQ)):
+            out.append(Violation("seesaw", e.ambient,
+                                 f"edge {e.sub} < {e.ambient} / {e.quotient}: "
+                                 f"phi(B)>=phi(A) is {o_ba} but phi(C)<=phi(A) is {o_ca}"))
+    return out
+
+
+def loop_semistable(cat, table, a):
+    za = table[a]
+    return not any(loop_phase_compare(table[b], za) is Order.GT
+                   for b in cat.subobjects_below(a) if b not in (a, cat.zero))
+
+
+def loop_hn(cat, table, a):
+    up, subs_a = loop_up(cat), cat.subobjects_below(a)
+    steps, factor_ids, notes, cur = [cat.zero], [], [], cat.zero
+    while cur != a:
+        cands = [e for e in up[cur]
+                 if e.ambient in subs_a and e.ambient != cur and e.quotient != cat.zero]
+        if not cands:
+            raise PresentationError(
+                f"no subobject-edge continuation from {cur!r} towards {a!r}: "
+                "presentation too sparse for a filtration")
+        best = []
+        for e in cands:
+            cmp = loop_phase_compare(table[e.quotient], table[best[0].quotient]) \
+                if best else Order.GT
+            if cmp is Order.GT:
+                best = [e]
+            elif cmp is Order.EQ:
+                best.append(e)
+        maximal = sorted((e for e in best
+                          if not any(o is not e and e.ambient != o.ambient
+                                     and cat.leq(e.ambient, o.ambient) for o in best)),
+                         key=lambda e: (e.ambient, e.quotient))
+        tops = {e.ambient for e in maximal}
+        if len(tops) > 1:
+            notes.append(f"ambiguous maximal destabilizer above {cur!r}: "
+                         f"incomparable candidates {sorted(tops)}; smallest id chosen")
+        steps.append(maximal[0].ambient)
+        factor_ids.append(maximal[0].quotient)
+        cur = maximal[0].ambient
+    classes = tuple(cat.class_of(f) for f in factor_ids)
+    for f1, f2 in zip(factor_ids, factor_ids[1:]):
+        if loop_phase_compare(table[f1], table[f2]) is not Order.GT:
+            raise PresentationError(
+                f"greedy filtration of {a!r} has non-decreasing factor phases "
+                f"({f1!r} then {f2!r}): presentation is inconsistent")
+    for f in factor_ids:
+        if not loop_semistable(cat, table, f):
+            raise PresentationError(
+                f"factor {f!r} of the filtration of {a!r} is not semistable: "
+                "presentation is inconsistent")
+    total = cat.class_of(a)
+    sums = [sum(col) for col in zip(*classes)] if classes else [0] * len(total)
+    if tuple(sums) != total:
+        raise PresentationError("factor classes do not sum to the class of the object")
+    return Filtration(tuple(steps), classes, tuple(factor_ids), tuple(notes))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ChargeError, PresentationError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+charge_entry = st.builds(lambda re, im, d: gaussian(Fraction(re, d), Fraction(im, d)),
+                         st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3))
+names = st.sampled_from(["0", "A", "B", "C", "D", "E", "U"])  # "U" is never an object
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_checks_equal_the_per_edge_loops(data):
+    """validate, seesaw_check and hn_filtration equal the loops they replaced,
+    violation for violation and in order, and raise the same errors: on
+    random towers and diamonds and on random sparse presentations, with
+    unknown ids, cycles, non-additive edges, negative coordinates, tied and
+    invalid charges."""
+    if data.draw(st.booleans()):
+        cat, row, _ = random_presentation(random.Random(data.draw(st.integers(0, 2 ** 16))))
+        objects, edges, n = dict(cat.objects), list(cat.edges), len(row)
+        pool = st.sampled_from(sorted(objects) + ["U"])
+        coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    else:
+        n = data.draw(st.integers(1, 3))
+        coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+        objects = {"0": (0,) * n}
+        objects.update({name: data.draw(coords)
+                        for name in data.draw(st.sets(st.sampled_from("ABCDE"), min_size=1))})
+        edges, pool = [], names
+        row = data.draw(st.lists(charge_entry, min_size=n, max_size=n))
+    edge = st.one_of(st.tuples(pool, pool, pool),
+                     st.builds(lambda x, y: (x, x, y), pool, pool),  # reflexive
+                     st.builds(lambda x, y: ("0", x, y), pool, pool))  # from zero
+    edges += data.draw(st.lists(edge, max_size=4))
+    for name in data.draw(st.lists(st.sampled_from(sorted(objects)), max_size=2)):
+        objects[name] = data.draw(coords)  # a moved class, the zero's too
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, n - 1))
+        row[i] = data.draw(charge_entry)  # may be invalid
+    if n > 1 and data.draw(st.booleans()):
+        row[-1] = row[0] * data.draw(st.integers(1, 3))  # a tie of two simples
+    cat = CategoryPresentation(objects, tuple(edges), "0")
+    table = charge_table(cat, row)
+    violations = validate(cat, table)
+    assert violations == loop_validate(cat, table)
+    assert outcome(seesaw_check, cat, table) == outcome(loop_seesaw, cat, table)
+    if any(v.code == "cycle" for v in violations):
+        return  # the greedy walk assumes a partial order and may not end on a cycle
+    for a in sorted(cat.objects):
+        if a != cat.zero:
+            assert outcome(hn_filtration, cat, table, a) == outcome(loop_hn, cat, table, a)

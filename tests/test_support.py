@@ -201,7 +201,8 @@ def test_root_searches_reject_non_integral_gram(k3d2):
     with pytest.raises(LatticeError, match="not integral"):
         min_root_norm(norm, ambient_gram=half)
     with pytest.raises(LatticeError, match="not integral"):
-        discreteness_classes(norm, Fraction(9, 8), half, radius_sq=Fraction(4))
+        discreteness_classes(build_q_z(norm, Fraction(9, 8), half), norm, Fraction(9, 8),
+                             half, radius_sq=Fraction(4))
 
 
 def test_build_q_z_properties(k3d2):
@@ -254,14 +255,14 @@ def test_discreteness_finite_list(k3d2):
     norm = charge_kernel(z, gram).norm
     s = charge_norm_form(z, norm)
     res = min_root_norm(norm, ambient_gram=gram)
-    classes = discreteness_classes(norm, res.c_squared, gram, radius_sq=Fraction(4))
-    assert classes  # some classes exist in the disc
     q_z = build_q_z(norm, res.c_squared, gram)
+    classes = discreteness_classes(q_z, norm, res.c_squared, gram, radius_sq=Fraction(4))
+    assert classes  # some classes exist in the disc
     for x in classes:
         assert bilinear(x, q_z, x) >= 0
         assert charge_norm_sq(z, s, x) <= 4
     # growing the radius never loses classes
-    bigger = discreteness_classes(norm, res.c_squared, gram, radius_sq=Fraction(8))
+    bigger = discreteness_classes(q_z, norm, res.c_squared, gram, radius_sq=Fraction(8))
     assert set(classes) <= set(bigger)
 
 
@@ -279,7 +280,7 @@ def test_discreteness_filters_match_rational_reference(k3d2):
         expected = sorted(x for x in enumerate_ellipsoid(q_aux, cap)
                           if any(x) and charge_norm_sq(z, s, x) <= radius
                           and bilinear(x, q_z, x) >= 0)
-        got = discreteness_classes(norm, c2, gram, radius_sq=radius)
+        got = discreteness_classes(q_z, norm, c2, gram, radius_sq=radius)
         assert got == expected
         assert (res.witness.coords() in got) == (radius >= c2)
 
