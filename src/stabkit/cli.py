@@ -270,7 +270,7 @@ def cmd_chambers(args) -> None:
     except TypeError as exc:  # a JSON float: no stabkit output holds one
         raise ValueError(f"walls result is not stabkit JSON: {exc}") from None
     walls_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    walls = [ser.wall_from_json(w) for w in doc["result"]["walls"]]
+    walls = ser.walls_from_json(doc["result"]["walls"])
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)
     path = chambers_along_path(b_star, t_lo, t_hi, walls)
@@ -297,7 +297,7 @@ def cmd_plot(args) -> None:
         raise ValueError("plot needs --out for the SVG file")
     doc = _load_json(args.walls)
     res = doc["result"]
-    walls = [ser.wall_from_json(w) for w in res["walls"]]
+    walls = ser.walls_from_json(res["walls"])
     region = Region(*(ser.unrat(res["region"][k])
                       for k in ("b_min", "b_max", "t_min", "t_max")))
     manifest = build_manifest(args.argv, {}, {})

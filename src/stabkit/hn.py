@@ -275,7 +275,10 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
     ties prefer the inclusion-maximal continuation, then the smallest id (the
     id tie-break only fires on genuinely ambiguous presentations and is
     recorded in the filtration notes). The factors are re-checked to be
-    semistable with strictly decreasing phases.
+    semistable with strictly decreasing phases. A walk that finds no
+    inclusion-maximal continuation, or that takes more steps than there are
+    objects, has met a cycle of strict edges (which ``validate`` reports)
+    and raises ``PresentationError``.
     """
     if a not in cat.objects or a == cat.zero:
         raise PresentationError(f"need a nonzero object id, got {a!r}")
@@ -302,6 +305,10 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
         maximal = [e for e in best
                    if not any(o is not e and e.ambient != o.ambient
                               and cat.leq(e.ambient, o.ambient) for o in best)]
+        if not maximal:
+            raise PresentationError(
+                f"no inclusion-maximal continuation above {cur!r}: the strict "
+                "subobject edges form a cycle")
         distinct_tops = {e.ambient for e in maximal}
         if len(distinct_tops) > 1:
             notes.append(
@@ -311,6 +318,10 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
         steps.append(chosen.ambient)
         factor_ids.append(chosen.quotient)
         cur = chosen.ambient
+        if len(steps) > len(cat.objects):
+            raise PresentationError(
+                f"the filtration of {a!r} revisits an object after {len(steps) - 1} "
+                "steps: the strict subobject edges form a cycle")
     factor_classes = tuple(cat.class_of(f) for f in factor_ids)
     # consistency: strictly decreasing phases and semistable factors
     for f1, f2 in zip(factor_ids, factor_ids[1:]):

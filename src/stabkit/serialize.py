@@ -172,12 +172,62 @@ def wall_to_json(wall: WallLocus, wall_id: str) -> Dict[str, Any]:
     return out
 
 
-def wall_from_json(data: Dict[str, Any]) -> WallLocus:
-    return WallLocus(
-        v=mukai_from_json(data["v"]),
-        w=mukai_from_json(data["w"]),
-        conic=tuple(unrat(x) for x in data["conic"]),
-        kind=WallKind(data["kind"]),
-        center=unrat(data["center"]) if "center" in data else None,
-        radius_sq=unrat(data["radius_sq"]) if "radius_sq" in data else None,
-    )
+# the optional fields each kind of wall carries, as ``wall_to_json`` writes
+# them: 1 for center, 2 for radius_sq
+_WALL_FIELDS = {WallKind.SEMICIRCLE: 3, WallKind.VERTICAL_LINE: 1,
+                WallKind.EMPTY: 0, WallKind.DEGENERATE: 0}
+_FIELD_NAMES = {3: "center and radius_sq", 1: "center and no radius_sq",
+                0: "no center or radius_sq"}
+
+
+def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
+    """The walls of a walls file, in order. Each wall must carry a conic of
+    four entries whose third is 0 and exactly the center and radius_sq its
+    kind has; anything else raises ``ValueError``.
+
+    Each distinct text is parsed once: a rational given as a JSON string,
+    and a class ``v`` or ``w`` whose coordinates are all JSON strings, are
+    looked up by that text. Anything else is parsed on its own, since a
+    lookup by value would let ``1.0`` or ``true`` (equal to ``1``) past
+    ``as_int``."""
+    memo: Dict[Any, Any] = {}
+    out = []
+    for data in items:
+        wall_id = data.get("id")
+        kind = WallKind(data["kind"])
+        fields = _WALL_FIELDS[kind]
+        conic = data["conic"]
+        if type(conic) is not list or len(conic) != 4:
+            raise ValueError(f"wall {wall_id!r}: the conic needs 4 entries, got {conic!r}")
+        conic = tuple([_unrat_cached(x, memo) for x in conic])
+        if conic[2]:
+            raise ValueError(f"wall {wall_id!r}: the third conic entry must be 0")
+        if ("center" in data) + 2 * ("radius_sq" in data) != fields:
+            raise ValueError(f"wall {wall_id!r}: a {kind.value} wall carries "
+                             f"{_FIELD_NAMES[fields]}")
+        out.append(WallLocus(
+            _mukai_cached(data["v"], memo), _mukai_cached(data["w"], memo), conic, kind,
+            _unrat_cached(data["center"], memo) if fields else None,
+            _unrat_cached(data["radius_sq"], memo) if fields == 3 else None))
+    return out
+
+
+def _unrat_cached(x, memo: Dict[Any, Any]) -> Fraction:
+    if type(x) is not str:
+        return unrat(x)
+    q = memo.get(x)
+    if q is None:
+        q = memo[x] = unrat(x)
+    return q
+
+
+def _mukai_cached(data: Sequence[Any], memo: Dict[Any, Any]) -> MukaiVector:
+    r, c, s = data
+    if type(r) is not str or type(s) is not str or type(c) is not list \
+            or any(type(x) is not str for x in c):
+        return mukai_from_json(data)
+    text = (r, s, *c)
+    vec = memo.get(text)
+    if vec is None:
+        vec = memo[text] = mukai_from_json(data)
+    return vec

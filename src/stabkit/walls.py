@@ -11,15 +11,20 @@ coordinate bounded by the search bound) they include every actual wall,
 but walls of classes outside the box are not seen, and the sampling oracle
 reads the same box, so it cannot find them either.
 
-The box scan runs on plain ints. For fixed (v, slice) the coefficients
+The scan is decided on integer keys. For fixed (v, slice) the coefficients
 (A, B, D) are three integer rows on w over one common denominator
-(``_conic_rows``), so a box class costs two integer quadratic tests and,
-if it passes, three dot products whose primitive vector keys its conic.
-Exact ``Fraction`` centers and radii are built once per distinct key. The
-distinct loci of the last box are kept in a one-slot memo, so ``walls
---grid`` enumerates the box once for the scan and its oracle. The box has
-(2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration budget
-(``errors.effective_budget``) raises ``BudgetError`` before any work.
+(``_conic_rows``); with s innermost they are affine in s, so a box class
+costs two integer quadratic tests and, if it passes, three multiply-adds
+whose primitive vector, the conic key (a, b, d), names its wall. The key
+alone decides the kind (by a, b and b^2 - 4ad); the exact ``Fraction``
+conic, center and radius that a locus keeps are built once per distinct
+key, and the key is kept with them. The region test and the crossings of
+a vertical path cross-multiply the integer numerators and denominators of
+each locus's center and radius. The distinct loci of the last box are kept
+in a one-slot memo, so ``walls --grid`` enumerates the box once for the
+scan and its oracle. The box has (2 bound + 1)^(rho + 2) classes; one that
+exceeds the enumeration budget (``errors.effective_budget``) raises
+``BudgetError`` before any work.
 """
 from __future__ import annotations
 
@@ -103,15 +108,24 @@ class WallLocus:
 
     def key(self) -> Tuple[int, int, int, int]:
         """Conic normalized to coprime integers with positive leading entry;
-        loci with equal keys are the same wall."""
-        return tuple(primitive_vector(self.conic))
+        loci with equal keys are the same wall. Computed once per locus and
+        kept outside the fields, so equality and hashing are unchanged."""
+        try:
+            return self.__dict__["_key"]
+        except KeyError:
+            key = self.__dict__["_key"] = tuple(primitive_vector(self.conic))
+            return key
 
     def sort_key(self):
-        rank = {WallKind.VERTICAL_LINE: 0, WallKind.SEMICIRCLE: 1,
-                WallKind.EMPTY: 2, WallKind.DEGENERATE: 3}[self.kind]
-        return (rank, self.center if self.center is not None else Fraction(0),
-                self.radius_sq if self.radius_sq is not None else Fraction(0),
+        return (_KIND_RANK[self.kind],
+                self.center if self.center is not None else _ZERO,
+                self.radius_sq if self.radius_sq is not None else _ZERO,
                 self.key())
+
+
+_KIND_RANK = {WallKind.VERTICAL_LINE: 0, WallKind.SEMICIRCLE: 1,
+              WallKind.EMPTY: 2, WallKind.DEGENERATE: 3}
+_ZERO = Fraction(0)
 
 
 # -- exact charge on the slice -------------------------------------------------
@@ -161,23 +175,33 @@ def _conic_rows(v: MukaiVector, slice_: SliceParams
     return clear_denominators((a_row, b_row, d_row))
 
 
-def _locus(v: MukaiVector, w: MukaiVector, a: Fraction, b_coef: Fraction,
-           d_coef: Fraction) -> WallLocus:
-    """Classify the conic a (b^2 + t^2) + b_coef b + d_coef = 0 in t > 0."""
-    conic = (a, b_coef, Fraction(0), d_coef)
-    if a == 0 and b_coef == 0 and d_coef == 0:
-        return WallLocus(v, w, conic, WallKind.DEGENERATE)
-    if a == 0:
-        if b_coef == 0:
-            return WallLocus(v, w, conic, WallKind.EMPTY)
-        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE,
-                         center=-d_coef / b_coef)
-    center = -b_coef / (2 * a)
-    radius_sq = center * center - d_coef / a
-    if radius_sq <= 0:
-        return WallLocus(v, w, conic, WallKind.EMPTY)
-    return WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=center,
-                     radius_sq=radius_sq)
+def _locus(v: MukaiVector, w: MukaiVector, a: int, b: int, d: int, den: int,
+           key: Tuple[int, int, int]) -> WallLocus:
+    """Classify in t > 0 the conic with coefficients (A, B, D) = (a, b, d) /
+    den by its primitive integer key (ka, kb, kd), first nonzero entry
+    positive.
+
+    With ka > 0 the conic is the circle of center -kb / 2ka and radius^2
+    n / 4ka^2, n = kb^2 - 4 ka kd, a semicircle when n > 0 and empty
+    otherwise; with ka = 0 it is the line b = -kd / kb when kb != 0, empty
+    when only kd is nonzero, and degenerate when the key is zero. Both
+    values are invariant under scaling the conic, so they equal those of
+    the conic itself."""
+    conic = (Fraction(a, den), Fraction(b, den), _ZERO, Fraction(d, den))
+    ka, kb, kd = key
+    if ka:
+        n = kb * kb - 4 * ka * kd
+        if n > 0:
+            loc = WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=Fraction(-kb, 2 * ka),
+                            radius_sq=Fraction(n, 4 * ka * ka))
+        else:
+            loc = WallLocus(v, w, conic, WallKind.EMPTY)
+    elif kb:
+        loc = WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=Fraction(-kd, kb))
+    else:
+        loc = WallLocus(v, w, conic, WallKind.EMPTY if kd else WallKind.DEGENERATE)
+    loc.__dict__["_key"] = (ka, kb, 0, kd)  # what WallLocus.key would compute
+    return loc
 
 
 def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
@@ -189,24 +213,59 @@ def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus
         raise LatticeError("vector has wrong NS rank")
     rows, den = _conic_rows(v, slice_)
     wc = w.coords()
-    return _locus(v, w, *(Fraction(sum(map(mul, row, wc)), den) for row in rows))
+    a, b, d = (sum(map(mul, row, wc)) for row in rows)
+    return _locus(v, w, a, b, d, den, tuple(primitive_vector((a, b, d))))
 
 
 def locus_meets_region(loc: WallLocus, region: Region) -> bool:
     """Exact test whether the locus intersects the closed region (t > 0)."""
-    if loc.kind is WallKind.VERTICAL_LINE:
-        return region.b_min <= loc.center <= region.b_max
-    if loc.kind is WallKind.SEMICIRCLE:
-        c, q = loc.center, loc.radius_sq
-        # range of rho^2 - (b - c)^2 over [b_min, b_max]
-        if region.b_min <= c <= region.b_max:
-            g_max = q
+    return _meets_region(loc, _region_ints(region))
+
+
+def _region_ints(region: Region) -> Tuple[int, ...]:
+    """(b_min, b_max, t_min^2, t_max^2) as numerator, denominator pairs."""
+    return (region.b_min.numerator, region.b_min.denominator,
+            region.b_max.numerator, region.b_max.denominator,
+            region.t_min.numerator ** 2, region.t_min.denominator ** 2,
+            region.t_max.numerator ** 2, region.t_max.denominator ** 2)
+
+
+def _meets_region(loc: WallLocus, bounds: Tuple[int, ...]) -> bool:
+    """``locus_meets_region`` on the ints of ``_region_ints``, read against
+    the locus's own center p/q and radius^2 m/n (q, n > 0).
+
+    A semicircle meets the region when rho^2 - (b - c)^2, over b in
+    [b_min, b_max], reaches t_min^2 at its largest (at the end nearer to c,
+    or at c inside) and t_max^2 at its smallest (at the farther end). At an
+    end b_k = B_k / D_k, b_k - c = e / s with e = B_k q - p D_k and
+    s = D_k q, so rho^2 - (b_k - c)^2 = (m s^2 - e^2 n) / (n s^2) (at c
+    itself, e = 0 and s = 1); each test is that fraction against t_min^2 or
+    t_max^2 = T / E, cross-multiplied by n s^2 E > 0."""
+    b1, d1, b2, d2, lo_n, lo_d, hi_n, hi_d = bounds
+    kind = loc.kind
+    if kind is WallKind.VERTICAL_LINE:
+        c = loc.center
+        p, q = c.numerator, c.denominator
+        return b1 * q <= p * d1 and p * d2 <= b2 * q
+    if kind is WallKind.SEMICIRCLE:
+        c, rq = loc.center, loc.radius_sq
+        p, q = c.numerator, c.denominator
+        m, n = rq.numerator, rq.denominator
+        e1 = b1 * q - p * d1
+        e2 = b2 * q - p * d2
+        if e1 > 0:  # c < b_min
+            near, s = e1, d1 * q
+        elif e2 < 0:  # c > b_max
+            near, s = e2, d2 * q
         else:
-            near = region.b_min if c < region.b_min else region.b_max
-            g_max = q - (near - c) ** 2
-        far = region.b_min if abs(region.b_min - c) >= abs(region.b_max - c) else region.b_max
-        g_min = q - (far - c) ** 2
-        return g_max >= region.t_min ** 2 and g_min <= region.t_max ** 2
+            near, s = 0, 1
+        s2 = s * s
+        if (m * s2 - near * near * n) * lo_d < lo_n * n * s2:
+            return False
+        # |b_min - c| >= |b_max - c|, times d1 d2 q
+        far, s = (e1, d1 * q) if abs(e1) * d2 >= abs(e2) * d1 else (e2, d2 * q)
+        s2 = s * s
+        return (m * s2 - far * far * n) * hi_d <= hi_n * n * s2
     return False
 
 
@@ -247,14 +306,18 @@ def _distinct_loci(v: MukaiVector, slice_: SliceParams,
     the primitive vector of the three integer row products of
     ``_conic_rows``; the representative of a key is its least w, which the
     lexicographic box order meets first. Its exact locus is built then and
-    only then: loci with equal keys share kind, center and radius.
+    only then: loci with equal keys share kind, center and radius. The
+    three conic rows are affine in s too: each row's product with the head
+    (r, c) is taken once per head, and s adds its last entry times s.
     """
     gram = slice_.lattice.gram
     rv, sv = v.r, v.s
     gv_c = [sum(map(mul, row, v.c)) for row in gram]
     vv = sum(map(mul, v.c, gv_c)) - 2 * rv * sv
     gv_head = (-sv, *gv_c)  # v.w = gv_head . (r, c) - r_v s
-    rows, den = _conic_rows(v, slice_)
+    (a_row, b_row, d_row), den = _conic_rows(v, slice_)
+    a_s, b_s, d_s = a_row[-1], b_row[-1], d_row[-1]
+    a_row, b_row, d_row = a_row[:-1], b_row[:-1], d_row[:-1]
     rng = range(-search_bound, search_bound + 1)
     seen = set()
     out = []
@@ -262,13 +325,18 @@ def _distinct_loci(v: MukaiVector, slice_: SliceParams,
         r, c = head[0], head[1:]
         cc = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram))
         vw_head = sum(map(mul, gv_head, head))
+        a_head = sum(map(mul, a_row, head))
+        b_head = sum(map(mul, b_row, head))
+        d_head = sum(map(mul, d_row, head))
         for s in rng:
             ww = cc - 2 * r * s
             vw = vw_head - rv * s
             if ww < -2 or vv - 2 * vw + ww < -2 or vw * vw <= vv * ww:
                 continue
-            w = (*head, s)
-            a, b, d = (sum(map(mul, row, w)) for row in rows)
+            a = a_head + a_s * s
+            b = b_head + b_s * s
+            d = d_head + d_s * s
+            # primitive_vector((a, b, d)), inlined
             g = gcd(a, b, d)
             if g == 0:
                 continue
@@ -278,8 +346,7 @@ def _distinct_loci(v: MukaiVector, slice_: SliceParams,
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_locus(v, MukaiVector(r, c, s), Fraction(a, den),
-                              Fraction(b, den), Fraction(d, den)))
+            out.append(_locus(v, MukaiVector(r, c, s), a, b, d, den, key))
     return tuple(out)
 
 
@@ -295,9 +362,9 @@ def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
     ``BudgetError`` before it is walked."""
     if search_bound <= 0:
         raise ValueError("search_bound must be positive")
+    bounds = _region_ints(region)
     return sorted((loc for loc in _box_loci(v, slice_, search_bound)
-                   if loc.kind is not WallKind.EMPTY
-                   and locus_meets_region(loc, region)),
+                   if _meets_region(loc, bounds)),
                   key=WallLocus.sort_key)
 
 
@@ -393,24 +460,39 @@ def chambers_along_path(b_star, t_lo, t_hi, walls: Sequence[WallLocus]) -> Chamb
     Circles centered on the b-axis can only be tangent to a vertical line at
     t = 0, outside the path; the one degenerate case is a vertical wall
     coinciding with the path, which is reported separately and crossed by
-    nothing (an infinitesimal perturbation of b_star removes it)."""
+    nothing (an infinitesimal perturbation of b_star removes it).
+
+    Each wall is tested on ints: with b_star = B / G, center p / q and
+    radius^2 m / n, b_star - c = e / s for e = B q - p G and s = G q, so the
+    path meets the circle at t^2 = (m s^2 - e^2 n) / (n s^2), which is
+    compared with t_lo^2 and t_hi^2 cross-multiplied and built as a
+    ``Fraction`` only for a crossing."""
     b_star, t_lo, t_hi = as_fraction(b_star), as_fraction(t_lo), as_fraction(t_hi)
     if not 0 < t_lo <= t_hi:
         raise ValueError("need 0 < t_lo <= t_hi")
+    bn, bd = b_star.numerator, b_star.denominator
+    lo_n, lo_d = t_lo.numerator ** 2, t_lo.denominator ** 2
+    hi_n, hi_d = t_hi.numerator ** 2, t_hi.denominator ** 2
     crossings = []
     coincident = []
     for wall in walls:
-        if wall.kind is WallKind.VERTICAL_LINE:
-            if wall.center == b_star:
+        kind = wall.kind
+        if kind is WallKind.VERTICAL_LINE:
+            c = wall.center
+            if c.numerator * bd == bn * c.denominator:
                 coincident.append(wall)
             continue
-        if wall.kind is not WallKind.SEMICIRCLE:
+        if kind is not WallKind.SEMICIRCLE:
             continue
-        rad = wall.radius_sq - (b_star - wall.center) ** 2
-        if rad <= 0:
-            continue
-        if t_lo ** 2 <= rad <= t_hi ** 2:
-            crossings.append(Crossing(rad, wall))
+        c, rq = wall.center, wall.radius_sq
+        q, n = c.denominator, rq.denominator
+        e = bn * q - c.numerator * bd
+        s = bd * q
+        num = rq.numerator * s * s - e * e * n
+        den = n * s * s
+        # t_lo > 0, so a circle that misses the path (num <= 0) fails the first test
+        if lo_n * den <= num * lo_d and num * hi_d <= hi_n * den:
+            crossings.append(Crossing(Fraction(num, den), wall))
     crossings.sort(key=lambda c: (c.t_squared, c.wall.sort_key()))
     return ChamberPath(b_star, t_lo, t_hi, tuple(crossings), tuple(coincident))
 

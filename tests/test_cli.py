@@ -818,6 +818,55 @@ def test_walls_json_rejects_non_integral_class(tmp_path, lattice_file, capsys):
     assert "expected an integer, got '1/2'" in capsys.readouterr().err
 
 
+def _edited_walls_run(tmp_path, lattice_file, edit, b="-1"):
+    """Exit code of ``chambers`` on the README example's walls file at bound
+    2 (W0 the vertical line b = 0, W1 a semicircle) after ``edit`` changes
+    its walls."""
+    wallsf = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
+                 "--out", str(wallsf)]) == 0
+    doc = json.loads(wallsf.read_text())
+    walls = doc["result"]["walls"]
+    assert [w["kind"] for w in walls] == ["VERTICAL_LINE", "SEMICIRCLE"]
+    edit(walls)
+    wallsf.write_text(dumps(doc))
+    return main(["chambers", "--walls", str(wallsf), "--b", b, "--t", "1/10:4",
+                 "--out", str(tmp_path / "c.json")])
+
+
+@pytest.mark.parametrize("edit, b, message", [
+    # a semicircle without center used to end in a TypeError traceback
+    (lambda ws: ws[1].pop("center"), "-1",
+     "wall 'W1': a SEMICIRCLE wall carries center and radius_sq"),
+    # a line without center used to be reported as not coincident at b = 0
+    (lambda ws: ws[0].pop("center"), "0",
+     "wall 'W0': a VERTICAL_LINE wall carries center and no radius_sq"),
+    (lambda ws: ws[0].update(radius_sq="1"), "-1",
+     "wall 'W0': a VERTICAL_LINE wall carries center and no radius_sq"),
+    (lambda ws: ws[1]["conic"].pop(2), "-1",
+     "wall 'W1': the conic needs 4 entries, got ['2', '6', '2']"),
+    (lambda ws: ws[1]["conic"].__setitem__(2, "1/3"), "-1",
+     "wall 'W1': the third conic entry must be 0"),
+], ids=["semicircle-without-center", "line-without-center", "line-with-radius",
+        "three-entry-conic", "nonzero-third-entry"])
+def test_chambers_rejects_a_wall_that_does_not_fit_its_kind(tmp_path, lattice_file, capsys,
+                                                            edit, b, message):
+    assert _edited_walls_run(tmp_path, lattice_file, edit, b) == 1
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_chambers_reads_the_walls_it_was_given(tmp_path, lattice_file):
+    """The unedited file: the line is coincident at b = 0, and the
+    semicircle of center -3/2 and radius^2 5/4 is crossed at b = -1."""
+    assert _edited_walls_run(tmp_path, lattice_file, lambda ws: None, b="0") == 0
+    doc = json.loads((tmp_path / "c.json").read_text())["result"]
+    assert [w["kind"] for w in doc["coincident_walls"]] == ["VERTICAL_LINE"]
+    assert _edited_walls_run(tmp_path, lattice_file, lambda ws: None) == 0
+    doc = json.loads((tmp_path / "c.json").read_text())["result"]
+    assert [c["t_squared"] for c in doc["crossings"]] == ["1"]
+
+
 def test_chambers_rejects_float_in_walls_result(tmp_path, lattice_file, capsys):
     """The walls result is hashed in canonical form; a JSON float anywhere
     in it is an input error, not a traceback."""

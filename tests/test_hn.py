@@ -69,6 +69,30 @@ def test_validate_flags_cycles():
     assert any(v.code == "cycle" for v in violations)
 
 
+def test_filtration_refuses_a_cycle_with_no_maximal_continuation():
+    """A and B lie below each other, so neither tied continuation of 0 is
+    inclusion-maximal."""
+    cat = CategoryPresentation(
+        objects={"0": (0,), "A": (1,), "B": (1,)},
+        edges=(Edge("A", "B", "0"), Edge("B", "A", "0"), Edge("0", "A", "B")), zero="0")
+    with pytest.raises(PresentationError, match="no inclusion-maximal continuation"):
+        hn_filtration(cat, charge_table(cat, [gaussian(0, 1)]), "A")
+
+
+def test_filtration_refuses_a_cycle_it_would_walk_for_ever():
+    """A < B and B < A with the same high-phase quotient Q: the greedy walk
+    towards X steps A, B, A, ... and stops once it has more steps than
+    there are objects."""
+    cat = CategoryPresentation(
+        objects={"0": (0, 0, 0), "A": (1, 0, 0), "B": (0, 1, 0), "Q": (1, 0, 0),
+                 "R": (0, 0, 1), "X": (0, 0, 1)},
+        edges=(Edge("A", "B", "Q"), Edge("B", "A", "Q"), Edge("A", "X", "R"),
+               Edge("B", "X", "R")), zero="0")
+    table = charge_table(cat, [gaussian(-3, 1), gaussian(0, 1), gaussian(3, 1)])
+    with pytest.raises(PresentationError, match="revisits an object after 6 steps"):
+        hn_filtration(cat, table, "X")
+
+
 def test_validate_leaves_no_reference_cycle():
     """The cycle check is an iterative search: one validate call on a
     four-object presentation leaves nothing for the cyclic collector, and

@@ -59,8 +59,32 @@ def test_wall_roundtrip(k3d2):
     sl = SliceParams(k3d2, (Fraction(0),))
     loc = wall_locus(MukaiVector(1, (0,), -1), MukaiVector(-8, (1,), 0), sl)
     doc = ser.wall_to_json(loc, "W0")
-    loc2 = ser.wall_from_json(json.loads(json.dumps(doc)))
+    loc2, = ser.walls_from_json([json.loads(json.dumps(doc))])
     assert loc2 == loc
+
+
+def test_walls_reader_parses_each_text_once_and_checks_every_wall(k3d2):
+    """Walls sharing the text of v share one class; a later field equal by
+    value to an earlier one but given as a float or a bool still raises, as
+    it would alone."""
+    sl = SliceParams(k3d2, (Fraction(0),))
+    v = MukaiVector(1, (0,), -1)
+    docs = [json.loads(json.dumps(ser.wall_to_json(wall_locus(v, w, sl), f"W{i}")))
+            for i, w in enumerate((MukaiVector(0, (0,), 1), MukaiVector(-8, (1,), 0)))]
+    first, second = ser.walls_from_json(docs)
+    assert first.v is second.v and first.v == v
+    assert [first, second] == [wall_locus(v, loc.w, sl) for loc in (first, second)]
+    for later in ([1.0, [0], -1], [True, [0], -1], [1, [0.0], -1], [1, [0], -1.0]):
+        a, b = json.loads(json.dumps(docs))
+        a["v"], b["v"] = [1, [0], -1], later
+        assert ser.walls_from_json([a])[0].v == v
+        with pytest.raises(ValueError, match="expected an integer"):
+            ser.walls_from_json([a, b])
+    for later in (1.0, True):  # the int 1 is read first, in the first wall's conic
+        a, b = json.loads(json.dumps(docs))
+        a["conic"][0], b["radius_sq"] = 1, later
+        with pytest.raises(ValueError, match="expected a rational"):
+            ser.walls_from_json([a, b])
 
 
 def test_dumps_canonical():

@@ -14,8 +14,10 @@ from stabkit.charges import evaluate_charge_row
 from stabkit.errors import BudgetError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.lattice import mukai_pairing
-from stabkit.walls import (WallLocus, _key_relation, _signs_flip,
-                           locus_meets_region, sampling_oracle, sqrt_decimal)
+from stabkit.linalg import primitive_vector
+from stabkit.walls import (ChamberPath, Crossing, WallLocus, _conic_rows, _distinct_loci,
+                           _key_relation, _signs_flip, locus_meets_region,
+                           sampling_oracle, sqrt_decimal)
 
 
 @pytest.fixture
@@ -472,7 +474,7 @@ def ref_box_loci(v, sl, bound):
 def ref_walls_in(loci, region):
     """The loci that scan_walls keeps: not empty and meeting the region."""
     return [loc for loc in loci
-            if loc.kind is not WallKind.EMPTY and locus_meets_region(loc, region)]
+            if loc.kind is not WallKind.EMPTY and ref_meets_region(loc, region)]
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -650,3 +652,186 @@ def test_streaming_signs_flip_matches_full_table(key, nums, b_den, t_den):
     b_nums, t_nums = nums
     assert _signs_flip(loc, b_nums, b_den, t_nums, t_den) == \
         table_signs_flip(loc, b_nums, b_den, t_nums, t_den)
+
+
+# -- references: the Fraction region test, path crossings and box loop ---------
+
+
+def ref_meets_region(loc, region):
+    """The region test on Fraction centers and radii."""
+    if loc.kind is WallKind.VERTICAL_LINE:
+        return region.b_min <= loc.center <= region.b_max
+    if loc.kind is WallKind.SEMICIRCLE:
+        c, q = loc.center, loc.radius_sq
+        if region.b_min <= c <= region.b_max:
+            g_max = q
+        else:
+            near = region.b_min if c < region.b_min else region.b_max
+            g_max = q - (near - c) ** 2
+        far = region.b_min if abs(region.b_min - c) >= abs(region.b_max - c) else region.b_max
+        g_min = q - (far - c) ** 2
+        return g_max >= region.t_min ** 2 and g_min <= region.t_max ** 2
+    return False
+
+
+def ref_chambers_along_path(b_star, t_lo, t_hi, walls):
+    """The path crossings on Fraction centers and radii."""
+    crossings, coincident = [], []
+    for wall in walls:
+        if wall.kind is WallKind.VERTICAL_LINE:
+            if wall.center == b_star:
+                coincident.append(wall)
+            continue
+        if wall.kind is not WallKind.SEMICIRCLE:
+            continue
+        rad = wall.radius_sq - (b_star - wall.center) ** 2
+        if rad > 0 and t_lo ** 2 <= rad <= t_hi ** 2:
+            crossings.append(Crossing(rad, wall))
+    crossings.sort(key=lambda c: (c.t_squared, c.wall.sort_key()))
+    return ChamberPath(b_star, t_lo, t_hi, tuple(crossings), tuple(coincident))
+
+
+mixed = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+positive = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
+SHAPES = ("random", "line", "empty", "at_point", "through_low", "through_high", "tangent")
+
+
+@st.composite
+def hand_built_wall(draw, b, t_lo, t_hi, b_alt):
+    """A hand-built locus whose conic is drawn apart from its center and
+    radius (so it may disagree with them). Besides random shapes, it may be
+    a line at b (or at b_alt), or a semicircle that meets the vertical line
+    at b exactly at t_lo^2, at t_hi^2 or tangentially (rad = 0)."""
+    shape = draw(st.sampled_from(SHAPES))
+    v = MukaiVector(1, (0,), -1)
+    w = MukaiVector(draw(st.integers(-2, 2)), (draw(st.integers(-2, 2)),), 1)
+    conic = (draw(mixed), draw(mixed), Fraction(0), draw(mixed))
+    c = draw(st.sampled_from([b, b_alt])) if draw(st.booleans()) else draw(mixed)
+    if shape == "line":
+        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=c)
+    if shape == "empty":
+        return WallLocus(v, w, conic, draw(st.sampled_from([WallKind.EMPTY,
+                                                            WallKind.DEGENERATE])))
+    if shape == "at_point":  # a line at b itself
+        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=b)
+    gap = (b - c) ** 2
+    q = {"random": draw(positive), "through_low": gap + t_lo ** 2,
+         "through_high": gap + t_hi ** 2, "tangent": gap}[shape]
+    return WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=c,
+                     radius_sq=q if q > 0 else draw(positive))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), b=mixed, ts=st.tuples(positive, positive))
+def test_integer_path_matches_fraction_reference(data, b, ts):
+    """chambers_along_path equals the Fraction reference: same crossings
+    (radicands, walls and order, ties broken by sort_key) and the same
+    coincident lines, with crossings at exactly t_lo^2 and t_hi^2,
+    tangent circles, lines at b and equal circles with unequal conics."""
+    t_lo, t_hi = sorted(ts)
+    walls = data.draw(st.lists(hand_built_wall(b, t_lo, t_hi, data.draw(mixed)), max_size=8))
+    walls += data.draw(st.lists(st.sampled_from(walls), max_size=2)) if walls else []
+    assert chambers_along_path(b, t_lo, t_hi, walls) == \
+        ref_chambers_along_path(b, t_lo, t_hi, walls)
+
+
+@st.composite
+def region_and_wall(draw):
+    """A region with mixed-sign, mixed-denominator ends, and a hand-built
+    locus placed against it: its center random, at an end or inside, its
+    radius^2 random or exactly t_min^2 above the near end (the circle
+    touches the bottom edge) or t_max^2 above the far end (the top edge)."""
+    b_min, b_max = sorted((draw(mixed), draw(mixed)))
+    t_min, t_max = sorted((draw(positive), draw(positive)))
+    region = Region(b_min, b_max, t_min, t_max)
+    inside = b_min + (b_max - b_min) * draw(st.fractions(0, 1, max_denominator=4))
+    c = draw(st.sampled_from([b_min, b_max, inside, draw(mixed)]))
+    near = min(max(c, b_min), b_max)
+    far = b_min if abs(b_min - c) >= abs(b_max - c) else b_max
+    q = draw(st.sampled_from([draw(positive), (near - c) ** 2 + t_min ** 2,
+                              (far - c) ** 2 + t_max ** 2]))
+    v = MukaiVector(1, (0,), -1)
+    conic = (draw(mixed), draw(mixed), Fraction(0), draw(mixed))
+    kind = draw(st.sampled_from(list(WallKind)))
+    if kind is WallKind.SEMICIRCLE:
+        return region, WallLocus(v, v, conic, kind, center=c, radius_sq=q)
+    if kind is WallKind.VERTICAL_LINE:
+        return region, WallLocus(v, v, conic, kind, center=c)
+    return region, WallLocus(v, v, conic, kind)
+
+
+@settings(max_examples=400)
+@given(case=region_and_wall())
+def test_integer_region_test_matches_fraction_reference(case):
+    region, loc = case
+    assert locus_meets_region(loc, region) == ref_meets_region(loc, region)
+
+
+def test_region_and_path_boundaries_pinned():
+    """Each boundary the integer tests decide: a circle touching the
+    region's bottom or top edge, a line or circle center at a region end,
+    crossings at exactly t_lo^2 and t_hi^2, a tangent circle and a line at
+    b*."""
+    v = MukaiVector(1, (0,), -1)
+    conic = (Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
+    circ = lambda c, q: WallLocus(v, v, conic, WallKind.SEMICIRCLE, center=Fraction(c),
+                                  radius_sq=Fraction(q))
+    line = lambda c: WallLocus(v, v, conic, WallKind.VERTICAL_LINE, center=Fraction(c))
+    region = Region(Fraction(-1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 2))
+    # center -1 left of b_min: rho^2 - 1/4 against t_min^2 = 1/9
+    assert locus_meets_region(circ(-1, Fraction(1, 4) + Fraction(1, 9)), region)
+    assert not locus_meets_region(circ(-1, Fraction(1, 4) + Fraction(1, 10)), region)
+    # center at b_min: the far end 2/3 is 7/6 away, t_max^2 = 9/4
+    assert locus_meets_region(circ(Fraction(-1, 2), Fraction(49, 36) + Fraction(9, 4)), region)
+    assert not locus_meets_region(circ(Fraction(-1, 2), Fraction(49, 36) + Fraction(23, 10)),
+                                  region)
+    assert locus_meets_region(line(Fraction(2, 3)), region)
+    assert not locus_meets_region(line(Fraction(7, 10)), region)
+    b, lo, hi = Fraction(-1, 3), Fraction(1, 5), Fraction(5, 4)
+    walls = [circ(1, Fraction(16, 9) + lo * lo), circ(-2, Fraction(25, 9) + hi * hi),
+             circ(Fraction(1, 2), Fraction(25, 36)), line(b), line(Fraction(-1, 4))]
+    path = chambers_along_path(b, lo, hi, walls)
+    assert [c.t_squared for c in path.crossings] == [lo * lo, hi * hi]
+    assert path.coincident_walls == (walls[3],)
+    assert path == ref_chambers_along_path(b, lo, hi, walls)
+
+
+def ref_distinct_loci(v, sl, bound):
+    """The box walk as it was before the conic rows were hoisted: three row
+    products per passing class, classified in Fractions (``ref_locus``)."""
+    gram = sl.lattice.gram
+    rv, sv = v.r, v.s
+    gv_c = [sum(x * y for x, y in zip(row, v.c)) for row in gram]
+    vv = sum(x * y for x, y in zip(v.c, gv_c)) - 2 * rv * sv
+    gv_head = (-sv, *gv_c)
+    rows, den = _conic_rows(v, sl)
+    rng = range(-bound, bound + 1)
+    seen, out = set(), []
+    for head in itertools.product(rng, repeat=len(gv_head)):
+        r, c = head[0], head[1:]
+        cc = sum(x * sum(y * z for y, z in zip(row, c)) for x, row in zip(c, gram))
+        vw_head = sum(x * y for x, y in zip(gv_head, head))
+        for s in rng:
+            ww = cc - 2 * r * s
+            vw = vw_head - rv * s
+            if ww < -2 or vv - 2 * vw + ww < -2 or vw * vw <= vv * ww:
+                continue
+            w = (*head, s)
+            a, b, d = (sum(x * y for x, y in zip(row, w)) for row in rows)
+            key = tuple(primitive_vector((a, b, d)))
+            if key == (0, 0, 0) or key in seen:
+                continue
+            seen.add(key)
+            out.append(ref_locus(v, MukaiVector(r, c, s), sl))
+    return tuple(out)
+
+
+@settings(max_examples=40)
+@given(case=box_scans())
+def test_hoisted_box_walk_matches_per_class_loop(case):
+    """The hoisted walk gives the same loci in the same (box) order with the
+    same representative w, and each carries the key of its conic."""
+    lat, v, sl, region, bound = case
+    loci = _distinct_loci(v, sl, bound)
+    assert loci == ref_distinct_loci(v, sl, bound)  # WallLocus equality compares w too
+    assert all(loc.key() == tuple(primitive_vector(loc.conic)) for loc in loci)
