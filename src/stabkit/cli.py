@@ -160,14 +160,25 @@ def cmd_validate_category(args) -> None:
 
 
 def cmd_support(args) -> None:
+    # an input error, not a search that ran out: the library's walks take
+    # any budget, and one of 0 visits nothing
+    budget = effective_budget(args.budget)
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     lat = _lattice(args)
     lat.require_even()
+    classes = None
+    if args.classes:
+        classes = [tuple(_parse_vec_int(c)) for c in args.classes]
+        for text, cls in zip(args.classes, classes):
+            if len(cls) != lat.mukai_rank:
+                raise ValueError(f"class {text} has {len(cls)} entries; a class on this "
+                                 f"lattice has rho + 2 = {lat.mukai_rank}")
     params = _params(args, lat)
     gram = lat.mukai_gram()
     z_row = charge_row(params)
     kernel = charge_kernel(z_row, gram)
     s = charge_norm_form(z_row, kernel.norm)
-    budget = effective_budget(args.budget)
     # the Gram goes by keyword: bench/spans.py reads it as args[3] or kwargs
     res = min_root_norm(kernel.norm, ambient_gram=gram, budget=budget,
                         start_bound=as_fraction(args.start_bound))
@@ -184,10 +195,9 @@ def cmd_support(args) -> None:
     summary = "no roots in searched region"
     if res.found:
         q_z = build_q_z(kernel.norm, res.c_squared, gram)
-        classes = [v.coords() for v in
-                   (res.witness, MukaiVector.from_coords([0] * (lat.mukai_rank - 1) + [1]))]
-        if args.classes:
-            classes = [tuple(_parse_vec_int(c)) for c in args.classes]
+        if classes is None:
+            classes = [v.coords() for v in
+                       (res.witness, MukaiVector.from_coords([0] * (lat.mukai_rank - 1) + [1]))]
         roundtrip = equivalent_support_roundtrip(q_z, z_row, classes)
         disc = discreteness_classes(q_z, kernel.norm, res.c_squared, gram,
                                     radius_sq=res.c_squared * 4, budget=budget)

@@ -1,5 +1,5 @@
 """Exact lattice-point enumeration inside ellipsoids of positive definite
-rational quadratic forms (Fincke-Pohst recursion, integer form).
+rational quadratic forms (the Fincke-Pohst walk, integer form).
 
 The rational LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
 c_i = sum_{j>i} l_ij x_j, runs once. The walk then scales every level to
@@ -16,25 +16,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, isqrt, lcm
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, effective_budget
-from .linalg import frac_rows
+from .linalg import clear_denominators, frac_rows
 
 
 def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram."""
-    g = frac_rows(gram)
-    n = len(g)
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram.
+
+    Fraction-free (Bareiss) elimination on the integer Gram G = den Q: after
+    k steps, a_ij (i, j >= k) is p_{k-1} times the Schur complement of the
+    leading k x k block, where p_k = a_kk is the leading principal minor of
+    order k + 1 of G (p_{-1} = 1). So d_k = p_k / (p_{k-1} den) and
+    l_kj = a_kj / p_k, and each step divides exactly by p_{k-1}.
+    """
+    rows, den = clear_denominators(frac_rows(gram))
+    a = [list(row) for row in rows]
+    n = len(a)
     d = [Fraction(0)] * n
     low = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = g[i][i] - sum(d[k] * low[k][i] * low[k][i] for k in range(i))
-        if di <= 0:
+    prev = 1
+    for k in range(n):
+        piv, row = a[k][k], a[k]
+        if piv <= 0:
             raise ValueError("form is not positive definite")
-        d[i] = di
-        for j in range(i + 1, n):
-            low[i][j] = (g[i][j] - sum(d[k] * low[k][i] * low[k][j] for k in range(i))) / di
+        d[k] = Fraction(piv, prev * den)
+        for j in range(k + 1, n):
+            low[k][j] = Fraction(row[j], piv)
+        # the rows below, upper triangle only: the iterates stay symmetric
+        for i in range(k + 1, n):
+            ai, f = a[i], row[i]
+            for j in range(i, n):
+                ai[j] = (piv * ai[j] - f * row[j]) // prev
+        prev = piv
     return d, low
 
 
@@ -46,6 +62,22 @@ def _level_range(rem: int, w: int, den: int, cn: int) -> range:
     """
     s = isqrt(rem // w)
     return range(-((s + cn) // den), (s - cn) // den + 1)
+
+
+def _clip(level: Tuple[int, ...], cap: int, den: int, w: int) -> Tuple[int, ...]:
+    """An open level of the walk once the cap drops to ``cap``: the rest of
+    its range keeps the values whose term fits the new remainder."""
+    nxt, stop, cn, used, part = level
+    left = cap - used
+    if left < 0:
+        return (nxt, nxt, cn, used, part)
+    rest = _level_range(left, w, den, cn)
+    return (max(nxt, rest.start), min(stop, rest.stop), cn, used, part)
+
+
+def _exhausted(budget: int, bound: Fraction) -> BudgetError:
+    return BudgetError(f"ellipsoid enumeration exceeded budget of {budget} nodes",
+                       bound_reached=bound)
 
 
 def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
@@ -60,6 +92,15 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     the walk ends, however it ends, the number of nodes it visited (at most
     the budget) is added to ``nodes[0]``.
 
+    The walk is one loop, with no recursion and no closure. Each open level
+    keeps its next value, the end of its range, its center numerator, the
+    integer sum of the terms of the levels above (its remainder is the cap
+    less that sum) and the part of the next level's center numerator that
+    the levels above fix. Trying a value computes the range of the level
+    below; a value whose range below is empty is one node, and the walk does
+    not enter that level. The recursive walk would enter it and try nothing,
+    so the nodes, the points and their order are the recursive walk's.
+
     ``limit`` is a one-item list owned by the caller, who may lower
     ``limit[0]`` between two points to shrink the ellipsoid while the walk
     runs (the Fincke-Pohst radius update); the walk's bound is always
@@ -67,9 +108,11 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     cell after every point. When the bound drops from B to B', the integer
     remainder of every open level drops by floor(M B) - floor(M B'), exactly,
     since every term subtracted from it is an integer; each open level then
-    clips the rest of its range at its next step. Every point still to come
-    with Q(x) <= B' is yielded, and none above it. A walk whose bound is
-    never lowered is node for node the walk without ``limit``.
+    clips the rest of its range to the new remainder at once (a level range
+    only shrinks with its remainder, so clipping at once or when the level
+    resumes leaves the same values). Every point still to come with
+    Q(x) <= B' is yielded, and none above it. A walk whose bound is never
+    lowered is node for node the walk without ``limit``.
     """
     bound = Fraction(bound)
     budget = effective_budget(budget)
@@ -86,47 +129,70 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     rows = [[int(low[i][j] * dens[i]) for j in range(n)] for i in range(n)]
     scale = lcm(*(d[i].denominator * dens[i] ** 2 for i in range(n)))
     weights = [int(scale * d[i] / dens[i] ** 2) for i in range(n)]
-    x = [0] * n
-    visited = 0
     cap = floor(scale * bound)  # floor(M B) for the current bound B
     seen = limit[0] if limit is not None else None
-
-    def rec(i: int, used: int) -> Iterator[Tuple[int, ...]]:
-        # ``used`` is the integer sum of the terms of the levels above, so
-        # the remainder of this level is cap - used
-        nonlocal visited, cap, seen
-        row, den, w = rows[i], dens[i], weights[i]
-        cn = sum(row[j] * x[j] for j in range(i + 1, n))
-        level = _level_range(cap - used, w, den, cn)
-        while level:
-            top = cap
-            for xi in level:
-                if visited >= budget:
-                    raise BudgetError(f"ellipsoid enumeration exceeded budget of {budget} nodes",
-                                      bound_reached=bound)
-                visited += 1
-                x[i] = xi
-                if i == 0:
+    # level i > 0 hands level i - 1 the center numerator part + coef x_i,
+    # where part is the sum of tails[i] times the values above level i; per
+    # level: its den and w, coef, and the den and w of level i - 1
+    levels = [None] + [(dens[i], weights[i], rows[i - 1][i], dens[i - 1], weights[i - 1])
+                       for i in range(1, n)]
+    tails = [()] + [rows[i - 1][i + 1:] for i in range(1, n)]
+    # the open levels: (next value, range stop, center numerator, the integer
+    # sum of the terms of the levels above, part); the remainder of a level
+    # is cap - that sum
+    top = _level_range(cap, weights[-1], dens[-1], 0)
+    state = [(0, 0, 0, 0, 0)] * (n - 1) + [(top.start, top.stop, 0, 0, 0)]
+    x = [0] * n
+    visited = 0
+    i = n - 1
+    try:
+        while i < n:
+            xi, stop, cn, u, part = state[i]
+            if i == 0:
+                while xi < stop:
+                    if visited >= budget:
+                        raise _exhausted(budget, bound)
+                    visited += 1
+                    x[0] = xi
                     yield tuple(x)
+                    xi += 1
                     if limit is not None and limit[0] is not seen:
                         seen = limit[0]
-                        cap = min(cap, floor(scale * seen))
+                        lowered = floor(scale * seen)
+                        if lowered < cap:  # the caller lowered the bound: clip every level
+                            cap = lowered
+                            state[0] = (xi, stop, cn, u, part)
+                            state = [_clip(level, cap, dens[k], weights[k])
+                                     for k, level in enumerate(state)]
+                            break
                 else:
-                    y = den * xi + cn
-                    yield from rec(i - 1, used + w * y * y)
-                if cap != top:  # the caller lowered the bound: clip the rest
-                    left = cap - used
-                    if left < 0:
-                        return
-                    rest = _level_range(left, w, den, cn)
-                    level = range(max(xi + 1, rest.start), min(level.stop, rest.stop))
+                    i = 1
+                continue
+            den, w, coef, denc, wc = levels[i]
+            rem = cap - u
+            # each value xi costs one node and the range [lo, hi) of level
+            # i - 1 (``_level_range``, inlined)
+            while xi < stop:
+                if visited >= budget:
+                    raise _exhausted(budget, bound)
+                visited += 1
+                y = den * xi + cn
+                s = isqrt((rem - w * y * y) // wc)
+                cnc = part + coef * xi
+                lo = -((s + cnc) // denc)
+                hi = (s - cnc) // denc + 1
+                if lo < hi:
                     break
+                xi += 1
             else:
-                return
-
-    try:
-        yield from rec(n - 1, 0)
+                i += 1
+                continue
+            # descend into level i - 1, which tries lo, ..., hi - 1
+            x[i] = xi
+            state[i] = (xi + 1, stop, cn, u, part)
+            i -= 1
+            state[i] = (lo, hi, cnc, u + w * y * y,
+                        sum(map(mul, tails[i], x[i + 1:])) if i else 0)
     finally:
-        rec = None  # rec refers to itself through its closure: break the cycle
         if nodes is not None:
             nodes[0] += visited

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
@@ -129,18 +128,28 @@ def charge_norm_sq(z_row: Sequence[GaussianRational], s: Gram, v) -> Fraction:
     return bilinear(vec, s, vec)
 
 
-def _form_value(rows: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    """x^T rows x on integer x: with (rows, den) from ``clear_denominators``
-    of a Gram, Q(x) = _form_value(rows, x) / den."""
-    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, rows) if xi)
+Terms = Tuple[Tuple[int, int, int], ...]
 
 
-def _integral_rows(ambient_gram) -> Tuple[Tuple[int, ...], ...]:
+def _terms(rows: Sequence[Sequence[int]]) -> Terms:
+    """The nonzero upper-triangle terms (i, j, c) of a symmetric integer Gram,
+    c = g_ii on the diagonal and 2 g_ij above it: x^T G x is the sum of
+    c x_i x_j. With (rows, den) from ``clear_denominators`` of a rational
+    Gram, Q(x) = _form_value(_terms(rows), x) / den."""
+    return tuple((i, j, g if i == j else 2 * g)
+                 for i, row in enumerate(rows) for j, g in enumerate(row[i:], i) if g)
+
+
+def _form_value(terms: Terms, x: Sequence[int]) -> int:
+    return sum(c * x[i] * x[j] for i, j, c in terms)
+
+
+def _integral_terms(ambient_gram) -> Terms:
     rows, den = clear_denominators(frac_rows(ambient_gram))
     if den != 1:
         raise LatticeError("ambient Gram is not integral: roots of square -2 "
                            "need an integral lattice")
-    return rows
+    return _terms(rows)
 
 
 def _aux_gram(norm: Gram, ambient_gram: Gram) -> List[List[Fraction]]:
@@ -184,9 +193,10 @@ def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = Non
     if bound <= 0:
         raise ValueError(f"start bound must be positive, got {bound}")
     budget_n = effective_budget(budget)
-    mukai = _integral_rows(ambient_gram)
+    mukai = _integral_terms(ambient_gram)
     q_aux = _aux_gram(norm, ambient_gram)
     norm_rows, norm_den = clear_denominators(norm)
+    norm_terms = _terms(norm_rows)
     nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
     while True:
@@ -198,7 +208,7 @@ def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = Non
                                          nodes=nodes, limit=limit):
                 if _form_value(mukai, x) != -2:  # also skips the origin
                     continue
-                nz = _form_value(norm_rows, x)
+                nz = _form_value(norm_terms, x)
                 if best is None or nz < best:
                     best, best_vec = nz, x
                     limit[0] = Fraction(2 * nz, norm_den) + 2
@@ -254,7 +264,8 @@ class RoundtripReport:
 
 
 def _restrict(gram: Gram, basis: Sequence[Sequence]) -> List[List[Fraction]]:
-    return [[bilinear(u, gram, w) for w in basis] for u in basis]
+    """B G B^T: the Gram of ``gram`` on the rows of ``basis``."""
+    return mat_mul(basis, mat_mul(gram, transpose(basis)))
 
 
 def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
@@ -269,14 +280,19 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     the underlying proof is constructive.
     """
     gram = frac_rows(q)
+    for cls in test_classes:
+        if len(cls) != len(z_row):
+            raise LatticeError(f"test class {list(cls)} has {len(cls)} entries; "
+                               f"the lattice has rank {len(z_row)}")
     rows = charge_rows(z_row)
     kernel_basis = nullspace(rows)
-    if not is_negative_definite(_restrict(gram, kernel_basis)):
+    # K G for the kernel rows K: K G K^T is Q on Ker Z, and the kernel of
+    # K G is the Q-orthogonal complement
+    kg = mat_mul(kernel_basis, gram)
+    q_ker = mat_mul(kg, transpose(kernel_basis))
+    if not is_negative_definite(q_ker):
         raise DegenerateError("Q is not negative definite on Ker Z")
-    if kernel_basis:
-        comp = nullspace(mat_mul(kernel_basis, gram))
-    else:
-        comp = identity(len(z_row))
+    comp = nullspace(kg) if kernel_basis else identity(len(z_row))
     n_res = _restrict(mat_mul(transpose(rows), rows), comp)  # |Z|^2 on the complement
     q_res = _restrict(gram, comp)
     k_const = Fraction(1)
@@ -289,8 +305,9 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     else:
         raise DegenerateError("could not find K with K Q <= |Z|^2 on the complement")
     c2 = k_const / (1 + k_const)
-    # Q-orthogonal projection onto the kernel for the norm decomposition
-    proj = _orthogonal_projector(kernel_basis, gram)
+    # the Q-orthogonal projection a = K^T (K G K^T)^-1 K G v of v onto the
+    # kernel has Q(a) = (K G v)^T (K G K^T)^-1 (K G v)
+    q_ker_inv = inverse(q_ker)
     verdicts = []
     for cls in test_classes:
         v = tuple(map(Fraction, cls))
@@ -298,8 +315,8 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
         if qv < 0:
             verdicts.append(RoundtripVerdict(v, qv, True, None, None, None))
             continue
-        a = mat_vec(proj, v)
-        qa = bilinear(a, gram, a)
+        kgv = mat_vec(kg, v)
+        qa = bilinear(kgv, q_ker_inv, kgv)
         zabs = evaluate_charge_row(z_row, v).norm2()
         norm_sq = -qa + zabs
         verdicts.append(RoundtripVerdict(v, qv, False, norm_sq, zabs,
@@ -314,17 +331,35 @@ def discreteness_classes(q_gram: Gram, norm: Gram, c_squared: Fraction,
     radius_sq, the computable shadow of charge-image discreteness; q_gram is
     Q_Z, ``build_q_z(norm, c_squared, ambient_gram)``.
 
-    Such a class has Q_aux = (2 + 2 / C^2) N - Q_Z <= (2 + 2 / C^2) radius_sq,
-    so one walk of that ellipsoid finds them all."""
-    _integral_rows(ambient_gram)
-    q_z, _ = clear_denominators(q_gram)
+    One walk of a positive definite ellipsoid holds them all. Write
+    P = N - M, the form |||p(v)|||^2 >= 0, K = 1 + 2 / C^2 and r = radius_sq,
+    so that Q_Z = K N - P. A listed class has N(v) <= r and Q_Z(v) >= 0, that
+    is P(v) <= K N(v); so for every alpha > 0
+
+        Q_alpha(v) = (alpha + 1) N(v) - M(v) = alpha N(v) + P(v) <= (alpha + K) r.
+
+    The walk keeps the zero-free points of that ellipsoid with N <= r and
+    Q_Z >= 0, exactly the listed classes, whatever alpha. On Ker Z and its
+    pairing-orthogonal complement Q_alpha is P on the first and alpha N on
+    the second (N has rank 2 and vanishes on Ker Z; P vanishes on the
+    complement), so det Q_alpha is alpha^2 times a constant and the
+    ellipsoid's volume is proportional to (alpha + K)^(n/2) / alpha for
+    n = rank M. The walk takes the least volume, alpha = 2K / (n - 2); at
+    n = 2 the volume falls as alpha grows and the walk takes alpha = 2K.
+    (alpha = 1 gives the root search's Q_aux = 2N - M.)"""
+    _integral_terms(ambient_gram)
+    k = 1 + 2 / Fraction(c_squared)
+    alpha = 2 * k / max(len(ambient_gram) - 2, 1)
+    q_alpha = [[(alpha + 1) * x - m for x, m in zip(nr, mr)]
+               for nr, mr in zip(norm, ambient_gram)]
+    q_z = _terms(clear_denominators(q_gram)[0])
     norm_rows, norm_den = clear_denominators(norm)
+    norm_terms = _terms(norm_rows)
     radius_sq = Fraction(radius_sq)
     norm_cap = floor(radius_sq * norm_den)
-    cap = 2 * radius_sq + (Fraction(2) / Fraction(c_squared)) * radius_sq
     out = []
-    for x in enumerate_ellipsoid(_aux_gram(norm, ambient_gram), cap, budget=budget):
-        if (any(x) and _form_value(norm_rows, x) <= norm_cap
+    for x in enumerate_ellipsoid(q_alpha, (alpha + k) * radius_sq, budget=budget):
+        if (any(x) and _form_value(norm_terms, x) <= norm_cap
                 and _form_value(q_z, x) >= 0):
             out.append(x)
     return sorted(out)

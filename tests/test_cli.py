@@ -465,6 +465,45 @@ def test_support_rejects_nonpositive_start_bound(tmp_path, lattice_file, start):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("cls", ["1,0", "1,0,1,5"])
+def test_support_rejects_a_class_of_the_wrong_length(tmp_path, lattice_file, capsys, cls):
+    """A roundtrip class has rho + 2 entries; a shorter or longer one is an
+    input error, not a class cut or padded to fit."""
+    out = tmp_path / "x.json"
+    assert main(["support", "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+                 "--classes", "0,0,1", cls, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"class {cls} has {len(cls.split(','))} entries" in err
+    assert "rho + 2 = 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_support_rejects_a_nonpositive_budget(tmp_path, lattice_file, capsys, budget):
+    """A budget of no nodes is an input error (exit 1), not a search that
+    ran out (exit 2)."""
+    out = tmp_path / "x.json"
+    assert main(["support", "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+                 "--budget", budget, "--out", str(out)]) == 1
+    assert f"budget must be positive, got {budget}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_support_skewed_walk_runs_out_where_it_did(tmp_path, capsys):
+    """The skewed rank-3 basis that exhausts a root search of 20000 nodes:
+    the walk stops at the same node, with the same message."""
+    lat = tmp_path / "skew3.json"
+    lat.write_text(dumps({"rank": 3, "gram": [["636", "-88", "380"], ["-88", "8", "-48"],
+                                              ["380", "-48", "222"]],
+                          "ample": ["1", "-2", "-2"], "k3": True}))
+    assert main(["support", "--lattice", str(lat), "--beta", "3,-1/2,-2/3",
+                 "--omega", "2,-4,-4", "--budget", "20000",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == (
+        "computation error: root search budget of 20000 nodes exhausted before "
+        "certification (bound reached 8)\n")
+
+
 def test_chambers_labels_gieseker_end(tmp_path, lattice_file):
     wallsf = tmp_path / "w.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1",
@@ -541,6 +580,25 @@ def test_support_payload_pinned(tmp_path, lattice_file):
                     "--beta", "-1/3,-1/2", "--omega", "3/2,-1/13")
     assert code == 0
     assert doc["result"]["root_search"]["c_squared"] == "4985/12951"
+
+
+def test_support_rank3_skewed_walk_pinned(tmp_path):
+    """``points_visited`` counts the walk node for node: pinned, with the
+    discreteness sample, on a skewed rank-3 basis (diag(2, -2, -2) moved by a
+    unimodular matrix), beside the README example and the rank-2 skewed
+    basis above."""
+    lat = tmp_path / "skew3.json"
+    lat.write_text(dumps({"rank": 3, "gram": [["-2", "0", "-8"], ["0", "0", "-2"],
+                                              ["-8", "-2", "-28"]],
+                          "ample": ["-3", "0", "1"], "k3": True}))
+    code, doc = run(tmp_path, "support", "--lattice", str(lat), "--beta", "-1/3,1/5,1/7",
+                    "--omega", "-9/2,1/13,3/2")
+    assert code == 0
+    res = doc["result"]
+    assert res["root_search"] == {"bound_reached": "8", "c_squared": "416/46305",
+                                  "points_visited": 165,
+                                  "witness": ["0", ["-1", "1", "0"], "0"]}
+    assert res["discreteness_sample"] == {"classes": 4, "radius_sq": "1664/46305"}
 
 
 def test_support_output_same_under_python_O(tmp_path, lattice_file):

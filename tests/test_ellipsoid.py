@@ -49,6 +49,14 @@ def test_ldl_rejects_indefinite():
         ldl_decompose([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]])
 
 
+@pytest.mark.parametrize("gram", [[[1, 1], [1, 1]], [[0, 0], [0, 1]], [[2, 1, 0], [1, 3, 1], [0, 1, 0]]])
+def test_ldl_rejects_semidefinite(gram):
+    """A zero pivot is refused as not positive definite, before it is
+    divided by."""
+    with pytest.raises(ValueError, match="not positive definite"):
+        ldl_decompose(gram)
+
+
 def test_enumeration_matches_brute_force():
     rng = random.Random(82)
     for _ in range(20):
@@ -144,6 +152,20 @@ def _reference_events(g, bound):
                     yield from rec(i - 1, rem - d[i] * (xi + c) ** 2)
 
     return list(rec(n - 1, bound))
+
+
+@given(pd_forms())
+def test_ldl_matches_rational_recurrence(form):
+    """The fraction-free decomposition equals the textbook one in rationals:
+    d_i = g_ii - sum_k d_k l_ki^2, l_ij = (g_ij - sum_k d_k l_ki l_kj) / d_i."""
+    g, _ = form
+    n = len(g)
+    d, low = [], [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d.append(g[i][i] - sum(d[k] * low[k][i] ** 2 for k in range(i)))
+        for j in range(i + 1, n):
+            low[i][j] = (g[i][j] - sum(d[k] * low[k][i] * low[k][j] for k in range(i))) / d[i]
+    assert ldl_decompose(g) == (d, low)
 
 
 @given(pd_forms())

@@ -266,6 +266,15 @@ def test_discreteness_finite_list(k3d2):
     assert set(classes) <= set(bigger)
 
 
+def reference_discreteness(q_z, norm, c2, gram, radius, budget=None):
+    """The discreteness sample as one walk of Q_aux = 2N - M up to
+    (2 + 2 / C^2) radius, filtered in rationals: nonzero, v^T N v <= radius
+    and Q_Z(v) >= 0."""
+    cap = 2 * radius + 2 / c2 * radius
+    return sorted(x for x in enumerate_ellipsoid(aux_gram(norm, gram), cap, budget=budget)
+                  if any(x) and bilinear(x, norm, x) <= radius and bilinear(x, q_z, x) >= 0)
+
+
 def test_discreteness_filters_match_rational_reference(k3d2):
     z, gram = worked_example(k3d2)
     norm = charge_kernel(z, gram).norm
@@ -273,16 +282,63 @@ def test_discreteness_filters_match_rational_reference(k3d2):
     res = min_root_norm(norm, ambient_gram=gram)
     c2 = res.c_squared
     q_z = build_q_z(norm, c2, gram)
-    q_aux = aux_gram(norm, gram)
     # just below C^2 the witness pair drops out; at C^2 it is in
     for radius in (c2 - Fraction(1, 10 ** 6), c2, Fraction(4)):
-        cap = 2 * radius + 2 / c2 * radius
-        expected = sorted(x for x in enumerate_ellipsoid(q_aux, cap)
-                          if any(x) and charge_norm_sq(z, s, x) <= radius
-                          and bilinear(x, q_z, x) >= 0)
         got = discreteness_classes(q_z, norm, c2, gram, radius_sq=radius)
-        assert got == expected
+        assert got == reference_discreteness(q_z, norm, c2, gram, radius)
+        assert all(charge_norm_sq(z, s, x) <= radius for x in got)
         assert (res.witness.coords() in got) == (radius >= c2)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.randoms(use_true_random=False),
+       st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+       st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(2), Fraction(4)]))
+def test_weighted_discreteness_walk_matches_q_aux_reference(rank, rng, c2, scale):
+    """On random K3 lattices of NS rank 1-3 with generic charges, the walk of
+    (alpha + 1) N - M lists exactly the classes of the Q_aux walk, for any
+    C^2 > 0 and radius: the superset argument does not need C^2 to be the
+    minimal root norm."""
+    from conftest import random_even_ns_lattice
+    lat = random_even_ns_lattice(rng, rank)
+    gram = lat.mukai_gram()
+    beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+    t = Fraction(rng.randint(2, 6), 2)
+    omega = tuple(t * x for x in lat.ample)
+    z = charge_row(ChargeParams(lat, beta, omega))
+    try:
+        norm = charge_kernel(z, gram).norm
+        charge_norm_form(z, norm)
+    except DegenerateError:
+        assume(False)
+    q_z = build_q_z(norm, c2, gram)
+    radius = c2 * scale
+    try:
+        expected = reference_discreteness(q_z, norm, c2, gram, radius, budget=20000)
+    except BudgetError:
+        assume(False)
+    assert discreteness_classes(q_z, norm, c2, gram, radius_sq=radius) == expected
+
+
+def test_weighted_discreteness_walk_on_rank_two_gram():
+    """With M of rank 2 (n - 2 = 0) the walk takes alpha = 2K: no division
+    by zero, and the same list as the Q_aux walk."""
+    z = [gaussian(-1, 0), gaussian(0, 1)]
+    gram = identity(2)
+    norm = charge_kernel(z, gram).norm  # Ker Z = 0, so N = M
+    for c2 in (Fraction(1, 2), Fraction(2), Fraction(9, 8)):
+        q_z = build_q_z(norm, c2, gram)
+        for radius in (Fraction(1), Fraction(5), 4 * c2):
+            got = discreteness_classes(q_z, norm, c2, gram, radius_sq=radius)
+            assert got and got == reference_discreteness(q_z, norm, c2, gram, radius)
+
+
+def test_roundtrip_rejects_a_class_of_the_wrong_length(k3d2):
+    z, gram = worked_example(k3d2)
+    q_z = build_q_z(charge_kernel(z, gram).norm, Fraction(9, 8), gram)
+    for cls in ((1, 0), (1, 0, 1, 5)):
+        with pytest.raises(LatticeError, match="has rank 3"):
+            equivalent_support_roundtrip(q_z, z, [(0, 0, 1), cls])
 
 
 def test_min_root_norm_second_configuration(k3d2):
