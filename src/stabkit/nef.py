@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,7 +21,7 @@ from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget, require_box_budget)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector, NSLattice, mukai_square
-from .linalg import bilinear, mat_vec, minors2_gcd, primitive_vector, solve
+from .linalg import bilinear, mat_vec, minors2_gcd, solve
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
@@ -265,80 +266,106 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     coordinate). For (v, v) = 0 the search runs in v-perp / <v>: v lies in
     the radical of v-perp, so squares descend; candidates are reduced modulo
     v to a canonical representative and must be primitive in the quotient.
-    Each box point is first tested on its integer Mukai square; only the
-    square-zero points become ``MukaiVector``s."""
+    The search walks the NS part c of u = (r, c, s) over [-bound, bound]^rho
+    and solves (v, u) = 0 and u^2 = 0 for (r, s) (``_isotropic_perp``); only
+    the distinct rays become ``MukaiVector``s. The budget still counts the
+    (2 bound + 1)^(rho + 1) heads of the v-perp box before any work: over
+    it, BudgetError names the largest bound that fits."""
     if not v.is_primitive():
         raise LatticeError(f"{v} is not primitive")
     vsq = mukai_square(v, lat)
     if vsq < 0:
         raise LatticeError("need (v, v) >= 0")
-    lform = mat_vec(lat.mukai_gram(), [Fraction(x) for x in v.coords()])
-    lint = [int(x) for x in lform]  # v-perp is the kernel of this row
+    require_box_budget(lat.rank + 1, bound, "v-perp box", "heads")
+    points = _isotropic_perp(v.coords(), lat.gram, bound)
     if vsq == 0:
-        return _lagrangian_isotropic_case(v, lat, lint, bound)
-    out = []
-    seen = set()
-    for u in _perp_box(lint, bound):
-        if _coords_square(u, lat.gram) != 0:
-            continue
-        mv = MukaiVector.from_coords(u)
-        if mv.is_zero() or not mv.is_primitive():
-            continue
-        ray = tuple(primitive_vector(u))
-        if ray not in seen:
-            seen.add(ray)
-            out.append(MukaiVector.from_coords(ray))
-    return sorted(out, key=lambda x: x.coords())
+        rays = _quotient_rays(points, v.coords())
+    else:  # primitive points, sign taken from the first nonzero entry
+        rays = {u if next(x for x in u if x) > 0 else tuple(-x for x in u)
+                for u in points if gcd(*u) == 1}  # the zero point has gcd 0
+    return [MukaiVector.from_coords(ray) for ray in sorted(rays)]
 
 
-def _perp_box(row: Sequence[int], bound: int):
-    """All integer points u of the box |u_i| <= bound with row . u = 0, for
-    a nonzero integer row of length n.
+def _isotropic_perp(v: Sequence[int], gram: Sequence[Sequence[int]], bound: int):
+    """All integer points u = (r, c, s) of the box |u_i| <= bound with
+    (v, u) = 0 and u^2 = 0, for v = (r_v, c_v, s_v) on the NS Gram ``gram``.
 
-    The box of every coordinate but one pivot j with row_j != 0 is walked
-    flat, and row . u = 0 pins u_j: the point is kept when u_j is an integer
-    inside the box. The (2 bound + 1)^(n - 1) heads are checked against
-    ``errors.effective_budget()`` before the walk; over it, BudgetError
-    names the largest bound that fits.
+    Only c runs over [-bound, bound]^rho. With k = c_v.c and q = c.c the two
+    conditions read s_v r + r_v s = k and 2 r s = q, which pin (r, s):
+
+    - q odd: no solution.
+    - r_v s_v != 0: x = s_v r is a root of x^2 - k x + r_v s_v q / 2, so
+      x = (k +- d) / 2 with d^2 = k^2 - 2 r_v s_v q; then r = x / s_v and
+      s = (k - x) / r_v must be integers inside the box.
+    - one of r_v, s_v zero: the linear equation pins the other coordinate
+      t, and r s = q / 2 pins the remaining one; when t = 0 and q = 0 that
+      one runs over the box.
+    - r_v = s_v = 0: k must be 0, and r s = q / 2 is solved over the
+      divisors r of q / 2 (over both axes when q = 0).
+
+    Each c costs O(1) apart from the divisor walk and the free coordinate,
+    whose steps are all points of the same (2 bound + 1)^(rho + 1) box.
     """
-    require_box_budget(len(row) - 1, bound, "v-perp box", "heads")
-    j = next(i for i, x in enumerate(row) if x)
-    pivot, rest = row[j], [*row[:j], *row[j + 1:]]
-    for head in itertools.product(range(-bound, bound + 1), repeat=len(rest)):
-        uj, rem = divmod(-sum(map(mul, rest, head)), pivot)
-        if not rem and -bound <= uj <= bound:
-            yield (*head[:j], uj, *head[j:])
-
-
-def _coords_square(u: Sequence[int], gram: Sequence[Sequence[int]]) -> int:
-    """Mukai square c.c - 2 r s of the class with coordinates u = (r, c, s),
-    on plain ints: the cheap first test of the Lagrangian search."""
-    c = u[1:-1]
-    cc = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram) if x)
-    return cc - 2 * u[0] * u[-1]
-
-
-def _lagrangian_isotropic_case(v: MukaiVector, lat: NSLattice,
-                               lint: Sequence[int], bound: int) -> List[MukaiVector]:
-    """(v, v) = 0: classes live in v-perp / <v>. Enumerate representatives in
-    the box, reduce modulo v deterministically, keep residues primitive in
-    the quotient, and return one canonical ambient representative per ray."""
-    vcs = v.coords()
-    out = {}
-    for u in _perp_box(lint, bound):
-        if _coords_square(u, lat.gram) != 0:  # square is well defined mod v
+    rv, cv, sv = v[0], v[1:-1], v[-1]
+    gv = [sum(map(mul, row, cv)) for row in gram]  # k = gv . c
+    box = range(-bound, bound + 1)
+    p = rv * sv
+    for c in itertools.product(box, repeat=len(gram)):
+        q = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram) if x)
+        if q & 1:
             continue
+        h, k = q >> 1, sum(map(mul, gv, c))
+        if p:
+            disc = k * k - 2 * p * q
+            if disc < 0:
+                continue
+            d = isqrt(disc)
+            if d * d != disc:
+                continue
+            for x in {(k + d) >> 1, (k - d) >> 1}:  # k = d mod 2: disc = k^2 mod 4
+                r, rem_r = divmod(x, sv)
+                s, rem_s = divmod(k - x, rv)
+                if not (rem_r or rem_s) and -bound <= r <= bound and -bound <= s <= bound:
+                    yield (r, *c, s)
+        elif rv or sv:
+            t, rem = divmod(k, sv or rv)  # r when s_v != 0, else s
+            if rem or not -bound <= t <= bound:
+                continue
+            if t:
+                o, rem = divmod(h, t)
+                others = () if rem or not -bound <= o <= bound else (o,)
+            else:
+                others = box if h == 0 else ()
+            for o in others:
+                yield (t, *c, o) if sv else (o, *c, t)
+        elif k == 0:
+            if h == 0:
+                yield from ((r, *c, 0) for r in box)
+                yield from ((0, *c, s) for s in box if s)
+                continue
+            for r in range(1, bound + 1):
+                s, rem = divmod(h, r)
+                if not rem and -bound <= s <= bound:
+                    yield (r, *c, s)
+                    yield (-r, *c, -s)
+
+
+def _quotient_rays(points, vcs: Sequence[int]) -> set:
+    """(v, v) = 0: classes live in v-perp / <v>. Reduce each point modulo v
+    deterministically, keep residues primitive in the quotient, and return
+    one canonical ambient representative per ray (the square is well
+    defined mod v)."""
+    rays = set()
+    for u in points:
         res = _reduce_mod_v(u, vcs)
-        if all(x == 0 for x in res):
+        if not any(res):
             continue
-        if minors2_gcd(list(res), list(vcs)) != 1:
+        if minors2_gcd(res, vcs) != 1:
             continue  # not primitive in the quotient
         # one representative per quotient ray: reduce both signs, keep the
         # lexicographically smaller residue
-        res_neg = _reduce_mod_v([-x for x in u], vcs)
-        ray = min(res, res_neg)
-        out[ray] = MukaiVector.from_coords(ray)
-    return sorted(out.values(), key=lambda x: x.coords())
+        rays.add(min(res, _reduce_mod_v([-x for x in u], vcs)))
+    return rays
 
 
 def _reduce_mod_v(u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:

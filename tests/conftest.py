@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import settings
@@ -56,6 +57,19 @@ def minors_positive_semidefinite(gram):
     n = len(gram)
     return all(determinant([[gram[i][j] for j in idx] for i in idx]) >= 0
                for k in range(1, n + 1) for idx in combinations(range(n), k))
+
+
+def perp_box(row, bound):
+    """All integer points u of the box |u_i| <= bound with row . u = 0, for a
+    nonzero integer row: walk every coordinate but one pivot j with
+    row_j != 0 and solve row . u = 0 for u_j. The brute-force reference for
+    the Lagrangian search."""
+    j = next(i for i, x in enumerate(row) if x)
+    pivot, rest = row[j], [*row[:j], *row[j + 1:]]
+    for head in product(range(-bound, bound + 1), repeat=len(rest)):
+        uj, rem = divmod(-sum(map(mul, rest, head)), pivot)
+        if not rem and -bound <= uj <= bound:
+            yield (*head[:j], uj, *head[j:])
 
 
 @pytest.fixture

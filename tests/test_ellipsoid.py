@@ -13,7 +13,7 @@ from stabkit.errors import BudgetError
 from stabkit.gaussian import gaussian
 from stabkit.hn import charge_table, jh_factors
 from stabkit.linalg import inverse
-from stabkit.nef import _perp_box, decomposition_scan
+from stabkit.nef import _isotropic_perp, decomposition_scan
 
 
 def test_level_range_exact():
@@ -255,7 +255,7 @@ def _jh_walk():
 
 @pytest.mark.parametrize("walk", [
     lambda: list(enumerate_ellipsoid([[2, 1], [1, 3]], 5)),
-    lambda: list(_perp_box([1, 0, -1], 3)),
+    lambda: list(_isotropic_perp((1, 0, -1), ((2,),), 3)),
     lambda: decomposition_scan((1, 0), Rank2Lattice(
         (MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), ((2, -1), (-1, 0))),
         max_m=3, box=10),

@@ -4,18 +4,18 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_even_ns_lattice
-from stabkit import (ChargeParams, MukaiVector, Rank2Lattice, SliceParams,
+from conftest import perp_box, random_even_ns_lattice
+from stabkit import (ChargeParams, MukaiVector, NSLattice, Rank2Lattice, SliceParams,
                      WallKind, bb_square, charge_row, decomposition_scan,
                      lagrangian_candidates, moduli_dimension, mukai_pairing,
                      mukai_square, omega_class, wall_locus, wall_report)
 from stabkit.errors import BudgetError, DegenerateError, LatticeError
 from stabkit.gaussian import GaussianRational
-from stabkit.linalg import bilinear
-from stabkit.nef import _perp_box
+from stabkit.linalg import bilinear, minors2_gcd
+from stabkit.nef import _isotropic_perp
 from stabkit.charges import evaluate_charge_row as z_eval
 
 
@@ -295,26 +295,110 @@ def test_lagrangian_box_budget(k3d2, monkeypatch):
 @given(st.lists(st.integers(-6, 6), min_size=3, max_size=5).filter(any),
        st.integers(-1, 4))
 def test_perp_box_is_the_box_cut_by_the_row(row, bound):
-    """The flat walk yields every integer point u of [-B, B]^n with
+    """The reference walk yields every integer point u of [-B, B]^n with
     row . u = 0, each once."""
     box = itertools.product(range(-bound, bound + 1), repeat=len(row))
-    assert sorted(_perp_box(row, bound)) == \
+    assert sorted(perp_box(row, bound)) == \
         [u for u in box if sum(map(mul, row, u)) == 0]
 
 
+def _coords_square(u, gram):
+    """Mukai square c.c - 2 r s of u = (r, c, s) on plain ints."""
+    c = u[1:-1]
+    return sum(x * g * y for x, row in zip(c, gram) for g, y in zip(row, c)) \
+        - 2 * u[0] * u[-1]
+
+
+@st.composite
+def perp_cases(draw):
+    """A symmetric integer Gram of rank 1-3 (any signature, possibly
+    degenerate), a class v with r_v = 0, s_v = 0, both, v^2 = 0 or neither,
+    and a bound in -1..4."""
+    rho = draw(st.integers(1, 3))
+    upper = {(i, j): draw(st.integers(-4, 4)) for i in range(rho) for j in range(i, rho)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rho))
+                 for i in range(rho))
+    small = st.integers(-3, 3)
+    cv = tuple(draw(small) for _ in range(rho))
+    rv, sv = draw(small), draw(small)
+    shape = draw(st.sampled_from(["any", "r_v = 0", "s_v = 0", "both 0", "v^2 = 0"]))
+    if shape in ("r_v = 0", "both 0"):
+        rv = 0
+    if shape in ("s_v = 0", "both 0"):
+        sv = 0
+    if shape == "v^2 = 0":
+        cc = _coords_square((0, *cv, 0), gram)
+        assume(cc % 2 == 0)
+        rv = draw(st.sampled_from([1, -1]))
+        sv = rv * cc // 2
+    return gram, (rv, *cv, sv), draw(st.integers(-1, 4))
+
+
+@settings(max_examples=300)
+@given(perp_cases())
+def test_isotropic_perp_matches_brute_box(case):
+    """The c walk with (r, s) solved from (v, u) = 0 and u^2 = 0 yields
+    exactly the square-zero points of the brute v-perp box, each once."""
+    gram, v, bound = case
+    rv, cv, sv = v[0], v[1:-1], v[-1]
+    row = (-sv, *(sum(map(mul, r, cv)) for r in gram), -rv)  # (v, u) = row . u
+    assume(any(row))
+    brute = [u for u in perp_box(row, bound) if _coords_square(u, gram) == 0]
+    assert sorted(_isotropic_perp(v, gram, bound)) == sorted(brute)
+
+
+def test_lagrangian_rank2_pinned():
+    """rho = 2, v = (1, 0, 0, -1) on [[2, 1], [1, -2]] at bound 5: ten rays."""
+    lat = NSLattice(2, ((2, 1), (1, -2)), (1, 0))
+    got = lagrangian_candidates(MukaiVector(1, (0, 0), -1), lat, 5)
+    assert [u.coords() for u in got] == [
+        (1, -5, 3, 1), (1, -2, -3, 1), (1, -2, 1, 1), (1, -1, -1, 1), (1, -1, 0, 1),
+        (1, 1, 0, 1), (1, 1, 1, 1), (1, 2, -1, 1), (1, 2, 3, 1), (1, 5, -3, 1)]
+
+
+def _same_quotient_ray(u, w, v):
+    """u = +-w modulo multiples of v: u -+ w and v span at most a line."""
+    return any(minors2_gcd([a - e * b for a, b in zip(u, w)], v) == 0 for e in (1, -1))
+
+
+def brute_quotient_rays(v, lat, bound):
+    """One box point per ray of v-perp / <v> for (v, v) = 0: the square-zero
+    box points orthogonal to v that are primitive modulo v, grouped by
+    u = +-u' modulo v."""
+    rays = []
+    for u in itertools.product(range(-bound, bound + 1), repeat=lat.rank + 2):
+        mv = MukaiVector.from_coords(u)
+        if mukai_pairing(mv, v, lat) or mukai_square(mv, lat):
+            continue
+        if minors2_gcd(u, v.coords()) != 1:
+            continue  # zero, a multiple of v, or divisible modulo v
+        if not any(_same_quotient_ray(u, w, v.coords()) for w in rays):
+            rays.append(u)
+    return rays
+
+
 def test_lagrangian_quotient_case():
-    """rho = 2 lattice with an isotropic NS direction: v = (0, 0, 1) has
-    genuine candidates in v-perp / <v>."""
-    lat = random_even_ns_lattice(random.Random(75), rank=2)
-    # force a hyperbolic-plane NS lattice for clarity
-    from stabkit import NSLattice
-    lat = NSLattice(2, ((0, 1), (1, 0)), (1, 1))
+    """(v, v) = 0 on rho = 2: one candidate per ray of v-perp / <v>, the
+    same rays as a brute-force search of the box. The cases take r_v = 0,
+    s_v = 0, both and neither."""
+    hyperbolic = NSLattice(2, ((0, 1), (1, 0)), (1, 1))
+    diagonal = NSLattice(2, ((2, 0), (0, -2)), (1, 0))
     v = MukaiVector(0, (0, 0), 1)
-    got = lagrangian_candidates(v, lat, 3)
-    assert got
-    for u in got:
-        assert mukai_pairing(u, v, lat) == 0
-        assert mukai_square(u, lat) == 0
+    assert [u.coords() for u in lagrangian_candidates(v, hyperbolic, 3)] == \
+        [(0, -1, 0, 0), (0, 0, -1, 0)]
+    for lat, coords in [(hyperbolic, (0, 0, 0, 1)), (hyperbolic, (1, 0, 0, 0)),
+                        (hyperbolic, (0, 1, 0, 0)), (diagonal, (0, 1, 1, 0)),
+                        (diagonal, (1, 1, 1, 0)), (diagonal, (1, 1, 0, 1)),
+                        (diagonal, (2, 1, 1, 0))]:
+        v = MukaiVector.from_coords(coords)
+        got = [u.coords() for u in lagrangian_candidates(v, lat, 3)]
+        brute = brute_quotient_rays(v, lat, 3)
+        assert got and len(got) == len(brute)
+        for u in brute:
+            assert sum(_same_quotient_ray(u, w, coords) for w in got) == 1
+        for w in got:
+            mw = MukaiVector.from_coords(w)
+            assert mukai_pairing(mw, v, lat) == 0 and mukai_square(mw, lat) == 0
 
 
 def test_wall_report_rejects_non_primitive_v(k3d2):
