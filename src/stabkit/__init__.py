@@ -10,8 +10,8 @@ Layers:
     comparison;
   - hn: Harder-Narasimhan and Jordan-Holder filtrations over finite
     presentations, read from one integer charge table per charge row;
-  - support: charge kernels with their norm Grams, norm forms, minimal root
-    norms, support forms;
+  - support: charge kernels with their 2x2 norm forms and norm Grams, read
+    off the charge's dual Gram, minimal root norms, support forms;
   - walls: wall-and-chamber scans on a two-parameter slice with a sampling
     oracle;
   - nef: the divisor-class layer (Omega, Beauville-Bogomolov squares, wall
@@ -39,7 +39,7 @@ from .nef import (Decomposition, ModuliDimension, OmegaClass, WallReport,
                   moduli_dimension, omega_class, wall_report)
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .support import (ChargeKernel, build_q_z, charge_kernel, charge_norm_form,
+from .support import (ChargeKernel, build_q_z, charge_kernel,
                       discreteness_classes, equivalent_support_roundtrip,
                       min_root_norm)
 from .walls import (Region, SliceParams, WallKind, WallLocus,

@@ -28,9 +28,8 @@ from .lattice import ChernCharacter, MukaiVector, mukai_pairing
 from .manifest import build_manifest, file_hash
 from .nef import bb_square, lagrangian_candidates, moduli_dimension, \
     omega_class, wall_report
-from .support import (build_q_z, charge_kernel, charge_norm_form,
-                      discreteness_classes, equivalent_support_roundtrip,
-                      min_root_norm)
+from .support import (build_q_z, charge_kernel, discreteness_classes,
+                      equivalent_support_roundtrip, min_root_norm)
 from .svgplot import render_walls_svg
 from .walls import (Region, SliceParams, chambers_along_path,
                     nesting_check, sampling_oracle, scan_walls)
@@ -178,13 +177,12 @@ def cmd_support(args) -> None:
     gram = lat.mukai_gram()
     z_row = charge_row(params)
     kernel = charge_kernel(z_row, gram)
-    s = charge_norm_form(z_row, kernel.norm)
     # the Gram goes by keyword: bench/spans.py reads it as args[3] or kwargs
     res = min_root_norm(kernel.norm, ambient_gram=gram, budget=budget,
                         start_bound=as_fraction(args.start_bound))
     payload: Dict[str, Any] = {
         "kernel_basis": [[str(x) for x in b] for b in kernel.basis],
-        "norm_form": [[str(x) for x in row] for row in s],
+        "norm_form": [[str(x) for x in row] for row in kernel.norm_form],
         "root_search": {
             "c_squared": str(res.c_squared) if res.found else None,
             "witness": ser.mukai_to_json(res.witness) if res.found else None,

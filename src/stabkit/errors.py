@@ -47,12 +47,21 @@ BUDGET_ENV = "BRIDGELAND_BUDGET"
 
 
 def effective_budget(budget: Optional[int] = None) -> int:
+    """An explicit ``budget`` as given (0 visits nothing), else the positive
+    integer in BRIDGELAND_BUDGET, else ``DEFAULT_BUDGET``. ValueError when
+    the variable is set to anything but a positive integer."""
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 def require_box_budget(dim: int, bound: int, name: str, unit: str) -> None:

@@ -2,16 +2,17 @@
 replacing the GL2+ normalization, the minimal charge norm over roots, and
 the resulting support form.
 
-With M the ambient Gram, R = (Re Z; Im Z) and P the pairing-orthogonal
-projector onto Ker Z, the norm normalization carries a positive symmetric
-2x2 matrix S with
+With M the ambient Gram and R = (Re Z; Im Z), the norm normalization is the
+inverse S = (R M^-1 R^T)^-1 of the charge's 2x2 dual Gram, a positive
+symmetric 2x2 matrix with
 
-    R^T S R = N = M - M P,  that is  (v, v) = Z(v)^T S Z(v) - |||p(v)|||^2,
+    N = R^T S R = M - M P,  that is  (v, v) = Z(v)^T S Z(v) - |||p(v)|||^2,
 
-where |||.|||^2 is the norm induced by minus the pairing on Ker Z;
-irrational square roots never appear. ``charge_kernel`` derives the norm
-Gram N once per charge, and every later form is a plain Gram built from M
-and N: ||Z(v)||_S^2 = v^T N v, Q_aux = 2N - M and Q_Z = M + (2 / C^2) N.
+where P is the pairing-orthogonal projection onto Ker Z and |||.|||^2 the
+norm induced by minus the pairing on Ker Z; neither P nor an irrational
+square root is ever formed. ``charge_kernel`` derives S and the norm Gram N
+once per charge, and every later form is a plain Gram built from M and N:
+||Z(v)||_S^2 = v^T N v, Q_aux = 2N - M and Q_Z = M + (2 / C^2) N.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .gaussian import GaussianRational
 from .lattice import MukaiVector
 from .linalg import (bilinear, clear_denominators, frac_rows, identity, inverse,
                      is_negative_definite, is_positive_definite, mat_mul,
-                     mat_vec, nullspace, signature, transpose)
+                     mat_vec, nullspace, rref, signature, transpose)
 
 Vec = Tuple[Fraction, ...]
 Gram = Sequence[Sequence[Fraction]]
@@ -36,11 +37,11 @@ Gram = Sequence[Sequence[Fraction]]
 
 @dataclass(frozen=True)
 class ChargeKernel:
-    """Rational kernel of a charge functional, the pairing-orthogonal
-    projector P onto it, and the norm Gram N = M - M P."""
+    """Rational kernel of a charge functional, the 2x2 norm form S and the
+    norm Gram N = R^T S R."""
 
     basis: Tuple[Vec, ...]
-    projector: Tuple[Vec, ...]
+    norm_form: Tuple[Vec, ...]
     norm: Tuple[Vec, ...]
 
 
@@ -49,77 +50,67 @@ def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
     return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
-def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> ChargeKernel:
-    """Exact kernel of Z with the pairing-orthogonal projector P and the norm
-    Gram N = M - M P.
+def _square_gram(gram: Gram, n: int, name: str) -> List[List[Fraction]]:
+    """``gram`` as Fraction rows, after checking that it is n x n for a
+    charge row of n entries."""
+    rows = frac_rows(gram)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise LatticeError(f"{name} is not {n} x {n}: the charge row has {n} entries")
+    return rows
 
-    Fails when Z has real rank < 2, and when the ambient pairing restricted
-    to Ker Z is degenerate (the projector is then undefined -- the charge
-    sits outside the good locus).
+
+def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> ChargeKernel:
+    """Exact kernel of Z, the norm form S and the norm Gram N, all from the
+    charge's 2x2 dual Gram.
+
+    With R = (Re Z; Im Z), solve M X = R^T (X is n x 2) and set
+    D = R X = R M^-1 R^T, S = D^-1 and N = R^T S R. The columns of X span
+    the M-orthogonal complement C of Ker Z, since k^T M X = (R k)^T = 0 for
+    k in Ker Z. On C, v = X y gives Z(v) = D y and
+    (v, v) = y^T X^T M X y = y^T D y = Z(v)^T S Z(v); N and Z both vanish
+    on Ker Z. So R^T S R = M - M P for the pairing-orthogonal projection P
+    onto Ker Z, and S is the unique symmetric form with
+    (v, w) = Z(v)^T S Z(w) - <p v, p w>, <.,.> minus the pairing on Ker Z.
+    For M nondegenerate, D is singular exactly when M is degenerate on
+    Ker Z, and S is positive definite exactly when D is.
+
+    Fails when the Gram is not n x n, when Z is zero or has real rank < 2,
+    when M is degenerate, when M is degenerate on Ker Z (the charge sits
+    outside the good locus) and when S is not positive definite.
     """
+    n = len(z_row)
+    m = _square_gram(ambient_gram, n, "ambient Gram")
     if all(z.is_zero() for z in z_row):
         raise ChargeError("zero charge functional")
-    basis = nullspace(charge_rows(z_row))
-    if len(z_row) - len(basis) < 2:
+    rows = charge_rows(z_row)
+    basis = nullspace(rows)
+    if n - len(basis) < 2:
         raise DegenerateError(
             "charge has real rank < 2 (parts proportional): the kernel is too "
             "large for the good locus")
-    m = frac_rows(ambient_gram)
+    for b in basis:
+        if not evaluate_charge_row(z_row, b).is_zero():
+            raise StabkitError("kernel basis vector not annihilated by Z")
+    red, pivots = rref([mr + [re, im] for mr, re, im in zip(m, *rows)])
+    if pivots != list(range(n)):
+        raise DegenerateError("ambient pairing is degenerate: no dual Gram of Z")
+    x = [row[n:] for row in red]
+    if mat_mul(m, x) != transpose(rows):
+        raise StabkitError("dual solve failed: M X != R^T")
+    d = mat_mul(rows, x)
     try:
-        proj = _orthogonal_projector(basis, m)
+        s = inverse(d)
     except ValueError:
         raise DegenerateError(
             "pairing degenerate on Ker Z: charge lies outside the good locus"
         ) from None
-    for b in basis:
-        if not evaluate_charge_row(z_row, b).is_zero():
-            raise StabkitError("kernel basis vector not annihilated by Z")
-    if mat_mul(proj, proj) != proj:
-        raise StabkitError("projector is not idempotent")
-    norm = [[x - y for x, y in zip(mr, pr)] for mr, pr in zip(m, mat_mul(m, proj))]
-    return ChargeKernel(*(tuple(map(tuple, a)) for a in (basis, proj, norm)))
-
-
-def _orthogonal_projector(basis: Sequence[Sequence], gram) -> List[List[Fraction]]:
-    """K^T (K G K^T)^-1 K G for the basis rows K: the projector onto their
-    span along its G-orthogonal complement. ValueError when G is degenerate
-    on the span."""
-    n = len(gram)
-    if not basis:
-        return [[Fraction(0)] * n for _ in range(n)]
-    k = frac_rows(basis)
-    kt = transpose(k)
-    kg = mat_mul(k, gram)
-    return mat_mul(kt, mat_mul(inverse(mat_mul(kg, kt)), kg))
-
-
-def charge_norm_form(z_row: Sequence[GaussianRational], norm: Gram) -> List[List[Fraction]]:
-    """The unique symmetric S with R^T S R = N for the 2 x n matrix
-    R = (Re Z; Im Z) and the norm Gram N = M - M P of ``charge_kernel``:
-    (v, w) = Z(v)^T S Z(w) - <p v, p w> for all v, w, where <.,.> is minus
-    the pairing on Ker Z.
-
-    R has rank 2, so A = (R R^T)^-1 exists, and multiplying the identity by
-    A R on the left and by R^T A on the right gives S = A R N R^T A. The
-    identity itself is then checked as one matrix equation (it holds when N
-    vanishes on Ker Z). S must come out positive definite, otherwise the
-    charge does not span a positive 2-plane and the construction refuses.
-    """
-    rows = charge_rows(z_row)
-    try:
-        a = inverse(mat_mul(rows, transpose(rows)))
-    except ValueError:
-        raise DegenerateError("charge has real rank < 2: no 2x2 norm form") from None
-    n = frac_rows(norm)
-    ar = mat_mul(a, rows)
-    s = mat_mul(ar, mat_mul(n, transpose(ar)))
-    if mat_mul(transpose(rows), mat_mul(s, rows)) != n:
-        raise StabkitError("norm form does not reproduce the pairing: "
-                           "R^T S R != M - M P")
+    if mat_mul(s, d) != identity(2):
+        raise StabkitError("norm form is not the inverse of the dual Gram: S D != I")
     if not is_positive_definite(s):
         raise DegenerateError(
             "no positive definite norm form: charge outside the positive locus")
-    return s
+    norm = mat_mul(transpose(rows), mat_mul(s, rows))
+    return ChargeKernel(*(tuple(map(tuple, a)) for a in (basis, s, norm)))
 
 
 def charge_norm_sq(z_row: Sequence[GaussianRational], s: Gram, v) -> Fraction:
@@ -152,10 +143,12 @@ def _integral_terms(ambient_gram) -> Terms:
     return _terms(rows)
 
 
-def _aux_gram(norm: Gram, ambient_gram: Gram) -> List[List[Fraction]]:
-    """Q_aux = 2N - M: Q_aux(v) = ||Z(v)||_S^2 + |||p(v)|||^2, positive
-    definite on the whole lattice."""
-    return [[2 * x - m for x, m in zip(nr, mr)] for nr, mr in zip(norm, ambient_gram)]
+def _aux_gram(norm: Gram, ambient_gram: Gram, alpha: Fraction) -> List[List[Fraction]]:
+    """Q_alpha = (alpha + 1) N - M = alpha ||Z(v)||_S^2 + |||p(v)|||^2,
+    positive definite on the whole lattice for alpha > 0; alpha = 1 is the
+    root search's Q_aux = 2N - M."""
+    return [[(alpha + 1) * x - m for x, m in zip(nr, mr)]
+            for nr, mr in zip(norm, ambient_gram)]
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = Non
         raise ValueError(f"start bound must be positive, got {bound}")
     budget_n = effective_budget(budget)
     mukai = _integral_terms(ambient_gram)
-    q_aux = _aux_gram(norm, ambient_gram)
+    q_aux = _aux_gram(norm, ambient_gram, 1)
     norm_rows, norm_den = clear_denominators(norm)
     norm_terms = _terms(norm_rows)
     nodes = [0]  # ellipsoid nodes over all rounds
@@ -279,7 +272,7 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     class with Q(v) >= 0. Exact throughout; a failure indicates a bug, since
     the underlying proof is constructive.
     """
-    gram = frac_rows(q)
+    gram = _square_gram(q, len(z_row), "Q")
     for cls in test_classes:
         if len(cls) != len(z_row):
             raise LatticeError(f"test class {list(cls)} has {len(cls)} entries; "
@@ -350,8 +343,7 @@ def discreteness_classes(q_gram: Gram, norm: Gram, c_squared: Fraction,
     _integral_terms(ambient_gram)
     k = 1 + 2 / Fraction(c_squared)
     alpha = 2 * k / max(len(ambient_gram) - 2, 1)
-    q_alpha = [[(alpha + 1) * x - m for x, m in zip(nr, mr)]
-               for nr, mr in zip(norm, ambient_gram)]
+    q_alpha = _aux_gram(norm, ambient_gram, alpha)
     q_z = _terms(clear_denominators(q_gram)[0])
     norm_rows, norm_den = clear_denominators(norm)
     norm_terms = _terms(norm_rows)

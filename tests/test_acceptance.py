@@ -14,7 +14,7 @@ from conftest import (leading_principal_minors, random_even_ns_lattice,
                       random_presentation)
 from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
                      Region, SliceParams, bb_square, build_q_z, charge_kernel,
-                     charge_norm_form, charge_row, charge_table, decomposition_scan,
+                     charge_row, charge_table, decomposition_scan,
                      equivalent_support_roundtrip, gieseker_compare,
                      hn_filtration, is_semistable,
                      large_volume_phase, large_volume_threshold, min_root_norm,
@@ -174,7 +174,7 @@ def test_criterion_5_support_kit():
     assert kernel.basis == ((Fraction(1), Fraction(0), Fraction(4)),)
     b = kernel.basis[0]
     assert bilinear(b, gram, b) == -8
-    s = charge_norm_form(z, kernel.norm)
+    s = kernel.norm_form
     res = min_root_norm(kernel.norm, ambient_gram=gram)
     # coordinate-box brute force, |r|, |m|, |s| <= 40
     best = None

@@ -489,6 +489,30 @@ def test_support_rejects_a_nonpositive_budget(tmp_path, lattice_file, capsys, bu
     assert not out.exists()
 
 
+_BUDGETED_COMMANDS = {
+    "walls": ["--v", "1,0,-1", "--beta0", "0", "--b", "-3:0", "--t", "1/10:4",
+              "--bound", "2"],
+    "lagrangian": ["--v", "1,0,-1", "--bound", "2"],
+    "classify-wall": ["--v", "1,0,-1", "--w", "-8,1,5", "--beta0", "0"],
+    "support": ["--beta", "0", "--omega", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc"])
+@pytest.mark.parametrize("command", sorted(_BUDGETED_COMMANDS))
+def test_budget_env_must_be_a_positive_integer(tmp_path, lattice_file, monkeypatch,
+                                               capsys, command, value):
+    """A BRIDGELAND_BUDGET that is not a positive integer is an input error
+    (exit 1) naming the variable, for every command that enumerates."""
+    monkeypatch.setenv("BRIDGELAND_BUDGET", value)
+    out = tmp_path / "x.json"
+    assert main([command, "--lattice", lattice_file, *_BUDGETED_COMMANDS[command],
+                 "--out", str(out)]) == 1
+    assert f"BRIDGELAND_BUDGET must be a positive integer, got '{value}'" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_support_skewed_walk_runs_out_where_it_did(tmp_path, capsys):
     """The skewed rank-3 basis that exhausts a root search of 20000 nodes:
     the walk stops at the same node, with the same message."""

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabkit import (ChargeParams, build_q_z, charge_kernel, charge_norm_form,
-                     charge_row, discreteness_classes,
-                     equivalent_support_roundtrip, min_root_norm)
+from stabkit import (ChargeParams, build_q_z, charge_kernel, charge_row,
+                     discreteness_classes, equivalent_support_roundtrip,
+                     min_root_norm)
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.linalg import (bilinear, identity, inverse, is_negative_definite,
-                            mat_mul, mat_vec, transpose)
+                            mat_mul, mat_vec, nullspace, transpose)
 from stabkit.ellipsoid import enumerate_ellipsoid
 from stabkit.support import charge_norm_sq, charge_rows
 
@@ -30,6 +30,20 @@ def restrict(gram, basis):
     return [[bilinear(u, gram, w) for w in basis] for u in basis]
 
 
+def reference_norm(z, gram):
+    """N = M - M K^T (K M K^T)^-1 K M = M - M P for the kernel rows K of Z
+    and the pairing-orthogonal projector P onto Ker Z: the norm Gram by the
+    projector, the reference for charge_kernel's N = R^T S R. ValueError
+    when M is degenerate on Ker Z."""
+    k = nullspace(charge_rows(z))
+    m = [[Fraction(x) for x in row] for row in gram]
+    if not k:
+        return m
+    km = mat_mul(k, m)
+    mp = mat_mul(transpose(km), mat_mul(inverse(mat_mul(km, transpose(k))), km))
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(m, mp)]
+
+
 def test_charge_kernel_worked_example(k3d2):
     z, gram = worked_example(k3d2)
     assert [str(x) for x in z] == ["4+0i", "0+4i", "-1+0i"]
@@ -38,14 +52,10 @@ def test_charge_kernel_worked_example(k3d2):
     # restricted pairing value is -8
     b = k.basis[0]
     assert bilinear(b, gram, b) == -8
-    # projector fixes the kernel and is pairing-orthogonal
-    assert tuple(mat_vec(k.projector, b)) == b
-    v = [Fraction(3), Fraction(1), Fraction(0)]
-    pv = mat_vec(k.projector, v)
-    assert bilinear([a - b for a, b in zip(v, pv)], gram, k.basis[0]) == 0
-    # the norm Gram is M - M P, and vanishes on the kernel
-    assert [list(r) for r in k.norm] == [
-        [m - x for m, x in zip(mr, xr)] for mr, xr in zip(gram, mat_mul(gram, k.projector))]
+    # the norm Gram is M - M P, R^T S R, and vanishes on the kernel
+    assert [list(r) for r in k.norm] == reference_norm(z, gram)
+    rows = charge_rows(z)
+    assert [list(r) for r in k.norm] == mat_mul(transpose(rows), mat_mul(k.norm_form, rows))
     assert mat_vec(k.norm, b) == [0, 0, 0]
 
 
@@ -53,7 +63,7 @@ def test_charge_kernel_trivial_for_curve():
     z = [gaussian(-1, 0), gaussian(0, 1)]  # -d + i r, injective
     k = charge_kernel(z, identity(2))
     assert k.basis == ()
-    assert all(all(x == 0 for x in row) for row in k.projector)
+    assert [list(r) for r in k.norm_form] == identity(2)  # R = diag(-1, 1)
     assert [list(r) for r in k.norm] == identity(2)  # P = 0: N = M
 
 
@@ -90,19 +100,18 @@ def test_negative_definite_on(k3d2):
 
 def test_charge_norm_form_worked_example(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k.norm)
-    assert s == [[Fraction(1, 8), Fraction(0)], [Fraction(0), Fraction(1, 8)]]
+    s = charge_kernel(z, gram).norm_form
+    assert s == ((Fraction(1, 8), Fraction(0)), (Fraction(0), Fraction(1, 8)))
 
 
 def test_charge_norm_form_rejects_rank_one_charge(k3d2):
-    """R R^T is singular for a charge whose real and imaginary parts are
-    proportional: no 2x2 norm form."""
+    """A charge whose real and imaginary parts are proportional has no 2x2
+    norm form, and the zero charge none either."""
     gram = k3d2.mukai_gram()
-    for z in ([gaussian(1, 2), gaussian(2, 4), gaussian(-1, -2)],
-              [gaussian(0, 0)] * 3):
-        with pytest.raises(DegenerateError, match="real rank < 2"):
-            charge_norm_form(z, gram)
+    with pytest.raises(DegenerateError, match="real rank < 2"):
+        charge_kernel([gaussian(1, 2), gaussian(2, 4), gaussian(-1, -2)], gram)
+    with pytest.raises(ChargeError, match="zero charge functional"):
+        charge_kernel([gaussian(0, 0)] * 3, gram)
 
 
 def test_charge_norm_form_residual_vanishes_randomly(k3d2):
@@ -114,10 +123,10 @@ def test_charge_norm_form_residual_vanishes_randomly(k3d2):
         z = charge_row(params)
         gram = k3d2.mukai_gram()
         k = charge_kernel(z, gram)
-        s = charge_norm_form(z, k.norm)
+        s = k.norm_form
         for _ in range(20):
             v = [Fraction(rng.randint(-6, 6)) for _ in range(3)]
-            pv = mat_vec(k.projector, v)
+            pv = _reference_projection(k.basis, gram, v)
             lhs = bilinear(v, gram, v)
             rhs = charge_norm_sq(z, s, v) - (-bilinear(pv, gram, pv))
             assert lhs == rhs
@@ -125,11 +134,10 @@ def test_charge_norm_form_residual_vanishes_randomly(k3d2):
 
 def test_charge_norm_form_scaling(k3d2):
     z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k.norm)
+    s = charge_kernel(z, gram).norm_form
     z3 = [zi * 3 for zi in z]
-    s3 = charge_norm_form(z3, charge_kernel(z3, gram).norm)
-    assert s3 == [[x / 9 for x in row] for row in s]
+    s3 = charge_kernel(z3, gram).norm_form
+    assert s3 == tuple(tuple(x / 9 for x in row) for row in s)
 
 
 
@@ -137,7 +145,7 @@ def test_charge_norm_form_scaling(k3d2):
 def test_min_root_norm_matches_brute_force(k3d2):
     z, gram = worked_example(k3d2)
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k.norm)
+    s = k.norm_form
     res = min_root_norm(k.norm, ambient_gram=gram)
     assert res.found
     # brute force over the coordinate box |r|, |m|, |s| <= 40
@@ -252,8 +260,8 @@ def test_roundtrip_on_built_support_form(k3d2):
 
 def test_discreteness_finite_list(k3d2):
     z, gram = worked_example(k3d2)
-    norm = charge_kernel(z, gram).norm
-    s = charge_norm_form(z, norm)
+    k = charge_kernel(z, gram)
+    norm, s = k.norm, k.norm_form
     res = min_root_norm(norm, ambient_gram=gram)
     q_z = build_q_z(norm, res.c_squared, gram)
     classes = discreteness_classes(q_z, norm, res.c_squared, gram, radius_sq=Fraction(4))
@@ -277,8 +285,8 @@ def reference_discreteness(q_z, norm, c2, gram, radius, budget=None):
 
 def test_discreteness_filters_match_rational_reference(k3d2):
     z, gram = worked_example(k3d2)
-    norm = charge_kernel(z, gram).norm
-    s = charge_norm_form(z, norm)
+    k = charge_kernel(z, gram)
+    norm, s = k.norm, k.norm_form
     res = min_root_norm(norm, ambient_gram=gram)
     c2 = res.c_squared
     q_z = build_q_z(norm, c2, gram)
@@ -308,7 +316,6 @@ def test_weighted_discreteness_walk_matches_q_aux_reference(rank, rng, c2, scale
     z = charge_row(ChargeParams(lat, beta, omega))
     try:
         norm = charge_kernel(z, gram).norm
-        charge_norm_form(z, norm)
     except DegenerateError:
         assume(False)
     q_z = build_q_z(norm, c2, gram)
@@ -347,7 +354,7 @@ def test_min_root_norm_second_configuration(k3d2):
     z = charge_row(params)
     gram = k3d2.mukai_gram()
     k = charge_kernel(z, gram)
-    s = charge_norm_form(z, k.norm)
+    s = k.norm_form
     res = min_root_norm(k.norm, ambient_gram=gram)
     best = None
     for r in range(-30, 31):
@@ -385,7 +392,6 @@ def test_charge_norm_form_on_random_lattices():
     """(u, w) = Z(u)^T S Z(w) + (p u, p w) on every basis pair and on random
     classes, with p computed here, on seeded lattices of NS rank 1-3."""
     from conftest import random_even_ns_lattice
-    from stabkit.linalg import nullspace
     rng = random.Random(61)
     for rank in (1, 1, 2, 2, 3, 3):
         lat = random_even_ns_lattice(rng, rank)
@@ -394,7 +400,7 @@ def test_charge_norm_form_on_random_lattices():
         beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
         omega = tuple(Fraction(2 * x) for x in lat.ample)
         z = charge_row(ChargeParams(lat, beta, omega))
-        s = charge_norm_form(z, charge_kernel(z, gram).norm)
+        s = charge_kernel(z, gram).norm_form
         basis = nullspace(charge_rows(z))
 
         def check(u, w):
@@ -413,20 +419,6 @@ def test_charge_norm_form_on_random_lattices():
                   [Fraction(rng.randint(-5, 5)) for _ in range(n)])
 
 
-def test_charge_norm_form_rejects_wrong_projector(k3d2):
-    """The postcondition R^T S R = M - M P fires on a norm Gram built from a
-    projector that is not the pairing-orthogonal one."""
-    from stabkit.errors import StabkitError
-    z, gram = worked_example(k3d2)
-    k = charge_kernel(z, gram)
-    zero = [[Fraction(0) for _ in row] for row in k.projector]
-    doubled = [[2 * x for x in row] for row in k.projector]
-    for proj in (zero, doubled):
-        norm = [[m - x for m, x in zip(mr, xr)] for mr, xr in zip(gram, mat_mul(gram, proj))]
-        with pytest.raises(StabkitError, match="does not reproduce the pairing"):
-            charge_norm_form(z, norm)
-
-
 def pivot_block_norm_form(z, norm):
     """S by the pivot-block construction: at two pivot columns of
     R = (Re Z; Im Z), where R is an invertible 2 x 2 block C, R^T S R = N
@@ -439,34 +431,92 @@ def pivot_block_norm_form(z, norm):
     return mat_mul(transpose(c_inv), mat_mul(n_pp, c_inv))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.randoms(use_true_random=False), st.booleans())
-def test_closed_form_norm_form_matches_pivot_block(rank, rng, stability_charge):
-    """On random K3 lattices of NS rank 1-3, for stability charges and for
-    random integer charge rows, the closed form S = A R N R^T A equals the
-    pivot-block S; when that S is not positive definite the closed form
-    refuses."""
+def _test_charge(kind, lat, rng):
+    """A charge row of the given kind: a stability charge, a random integer
+    row, a row with proportional parts, a row whose kernel holds the
+    isotropic class (1, 0, ..., 0) in its radical, or zero."""
+    n, rank = lat.mukai_rank, lat.rank
+    if kind == "stability":
+        beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+        t = Fraction(rng.randint(2, 6), 2)
+        return charge_row(ChargeParams(lat, beta, tuple(t * x for x in lat.ample)))
+    if kind == "random":
+        return [gaussian(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+    if kind == "proportional":
+        a, b = rng.choice([(1, 2), (3, -1), (0, 1), (2, 0)])
+        c = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-3, 3) for _ in range(n - 1)]
+        rng.shuffle(c)
+        return [gaussian(a * x, b * x) for x in c]
+    if kind == "isotropic":
+        # Re Z = s, Im Z vanishes on r: Ker Z is inside s = 0 and holds
+        # (1, 0, ..., 0), which pairs to zero with every class of s = 0
+        return ([gaussian(0, 0), gaussian(0, rng.choice([-2, -1, 1, 2]))]
+                + [gaussian(0, rng.randint(-3, 3)) for _ in range(rank - 1)]
+                + [gaussian(1, rng.randint(-3, 3))])
+    return [gaussian(0, 0)] * n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False),
+       st.sampled_from(["stability", "random", "proportional", "isotropic", "zero"]))
+def test_closed_form_norm_form_matches_pivot_block(rank, rng, kind):
+    """On random K3 lattices of NS rank 1-4, charge_kernel's S = (R M^-1 R^T)^-1
+    equals the pivot-block S of the projector reference N = M - M P, and
+    its N equals that reference. Every refusal follows the reference: the
+    zero charge, a charge of real rank < 2, a pairing degenerate on Ker Z
+    (the reference projector is undefined) and a pivot-block S that is not
+    positive definite."""
     from conftest import random_even_ns_lattice
     from stabkit.linalg import is_positive_definite
     lat = random_even_ns_lattice(rng, rank)
     gram = lat.mukai_gram()
-    if stability_charge:
-        beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
-        t = Fraction(rng.randint(2, 6), 2)
-        omega = tuple(t * x for x in lat.ample)
-        z = charge_row(ChargeParams(lat, beta, omega))
-    else:
-        z = [gaussian(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(lat.mukai_rank)]
+    z = _test_charge(kind, lat, rng)
+    if all(x.is_zero() for x in z):
+        with pytest.raises(ChargeError, match="zero charge functional"):
+            charge_kernel(z, gram)
+        return
+    if len(nullspace(charge_rows(z))) > len(z) - 2:
+        with pytest.raises(DegenerateError, match="real rank < 2"):
+            charge_kernel(z, gram)
+        return
     try:
-        norm = charge_kernel(z, gram).norm
-    except (ChargeError, DegenerateError):
-        assume(False)
+        norm = reference_norm(z, gram)
+    except ValueError:
+        with pytest.raises(DegenerateError, match="pairing degenerate on Ker Z"):
+            charge_kernel(z, gram)
+        return
     reference = pivot_block_norm_form(z, norm)
     if is_positive_definite(reference):
-        assert charge_norm_form(z, norm) == reference
+        k = charge_kernel(z, gram)
+        assert [list(r) for r in k.norm_form] == reference
+        assert [list(r) for r in k.norm] == norm
     else:
         with pytest.raises(DegenerateError, match="no positive definite norm form"):
-            charge_norm_form(z, norm)
+            charge_kernel(z, gram)
+
+
+def test_charge_kernel_rejects_a_degenerate_ambient_pairing(k3d2):
+    """A singular M has no dual Gram R M^-1 R^T, even where it is
+    nondegenerate on Ker Z = span (1, 0, 4)."""
+    z, _ = worked_example(k3d2)
+    singular = [[2, 0, 0], [0, 2, 0], [0, 0, 0]]
+    with pytest.raises(DegenerateError, match="ambient pairing is degenerate"):
+        charge_kernel(z, singular)
+    with pytest.raises(DegenerateError, match="ambient pairing is degenerate"):
+        charge_kernel([gaussian(-1, 0), gaussian(0, 1)], [[1, 0], [0, 0]])
+
+
+def test_gram_must_match_the_charge_row(k3d2):
+    """A Gram that is not len(z_row) square is a LatticeError in both
+    directions, for the ambient Gram and for the roundtrip's Q."""
+    z, gram = worked_example(k3d2)
+    z4 = [*z, gaussian(1, 1)]
+    for row, bad in ((z, identity(4)), (z4, gram), (z, [[1, 0, 0], [0, 1], [0, 0, 1]])):
+        n = len(row)
+        with pytest.raises(LatticeError, match=f"ambient Gram is not {n} x {n}"):
+            charge_kernel(row, bad)
+        with pytest.raises(LatticeError, match=f"Q is not {n} x {n}"):
+            equivalent_support_roundtrip(bad, row, [(1,) * n])
 
 
 def _fixed_radius_search(z, s, norm, gram, start, budget):
@@ -502,15 +552,15 @@ def test_shrinking_search_matches_fixed_radius_reference(rank, rng, start):
     omega = tuple(t * x for x in lat.ample)
     z = charge_row(ChargeParams(lat, beta, omega))
     try:
-        norm = charge_kernel(z, gram).norm
-        s = charge_norm_form(z, norm)
+        k = charge_kernel(z, gram)
     except DegenerateError:
         assume(False)
     budget = 20000
     try:
-        c2, witness, bound, nodes = _fixed_radius_search(z, s, norm, gram, start, budget)
+        c2, witness, bound, nodes = _fixed_radius_search(z, k.norm_form, k.norm, gram,
+                                                         start, budget)
     except BudgetError:
         assume(False)
-    res = min_root_norm(norm, ambient_gram=gram, budget=budget, start_bound=start)
+    res = min_root_norm(k.norm, ambient_gram=gram, budget=budget, start_bound=start)
     assert (res.c_squared, res.witness.coords(), res.bound_reached) == (c2, witness, bound)
     assert res.points_visited <= nodes
