@@ -8,7 +8,6 @@ closed up with the strictly negative reals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
@@ -31,8 +30,13 @@ INFINITY = "inf"
 Slope = Union[Fraction, str]  # a rational or the INFINITY sentinel
 
 
-@dataclass(frozen=True)
-class ChargeParams:
+class _ChargeParams(NamedTuple):
+    lattice: NSLattice
+    beta: Tuple[Fraction, ...]
+    omega: Tuple[Fraction, ...]
+
+
+class ChargeParams(_ChargeParams):
     """Stability parameters (beta, omega) in NS coordinates.
 
     omega must lie in the positive cone (omega^2 > 0); on a K3 the tilted
@@ -40,19 +44,16 @@ class ChargeParams:
     :meth:`heart_certified` and enforced only where a heart is actually used.
     """
 
-    lattice: NSLattice
-    beta: Tuple[Fraction, ...]
-    omega: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        beta = tuple(as_fraction(x) for x in self.beta)
-        omega = tuple(as_fraction(x) for x in self.omega)
-        if len(beta) != self.lattice.rank or len(omega) != self.lattice.rank:
+    __slots__ = ()
+    def __new__(cls, lattice: NSLattice, beta: Sequence, omega: Sequence) -> "ChargeParams":
+        beta = tuple(map(as_fraction, beta))
+        omega = tuple(map(as_fraction, omega))
+        if len(beta) != lattice.rank or len(omega) != lattice.rank:
             raise LatticeError("beta/omega have wrong NS rank")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "omega", omega)
+        self = tuple.__new__(cls, (lattice, beta, omega))
         if self.omega_sq() <= 0:
             raise ChargeError("omega must lie in the positive cone (omega^2 > 0)")
+        return self
 
     def omega_sq(self) -> Fraction:
         return self.lattice.ns_dot(self.omega, self.omega)
@@ -203,15 +204,17 @@ def slope(ch: ChernCharacter, params: ChargeParams) -> Slope:
     return num / ch.ch0
 
 
-@dataclass(frozen=True)
-class SlopeProfile:
+class _SlopeProfile(NamedTuple):
+    slopes: Tuple[Slope, ...]
+
+
+class SlopeProfile(_SlopeProfile):
     """Strictly decreasing slope-HN profile mu+ = mu_1 > ... > mu_n = mu- of a
     sheaf class; +inf allowed only in first position."""
 
-    slopes: Tuple[Slope, ...]
-
-    def __post_init__(self):
-        sl = tuple(s if s == INFINITY else as_fraction(s) for s in self.slopes)
+    __slots__ = ()
+    def __new__(cls, slopes: Sequence[Slope]) -> "SlopeProfile":
+        sl = tuple(s if s == INFINITY else as_fraction(s) for s in slopes)
         if not sl:
             raise ChargeError("empty slope profile")
         for i, s in enumerate(sl):
@@ -220,7 +223,7 @@ class SlopeProfile:
         finite = [s for s in sl if s != INFINITY]
         if any(a <= b for a, b in zip(finite, finite[1:])):
             raise ChargeError("slopes must be strictly decreasing")
-        object.__setattr__(self, "slopes", sl)
+        return tuple.__new__(cls, (sl,))
 
     @property
     def mu_plus(self) -> Slope:

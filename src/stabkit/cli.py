@@ -2,8 +2,8 @@
 
 Every subcommand reads JSON/flag inputs, delegates to exactly one library
 operation, and writes canonical JSON (rationals as strings) with an embedded
-run manifest. Exit codes: 0 success, 1 input/validation error, 2 computation
-error (budget exceeded, degenerate configuration).
+run manifest. Exit codes: 0 success, 1 usage or input/validation error, 2
+computation error (budget exceeded, degenerate configuration).
 """
 from __future__ import annotations
 
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--start-bound", default="8",
                    help="initial root-search bound (doubles until a root is found)")
-    p.add_argument("--classes", nargs="*", default=None,
+    p.add_argument("--classes", nargs="*", action="extend", default=None,
                    help="classes for the roundtrip check, each r,c..,s")
 
     p = add("walls", cmd_walls, "potential walls for v on a (b, t) slice")
@@ -503,12 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = {"--b", "--t", "--z1", "--z2", "--point", "--beta", "--beta0",
-                "--omega", "--v", "--w", "--p", "--q", "--slopes"}
+                "--omega", "--v", "--w", "--p", "--q", "--slopes", "--start-bound"}
 
 
 def _normalize_argv(argv: List[str]) -> List[str]:
     """Glue values onto their flags so ranges like ``--b -3:0`` parse even
-    though the value starts with a dash."""
+    though the value starts with a dash. Each value after ``--classes``, up
+    to the next flag (a class such as ``-1,0,1`` is not one), is glued on as
+    a ``--classes=`` of its own."""
     out = []
     i = 0
     while i < len(argv):
@@ -516,17 +518,33 @@ def _normalize_argv(argv: List[str]) -> List[str]:
         if tok in _VALUE_FLAGS and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
+        elif tok == "--classes":
+            out.append(tok)
+            i += 1
+            while i < len(argv) and _is_value(argv[i]):
+                out.append(f"--classes={argv[i]}")
+                i += 1
         else:
             out.append(tok)
             i += 1
     return out
 
 
+def _is_value(tok: str) -> bool:
+    """True unless the token is a flag: a dash not followed by a digit."""
+    return not tok.startswith("-") or tok[1:2].isdigit()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = ap.parse_args(_normalize_argv(list(argv)))
+    try:
+        args = ap.parse_args(_normalize_argv(list(argv)))
+    except SystemExit as exc:
+        # argparse has printed its message: a usage error is an input error
+        # (exit 1), and --help exits 0
+        return 1 if exc.code else 0
     args.argv = list(argv)  # the manifest records the command as given
     try:
         globals()[args.fn](args)

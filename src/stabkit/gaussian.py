@@ -5,9 +5,8 @@ comparisons, wall equations and definiteness tests stay exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction, str]
 
@@ -49,14 +48,21 @@ def as_int(x: Rational) -> int:
     return q.numerator
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+def _unsupported(self, other):  # a tuple operator a value type must not inherit
+    return NotImplemented
+
+
+class _GaussianRational(NamedTuple):
     re: Fraction
     im: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+
+class GaussianRational(_GaussianRational):
+    __slots__ = ()
+    def __new__(cls, re: Rational, im: Rational) -> "GaussianRational":
+        return tuple.__new__(cls, (as_fraction(re), as_fraction(im)))
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unsupported
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -11,9 +11,8 @@ rational sign tests: no angle is ever evaluated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import ChargeError
 from .gaussian import GaussianRational, as_fraction, gaussian
@@ -27,8 +26,12 @@ def _odd_side(x: Fraction, y: Fraction) -> bool:
     return x < 0 or (x == 0 and y < 0)
 
 
-@dataclass(frozen=True)
-class LiftedGL2:
+class _LiftedGL2(NamedTuple):
+    m: Mat2
+    winding: int = 0
+
+
+class LiftedGL2(_LiftedGL2):
     """(matrix, winding) with det > 0; the stored winding is canonical: the
     integer w with a(0) in (w - 1/2, w + 1/2]. A given winding w names the
     lift with a(0) in (w - 1/2, w + 3/2]; its canonical winding is w or w + 1,
@@ -36,20 +39,17 @@ class LiftedGL2:
     to the principal angle of m.e1. Under this convention the k-fold shift
     (-1)^k I carries winding exactly k."""
 
-    m: Mat2
-    winding: int = 0
-
-    def __post_init__(self):
-        m = tuple(tuple(as_fraction(x) for x in row) for row in self.m)
+    __slots__ = ()
+    def __new__(cls, m: Mat2, winding: int = 0) -> "LiftedGL2":
+        m = tuple(tuple(map(as_fraction, row)) for row in m)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise ChargeError("matrix part must be 2x2")
         if _det(m) <= 0:
             raise ChargeError("matrix part must have positive determinant")
-        if not isinstance(self.winding, int):
+        if not isinstance(winding, int):
             raise ChargeError("winding must be an integer")
-        object.__setattr__(self, "m", m)
-        w = self.winding
-        object.__setattr__(self, "winding", w + (w - _odd_side(m[0][0], m[1][0])) % 2)
+        w = winding + (winding - _odd_side(m[0][0], m[1][0])) % 2
+        return tuple.__new__(cls, (m, w))
 
     @staticmethod
     def identity() -> "LiftedGL2":

@@ -16,7 +16,6 @@ products per edge once every charge has been tested for validity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter, mul
@@ -36,15 +35,19 @@ class Edge(NamedTuple):
     quotient: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str
 
 
-@dataclass(frozen=True)
-class CategoryPresentation:
+class _CategoryPresentation(NamedTuple):
+    objects: Dict[str, ClassVec]
+    edges: Tuple[Edge, ...]
+    zero: str
+
+
+class CategoryPresentation(_CategoryPresentation):
     """Finite abelian-category presentation.
 
     Zero edges (zero below everything) and reflexive edges (everything below
@@ -55,35 +58,29 @@ class CategoryPresentation:
     (sub, ambient, quotient) triple is stored as an ``Edge``. Class
     coordinates are coerced with ``as_int``: a non-integral one raises
     ``ValueError``. The adjacency and the down-closures are derived once per
-    presentation, on first use.
+    presentation, on first use, and kept in the instance dict.
     """
 
-    objects: Dict[str, ClassVec]
-    edges: Tuple[Edge, ...]
-    zero: str
-
-    def __post_init__(self):
-        zero = str(self.zero)
-        objects: Dict[str, ClassVec] = {}
-        for key, cls in self.objects.items():
+    def __new__(cls, objects: Dict, edges: Sequence, zero) -> "CategoryPresentation":
+        zero = str(zero)
+        classes: Dict[str, ClassVec] = {}
+        for key, vec in objects.items():
             name = str(key)
-            if name in objects:
+            if name in classes:
                 raise PresentationError(f"duplicate object id {name!r}")
-            cls = tuple(cls)
+            vec = tuple(vec)
             try:  # int() reads a str or an int as as_int does first, or raises
-                objects[name] = tuple(map(int if {*map(type, cls)} <= {str, int} else as_int, cls))
+                classes[name] = tuple(map(int if {*map(type, vec)} <= {str, int} else as_int, vec))
             except ValueError:
-                objects[name] = tuple(map(as_int, cls))
-        if zero not in objects:
+                classes[name] = tuple(map(as_int, vec))
+        if zero not in classes:
             raise PresentationError(f"zero object {zero!r} missing")
-        edges = {(str(s), str(a), str(q)) for s, a, q in self.edges}
-        for name in objects:
+        triples = {(str(s), str(a), str(q)) for s, a, q in edges}
+        for name in classes:
             if name != zero:
-                edges.add((zero, name, name))
-                edges.add((name, name, zero))
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "edges", tuple(map(Edge._make, sorted(edges))))
+                triples.add((zero, name, name))
+                triples.add((name, name, zero))
+        return tuple.__new__(cls, (classes, tuple(map(Edge._make, sorted(triples))), zero))
 
     # -- structure queries ----------------------------------------------------
 
@@ -141,15 +138,14 @@ class CategoryPresentation:
         return a in self.subobjects_below(b)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Chain 0 = A_0 < A_1 < ... < A_n = A along listed edges; the i-th factor
     class is the class of the quotient of the edge A_{i-1} < A_i."""
 
     steps: Tuple[str, ...]
     factor_classes: Tuple[ClassVec, ...]
     factor_ids: Tuple[str, ...]
-    notes: Tuple[str, ...] = field(default=())
+    notes: Tuple[str, ...] = ()
 
 
 ChargeRow = Sequence[GaussianRational]

@@ -8,20 +8,25 @@ which is even whenever the NS Gram matrix is even. All arithmetic is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import LatticeError
-from .gaussian import as_fraction, as_int
+from .gaussian import _unsupported, as_fraction, as_int
 from .linalg import bilinear, gcd_vector, signature
 
 IntVec = Tuple[int, ...]
 FracVec = Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class NSLattice:
+class _NSLattice(NamedTuple):
+    rank: int
+    gram: Tuple[IntVec, ...]
+    ample: IntVec
+    k3: bool = True
+
+
+class NSLattice(_NSLattice):
     """Numerical Neron-Severi lattice of a projective surface.
 
     ``gram`` is the intersection matrix on a basis of NS(X); ``ample`` is the
@@ -29,36 +34,31 @@ class NSLattice:
     convention (sqrt(td) = (1, 0, 1)) for the extended-lattice operations.
     """
 
-    rank: int
-    gram: Tuple[IntVec, ...]
-    ample: IntVec
-    k3: bool = True
-
-    def __post_init__(self):
-        rank = as_int(self.rank)
+    __slots__ = ()
+    def __new__(cls, rank: int, gram: Sequence, ample: Sequence, k3: bool = True) -> "NSLattice":
+        rank = as_int(rank)
         if rank <= 0:
             raise LatticeError("rank must be a positive integer")
-        object.__setattr__(self, "rank", rank)
-        gram = tuple(tuple(map(as_int, row)) for row in self.gram)
-        if len(gram) != self.rank or any(len(r) != self.rank for r in gram):
+        gram = tuple(tuple(map(as_int, row)) for row in gram)
+        if len(gram) != rank or any(len(r) != rank for r in gram):
             raise LatticeError("gram must be rank x rank")
-        for i in range(self.rank):
-            for j in range(self.rank):
+        for i in range(rank):
+            for j in range(rank):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError("gram must be symmetric")
-        ample = tuple(map(as_int, self.ample))
-        if len(ample) != self.rank:
+        ample = tuple(map(as_int, ample))
+        if len(ample) != rank:
             raise LatticeError("ample class has wrong length")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "ample", ample)
+        self = tuple.__new__(cls, (rank, gram, ample, k3))
         pos, neg, zero = signature(gram)
-        if (pos, neg, zero) != (1, self.rank - 1, 0):
+        if (pos, neg, zero) != (1, rank - 1, 0):
             raise LatticeError(
-                f"NS gram must have signature (1, {self.rank - 1}); got "
+                f"NS gram must have signature (1, {rank - 1}); got "
                 f"({pos}, {neg}) with {zero} radical directions"
             )
         if self.ns_dot(ample, ample) <= 0:
             raise LatticeError("ample class must have positive self-intersection")
+        return self
 
     # -- NS-level pairing ----------------------------------------------------
 
@@ -93,19 +93,21 @@ class NSLattice:
         return m
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    """Integral class (r, c, s) in the extended lattice. Coordinates are
-    coerced with ``as_int``: a non-integral one raises ``ValueError``."""
-
+class _MukaiVector(NamedTuple):
     r: int
     c: IntVec
     s: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", as_int(self.r))
-        object.__setattr__(self, "c", tuple(map(as_int, self.c)))
-        object.__setattr__(self, "s", as_int(self.s))
+
+class MukaiVector(_MukaiVector):
+    """Integral class (r, c, s) in the extended lattice. Coordinates are
+    coerced with ``as_int``: a non-integral one raises ``ValueError``."""
+
+    __slots__ = ()
+    def __new__(cls, r: int, c: Sequence[int], s: int) -> "MukaiVector":
+        return tuple.__new__(cls, (as_int(r), tuple(map(as_int, c)), as_int(s)))
+
+    __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = _unsupported
 
     def coords(self) -> IntVec:
         return (self.r, *self.c, self.s)
@@ -140,18 +142,19 @@ class MukaiVector:
         return gcd_vector(self.coords()) == 1
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
-    """Rational class (ch0, ch1, ch2); twists by -beta produce rational entries."""
-
+class _ChernCharacter(NamedTuple):
     ch0: Fraction
     ch1: FracVec
     ch2: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "ch0", as_fraction(self.ch0))
-        object.__setattr__(self, "ch1", tuple(as_fraction(x) for x in self.ch1))
-        object.__setattr__(self, "ch2", as_fraction(self.ch2))
+
+class ChernCharacter(_ChernCharacter):
+    """Rational class (ch0, ch1, ch2); twists by -beta produce rational entries."""
+
+    __slots__ = ()
+    def __new__(cls, ch0, ch1: Sequence, ch2) -> "ChernCharacter":
+        return tuple.__new__(cls, (as_fraction(ch0), tuple(map(as_fraction, ch1)),
+                                   as_fraction(ch2)))
 
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector, lat: NSLattice) -> int:

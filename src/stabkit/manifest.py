@@ -6,21 +6,19 @@ byte apart from the timestamp field, which comparison tools should strip.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, NamedTuple, Optional, Sequence
 
 VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     input_hashes: Dict[str, str]
     version: str
     bounds: Dict[str, Any]
     seed: Optional[int]
-    timestamp: str = field(default="")
+    timestamp: str = ""
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -10,11 +10,10 @@ Everything is solved exactly over Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
@@ -27,8 +26,7 @@ from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
 from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
 
 
-@dataclass(frozen=True)
-class OmegaClass:
+class OmegaClass(NamedTuple):
     """Rational class with (Omega, w) = Im(Z(w) / Z(v)) for every w; in
     particular (Omega, v) = 0 exactly."""
 
@@ -68,8 +66,7 @@ def bb_square(omega: OmegaClass, lat: NSLattice) -> Fraction:
     return bilinear(omega.coords, m, omega.coords)
 
 
-@dataclass(frozen=True)
-class ModuliDimension:
+class ModuliDimension(NamedTuple):
     dimension: int
     rigid: bool        # square -2: a point
     isotropic: bool    # square 0: the underlying surface itself
@@ -88,8 +85,7 @@ def moduli_dimension(v: MukaiVector, lat: NSLattice) -> ModuliDimension:
 # -- decompositions in the rank-2 wall lattice ----------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Multiset of parts a_i in H_W with sum v, each square >= -2, subject to
     v^2 >= 2(m-1) + sum a_i^2; slack is the difference of the two sides."""
 
@@ -187,8 +183,7 @@ def decomposition_scan(v_coords: Tuple[int, int], hw: Rank2Lattice,
 # -- wall reports ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(NamedTuple):
     wall: WallLocus
     hw: Rank2Lattice
     v_in_hw: Tuple[int, int]

@@ -6,11 +6,10 @@ drive the wall classification hints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateError, LatticeError
 from .lattice import MukaiVector, NSLattice, mukai_pairing
@@ -20,23 +19,24 @@ Pair = Tuple[int, int]
 Gram2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Rank2Lattice:
+class _Rank2Lattice(NamedTuple):
+    basis: Tuple[MukaiVector, MukaiVector]
+    gram2: Gram2
+
+
+class Rank2Lattice(_Rank2Lattice):
     """Primitive basis of a saturated rank-2 sublattice with its Gram matrix.
 
     Use :func:`saturate_rank2` to build one with the invariants guaranteed;
     direct construction trusts the caller (used for raw-form experiments).
     """
 
-    basis: Tuple[MukaiVector, MukaiVector]
-    gram2: Gram2
-
-    def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram2)
+    __slots__ = ()
+    def __new__(cls, basis: Sequence[MukaiVector], gram2: Gram2) -> "Rank2Lattice":
+        g = tuple(tuple(map(int, row)) for row in gram2)
         if len(g) != 2 or any(len(r) != 2 for r in g) or g[0][1] != g[1][0]:
             raise LatticeError("gram2 must be a symmetric 2x2 integer matrix")
-        object.__setattr__(self, "gram2", g)
-        object.__setattr__(self, "basis", tuple(self.basis))
+        return tuple.__new__(cls, (tuple(basis), g))
 
     def det(self) -> int:
         return self.gram2[0][0] * self.gram2[1][1] - self.gram2[0][1] ** 2

@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Any, Dict, List, Sequence
 
-from .errors import LatticeError, PresentationError
+from .errors import ChargeError, LatticeError, PresentationError
 from .gaussian import GaussianRational, as_fraction
 from .hn import CategoryPresentation
 from .lattice import MukaiVector, NSLattice
@@ -105,10 +105,20 @@ def _encode(x: Any, out: List[str], nl: str) -> None:
 
 
 def lattice_from_json(data: Dict[str, Any]) -> NSLattice:
+    """The lattice of a lattice file: an object whose ``gram`` is a list of
+    lists and whose ``ample`` is a list; another shape raises
+    ``LatticeError``."""
+    if type(data) is not dict:
+        raise LatticeError(f"a lattice is a JSON object, got {data!r}")
     k3 = data.get("k3", True)
     if type(k3) is not bool:
         raise LatticeError(f"k3 must be true or false, got {k3!r}")
-    return NSLattice(rank=data["rank"], gram=data["gram"], ample=data["ample"], k3=k3)
+    gram, ample = data["gram"], data["ample"]
+    if type(gram) is not list or any(type(row) is not list for row in gram):
+        raise LatticeError(f"gram must be a list of rows, got {gram!r}")
+    if type(ample) is not list:
+        raise LatticeError(f"ample must be a list, got {ample!r}")
+    return NSLattice(rank=data["rank"], gram=gram, ample=ample, k3=k3)
 
 
 # -- vectors and charges --------------------------------------------------------
@@ -135,6 +145,10 @@ def gauss_from_json(data) -> GaussianRational:
 
 
 def charge_row_from_json(data) -> List[GaussianRational]:
+    """A charge row: a list whose entries are ``[re, im]`` lists or
+    ``{"re", "im"}`` objects; another shape raises ``ChargeError``."""
+    if type(data) is not list or any(type(item) not in (list, dict) for item in data):
+        raise ChargeError(f"a charge row is a list of [re, im] pairs, got {data!r}")
     return [gauss_from_json(item) for item in data]
 
 
@@ -142,15 +156,27 @@ def charge_row_from_json(data) -> List[GaussianRational]:
 
 
 def category_from_json(data: Dict[str, Any]) -> CategoryPresentation:
+    """The presentation of a category file: an object whose ``objects`` and
+    ``edges`` are lists of objects, and each object's ``class`` a list;
+    another shape raises ``PresentationError``."""
+    if type(data) is not dict:
+        raise PresentationError(f"a category is a JSON object, got {data!r}")
+    items, edge_items = data["objects"], data.get("edges", [])
+    for key, value in (("objects", items), ("edges", edge_items)):
+        if type(value) is not list or any(type(x) is not dict for x in value):
+            raise PresentationError(f"{key} must be a list of JSON objects, got {value!r}")
     objects = {}
-    for obj in data["objects"]:
+    for obj in items:
         if isinstance(obj["id"], (list, dict)):
             raise PresentationError(f"object id {obj['id']!r} is not a string or number")
         name = str(obj["id"])  # the presentation keys objects by str(id)
         if name in objects:
             raise PresentationError(f"duplicate object id {name!r}")
+        if type(obj["class"]) is not list:
+            raise PresentationError(f"the class of {name!r} must be a list, "
+                                    f"got {obj['class']!r}")
         objects[name] = obj["class"]
-    edges = tuple(map(itemgetter("sub", "ambient", "quotient"), data.get("edges", ())))
+    edges = tuple(map(itemgetter("sub", "ambient", "quotient"), edge_items))
     return CategoryPresentation(objects, edges, data["zero"])
 
 

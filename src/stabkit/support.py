@@ -16,10 +16,9 @@ once per charge, and every later form is a plain Gram built from M and N:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid
@@ -35,8 +34,7 @@ Vec = Tuple[Fraction, ...]
 Gram = Sequence[Sequence[Fraction]]
 
 
-@dataclass(frozen=True)
-class ChargeKernel:
+class ChargeKernel(NamedTuple):
     """Rational kernel of a charge functional, the 2x2 norm form S and the
     norm Gram N = R^T S R."""
 
@@ -151,8 +149,7 @@ def _aux_gram(norm: Gram, ambient_gram: Gram, alpha: Fraction) -> List[List[Frac
             for nr, mr in zip(norm, ambient_gram)]
 
 
-@dataclass(frozen=True)
-class RootNormResult:
+class RootNormResult(NamedTuple):
     c_squared: Optional[Fraction]
     witness: Optional[MukaiVector]
     bound_reached: Fraction
@@ -235,8 +232,7 @@ def build_q_z(norm: Gram, c_squared: Fraction, ambient_gram: Gram) -> List[List[
     return [[m + f * x for x, m in zip(nr, mr)] for nr, mr in zip(norm, ambient_gram)]
 
 
-@dataclass(frozen=True)
-class RoundtripVerdict:
+class RoundtripVerdict(NamedTuple):
     cls: Vec
     q_value: Fraction
     skipped: bool
@@ -245,8 +241,7 @@ class RoundtripVerdict:
     passed: Optional[bool]
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     k_const: Fraction
     c_squared: Fraction
     verdicts: Tuple[RoundtripVerdict, ...]

@@ -31,11 +31,10 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
 from .errors import (BudgetError, ChargeError, LatticeError, effective_budget,
@@ -45,47 +44,52 @@ from .lattice import MukaiVector, NSLattice
 from .linalg import clear_denominators, primitive_vector
 
 
-@dataclass(frozen=True)
-class SliceParams:
-    """Two-parameter family beta = beta0 + b H, omega = t H along the ample
-    class H of the lattice: the standard slice, whose walls are conics."""
-
+class _SliceParams(NamedTuple):
     lattice: NSLattice
     beta0: Tuple[Fraction, ...]
-    # the charge at the base point (beta0, H), derived on construction
-    z0: Tuple[GaussianRational, ...] = field(init=False, repr=False, compare=False)
+    z0: Tuple[GaussianRational, ...]
 
-    def __post_init__(self):
-        beta0 = tuple(as_fraction(x) for x in self.beta0)
-        if len(beta0) != self.lattice.rank:
+
+class SliceParams(_SliceParams):
+    """Two-parameter family beta = beta0 + b H, omega = t H along the ample
+    class H of the lattice: the standard slice, whose walls are conics.
+    ``z0``, the charge at the base point (beta0, H), is derived from the
+    other two fields and is not a constructor argument."""
+
+    __slots__ = ()
+    def __new__(cls, lattice: NSLattice, beta0: Sequence) -> "SliceParams":
+        beta0 = tuple(map(as_fraction, beta0))
+        if len(beta0) != lattice.rank:
             raise LatticeError("beta0 has wrong NS rank")
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "z0", tuple(charge_functional(
-            self.lattice, beta0, self.lattice.ample)))
+        z0 = tuple(charge_functional(lattice, beta0, lattice.ample))
+        return tuple.__new__(cls, (lattice, beta0, z0))
+
+    def __getnewargs__(self):  # copy and pickle rebuild z0
+        return self[:2]
 
     def axis_sq(self) -> Fraction:
         return self.lattice.ns_dot(self.lattice.ample, self.lattice.ample)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Rectangle b in [b_min, b_max], t in [t_min, t_max] with t_min > 0
-    (walls accumulate towards t = 0, so the axis is refused)."""
-
+class _Region(NamedTuple):
     b_min: Fraction
     b_max: Fraction
     t_min: Fraction
     t_max: Fraction
 
-    def __post_init__(self):
-        vals = {k: as_fraction(getattr(self, k)) for k in
-                ("b_min", "b_max", "t_min", "t_max")}
-        for k, v in vals.items():
-            object.__setattr__(self, k, v)
+
+class Region(_Region):
+    """Rectangle b in [b_min, b_max], t in [t_min, t_max] with t_min > 0
+    (walls accumulate towards t = 0, so the axis is refused)."""
+
+    __slots__ = ()
+    def __new__(cls, b_min, b_max, t_min, t_max) -> "Region":
+        self = tuple.__new__(cls, map(as_fraction, (b_min, b_max, t_min, t_max)))
         if self.b_min > self.b_max or self.t_min > self.t_max:
             raise ValueError("empty region")
         if self.t_min <= 0:
             raise ValueError("t_min must be strictly positive")
+        return self
 
 
 class WallKind(enum.Enum):
@@ -95,16 +99,18 @@ class WallKind(enum.Enum):
     DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
-class WallLocus:
-    """Conic locus of charge alignment between v and w on the slice."""
-
+class _WallLocus(NamedTuple):
     v: MukaiVector
     w: MukaiVector
     conic: Tuple[Fraction, Fraction, Fraction, Fraction]  # A, B, C(=0), D
     kind: WallKind
     center: Optional[Fraction] = None
     radius_sq: Optional[Fraction] = None
+
+
+class WallLocus(_WallLocus):
+    """Conic locus of charge alignment between v and w on the slice. Its
+    instance dict holds only the memo of ``key``."""
 
     def key(self) -> Tuple[int, int, int, int]:
         """Conic normalized to coprime integers with positive leading entry;
@@ -371,8 +377,7 @@ def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
 # -- sampling oracle -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleWall:
+class OracleWall(NamedTuple):
     locus: WallLocus
     detected: bool
 
@@ -431,8 +436,7 @@ def _signs_flip(loc: WallLocus, b_nums: List[int], b_den: int,
 # -- chambers along a vertical path --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     t_squared: Fraction  # exact radicand: the crossing is at t = sqrt of this
     wall: WallLocus
 
@@ -440,8 +444,7 @@ class Crossing:
         return sqrt_decimal(self.t_squared, digits)
 
 
-@dataclass(frozen=True)
-class ChamberPath:
+class ChamberPath(NamedTuple):
     b_star: Fraction
     t_lo: Fraction
     t_hi: Fraction
@@ -510,8 +513,7 @@ def sqrt_decimal(q: Fraction, digits: int = 30) -> str:
 # -- nesting check --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NestingReport:
+class NestingReport(NamedTuple):
     pairs_checked: int
     violations: Tuple[Tuple[WallLocus, WallLocus, str], ...]
     touching: Tuple[Tuple[WallLocus, WallLocus, str], ...]

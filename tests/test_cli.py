@@ -1126,3 +1126,77 @@ def test_readme_flags_are_the_parser_options():
     defined = {opt for p in sub.choices.values() for a in p._actions
                for opt in a.option_strings if opt not in ("-h", "--help")}
     assert sorted(listed) == sorted(defined)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """The record types are named tuples: importing the CLI builds no
+    dataclass, so neither module is loaded at start-up."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    code = "import sys, stabkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["walls", "--v", "1,0,-1", "--beta0", "0", "--b", "-3:0"],
+     "stabkit walls: error: the following arguments are required: --t"),
+    (["walls", "--v", "1,0,-1", "--beta0", "0", "--b", "-3:0", "--t", "1:2", "--bound", "x"],
+     "stabkit walls: error: argument --bound: invalid int value: 'x'"),
+    (["pairing", "--v", "1,0,1", "--w", "1,0,1", "--zork"],
+     "stabkit: error: unrecognized arguments: --zork"),
+])
+def test_usage_errors_exit_1(tmp_path, lattice_file, capsys, argv, message):
+    """A usage error is an input error: exit 1, with argparse's message."""
+    out = tmp_path / "x.json"
+    assert main([*argv, "--lattice", lattice_file, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_support_start_bound_may_start_with_a_dash(tmp_path, lattice_file, capsys):
+    """A negative start bound reaches the library's check, not argparse."""
+    out = tmp_path / "x.json"
+    assert main(["support", "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+                 "--start-bound", "-1/2", "--out", str(out)]) == 1
+    assert "input error: start bound must be positive, got -1/2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", [["-1,0,1"], ["1,0,1", "-1,0,1"]])
+def test_support_classes_may_start_with_a_dash(tmp_path, lattice_file, classes):
+    """Every value after --classes is a class, one with a negative first
+    entry too; the manifest keeps the command as given."""
+    argv = ["support", "--lattice", lattice_file, "--beta", "0", "--omega", "2",
+            "--classes", *classes, "--start-bound", "2"]
+    code, doc = run(tmp_path, *argv)
+    assert code == 0
+    verdicts = doc["result"]["roundtrip"]["verdicts"]
+    assert [",".join(v["class"]) for v in verdicts] == classes
+    assert doc["manifest"]["command"] == " ".join([*argv, "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("lattice", [1], "a lattice is a JSON object, got [1]"),
+    ("lattice", {"rank": "1", "gram": 2, "ample": ["1"]}, "gram must be a list of rows, got 2"),
+    ("lattice", {"rank": "1", "gram": [["2"]], "ample": 1}, "ample must be a list, got 1"),
+    ("category", [1], "a category is a JSON object, got [1]"),
+    ("category", {"objects": [1], "zero": "0"}, "objects must be a list of JSON objects"),
+    ("category", {"objects": [{"id": "0", "class": 5}], "zero": "0"},
+     "the class of '0' must be a list, got 5"),
+    ("charge", [1], "a charge row is a list of [re, im] pairs, got [1]"),
+])
+def test_wrong_shaped_json_is_an_input_error(tmp_path, lattice_file, capsys, kind, doc, message):
+    """A file of the wrong JSON shape exits 1 with an input error, not a
+    traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    cat = tmp_path / "cat.json"
+    cat.write_text(dumps({"objects": [{"id": "0", "class": ["0"]}], "zero": "0"}))
+    charge = tmp_path / "z.json"
+    charge.write_text(dumps([["-1", "1"]]))
+    argv = {"lattice": ["pairing", "--lattice", str(path), "--v", "1,0,1", "--w", "1,0,1"],
+            "category": ["validate-category", "--category", str(path), "--charge", str(charge)],
+            "charge": ["validate-category", "--category", str(cat), "--charge", str(path)]}
+    assert main([*argv[kind], "--out", str(tmp_path / "x.json")]) == 1
+    assert f"input error: {message}" in capsys.readouterr().err
