@@ -25,7 +25,7 @@ from .gaussian import GaussianRational, as_fraction
 from .hn import (charge_table, hn_filtration, seesaw_check, validate,
                  validate_or_raise)
 from .lattice import ChernCharacter, MukaiVector, mukai_pairing
-from .manifest import build_manifest, file_hash
+from .manifest import build_manifest
 from .nef import bb_square, lagrangian_candidates, moduli_dimension, \
     omega_class, wall_report
 from .support import (build_q_z, charge_kernel, discreteness_classes,
@@ -57,17 +57,22 @@ def _parse_gauss(text: str) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+def _load_json(args, name: str) -> Any:
+    """The JSON document in the file ``args.<name>``, parsed from one read of
+    its bytes, whose SHA-256 digest goes to ``args.inputs[name]`` for the
+    manifest. The bytes are decoded as UTF-8 before parsing, so a BOM or a
+    byte that is not UTF-8 is an input error."""
+    with open(getattr(args, name), "rb") as f:
+        data = f.read()
+    args.inputs[name] = hashlib.sha256(data).hexdigest()
+    return json.loads(data.decode("utf-8"))
 
 
 def _emit(args, payload: Dict[str, Any], summary: str,
-          inputs: Optional[Dict[str, str]] = None,
           bounds: Optional[Dict[str, Any]] = None) -> None:
-    """Write the payload with its manifest; ``inputs`` maps each input's
-    name to the SHA-256 digest of its content."""
-    manifest = build_manifest(args.argv, inputs or {}, bounds or {},
+    """Write the payload with its manifest, whose input hashes are those
+    ``_load_json`` recorded in ``args.inputs``."""
+    manifest = build_manifest(args.argv, args.inputs, bounds or {},
                               seed=getattr(args, "seed", None))
     doc = {"manifest": manifest.to_json(), "result": payload}
     text = ser.dumps(doc)
@@ -84,7 +89,7 @@ def _mukai(text: str) -> MukaiVector:
 
 
 def _lattice(args):
-    return ser.lattice_from_json(_load_json(args.lattice))
+    return ser.lattice_from_json(_load_json(args, "lattice"))
 
 
 def _params(args, lat) -> ChargeParams:
@@ -99,8 +104,7 @@ def cmd_pairing(args) -> None:
     lat = _lattice(args)
     v, w = _mukai(args.v), _mukai(args.w)
     val = mukai_pairing(v, w, lat)
-    _emit(args, {"value": str(val)}, f"({args.v}, {args.w}) = {val}",
-          inputs={"lattice": file_hash(args.lattice)})
+    _emit(args, {"value": str(val)}, f"({args.v}, {args.w}) = {val}")
 
 
 def cmd_charge(args) -> None:
@@ -111,8 +115,7 @@ def cmd_charge(args) -> None:
     else:
         c0, *c1, c2 = _parse_vec_rat(args.v)
         z = surface_charge(ChernCharacter(c0, tuple(c1), c2), params)
-    _emit(args, ser.gauss_to_json(z), f"Z = {z}",
-          inputs={"lattice": file_hash(args.lattice)})
+    _emit(args, ser.gauss_to_json(z), f"Z = {z}")
 
 
 def cmd_phase_compare(args) -> None:
@@ -128,8 +131,8 @@ def cmd_heart(args) -> None:
 
 
 def cmd_hn(args) -> None:
-    cat = ser.category_from_json(_load_json(args.category))
-    table = charge_table(cat, ser.charge_row_from_json(_load_json(args.charge)))
+    cat = ser.category_from_json(_load_json(args, "category"))
+    table = charge_table(cat, ser.charge_row_from_json(_load_json(args, "charge")))
     validate_or_raise(cat, table)
     filt = hn_filtration(cat, table, args.object)
     seesaw = seesaw_check(cat, table)
@@ -141,21 +144,17 @@ def cmd_hn(args) -> None:
         "seesaw_violations": [vi.message for vi in seesaw],
     }
     _emit(args, payload,
-          f"HN filtration of {args.object}: {' < '.join(filt.steps)}",
-          inputs={"category": file_hash(args.category),
-                  "charge": file_hash(args.charge)})
+          f"HN filtration of {args.object}: {' < '.join(filt.steps)}")
 
 
 def cmd_validate_category(args) -> None:
-    cat = ser.category_from_json(_load_json(args.category))
-    table = charge_table(cat, ser.charge_row_from_json(_load_json(args.charge)))
+    cat = ser.category_from_json(_load_json(args, "category"))
+    table = charge_table(cat, ser.charge_row_from_json(_load_json(args, "charge")))
     violations = validate(cat, table)
     payload = {"violations": [
         {"code": v.code, "subject": v.subject, "message": v.message}
         for v in violations]}
-    _emit(args, payload, f"{len(violations)} violation(s)",
-          inputs={"category": file_hash(args.category),
-                  "charge": file_hash(args.charge)})
+    _emit(args, payload, f"{len(violations)} violation(s)")
 
 
 def cmd_support(args) -> None:
@@ -218,8 +217,7 @@ def cmd_support(args) -> None:
         }
         summary = (f"C^2 = {res.c_squared}, witness {res.witness.coords()}, "
                    f"roundtrip {'ok' if roundtrip.all_pass else 'FAILED'}")
-    _emit(args, payload, summary, inputs={"lattice": file_hash(args.lattice)},
-          bounds={"budget": budget})
+    _emit(args, payload, summary, bounds={"budget": budget})
 
 
 def _slice_and_region(args, lat) -> Tuple[SliceParams, Region]:
@@ -265,20 +263,28 @@ def cmd_walls(args) -> None:
             "agrees": detected == enumerated,
         }
         summary += f"; oracle {'agrees' if detected == enumerated else 'DISAGREES'}"
-    _emit(args, payload, summary, inputs={"lattice": file_hash(args.lattice)},
+    _emit(args, payload, summary,
           bounds={"bound": args.bound, "grid": args.grid})
 
 
+def _walls_result(args) -> Dict[str, Any]:
+    """The ``result`` object of the walls file ``args.walls``."""
+    doc = _load_json(args, "walls")
+    if type(doc) is not dict or type(doc.get("result")) is not dict:
+        raise ValueError("a walls file is a JSON object whose result is an object")
+    return doc["result"]
+
+
 def cmd_chambers(args) -> None:
-    doc = _load_json(args.walls)
+    res = _walls_result(args)
     # the walls result in canonical form, not the file: its manifest carries
     # the walls run's own timestamp
     try:
-        canonical = ser.dumps(doc["result"])
+        canonical = ser.dumps(res)
     except TypeError as exc:  # a JSON float: no stabkit output holds one
         raise ValueError(f"walls result is not stabkit JSON: {exc}") from None
-    walls_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    walls = ser.walls_from_json(doc["result"]["walls"])
+    args.inputs["walls"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    walls = ser.walls_from_json(res["walls"])
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)
     path = chambers_along_path(b_star, t_lo, t_hi, walls)
@@ -296,16 +302,16 @@ def cmd_chambers(args) -> None:
                        "crossing is the Gieseker chamber",
     }
     _emit(args, payload,
-          f"{len(path.crossings)} crossing(s), {path.chamber_count} chamber(s)",
-          inputs={"walls": walls_hash})
+          f"{len(path.crossings)} crossing(s), {path.chamber_count} chamber(s)")
 
 
 def cmd_plot(args) -> None:
     if not args.out:
         raise ValueError("plot needs --out for the SVG file")
-    doc = _load_json(args.walls)
-    res = doc["result"]
+    res = _walls_result(args)
     walls = ser.walls_from_json(res["walls"])
+    if type(res["region"]) is not dict:
+        raise ValueError(f"region must be a JSON object, got {res['region']!r}")
     region = Region(*(ser.unrat(res["region"][k])
                       for k in ("b_min", "b_max", "t_min", "t_max")))
     manifest = build_manifest(args.argv, {}, {})
@@ -333,8 +339,7 @@ def cmd_nef(args) -> None:
         "flags": {"rigid": dim.rigid, "isotropic": dim.isotropic},
     }
     _emit(args, payload,
-          f"q(l_sigma) = {sq}, dim M = {dim.dimension}",
-          inputs={"lattice": file_hash(args.lattice)})
+          f"q(l_sigma) = {sq}, dim M = {dim.dimension}")
 
 
 def cmd_classify_wall(args) -> None:
@@ -371,7 +376,6 @@ def cmd_classify_wall(args) -> None:
     _emit(args, payload,
           f"H_W gram {rep.hw.gram2}; root: {rep.has_root}, "
           f"isotropic: {rep.has_isotropic}",
-          inputs={"lattice": file_hash(args.lattice)},
           bounds={"max_m": args.max_m, "box": args.box})
 
 
@@ -382,7 +386,7 @@ def cmd_lagrangian(args) -> None:
     cands = lagrangian_candidates(v, lat, args.bound)
     payload = {"candidates": [ser.mukai_to_json(u) for u in cands]}
     _emit(args, payload, f"{len(cands)} Lagrangian candidate ray(s)",
-          inputs={"lattice": file_hash(args.lattice)}, bounds={"bound": args.bound})
+          bounds={"bound": args.bound})
 
 
 def cmd_gieseker(args) -> None:
@@ -546,6 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # (exit 1), and --help exits 0
         return 1 if exc.code else 0
     args.argv = list(argv)  # the manifest records the command as given
+    args.inputs = {}
     try:
         globals()[args.fn](args)
     except (LatticeError, ChargeError, PresentationError, ValueError,

@@ -1,10 +1,11 @@
 """Exact lattice-point enumeration inside ellipsoids of positive definite
 rational quadratic forms (the Fincke-Pohst walk, integer form).
 
-The rational LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
-c_i = sum_{j>i} l_ij x_j, runs once. The walk then scales every level to
-integers: with den_i the least common denominator of row i of l and M the
-lcm of every den(d_i) den_i^2, level i keeps the center numerator
+The LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
+c_i = sum_{j>i} l_ij x_j, runs once, fraction-free on the integer Gram. The
+walk then scales every level to integers: with den_i the least common
+denominator of row i of l and M the lcm of the denominators of every
+d_i / den_i^2, level i keeps the center numerator
 cn_i = den_i c_i and the remainder R = floor(M (bound - sum of the levels
 above)), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with the
 integer weight w_i = M d_i / den_i^2. Every term compared with or subtracted
@@ -15,43 +16,42 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, effective_budget
-from .linalg import clear_denominators, frac_rows
+from .linalg import clear_denominators
 
 
-def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram.
-
-    Fraction-free (Bareiss) elimination on the integer Gram G = den Q: after
-    k steps, a_ij (i, j >= k) is p_{k-1} times the Schur complement of the
-    leading k x k block, where p_k = a_kk is the leading principal minor of
-    order k + 1 of G (p_{-1} = 1). So d_k = p_k / (p_{k-1} den) and
-    l_kj = a_kj / p_k, and each step divides exactly by p_{k-1}.
-    """
-    rows, den = clear_denominators(frac_rows(gram))
+def _bareiss_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """(p, a) with G(x) = sum_k p_k / p_{k-1} (x_k + sum_{j>k} a_kj / p_k x_j)^2
+    (p_{-1} = 1) for a PD integer Gram G, by fraction-free (Bareiss) steps
+    that each divide exactly by p_{k-1}: p_k = a_kk is a leading minor of G."""
     a = [list(row) for row in rows]
     n = len(a)
-    d = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
     prev = 1
     for k in range(n):
         piv, row = a[k][k], a[k]
         if piv <= 0:
             raise ValueError("form is not positive definite")
-        d[k] = Fraction(piv, prev * den)
-        for j in range(k + 1, n):
-            low[k][j] = Fraction(row[j], piv)
         # the rows below, upper triangle only: the iterates stay symmetric
         for i in range(k + 1, n):
             ai, f = a[i], row[i]
             for j in range(i, n):
                 ai[j] = (piv * ai[j] - f * row[j]) // prev
         prev = piv
-    return d, low
+    return [a[k][k] for k in range(n)], a
+
+
+def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram,
+    from ``_bareiss_ldl`` of G = den Q: d_k = p_k / (p_{k-1} den), l_kj = a_kj / p_k."""
+    rows, den = clear_denominators(gram)
+    p, a = _bareiss_ldl(rows)
+    return ([Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p)],
+            [[Fraction(x, pk) if j > k else Fraction(0) for j, x in enumerate(row)]
+             for k, (pk, row) in enumerate(zip(p, a))])
 
 
 def _level_range(rem: int, w: int, den: int, cn: int) -> range:
@@ -120,15 +120,21 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
         bound = min(bound, limit[0])
     if bound < 0:
         return
-    d, low = ldl_decompose(gram)
-    n = len(d)
+    gram_rows, den = clear_denominators(gram)
+    piv, upper = _bareiss_ldl(gram_rows)
+    n = len(piv)
     if n == 0:
         yield ()
         return
-    dens = [lcm(*(low[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    rows = [[int(low[i][j] * dens[i]) for j in range(n)] for i in range(n)]
-    scale = lcm(*(d[i].denominator * dens[i] ** 2 for i in range(n)))
-    weights = [int(scale * d[i] / dens[i] ** 2) for i in range(n)]
+    # in lowest terms, l_ij = upper_ij / piv_i = rows_ij / dens_i with
+    # dens_i = piv_i / g_i, and d_i / dens_i^2 = g_i^2 / (piv_{i-1} piv_i den)
+    gs = [gcd(p, *row[i + 1:]) for i, (p, row) in enumerate(zip(piv, upper))]
+    dens = [p // g for p, g in zip(piv, gs)]
+    rows = [[x // g if j > i else 0 for j, x in enumerate(row)]
+            for i, (row, g) in enumerate(zip(upper, gs))]
+    ratios = [Fraction(g * g, prev * p * den) for g, p, prev in zip(gs, piv, [1] + piv)]
+    scale = lcm(*(r.denominator for r in ratios))
+    weights = [scale // r.denominator * r.numerator for r in ratios]
     cap = floor(scale * bound)  # floor(M B) for the current bound B
     seen = limit[0] if limit is not None else None
     # level i > 0 hands level i - 1 the center numerator part + coef x_i,

@@ -1,7 +1,10 @@
-"""Small exact linear algebra layer: Fraction matrices and integer lattices.
+"""Small exact linear algebra layer: integer elimination behind a Fraction
+boundary, and integer lattices.
 
-Everything here works over Q (fractions.Fraction) or Z (python ints); no
+Everything here works over Z (python ints) or Q (fractions.Fraction); no
 floating point. Matrices are lists of lists, vectors are lists or tuples.
+Elimination is fraction-free (Bareiss) on integer rows; ``rref``, ``solve``,
+``inverse`` and ``nullspace`` build Fractions only for their results.
 """
 from __future__ import annotations
 
@@ -12,10 +15,6 @@ from typing import List, Sequence, Tuple
 
 Vec = Sequence[Fraction]
 Mat = Sequence[Sequence[Fraction]]
-
-
-def frac_rows(mat) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
 
 
 def identity(n: int) -> List[List[Fraction]]:
@@ -55,69 +54,84 @@ def bilinear(u: Vec, gram: Mat, v: Vec) -> Fraction:
     return dot(u, mat_vec(gram, v))
 
 
-def rref(mat: Mat) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = frac_rows(mat)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+def int_rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[int]]:
+    """(red, d, pivots) with red / d the RREF of an integer matrix: pivot p
+    maps every other row to (p a_ij - a_ic a_rj) / prev, an exact division
+    (Bareiss), and each pivot entry ends equal to the last pivot d != 0."""
+    rows = list(rows)
+    prev, r, pivots = 1, 0, []
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return rows[:r], prev, pivots
+
+
+def rref(mat: Mat) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    red, d, pivots = int_rref([_over_lcm(row)[0] for row in mat])
+    return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def solve(mat: Mat, rhs: Vec) -> List[Fraction]:
     """Solve a square nonsingular system exactly."""
     n = len(mat)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
+    red, d, pivots = int_rref([_over_lcm([*row, rhs[i]])[0] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
         raise ValueError("singular system")
-    return [red[i][n] for i in range(n)]
+    return [Fraction(row[n], d) for row in red]
 
 
 def inverse(mat: Mat) -> List[List[Fraction]]:
     n = len(mat)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
+    # row i of [A | I] times the lcm of the denominators of row i of A
+    red, d, pivots = int_rref([ints + [den * (i == j) for j in range(n)]
+                               for i, (ints, den) in enumerate(map(_over_lcm, mat))])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    return [[Fraction(x, d) for x in row[n:]] for row in red]
+
+
+def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
+    """Canonical kernel basis of an integer matrix with ``ncols`` columns
+    (Z^ncols for no rows): per free RREF column one primitive vector with
+    positive leading entry, so the output is deterministic."""
+    red, d, pivots = int_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = d
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            basis.append(primitive_vector(v))
+    return basis
 
 
 def nullspace(mat: Mat) -> List[List[Fraction]]:
-    """Canonical rational kernel basis of a matrix (solutions of M x = 0).
-
-    Basis vectors come from the RREF free columns and are rescaled to
-    primitive integer vectors with positive leading entry, so the output is
-    deterministic.
-    """
-    rows, pivots = rref(mat)
+    """Canonical rational kernel basis of a matrix (solutions of M x = 0):
+    the vectors of ``int_kernel``, as Fractions."""
     ncols = len(mat[0]) if mat else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append([Fraction(x) for x in primitive_vector(v)])
-    return basis
+    return [[Fraction(x) for x in v]
+            for v in int_kernel([_over_lcm(row)[0] for row in mat], ncols)]
+
+
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The product of two integer matrices (b with at least one row)."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def clear_denominators(rows: Sequence[Sequence]
@@ -148,10 +162,16 @@ def primitive_vector(v: Sequence) -> List[int]:
 
 def signature(gram: Mat) -> Tuple[int, int, int]:
     """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix,
-    by exact congruence diagonalization."""
-    a = frac_rows(gram)
+    by fraction-free congruence diagonalization of its integer multiple: pivot
+    p maps the block below to (p a_ij - a_ik a_kj) / prev, an exact division
+    (Bareiss) that keeps prev times a Schur complement, and the diagonal entry
+    of the step is p / prev."""
+    # den * gram as lists in one pass (``clear_denominators`` builds tuples)
+    den = lcm(*(x.denominator for row in gram for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
     n = len(a)
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -165,22 +185,21 @@ def signature(gram: Mat) -> Tuple[int, int, int]:
                     zero += 1
                     continue
                 # diagonal block is zero but a[k][j] != 0: add row/col j into k
-                for c in range(n):
+                for c in range(k, n):
                     a[k][c] += a[j][c]
-                for r in range(n):
+                for r in range(k, n):
                     a[r][k] += a[r][j]
-        d = a[k][k]
-        if d > 0:
+        top = a[k]
+        p = top[k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for c in range(n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k]
+            row, f = a[i], a[i][k]
+            for c in range(k + 1, n):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
     return pos, neg, zero
 
 

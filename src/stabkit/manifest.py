@@ -5,7 +5,6 @@ byte apart from the timestamp field, which comparison tools should strip.
 """
 from __future__ import annotations
 
-import hashlib
 from datetime import datetime, timezone
 from typing import Any, Dict, NamedTuple, Optional, Sequence
 
@@ -29,14 +28,6 @@ class RunManifest(NamedTuple):
             "seed": self.seed,
             "timestamp": self.timestamp,
         }
-
-
-def file_hash(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def build_manifest(argv: Sequence[str], input_hashes: Dict[str, str],

@@ -207,19 +207,30 @@ _FIELD_NAMES = {3: "center and radius_sq", 1: "center and no radius_sq",
 
 
 def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
-    """The walls of a walls file, in order. Each wall must carry a conic of
-    four entries whose third is 0 and exactly the center and radius_sq its
-    kind has; anything else raises ``ValueError``.
+    """The walls of a walls file, in order. ``items`` must be a list of
+    objects, and each wall must carry classes ``v`` and ``w`` of the form
+    [r, [c_1, ...], s], a conic of four entries whose third is 0 and exactly
+    the center and radius_sq its kind has; anything else raises
+    ``ValueError``.
 
     Each distinct text is parsed once: a rational given as a JSON string,
     and a class ``v`` or ``w`` whose coordinates are all JSON strings, are
     looked up by that text. Anything else is parsed on its own, since a
     lookup by value would let ``1.0`` or ``true`` (equal to ``1``) past
     ``as_int``."""
+    if type(items) is not list:
+        raise ValueError(f"walls must be a list of walls, got {items!r}")
     memo: Dict[Any, Any] = {}
     out = []
     for data in items:
+        if type(data) is not dict:
+            raise ValueError(f"a wall is a JSON object, got {data!r}")
         wall_id = data.get("id")
+        v, w = data["v"], data["w"]
+        for cls in (v, w):
+            if type(cls) is not list or len(cls) != 3 or type(cls[1]) is not list:
+                raise ValueError(f"wall {wall_id!r}: a class is [r, [c_1, ...], s], "
+                                 f"got {cls!r}")
         kind = WallKind(data["kind"])
         fields = _WALL_FIELDS[kind]
         conic = data["conic"]
@@ -232,7 +243,7 @@ def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
             raise ValueError(f"wall {wall_id!r}: a {kind.value} wall carries "
                              f"{_FIELD_NAMES[fields]}")
         out.append(WallLocus(
-            _mukai_cached(data["v"], memo), _mukai_cached(data["w"], memo), conic, kind,
+            _mukai_cached(v, memo), _mukai_cached(w, memo), conic, kind,
             _unrat_cached(data["center"], memo) if fields else None,
             _unrat_cached(data["radius_sq"], memo) if fields == 3 else None))
     return out

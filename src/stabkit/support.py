@@ -13,11 +13,17 @@ norm induced by minus the pairing on Ker Z; neither P nor an irrational
 square root is ever formed. ``charge_kernel`` derives S and the norm Gram N
 once per charge, and every later form is a plain Gram built from M and N:
 ||Z(v)||_S^2 = v^T N v, Q_aux = 2N - M and Q_Z = M + (2 / C^2) N.
+
+Inside each function every matrix is integer rows over one positive
+denominator (``clear_denominators``), eliminated fraction-free; the walks
+get integer Grams with their bounds scaled to match, and Fractions are
+built only for the returned matrices and values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
@@ -26,12 +32,13 @@ from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector
-from .linalg import (bilinear, clear_denominators, frac_rows, identity, inverse,
-                     is_negative_definite, is_positive_definite, mat_mul,
-                     mat_vec, nullspace, rref, signature, transpose)
+from .linalg import (bilinear, clear_denominators, int_kernel, int_mat_mul,
+                     int_rref, inverse, is_negative_definite,
+                     is_positive_definite, nullspace, signature, transpose)
 
 Vec = Tuple[Fraction, ...]
 Gram = Sequence[Sequence[Fraction]]
+IntRows = Sequence[Sequence[int]]
 
 
 class ChargeKernel(NamedTuple):
@@ -48,13 +55,12 @@ def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
     return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
-def _square_gram(gram: Gram, n: int, name: str) -> List[List[Fraction]]:
-    """``gram`` as Fraction rows, after checking that it is n x n for a
-    charge row of n entries."""
-    rows = frac_rows(gram)
-    if len(rows) != n or any(len(row) != n for row in rows):
+def _square_gram(gram: Gram, n: int, name: str) -> Tuple[IntRows, int]:
+    """(rows, den) of ``clear_denominators(gram)``, after checking that
+    ``gram`` is n x n for a charge row of n entries."""
+    if len(gram) != n or any(len(row) != n for row in gram):
         raise LatticeError(f"{name} is not {n} x {n}: the charge row has {n} entries")
-    return rows
+    return clear_denominators(gram)
 
 
 def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> ChargeKernel:
@@ -77,38 +83,44 @@ def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> Char
     outside the good locus) and when S is not positive definite.
     """
     n = len(z_row)
-    m = _square_gram(ambient_gram, n, "ambient Gram")
+    m, dm = _square_gram(ambient_gram, n, "ambient Gram")  # M = m / dm
     if all(z.is_zero() for z in z_row):
         raise ChargeError("zero charge functional")
-    rows = charge_rows(z_row)
+    rows, dr = clear_denominators(charge_rows(z_row))  # R = rows / dr
     basis = nullspace(rows)
     if n - len(basis) < 2:
         raise DegenerateError(
             "charge has real rank < 2 (parts proportional): the kernel is too "
             "large for the good locus")
-    for b in basis:
-        if not evaluate_charge_row(z_row, b).is_zero():
-            raise StabkitError("kernel basis vector not annihilated by Z")
-    red, pivots = rref([mr + [re, im] for mr, re, im in zip(m, *rows)])
+    if any(sum(map(mul, r, b)) for b in clear_denominators(basis)[0] for r in rows):
+        raise StabkitError("kernel basis vector not annihilated by Z")
+    # [m | rows^T] reduces to [I | y / e]: X = M^-1 R^T = dm y / (dr e)
+    red, e, pivots = int_rref([[*mr, re, im] for mr, re, im in zip(m, *rows)])
     if pivots != list(range(n)):
         raise DegenerateError("ambient pairing is degenerate: no dual Gram of Z")
-    x = [row[n:] for row in red]
-    if mat_mul(m, x) != transpose(rows):
+    y = [row[n:] for row in red]
+    if int_mat_mul(m, y) != [[e * re, e * im] for re, im in zip(*rows)]:
         raise StabkitError("dual solve failed: M X != R^T")
-    d = mat_mul(rows, x)
-    try:
-        s = inverse(d)
-    except ValueError:
+    # D = R X = dm dual / (dr^2 e), so S = D^-1 = s / den with s the
+    # adjugate of dual times f = dr^2 e sign(det) and den = dm |det|
+    dual = int_mat_mul(rows, y)
+    (a, b), (c, g) = dual
+    det = a * g - b * c
+    if det == 0:
         raise DegenerateError(
-            "pairing degenerate on Ker Z: charge lies outside the good locus"
-        ) from None
-    if mat_mul(s, d) != identity(2):
+            "pairing degenerate on Ker Z: charge lies outside the good locus")
+    f = dr * dr * e * (1 if det > 0 else -1)
+    s = [[f * g, -f * b], [-f * c, f * a]]
+    den = dm * abs(det)
+    if int_mat_mul(s, dual) != [[f * det, 0], [0, f * det]]:
         raise StabkitError("norm form is not the inverse of the dual Gram: S D != I")
     if not is_positive_definite(s):
         raise DegenerateError(
             "no positive definite norm form: charge outside the positive locus")
-    norm = mat_mul(transpose(rows), mat_mul(s, rows))
-    return ChargeKernel(*(tuple(map(tuple, a)) for a in (basis, s, norm)))
+    norm = int_mat_mul(transpose(rows), int_mat_mul(s, rows))  # N = norm / (dr^2 den)
+    return ChargeKernel(tuple(map(tuple, basis)),
+                        *(tuple(tuple(Fraction(x, q) for x in row) for row in mat)
+                          for mat, q in ((s, den), (norm, dr * dr * den))))
 
 
 def charge_norm_sq(z_row: Sequence[GaussianRational], s: Gram, v) -> Fraction:
@@ -133,20 +145,22 @@ def _form_value(terms: Terms, x: Sequence[int]) -> int:
     return sum(c * x[i] * x[j] for i, j, c in terms)
 
 
-def _integral_terms(ambient_gram) -> Terms:
-    rows, den = clear_denominators(frac_rows(ambient_gram))
+def _integral_rows(ambient_gram: Gram) -> IntRows:
+    rows, den = clear_denominators(ambient_gram)
     if den != 1:
         raise LatticeError("ambient Gram is not integral: roots of square -2 "
                            "need an integral lattice")
-    return _terms(rows)
+    return rows
 
 
-def _aux_gram(norm: Gram, ambient_gram: Gram, alpha: Fraction) -> List[List[Fraction]]:
-    """Q_alpha = (alpha + 1) N - M = alpha ||Z(v)||_S^2 + |||p(v)|||^2,
-    positive definite on the whole lattice for alpha > 0; alpha = 1 is the
-    root search's Q_aux = 2N - M."""
-    return [[(alpha + 1) * x - m for x, m in zip(nr, mr)]
-            for nr, mr in zip(norm, ambient_gram)]
+def _aux_rows(norm_rows: IntRows, norm_den: int, m: IntRows,
+              alpha: Fraction) -> Tuple[List[List[int]], int]:
+    """rows / den = Q_alpha = (alpha + 1) N - M = alpha ||Z(v)||_S^2 +
+    |||p(v)|||^2 for N = norm_rows / norm_den, positive definite on the whole
+    lattice for alpha > 0; alpha = 1 is the root search's Q_aux = 2N - M."""
+    alpha = Fraction(alpha)
+    a, den = alpha.numerator + alpha.denominator, alpha.denominator * norm_den
+    return [[a * x - den * y for x, y in zip(nr, mr)] for nr, mr in zip(norm_rows, m)], den
 
 
 class RootNormResult(NamedTuple):
@@ -183,16 +197,17 @@ def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = Non
     if bound <= 0:
         raise ValueError(f"start bound must be positive, got {bound}")
     budget_n = effective_budget(budget)
-    mukai = _integral_terms(ambient_gram)
-    q_aux = _aux_gram(norm, ambient_gram, 1)
+    m = _integral_rows(ambient_gram)
+    mukai = _terms(m)
     norm_rows, norm_den = clear_denominators(norm)
     norm_terms = _terms(norm_rows)
+    q_aux, den = _aux_rows(norm_rows, norm_den, m, 1)  # the walk bounds den Q_aux
     nodes = [0]  # ellipsoid nodes over all rounds
     last_completed = Fraction(0)
     while True:
         best: Optional[int] = None  # numerator of ||Z||_S^2 over norm_den
         best_vec: Optional[Tuple[int, ...]] = None
-        limit = [2 * bound + 2]
+        limit = [den * (2 * bound + 2)]
         try:
             for x in enumerate_ellipsoid(q_aux, limit[0], budget=budget_n - nodes[0],
                                          nodes=nodes, limit=limit):
@@ -201,7 +216,7 @@ def min_root_norm(norm: Gram, *, ambient_gram: Gram, budget: Optional[int] = Non
                 nz = _form_value(norm_terms, x)
                 if best is None or nz < best:
                     best, best_vec = nz, x
-                    limit[0] = Fraction(2 * nz, norm_den) + 2
+                    limit[0] = 2 * nz + 2 * den  # den (2 ||Z||^2 + 2), den = norm_den
                 elif nz == best and x < best_vec:
                     best_vec = x
         except BudgetError:
@@ -228,8 +243,13 @@ def build_q_z(norm: Gram, c_squared: Fraction, ambient_gram: Gram) -> List[List[
     """
     if c_squared <= 0:
         raise ValueError("need a positive minimal root norm")
-    f = Fraction(2) / c_squared
-    return [[m + f * x for x, m in zip(nr, mr)] for nr, mr in zip(norm, ambient_gram)]
+    c2 = Fraction(c_squared)
+    norm_rows, nd = clear_denominators(norm)
+    m, md = clear_denominators(ambient_gram)
+    # M + (2 / C^2) N = (c nd m + 2 c' md norm_rows) / (c nd md), C^2 = c / c'
+    a, b = c2.numerator * nd, 2 * c2.denominator * md
+    return [[Fraction(a * y + b * x, a * md) for x, y in zip(nr, mr)]
+            for nr, mr in zip(norm_rows, m)]
 
 
 class RoundtripVerdict(NamedTuple):
@@ -251,9 +271,9 @@ class RoundtripReport(NamedTuple):
         return all(v.passed for v in self.verdicts if not v.skipped)
 
 
-def _restrict(gram: Gram, basis: Sequence[Sequence]) -> List[List[Fraction]]:
+def _restrict(gram: IntRows, basis: IntRows) -> List[List[int]]:
     """B G B^T: the Gram of ``gram`` on the rows of ``basis``."""
-    return mat_mul(basis, mat_mul(gram, transpose(basis)))
+    return int_mat_mul(basis, int_mat_mul(gram, transpose(basis)))
 
 
 def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
@@ -265,33 +285,34 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     pick a rational K > 0 with K Q(b) <= |Z(b)|^2 on the complement, and
     verify |Z(v)|^2 >= C^2 ||v||^2 with C^2 = K / (1 + K) for every test
     class with Q(v) >= 0. Exact throughout; a failure indicates a bug, since
-    the underlying proof is constructive.
+    the underlying proof is constructive. The kernel, the complement, the
+    restrictions and the definiteness tests run on integer rows.
     """
-    gram = _square_gram(q, len(z_row), "Q")
+    gram, gden = _square_gram(q, len(z_row), "Q")  # Q = gram / gden
     for cls in test_classes:
         if len(cls) != len(z_row):
             raise LatticeError(f"test class {list(cls)} has {len(cls)} entries; "
                                f"the lattice has rank {len(z_row)}")
-    rows = charge_rows(z_row)
-    kernel_basis = nullspace(rows)
-    # K G for the kernel rows K: K G K^T is Q on Ker Z, and the kernel of
-    # K G is the Q-orthogonal complement
-    kg = mat_mul(kernel_basis, gram)
-    q_ker = mat_mul(kg, transpose(kernel_basis))
+    rows, dr = clear_denominators(charge_rows(z_row))  # Z = rows / dr
+    kernel = int_kernel(rows, len(z_row))
+    # K G for the kernel rows K: K G K^T is gden Q on Ker Z, and the kernel
+    # of K G is the Q-orthogonal complement (everything when Ker Z = 0)
+    kg = int_mat_mul(kernel, gram)
+    q_ker = int_mat_mul(kg, transpose(kernel))
     if not is_negative_definite(q_ker):
         raise DegenerateError("Q is not negative definite on Ker Z")
-    comp = nullspace(kg) if kernel_basis else identity(len(z_row))
-    n_res = _restrict(mat_mul(transpose(rows), rows), comp)  # |Z|^2 on the complement
+    comp = int_kernel(kg, len(z_row))
+    n_res = _restrict(int_mat_mul(transpose(rows), rows), comp)  # dr^2 |Z|^2 on it
     q_res = _restrict(gram, comp)
-    k_const = Fraction(1)
-    for _ in range(200):
-        trial = [[n_res[i][j] - k_const * q_res[i][j] for j in range(len(comp))]
-                 for i in range(len(comp))]
+    for t in range(200):
+        # 2^t gden dr^2 (|Z|^2 - K Q) on the complement, for K = 2^-t
+        trial = [[(gden << t) * x - dr * dr * y for x, y in zip(nr, qr)]
+                 for nr, qr in zip(n_res, q_res)]
         if signature(trial)[1] == 0:  # no negative square: semidefinite
             break
-        k_const /= 2
     else:
         raise DegenerateError("could not find K with K Q <= |Z|^2 on the complement")
+    k_const = Fraction(1, 1 << t)
     c2 = k_const / (1 + k_const)
     # the Q-orthogonal projection a = K^T (K G K^T)^-1 K G v of v onto the
     # kernel has Q(a) = (K G v)^T (K G K^T)^-1 (K G v)
@@ -299,13 +320,15 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     verdicts = []
     for cls in test_classes:
         v = tuple(map(Fraction, cls))
-        qv = bilinear(v, gram, v)
+        (vi,), vd = clear_denominators((v,))  # v = vi / vd
+        gv = [sum(map(mul, row, vi)) for row in gram]
+        qv = Fraction(sum(map(mul, vi, gv)), gden * vd * vd)
         if qv < 0:
             verdicts.append(RoundtripVerdict(v, qv, True, None, None, None))
             continue
-        kgv = mat_vec(kg, v)
-        qa = bilinear(kgv, q_ker_inv, kgv)
-        zabs = evaluate_charge_row(z_row, v).norm2()
+        kgv = [sum(map(mul, k, gv)) for k in kernel]
+        qa = bilinear(kgv, q_ker_inv, kgv) / (gden * vd * vd)
+        zabs = Fraction(sum(sum(map(mul, r, vi)) ** 2 for r in rows), (dr * vd) ** 2)
         norm_sq = -qa + zabs
         verdicts.append(RoundtripVerdict(v, qv, False, norm_sq, zabs,
                                          zabs >= c2 * norm_sq))
@@ -335,17 +358,17 @@ def discreteness_classes(q_gram: Gram, norm: Gram, c_squared: Fraction,
     n = rank M. The walk takes the least volume, alpha = 2K / (n - 2); at
     n = 2 the volume falls as alpha grows and the walk takes alpha = 2K.
     (alpha = 1 gives the root search's Q_aux = 2N - M.)"""
-    _integral_terms(ambient_gram)
+    m = _integral_rows(ambient_gram)
     k = 1 + 2 / Fraction(c_squared)
     alpha = 2 * k / max(len(ambient_gram) - 2, 1)
-    q_alpha = _aux_gram(norm, ambient_gram, alpha)
     q_z = _terms(clear_denominators(q_gram)[0])
     norm_rows, norm_den = clear_denominators(norm)
     norm_terms = _terms(norm_rows)
+    q_alpha, den = _aux_rows(norm_rows, norm_den, m, alpha)
     radius_sq = Fraction(radius_sq)
     norm_cap = floor(radius_sq * norm_den)
     out = []
-    for x in enumerate_ellipsoid(q_alpha, (alpha + k) * radius_sq, budget=budget):
+    for x in enumerate_ellipsoid(q_alpha, den * (alpha + k) * radius_sq, budget=budget):
         if (any(x) and _form_value(norm_terms, x) <= norm_cap
                 and _form_value(q_z, x) >= 0):
             out.append(x)

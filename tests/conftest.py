@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from stabkit import CategoryPresentation, Edge, NSLattice
 from stabkit.gaussian import GaussianRational
-from stabkit.linalg import inverse, mat_mul, transpose
+from stabkit.linalg import inverse, mat_mul, primitive_vector, transpose
 
 # property tests run the same examples on every run and have no per-example
 # deadline (timings on a shared machine vary too much to be a failure)
@@ -35,6 +35,103 @@ def determinant(mat):
                 f = a[i][c] / a[c][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+# -- Fraction-pivot references for the fraction-free linalg -------------------
+# The elimination the library ran before it went integer: every row operation
+# on Fractions. The differential tests in test_linalg.py compare against it.
+
+
+def ref_rref(mat):
+    rows = [[Fraction(x) for x in row] for row in mat]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def ref_solve(mat, rhs):
+    n = len(mat)
+    red, pivots = ref_rref([list(row) + [rhs[i]] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [red[i][n] for i in range(n)]
+
+
+def ref_inverse(mat):
+    n = len(mat)
+    red, pivots = ref_rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def ref_nullspace(mat):
+    rows, pivots = ref_rref(mat)
+    ncols = len(mat[0]) if mat else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append([Fraction(x) for x in primitive_vector(v)])
+    return basis
+
+
+def ref_signature(gram):
+    """Congruence diagonalization on Fractions, with the same two zero-pivot
+    branches: swap in a later nonzero diagonal entry, or fold in row and
+    column j of a nonzero a_kj."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    n = len(a)
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    zero += 1
+                    continue
+                for c in range(n):
+                    a[k][c] += a[j][c]
+                for r in range(n):
+                    a[r][k] += a[r][j]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / d
+                for c in range(n):
+                    a[i][c] -= f * a[k][c]
+                for r in range(n):
+                    a[r][i] -= f * a[r][k]
+    return pos, neg, zero
 
 
 def leading_principal_minors(gram):

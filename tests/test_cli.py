@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -1200,3 +1201,69 @@ def test_wrong_shaped_json_is_an_input_error(tmp_path, lattice_file, capsys, kin
             "charge": ["validate-category", "--category", str(cat), "--charge", str(path)]}
     assert main([*argv[kind], "--out", str(tmp_path / "x.json")]) == 1
     assert f"input error: {message}" in capsys.readouterr().err
+
+
+def _first_wall(doc, **fields):
+    doc["result"]["walls"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("chambers", lambda doc: {"result": 5},
+     "a walls file is a JSON object whose result is an object"),
+    ("chambers", lambda doc: {"result": {"walls": [1]}}, "a wall is a JSON object, got 1"),
+    ("chambers", lambda doc: {"result": {"walls": 5}}, "walls must be a list of walls, got 5"),
+    ("chambers", lambda doc: _first_wall(doc, v=5),
+     "wall 'W0': a class is [r, [c_1, ...], s], got 5"),
+    ("chambers", lambda doc: _first_wall(doc, w=["1", "0", "1"]),
+     "wall 'W0': a class is [r, [c_1, ...], s], got ['1', '0', '1']"),
+    ("plot", lambda doc: [doc], "a walls file is a JSON object whose result is an object"),
+    ("plot", lambda doc: {"result": 5},
+     "a walls file is a JSON object whose result is an object"),
+    ("plot", lambda doc: {**doc, "result": {**doc["result"], "region": 5}},
+     "region must be a JSON object, got 5"),
+])
+def test_wrong_shaped_walls_file_is_an_input_error(tmp_path, lattice_file, capsys,
+                                                   command, edit, message):
+    """A walls file of the wrong JSON shape exits 1 with an input error, not
+    a traceback, in chambers and in plot."""
+    wallsf = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "2", "--out", str(wallsf)]) == 0
+    wallsf.write_text(json.dumps(edit(json.loads(wallsf.read_text()))))
+    capsys.readouterr()
+    extra = {"chambers": ["--b", "-1", "--t", "1/10:4"], "plot": []}[command]
+    assert main([command, "--walls", str(wallsf), *extra,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {message}" in err and "Traceback" not in err
+
+
+def test_each_input_file_is_read_once(tmp_path, lattice_file, monkeypatch):
+    """The lattice file is opened once, and the manifest's hash is that of
+    the bytes the command parsed."""
+    import builtins
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, doc = run(tmp_path, "pairing", "--lattice", lattice_file, "--v", "1,0,1",
+                    "--w", "1,0,-1")
+    assert code == 0
+    assert opened.count(lattice_file) == 1
+    digest = hashlib.sha256(Path(lattice_file).read_bytes()).hexdigest()
+    assert doc["manifest"]["input_hashes"] == {"lattice": digest}
+
+
+@pytest.mark.parametrize("data", [b"\xef\xbb\xbf" + b'{"rank": 1}', b'{"rank": "\xff"}'])
+def test_lattice_bytes_that_are_not_plain_utf8_json_are_an_input_error(tmp_path, capsys, data):
+    """A UTF-8 BOM and a byte that is not UTF-8 are input errors (exit 1)."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["pairing", "--lattice", str(path), "--v", "1,0,1", "--w", "1,0,1",
+                 "--out", str(tmp_path / "x.json")]) == 1
+    assert "input error:" in capsys.readouterr().err

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (determinant, minors_negative_definite,
-                      minors_positive_definite, minors_positive_semidefinite)
-from stabkit.linalg import (bilinear, dot, inverse, is_negative_definite,
-                            is_positive_definite, mat_mul, mat_vec, minors2_gcd,
-                            nullspace, primitive_vector, rref, signature, solve)
+                      minors_positive_definite, minors_positive_semidefinite,
+                      ref_inverse, ref_nullspace, ref_rref, ref_signature, ref_solve)
+from stabkit.linalg import (bilinear, dot, int_kernel, int_rref, inverse,
+                            is_negative_definite, is_positive_definite, mat_mul,
+                            mat_vec, minors2_gcd, nullspace, primitive_vector, rref,
+                            signature, solve)
 
 
 def test_rref_and_solve():
@@ -130,3 +134,109 @@ def test_products_of_empty_matrices():
     assert mat_mul([[]], [[]]) == [[]]
     assert mat_mul([[Fraction(1)], [Fraction(2)]], [[]]) == [[], []]
     assert dot([], []) == 0 and bilinear([], [], []) == 0
+
+
+# -- fraction-free elimination against the Fraction-pivot references ----------
+
+# small ints, large ints and Fractions with large denominators, mixed
+_mixed = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12),
+                   st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                             st.integers(1, 10 ** 9)))
+_small = st.one_of(st.integers(-4, 4),
+                   st.builds(Fraction, st.integers(-40, 40), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """m x n matrices of mixed entries, m, n <= 6: either free entries or a
+    product B C with B m x k and C k x n, of rank at most k (singular and
+    rank-deficient when k < min(m, n)), possibly with a repeated row."""
+    m = draw(st.integers(1 if square else 0, 6))
+    n = m if square else draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return [draw(st.lists(_mixed, min_size=n, max_size=n)) for _ in range(m)]
+    k = draw(st.integers(0, min(m, n)))
+    b = [draw(st.lists(_small, min_size=k, max_size=k)) for _ in range(m)]
+    c = [draw(st.lists(_small, min_size=n, max_size=n)) for _ in range(k)]
+    a = [[sum((x * c[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(n)]
+         for row in b]
+    if m > 1 and draw(st.booleans()):
+        a[-1] = list(a[0])
+    return a
+
+
+@given(matrices())
+def test_rref_and_nullspace_match_fraction_reference(mat):
+    red, pivots = rref(mat)
+    assert (red, pivots) == ref_rref(mat)
+    assert all(type(x) is Fraction for row in red for x in row)
+    ker = nullspace(mat)
+    assert ker == ref_nullspace(mat)
+    assert all(type(x) is Fraction for v in ker for x in v)
+    # the integer forms behind them: red / d, and the same primitive vectors
+    fracs = [[Fraction(x) for x in row] for row in mat]
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in fracs]
+    ired, d, ipivots = int_rref(ints)
+    assert ipivots == pivots and d != 0
+    assert [[Fraction(x, d) for x in row] for row in ired] == red
+    assert int_kernel(ints, len(mat[0]) if mat else 0) == [[int(x) for x in v] for v in ker]
+
+
+@given(matrices(square=True), st.data())
+def test_inverse_and_solve_match_fraction_reference(mat, data):
+    rhs = data.draw(st.lists(_mixed, min_size=len(mat), max_size=len(mat)))
+    try:
+        want = ref_inverse(mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(mat)
+        with pytest.raises(ValueError, match="singular system"):
+            solve(mat, rhs)
+        return
+    got = inverse(mat)
+    assert got == want and all(type(x) is Fraction for row in got for x in row)
+    x = solve(mat, rhs)
+    assert x == ref_solve(mat, rhs) and all(type(t) is Fraction for t in x)
+
+
+@st.composite
+def symmetric_with_zero_diagonals(draw):
+    """Symmetric matrices up to 6 x 6 of mixed entries, free or of low rank
+    and any signs (sums of +-v v^T), with a drawn set of diagonal entries set
+    to 0: a zero pivot with a later nonzero diagonal entry (the swap), with
+    none (the fold of a_kj) and a zero row all occur."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(_mixed)
+    else:
+        k = draw(st.integers(0, n))
+        vecs = [draw(st.lists(_small, min_size=n, max_size=n)) for _ in range(k)]
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+        a = [[sum((e * v[i] * v[j] for e, v in zip(signs, vecs)), Fraction(0))
+              for j in range(n)] for i in range(n)]
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else ():
+        a[i][i] = 0
+    return a
+
+
+@given(symmetric_with_zero_diagonals())
+def test_signature_matches_fraction_reference(g):
+    assert signature(g) == ref_signature(g)
+    n = len(g)
+    assert is_positive_definite(g) == (ref_signature(g) == (n, 0, 0))
+    assert is_negative_definite(g) == (ref_signature(g) == (0, n, 0))
+
+
+@pytest.mark.parametrize("gram, sig", [
+    ([[0, 1], [1, 0]], (1, 1, 0)),
+    ([[0] * 4 for _ in range(4)], (0, 0, 4)),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (1, 2, 0)),
+    ([[0, 0], [0, 0]], (0, 0, 2)),
+    ([], (0, 0, 0)),
+])
+def test_pinned_signatures(gram, sig):
+    assert signature(gram) == sig
+    assert ref_signature(gram) == sig
