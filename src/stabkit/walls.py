@@ -13,27 +13,31 @@ reads the same box, so it cannot find them either.
 
 The scan is decided on integer keys. For fixed (v, slice) the coefficients
 (A, B, D) are three integer rows on w over one common denominator
-(``_conic_rows``); with s innermost they are affine in s, so a box class
-costs two integer quadratic tests and, if it passes, three multiply-adds
-whose primitive vector, the conic key (a, b, d), names its wall. The key
-alone decides the kind (by a, b and b^2 - 4ad); the exact ``Fraction``
-conic, center and radius that a locus keeps are built once per distinct
-key, and the key is kept with them. The region test and the crossings of
-a vertical path cross-multiply the integer numerators and denominators of
-each locus's center and radius. The distinct loci of the last box are kept
-in a one-slot memo, so ``walls --grid`` enumerates the box once for the
-scan and its oracle. The box has (2 bound + 1)^(rho + 2) classes; one that
-exceeds the enumeration budget (``errors.effective_budget``) raises
-``BudgetError`` before any work.
+(``_conic_rows``). Along a column of the box (fixed r and NS part c) the
+candidate tests on w are two linear inequalities and one quadratic in s,
+so the passing s are solved for with ``isqrt`` rather than tried one by
+one, and each costs three multiply-adds whose primitive vector, the conic
+key (a, b, d), names its wall. The key alone decides the kind (by a, b and
+b^2 - 4ad); the exact ``Fraction`` conic, center and radius that a locus
+keeps are built once per distinct key, and the key is kept with them. The
+region test and the crossings of a vertical path cross-multiply the
+integer numerators and denominators of each locus's center and radius. The
+distinct loci of the last box are kept in a one-slot memo, so
+``walls --grid`` enumerates the box once for the scan and its oracle. The
+box has (2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration
+budget (``errors.effective_budget``) raises ``BudgetError`` before any
+work. The nesting check of the walls of one v on a rank-1 slice is one
+sweep over their ends on the b-axis, sorted exactly.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
@@ -296,6 +300,58 @@ def _box_loci(v: MukaiVector, slice_: SliceParams,
     return _distinct_loci(v, slice_, search_bound)
 
 
+def _column_s(r: int, cc: int, vw_head: int, rv: int, vv: int,
+              bound: int) -> Tuple[range, ...]:
+    """The s in [-bound, bound], as ascending ranges, for which the box
+    class w = (r, c, s) passes the candidate tests of ``_distinct_loci``,
+    given cc = c.c, vw_head = v.w + r_v s (constant in s), rv = r_v and
+    vv = v^2. The tests read
+
+        w^2 = cc - 2 r s >= -2,
+        (v - w)^2 = vv - 2 v.w + w^2 >= -2,
+        (v.w)^2 - v^2 w^2 = rv^2 s^2 + 2 (vv r - rv vw_head) s
+                            + vw_head^2 - vv cc > 0.
+
+    The first two are linear in s and cut the box to one interval. With
+    rv != 0 the quadratic is positive outside its closed root interval
+    [(-h - sqrt(D)) / rv^2, (-h + sqrt(D)) / rv^2], h half the coefficient of
+    s and D = h^2 - rv^2 (vw_head^2 - vv cc). For integers k and m > 0,
+    floor((k + sqrt(D)) / m) = floor((k + isqrt(D)) / m), and likewise the
+    ceiling with -sqrt(D), so the integers inside come out exact. With
+    rv = 0 the quadratic is linear."""
+    lo, hi = -bound, bound
+    # k s <= m: 2 r s <= cc + 2 and 2 (r - rv) s <= cc + vv + 2 - 2 vw_head
+    for k, m in ((2 * r, cc + 2), (2 * (r - rv), cc + vv + 2 - 2 * vw_head)):
+        if k > 0:
+            hi = min(hi, m // k)
+        elif k < 0:
+            lo = max(lo, -(m // -k))
+        elif m < 0:
+            return ()
+    if lo > hi:
+        return ()
+    half = vv * r - rv * vw_head  # half the coefficient of s
+    const = vw_head * vw_head - vv * cc
+    if not rv:  # 2 half s + const > 0
+        if half > 0:
+            lo = max(lo, -const // (2 * half) + 1)
+        elif half < 0:
+            hi = min(hi, -(-const // (-2 * half)) - 1)
+        elif const <= 0:
+            return ()
+        return (range(lo, hi + 1),) if lo <= hi else ()
+    sq = rv * rv
+    disc = half * half - sq * const  # a quarter of the discriminant
+    if disc < 0:
+        return (range(lo, hi + 1),)
+    root = isqrt(disc)
+    # the s that fail run from e_lo to e_hi; e_lo <= e_hi + 1 since the roots
+    # are real, so the two ranges below cover the rest of [lo, hi]
+    e_lo, e_hi = -((half + root) // sq), (root - half) // sq
+    return tuple(rng for rng in (range(lo, min(hi, e_lo - 1) + 1),
+                                 range(max(lo, e_hi + 1), hi + 1)) if rng)
+
+
 @functools.lru_cache(maxsize=1)
 def _distinct_loci(v: MukaiVector, slice_: SliceParams,
                    search_bound: int) -> Tuple[WallLocus, ...]:
@@ -306,53 +362,56 @@ def _distinct_loci(v: MukaiVector, slice_: SliceParams,
     test drops those too.
 
     All of it runs on ints. With the Mukai pairing
-    (r, c, s).(r', c', s') = c.c' - r s' - r' s, the box is walked with s
-    innermost, where w^2 = c.c - 2 r s and v.w are affine in s, and
-    (v - w)^2 = v^2 - 2 v.w + w^2. A class that passes gets its conic key,
-    the primitive vector of the three integer row products of
-    ``_conic_rows``; the representative of a key is its least w, which the
-    lexicographic box order meets first. Its exact locus is built then and
-    only then: loci with equal keys share kind, center and radius. The
-    three conic rows are affine in s too: each row's product with the head
-    (r, c) is taken once per head, and s adds its last entry times s.
+    (r, c, s).(r', c', s') = c.c' - r s' - r' s, w^2 = c.c - 2 r s and v.w
+    are affine in s, and (v - w)^2 = v^2 - 2 v.w + w^2, so for each head
+    (r, c) the passing s are solved for (``_column_s``) rather than tried:
+    the box is walked in its lexicographic order, but only at those s. A
+    class that passes gets its conic key, the primitive vector of the three
+    integer row products of ``_conic_rows``; the representative of a key is
+    its least w, which that order meets first. Its exact locus is built then
+    and only then: loci with equal keys share kind, center and radius. The
+    products that involve c (c.c, v.w and the three conic rows) are taken
+    once per NS column c; r and s add their row entries times r and s.
     """
     gram = slice_.lattice.gram
     rv, sv = v.r, v.s
     gv_c = [sum(map(mul, row, v.c)) for row in gram]
     vv = sum(map(mul, v.c, gv_c)) - 2 * rv * sv
-    gv_head = (-sv, *gv_c)  # v.w = gv_head . (r, c) - r_v s
     (a_row, b_row, d_row), den = _conic_rows(v, slice_)
+    a_r, b_r, d_r = a_row[0], b_row[0], d_row[0]
     a_s, b_s, d_s = a_row[-1], b_row[-1], d_row[-1]
-    a_row, b_row, d_row = a_row[:-1], b_row[:-1], d_row[:-1]
+    a_c, b_c, d_c = a_row[1:-1], b_row[1:-1], d_row[1:-1]
     rng = range(-search_bound, search_bound + 1)
+    columns = [(c, sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram)),
+                sum(map(mul, gv_c, c)), sum(map(mul, a_c, c)),
+                sum(map(mul, b_c, c)), sum(map(mul, d_c, c)))
+               for c in itertools.product(rng, repeat=len(gv_c))]
     seen = set()
     out = []
-    for head in itertools.product(rng, repeat=len(gv_head)):
-        r, c = head[0], head[1:]
-        cc = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram))
-        vw_head = sum(map(mul, gv_head, head))
-        a_head = sum(map(mul, a_row, head))
-        b_head = sum(map(mul, b_row, head))
-        d_head = sum(map(mul, d_row, head))
-        for s in rng:
-            ww = cc - 2 * r * s
-            vw = vw_head - rv * s
-            if ww < -2 or vv - 2 * vw + ww < -2 or vw * vw <= vv * ww:
+    for r in rng:
+        for c, cc, vw_c, a_col, b_col, d_col in columns:
+            vw_head = vw_c - sv * r  # v.w = vw_head - r_v s
+            s_ranges = _column_s(r, cc, vw_head, rv, vv, search_bound)
+            if not s_ranges:
                 continue
-            a = a_head + a_s * s
-            b = b_head + b_s * s
-            d = d_head + d_s * s
-            # primitive_vector((a, b, d)), inlined
-            g = gcd(a, b, d)
-            if g == 0:
-                continue
-            if (a or b or d) < 0:
-                g = -g
-            key = (a // g, b // g, d // g)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_locus(v, MukaiVector(r, c, s), a, b, d, den, key))
+            a_head = a_col + a_r * r
+            b_head = b_col + b_r * r
+            d_head = d_col + d_r * r
+            for s in itertools.chain.from_iterable(s_ranges):
+                a = a_head + a_s * s
+                b = b_head + b_s * s
+                d = d_head + d_s * s
+                # primitive_vector((a, b, d)), inlined
+                g = gcd(a, b, d)
+                if g == 0:
+                    continue
+                if (a or b or d) < 0:
+                    g = -g
+                key = (a // g, b // g, d // g)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(_locus(v, MukaiVector(r, c, s), a, b, d, den, key))
     return tuple(out)
 
 
@@ -501,11 +560,16 @@ def chambers_along_path(b_star, t_lo, t_hi, walls: Sequence[WallLocus]) -> Chamb
 
 
 def sqrt_decimal(q: Fraction, digits: int = 30) -> str:
-    """Decimal approximation of sqrt(q) to the given digits (floor-rounded)."""
+    """Decimal approximation of sqrt(q) to the given digits (floor-rounded);
+    with no digits, the integer part and no point."""
     q = as_fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
     scaled = isqrt(q.numerator * q.denominator * 10 ** (2 * digits)) // q.denominator
+    if not digits:
+        return str(scaled)
     s = str(scaled).rjust(digits + 1, "0")
     return s[:-digits] + "." + s[-digits:]
 
@@ -523,59 +587,101 @@ def nesting_check(slice_: SliceParams, walls: Sequence[WallLocus]) -> NestingRep
     """Pairwise geometry of the walls of a fixed v on a rank-1 slice: every
     pair of semicircles should be nested or disjoint; anything crossing is a
     finding (reported, not an error), touching pairs are listed separately.
-    Each pair is decided by exact integer comparisons on the conic keys."""
+    Pairs are listed in the order of ``itertools.combinations`` over the
+    semicircles and lines, and ``pairs_checked`` counts all of them.
+
+    A semicircle centered on the b-axis is fixed by the interval that it
+    spans on the axis, so two of them cross when their intervals
+    interleave and touch when they share one end; a line crosses a
+    semicircle inside its interval and touches it at an end. So one sweep
+    decides every pair: the ends (-kb -+ sqrt(n)) / 2 ka of the semicircles
+    and the points -kd / kb of the lines, from the conic keys (ka, kb, 0, kd)
+    with n = kb^2 - 4 ka kd, are sorted by floor(2^64 x), which isqrt gives
+    exactly, and by ``_surd_cmp`` where floors are equal. A semicircle that
+    closes crosses each open one that opened strictly after it, a line
+    crosses each one open around it, and walls that meet at a point touch."""
     if slice_.lattice.rank != 1:
         raise LatticeError("nesting check is a rank-1 slice statement")
-    violations = []
-    touching = []
-    pairs = 0
-    geoms = [(wl, wl.key()) for wl in walls
+    geoms = [wl for wl in walls
              if wl.kind in (WallKind.SEMICIRCLE, WallKind.VERTICAL_LINE)]
-    for (a, key_a), (b, key_b) in itertools.combinations(geoms, 2):
-        pairs += 1
-        rel = _key_relation(key_a, key_b)
-        if rel == "crossing":
-            violations.append((a, b, rel))
-        elif rel.startswith("touching"):
-            touching.append((a, b, rel))
-    return NestingReport(pairs, tuple(violations), tuple(touching))
+    keys = [wl.key() for wl in geoms]
+    # (floor(2^64 x), x as (u, s, n, q), wall, event kind): a semicircle
+    # opens (2) and closes (0), a line is met (1)
+    points = []
+    for i, (ka, kb, _, kd) in enumerate(keys):
+        if ka:
+            n = kb * kb - 4 * ka * kd
+            root = isqrt(n << 128)
+            ceil_root = root + (root * root != n << 128)
+            points.append(((-(kb << 64) - ceil_root) // (2 * ka), (-kb, -1, n, 2 * ka), i, 2))
+            points.append(((-(kb << 64) + root) // (2 * ka), (-kb, 1, n, 2 * ka), i, 0))
+        else:
+            points.append(((-kd << 64) // kb, (-kd, 0, 0, kb), i, 1))
+    points.sort(key=itemgetter(0))
+    exact = functools.cmp_to_key(lambda p, q: _surd_cmp(p[1], q[1]))
+    # events (place among the distinct points, kind, order, wall); at one
+    # place semicircles close, the inner first, then lines, then openings
+    events, left = [], [0] * len(geoms)
+    pos = -1
+    for _, run in itertools.groupby(points, key=itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=exact)
+        pos += 1
+        for j, (_, x, i, kind) in enumerate(run):
+            if j and _surd_cmp(run[j - 1][1], x):
+                pos += 1
+            if kind:
+                left[i] = pos
+                events.append((pos, kind, 0, i))
+            else:
+                events.append((pos, 0, -left[i], i))
+    events.sort()
+    crossing, touching = [], []
+    opened = []  # (place of its left end, wall) of the open semicircles, ascending
+    here, at = [], None  # the walls met so far at the current point
+    for pos, kind, _, i in events:
+        if pos != at:
+            here, at = [], pos
+        for k, kind_k in here:
+            if keys[k] != keys[i]:  # equal keys are one wall
+                touching.append((min(i, k), max(i, k), "touching at boundary"
+                                 if 1 in (kind, kind_k) else "touching"))
+        here.append((i, kind))
+        if kind == 0:
+            lo = left[i]
+            del opened[bisect.bisect_left(opened, (lo, i))]
+            for _, k in opened[bisect.bisect_left(opened, (lo + 1,)):]:
+                crossing.append((min(i, k), max(i, k)))
+        elif kind == 1:
+            crossing.extend((min(i, k), max(i, k)) for _, k in opened)
+        else:
+            opened.append((pos, i))
+    crossing.sort()
+    touching.sort()
+    return NestingReport(len(geoms) * (len(geoms) - 1) // 2,
+                         tuple((geoms[i], geoms[k], "crossing") for i, k in crossing),
+                         tuple((geoms[i], geoms[k], rel) for i, k, rel in touching))
 
 
-def _key_relation(p: Sequence[int], q: Sequence[int]) -> str:
-    """Relation of two walls given by integer conics (a, b, 0, d): a circle
-    when a != 0, with center -b / 2a and radius^2 n / 4a^2 for
-    n = b^2 - 4ad > 0, and the line b x + d = 0 when a = 0 (b != 0).
+def _surd_cmp(x: Tuple[int, int, int, int], y: Tuple[int, int, int, int]) -> int:
+    """Sign of x - y for numbers (u + s sqrt(n)) / q given as (u, s, n, q)
+    with n >= 0 and q > 0. That is the sign of U + A sqrt(n1) - B sqrt(n2)
+    (times q1 q2); when X = U + A sqrt(n1) and B sqrt(n2) share a strict
+    sign, it is that sign times the sign of their squares' difference,
+    again a sum of an integer and a multiple of sqrt(n1)."""
+    def sign(u: int, a: int, n: int) -> int:  # of u + a sqrt(n)
+        su, sa = (u > 0) - (u < 0), ((a > 0) - (a < 0) if n else 0)
+        if su == sa or not sa:
+            return su
+        if not su:
+            return sa
+        return su * ((u * u > a * a * n) - (u * u < a * a * n))
 
-    Two circles at center distance^2 gap with radii^2 q1, q2 are identical,
-    touching, disjoint, nested or crossing by the signs of gap - q1 - q2 and
-    (gap - q1 - q2)^2 - 4 q1 q2. Scaled by 4 a1^2 a2^2 > 0, which keeps
-    those signs, gap, q1, q2 become (a1 b2 - a2 b1)^2, n1 a2^2, n2 a1^2. A line
-    against a circle compares distance^2 with radius^2; scaled by
-    4 a^2 b_l^2 these are (b b_l - 2 a d_l)^2 and n b_l^2."""
-    a1, b1, _, d1 = p
-    a2, b2, _, d2 = q
-    if a1 == 0 and a2 == 0:
-        return "identical" if d1 * b2 == d2 * b1 else "disjoint"
-    if a1 == 0 or a2 == 0:
-        (_, bl, _, dl), (a, b, _, d) = (p, q) if a1 == 0 else (q, p)
-        gap = (b * bl - 2 * a * dl) ** 2
-        rad = (b * b - 4 * a * d) * bl * bl
-        if gap > rad:
-            return "disjoint"
-        if gap == rad:
-            return "touching at boundary"
-        return "crossing"
-    gap = (a1 * b2 - a2 * b1) ** 2
-    q1 = (b1 * b1 - 4 * a1 * d1) * a2 * a2
-    q2 = (b2 * b2 - 4 * a2 * d2) * a1 * a1
-    diff = gap - q1 - q2
-    rhs = 4 * q1 * q2
-    if diff * diff == rhs:
-        if gap == 0 and q1 == q2:
-            return "identical"
-        return "touching"
-    if diff > 0 and diff * diff > rhs:
-        return "disjoint"
-    if diff < 0 and diff * diff > rhs:
-        return "nested"
-    return "crossing"
+    u1, s1, n1, q1 = x
+    u2, s2, n2, q2 = y
+    u, a, b = u1 * q2 - u2 * q1, s1 * q2, s2 * q1
+    sx, sy = sign(u, a, n1), sign(0, b, n2)
+    if sx != sy:
+        return 1 if sx > sy else -1
+    return sx * sign(u * u + a * a * n1 - b * b * n2, 2 * u * a, n1)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from stabkit.errors import BudgetError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.lattice import mukai_pairing
 from stabkit.linalg import primitive_vector
-from stabkit.walls import (ChamberPath, Crossing, WallLocus, _conic_rows, _distinct_loci,
-                           _key_relation, _signs_flip, locus_meets_region,
+from stabkit.walls import (ChamberPath, Crossing, NestingReport, WallLocus, _column_s,
+                           _conic_rows, _distinct_loci, _signs_flip, locus_meets_region,
                            sampling_oracle, sqrt_decimal)
 
 
@@ -210,6 +211,12 @@ def test_single_semicircle_crossing_example(k3d2):
 def test_sqrt_decimal():
     assert sqrt_decimal(Fraction(1, 3), 30) == "0.577350269189625764509148780501"
     assert sqrt_decimal(Fraction(4), 5) == "2.00000"
+    # no digits: the integer part, with no point
+    assert sqrt_decimal(Fraction(4), 0) == "2"
+    assert sqrt_decimal(Fraction(1, 4), 0) == "0"
+    assert sqrt_decimal(Fraction(99), 0) == "9"
+    with pytest.raises(ValueError, match="digits"):
+        sqrt_decimal(Fraction(4), -1)
 
 
 def test_nesting_no_violations_on_scan(setup):
@@ -548,6 +555,7 @@ def line_wall(b, scale=1):
     return WallLocus(v, v, conic, WallKind.VERTICAL_LINE, center=b)
 
 
+RANK1_SLICE = SliceParams(NSLattice(1, ((2,),), (1,)), (0,))
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 radii_sq = st.fractions(min_value=Fraction(1, 36), max_value=9, max_denominator=36)
 scales = st.sampled_from([Fraction(1), Fraction(-3, 2), Fraction(2, 7), Fraction(5)])
@@ -568,16 +576,111 @@ walls_st = st.one_of(st.builds(circle_wall, coords, radii_sq, scales),
     (circle_wall(0, 1), circle_wall(5, 1), "disjoint"),
 ])
 def test_key_relation_pinned(a, b, rel):
+    """nesting_check lists a crossing pair as a violation and a touching
+    pair as touching, with its relation, in either order; identical, nested
+    and disjoint pairs not at all."""
     assert ref_pair_relation(a, b) == rel
-    assert _key_relation(a.key(), b.key()) == rel
-    assert _key_relation(b.key(), a.key()) == rel
+    for pair in ([a, b], [b, a]):
+        rep = nesting_check(RANK1_SLICE, pair)
+        assert rep.pairs_checked == 1
+        assert rep.violations == (((*pair, rel),) if rel == "crossing" else ())
+        assert rep.touching == (((*pair, rel),) if rel.startswith("touching") else ())
 
 
 @given(a=walls_st, b=walls_st)
 def test_key_relation_matches_fraction_reference(a, b):
-    """The integer relation on primitive conic keys is the Fraction relation
-    on centers and radii, for circles and lines at any conic scale."""
-    assert _key_relation(a.key(), b.key()) == ref_pair_relation(a, b)
+    """nesting_check on two walls decides them as the Fraction relation on
+    centers and radii does, for circles and lines at any conic scale."""
+    assert nesting_check(RANK1_SLICE, [a, b]) == ref_nesting_check([a, b])
+
+
+def ref_nesting_check(walls):
+    """The all-pairs nesting report: ``ref_pair_relation`` on each pair of
+    semicircles and lines, in ``itertools.combinations`` order."""
+    geoms = [w for w in walls
+             if w.kind in (WallKind.SEMICIRCLE, WallKind.VERTICAL_LINE)]
+    violations, touching = [], []
+    for a, b in itertools.combinations(geoms, 2):
+        rel = ref_pair_relation(a, b)
+        if rel == "crossing":
+            violations.append((a, b, rel))
+        elif rel.startswith("touching"):
+            touching.append((a, b, rel))
+    return NestingReport(len(geoms) * (len(geoms) - 1) // 2, tuple(violations),
+                         tuple(touching))
+
+
+def rational_ends(wall):
+    """The ends of a wall on the b-axis that are rational: a line's point,
+    and a circle's two ends when its radius is rational."""
+    if wall.kind is WallKind.VERTICAL_LINE:
+        return [wall.center]
+    q = wall.radius_sq
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return [wall.center - Fraction(rn, rd), wall.center + Fraction(rn, rd)]
+    return []
+
+
+def span_wall(x, y, scale=1):
+    """The semicircle over the interval between x != y."""
+    return circle_wall((x + y) / 2, ((y - x) / 2) ** 2, scale)
+
+
+@st.composite
+def wall_lists(draw):
+    """Up to 14 circles and lines, some of them repeats of earlier ones,
+    some circles and lines built on the rational ends of earlier ones (so
+    tangent circles and lines through an end are common) and some empty
+    loci, which the check skips."""
+    walls = []
+    for _ in range(draw(st.integers(0, 14))):
+        ends = sorted({e for w in walls if w.kind is not WallKind.EMPTY
+                       for e in rational_ends(w)})
+        pick = draw(st.integers(0, 4))
+        if pick == 1 and walls:
+            walls.append(draw(st.sampled_from(walls)))
+        elif pick == 2 and ends:
+            x, y = draw(st.sampled_from(ends)), draw(st.sampled_from(ends) | coords)
+            walls.append(span_wall(x, y if y != x else x + 1, draw(scales)))
+        elif pick == 3 and ends:
+            walls.append(line_wall(draw(st.sampled_from(ends)), draw(scales)))
+        elif pick == 4:
+            walls.append(WallLocus(MukaiVector(1, (0,), -1), MukaiVector(0, (1,), 0),
+                                   (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
+                                   WallKind.EMPTY))
+        else:
+            x, width = draw(coords), draw(st.fractions(min_value=Fraction(1, 6), max_value=4,
+                                                       max_denominator=6))
+            walls.append(draw(walls_st | st.just(span_wall(x, x + width, draw(scales)))))
+    return walls
+
+
+@settings(max_examples=300)
+@given(walls=wall_lists())
+def test_nesting_sweep_matches_all_pairs_reference(walls):
+    """The sweep gives the all-pairs report: the same pair count and the
+    same crossing and touching pairs, in the same order."""
+    assert nesting_check(RANK1_SLICE, walls) == ref_nesting_check(walls)
+
+
+@pytest.mark.parametrize("walls", [
+    # a line within 2^-70 of the end sqrt(2) of a circle, on either side
+    [circle_wall(0, 2), line_wall(Fraction(isqrt(2 << 140), 2 ** 70))],
+    [circle_wall(0, 2), line_wall(Fraction(isqrt(2 << 140) + 1, 2 ** 70))],
+    [line_wall(Fraction(-isqrt(3 << 140), 2 ** 70)), circle_wall(0, 3)],
+    [line_wall(Fraction(-isqrt(3 << 140) - 1, 2 ** 70)), circle_wall(0, 3)],
+    # ends that differ by about 2^-80: nested, crossing and disjoint circles
+    [circle_wall(0, 2), circle_wall(0, 2 + Fraction(1, 2 ** 78))],
+    [circle_wall(0, 2), circle_wall(Fraction(1, 2 ** 80), 2)],
+    [circle_wall(0, 2), circle_wall(Fraction(1, 2 ** 80), 2 + Fraction(1, 2 ** 78))],
+    # one circle's end on a rational point near another's irrational end
+    [circle_wall(0, 2), span_wall(Fraction(isqrt(2 << 140), 2 ** 70), 5),
+     span_wall(Fraction(isqrt(2 << 140) + 1, 2 ** 70), -5)],
+])
+def test_nesting_separates_points_closer_than_the_floor(walls):
+    """Ends whose floors of 2^64 x are equal are ordered exactly."""
+    assert nesting_check(RANK1_SLICE, walls) == ref_nesting_check(walls)
 
 
 def test_wall_box_budget(setup, monkeypatch):
@@ -835,3 +938,60 @@ def test_hoisted_box_walk_matches_per_class_loop(case):
     loci = _distinct_loci(v, sl, bound)
     assert loci == ref_distinct_loci(v, sl, bound)  # WallLocus equality compares w too
     assert all(loc.key() == tuple(primitive_vector(loc.conic)) for loc in loci)
+
+
+def ref_column_s(r, cc, vw_head, rv, vv, bound):
+    """The s of the column that pass the three candidate tests, one by one."""
+    out = []
+    for s in range(-bound, bound + 1):
+        ww = cc - 2 * r * s
+        vw = vw_head - rv * s
+        if ww >= -2 and vv - 2 * vw + ww >= -2 and vw * vw > vv * ww:
+            out.append(s)
+    return out
+
+
+@st.composite
+def factored_columns(draw):
+    """Columns whose quadratic (v.w)^2 - v^2 w^2 in s is (rv s - p1)(rv s - p2)
+    with v^2 = +-1: a perfect-square discriminant, with integer roots when
+    rv divides p1 and p2 (always for rv = +-1)."""
+    rv = draw(st.integers(-4, 4).filter(bool))
+    p1 = draw(st.integers(-60, 60))
+    p2 = draw(st.integers(-60, 60).filter(lambda p: rv * (p1 + p) % 2 == 0))
+    vv, vw_head = draw(st.sampled_from([1, -1])), draw(st.integers(-30, 30))
+    half = -rv * (p1 + p2) // 2  # half the coefficient of s: vv r - rv vw_head
+    r = vv * (half + rv * vw_head)
+    cc = vv * (vw_head * vw_head - p1 * p2)  # the constant: vw_head^2 - vv cc
+    return r, cc, vw_head, rv, vv
+
+
+columns = st.tuples(st.integers(-60, 60) | st.just(0), st.integers(-400, 400),
+                    st.integers(-200, 200), st.integers(-5, 5) | st.just(0),
+                    st.integers(-12, 12))
+
+
+@settings(max_examples=1000)
+@given(col=columns | factored_columns(), bound=st.integers(1, 50))
+def test_column_solver_matches_per_s_filter(col, bound):
+    """The solved s-ranges of a box column hold exactly the s that pass the
+    per-class tests, in ascending order; rv = 0 makes the quadratic linear,
+    and r = 0 the first test constant in s."""
+    got = [s for rng in _column_s(*col, bound) for s in rng]
+    assert got == ref_column_s(*col, bound)
+
+
+@pytest.mark.parametrize("bound, walls", [(4, 4), (8, 13), (16, 53), (32, 208)])
+def test_readme_scan_wall_counts(setup, bound, walls):
+    """The README example's wall counts at bounds past the hypothesis boxes."""
+    sl, v, region = setup
+    assert len(scan_walls(v, sl, region, bound)) == walls
+
+
+def test_wide_region_nesting_at_bound_32(setup):
+    """On b in [-60, 60], t in [1/100, 60] the bound-32 scan has 415 walls,
+    nested or disjoint in every one of their 85,905 pairs."""
+    sl, v, _ = setup
+    walls = scan_walls(v, sl, Region(-60, 60, Fraction(1, 100), 60), 32)
+    assert len(walls) == 415
+    assert nesting_check(sl, walls) == NestingReport(85905, (), ())
