@@ -179,6 +179,9 @@ def cmd_support(args) -> None:
     # the Gram goes by keyword: bench/spans.py reads it as args[3] or kwargs
     res = min_root_norm(kernel.norm, ambient_gram=gram, budget=budget,
                         start_bound=as_fraction(args.start_bound))
+    if res.found and res.c_squared == 0:
+        raise ValueError(f"(beta, omega) is not a stability condition: the root "
+                         f"delta = {res.witness.coords()} has Z(delta) = 0")
     payload: Dict[str, Any] = {
         "kernel_basis": [[str(x) for x in b] for b in kernel.basis],
         "norm_form": [[str(x) for x in row] for row in kernel.norm_form],

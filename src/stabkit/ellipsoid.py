@@ -12,6 +12,13 @@ integer weight w_i = M d_i / den_i^2. Every term compared with or subtracted
 from R is an integer, so flooring M bound once loses nothing, and every
 range and remainder is plain int arithmetic with isqrt: exact, with no
 floating point.
+
+The walk's cost depends on the basis: a skewed basis stretches the boxes
+of the levels far past the ellipsoid. ``lll_reduce`` is the exact integral
+LLL reduction of a Gram (Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982;
+Cohen's Algorithm 2.6.7) on the same fraction-free elimination: a caller
+walks the reduced Gram h G h^T and maps a point y back to x = y h.
+``enumerate_ellipsoid`` itself walks the basis it is given.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, effective_budget
-from .linalg import clear_denominators
+from .linalg import clear_denominators, int_restrict
 
 
 def _bareiss_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
@@ -42,6 +49,59 @@ def _bareiss_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[in
                 ai[j] = (piv * ai[j] - f * row[j]) // prev
         prev = piv
     return [a[k][k] for k in range(n)], a
+
+
+def _size_reduce(h: List[List[int]], lam: List[List[int]], dl: int, k: int, l: int) -> None:
+    """Cohen's REDI(k, l): subtract from vector k the multiple of vector l < k
+    (with leading minor dl of order l + 1) that brings |mu_kl| to <= 1/2."""
+    if 2 * abs(lam[k][l]) > dl:
+        q = (2 * lam[k][l] + dl) // (2 * dl)  # the nearest integer to mu_kl
+        h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+        lam[k][l] -= q * dl
+        row = lam[l]
+        for i in range(l):
+            lam[k][i] -= q * row[i]
+
+
+def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """(h, h G h^T) for a PD integer Gram G: h is unimodular and the rows of h,
+    as a new basis, are LLL-reduced for delta = 3/4 (integral LLL, Cohen,
+    *A Course in Computational Algebraic Number Theory*, Algorithm 2.6.7).
+
+    Reduced means |mu_kj| <= 1/2 for j < k (size reduction) and
+    B_k >= (3/4 - mu_k,k-1^2) B_{k-1} (the Lovasz condition), with mu and
+    B_k = |b*_k|^2 the Gram-Schmidt data of the rows of h. The state is
+    Cohen's: the leading minors d_k = B_1 ... B_k and lambda_kj = d_j mu_kj,
+    all integers. ``_bareiss_ldl`` of G gives them at once (lambda_kj is its
+    a_jk), so every vector's Gram-Schmidt data is known from the start, and
+    only size reductions (REDI) and swaps (SWAPI) update it, each by exact
+    integer divisions. A point y of the reduced form is the point x = y h
+    of G. Raises ValueError when G is not positive definite."""
+    p, a = _bareiss_ldl(rows)
+    n = len(p)
+    d = [1] + p  # d[k + 1] is the leading minor of order k + 1
+    lam = [[a[j][k] for j in range(k)] for k in range(n)]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 1
+    while k < n:
+        _size_reduce(h, lam, d[k], k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+            # the Lovasz condition fails: swap vectors k - 1 and k (SWAPI)
+            h[k - 1], h[k] = h[k], h[k - 1]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for row in lam[k + 1:]:
+                t = row[k]
+                row[k] = (d[k + 1] * row[k - 1] - mu * t) // d[k]
+                row[k - 1] = (b * t + mu * row[k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                _size_reduce(h, lam, d[l + 1], k, l)
+            k += 1
+    return h, int_restrict(rows, h)
 
 
 def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:

@@ -134,6 +134,11 @@ def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def int_restrict(gram: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]) -> List[List[int]]:
+    """B G B^T: the Gram of the integer Gram ``gram`` on the rows of ``basis``."""
+    return [[sum(map(mul, r, b)) for b in basis] for r in int_mat_mul(basis, gram)]
+
+
 def clear_denominators(rows: Sequence[Sequence]
                        ) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
     """(int_rows, den) for rows of ints or Fractions: den > 0 is the least

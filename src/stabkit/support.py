@@ -27,13 +27,13 @@ from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
-from .ellipsoid import enumerate_ellipsoid
+from .ellipsoid import enumerate_ellipsoid, lll_reduce
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget)
 from .gaussian import GaussianRational
 from .lattice import MukaiVector
 from .linalg import (bilinear, clear_denominators, int_kernel, int_mat_mul,
-                     int_rref, inverse, is_negative_definite,
+                     int_restrict, int_rref, inverse, is_negative_definite,
                      is_positive_definite, nullspace, signature, transpose)
 
 Vec = Tuple[Fraction, ...]
@@ -271,11 +271,6 @@ class RoundtripReport(NamedTuple):
         return all(v.passed for v in self.verdicts if not v.skipped)
 
 
-def _restrict(gram: IntRows, basis: IntRows) -> List[List[int]]:
-    """B G B^T: the Gram of ``gram`` on the rows of ``basis``."""
-    return int_mat_mul(basis, int_mat_mul(gram, transpose(basis)))
-
-
 def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
                                  test_classes: Sequence) -> RoundtripReport:
     """Mechanize the equivalence of the two support formulations.
@@ -302,8 +297,8 @@ def equivalent_support_roundtrip(q: Gram, z_row: Sequence[GaussianRational],
     if not is_negative_definite(q_ker):
         raise DegenerateError("Q is not negative definite on Ker Z")
     comp = int_kernel(kg, len(z_row))
-    n_res = _restrict(int_mat_mul(transpose(rows), rows), comp)  # dr^2 |Z|^2 on it
-    q_res = _restrict(gram, comp)
+    n_res = int_restrict(int_mat_mul(transpose(rows), rows), comp)  # dr^2 |Z|^2 on it
+    q_res = int_restrict(gram, comp)
     for t in range(200):
         # 2^t gden dr^2 (|Z|^2 - K Q) on the complement, for K = 2^-t
         trial = [[(gden << t) * x - dr * dr * y for x, y in zip(nr, qr)]
@@ -357,19 +352,27 @@ def discreteness_classes(q_gram: Gram, norm: Gram, c_squared: Fraction,
     ellipsoid's volume is proportional to (alpha + K)^(n/2) / alpha for
     n = rank M. The walk takes the least volume, alpha = 2K / (n - 2); at
     n = 2 the volume falls as alpha grows and the walk takes alpha = 2K.
-    (alpha = 1 gives the root search's Q_aux = 2N - M.)"""
+    (alpha = 1 gives the root search's Q_aux = 2N - M.)
+
+    The walk runs in an LLL-reduced basis of Q_alpha (``lll_reduce``), so a
+    skewed basis of the lattice no longer stretches it: Q_alpha is
+    reduced once to h Q_alpha h^T, N and Q_Z are conjugated by h once, and
+    the walk and both filters work on reduced coordinates y. Only the
+    classes kept are mapped back, x = y h, and the list is sorted in the
+    original coordinates. ``budget`` counts the nodes of the reduced walk."""
     m = _integral_rows(ambient_gram)
     k = 1 + 2 / Fraction(c_squared)
     alpha = 2 * k / max(len(ambient_gram) - 2, 1)
-    q_z = _terms(clear_denominators(q_gram)[0])
     norm_rows, norm_den = clear_denominators(norm)
-    norm_terms = _terms(norm_rows)
     q_alpha, den = _aux_rows(norm_rows, norm_den, m, alpha)
+    h, reduced = lll_reduce(q_alpha)
+    q_z = _terms(int_restrict(clear_denominators(q_gram)[0], h))
+    norm_terms = _terms(int_restrict(norm_rows, h))
     radius_sq = Fraction(radius_sq)
     norm_cap = floor(radius_sq * norm_den)
-    out = []
-    for x in enumerate_ellipsoid(q_alpha, den * (alpha + k) * radius_sq, budget=budget):
-        if (any(x) and _form_value(norm_terms, x) <= norm_cap
-                and _form_value(q_z, x) >= 0):
-            out.append(x)
-    return sorted(out)
+    cols = list(zip(*h))
+    return sorted(tuple(sum(map(mul, y, col)) for col in cols)
+                  for y in enumerate_ellipsoid(reduced, den * (alpha + k) * radius_sq,
+                                               budget=budget)
+                  if any(y) and _form_value(norm_terms, y) <= norm_cap
+                  and _form_value(q_z, y) >= 0)

@@ -588,6 +588,25 @@ SKEW2_SUPPORT = {
 }
 
 
+@pytest.mark.parametrize("omega", ["1,3,1", "2,6,2"])
+def test_support_names_the_root_with_zero_charge(tmp_path, capsys, omega):
+    """On U + <-2> the class h = (1,3,1) has h^2 = 4 but is orthogonal to the
+    root c = (0,-2,-1), so at beta = 0, omega = h or 2h the root
+    delta = (0, c, 0) has Z(delta) = 0 and C^2 = 0: not a stability
+    condition. The error names delta (exit 1) and writes nothing."""
+    lat = tmp_path / "u2.json"
+    lat.write_text(dumps({"rank": 3, "gram": [["0", "1", "0"], ["1", "0", "0"],
+                                              ["0", "0", "-2"]],
+                          "ample": ["1", "3", "1"], "k3": True}))
+    out = tmp_path / "x.json"
+    assert main(["support", "--lattice", str(lat), "--beta", "0,0,0", "--omega", omega,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "input error: (beta, omega) is not a stability condition: the root "
+        "delta = (0, 0, -2, -1, 0) has Z(delta) = 0\n")
+    assert not out.exists()
+
+
 def test_support_payload_pinned(tmp_path, lattice_file):
     code, doc = run(tmp_path, "support", "--lattice", lattice_file,
                     "--beta", "0", "--omega", "2")

@@ -8,11 +8,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stabkit import CategoryPresentation, Edge, MukaiVector, Rank2Lattice
-from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, ldl_decompose
+from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, ldl_decompose, lll_reduce
 from stabkit.errors import BudgetError
 from stabkit.gaussian import gaussian
 from stabkit.hn import charge_table, jh_factors
-from stabkit.linalg import inverse
+from stabkit.linalg import clear_denominators, inverse
 from stabkit.nef import _isotropic_perp, decomposition_scan
 
 
@@ -245,6 +245,104 @@ def test_unlowered_limit_is_the_fixed_walk(form):
             got.append(p)
             limit[0] = limit[0] + 1
         assert got == ref and nodes == ref_nodes
+
+
+# -- the integral LLL reduction ------------------------------------------------
+
+
+@st.composite
+def lll_grams(draw):
+    """A PD Gram of rank <= 6 and a bound <= 12: A^T A + D with integer or
+    rational entries (and then a denominator), or a diagonal form conjugated
+    by a random unimodular matrix, which is skewed but reduces to a small
+    basis."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entries = _entries if draw(st.booleans()) else st.integers(-3, 3).map(Fraction)
+        a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        diag = [draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 2)))
+                for _ in range(n)]
+        g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (diag[i] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+    else:
+        diag = [draw(st.integers(1, 5)) for _ in range(n)]
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(-3, 3))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        g = [[Fraction(sum(u[i][k] * diag[k] * u[j][k] for k in range(n)))
+              for j in range(n)] for i in range(n)]
+    return g, draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 2)))
+
+
+def _gram_schmidt(g):
+    """(mu, B): mu_ij (j < i) and B_i = |b*_i|^2 of the basis with Gram g, in
+    rationals."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))) / b[j]
+        b.append(g[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i)))
+    return mu, b
+
+
+@given(lll_grams())
+def test_lll_returns_a_reduced_unimodular_conjugate(form):
+    g, _ = form
+    rows, _ = clear_denominators(g)
+    n = len(rows)
+    h, reduced = lll_reduce(rows)
+    # unimodular: an integer matrix with an integer inverse
+    assert all(x.denominator == 1 for row in inverse(h) for x in row)
+    assert reduced == [[sum(h[i][k] * rows[k][l] * h[j][l] for k in range(n) for l in range(n))
+                        for j in range(n)] for i in range(n)]
+    mu, b = _gram_schmidt([[Fraction(x) for x in row] for row in reduced])
+    for i in range(n):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        if i:
+            assert b[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * b[i - 1]
+
+
+@given(lll_grams())
+def test_reduced_walk_maps_back_onto_the_walk(form):
+    """The walk of h G h^T, each point y mapped to y h, is the walk of G as a
+    set, with no point twice."""
+    g, bound = form
+    rows, den = clear_denominators(g)
+    h, reduced = lll_reduce(rows)
+    try:
+        expected = set(enumerate_ellipsoid(g, bound, budget=50000))
+    except BudgetError:
+        assume(False)
+    got = [tuple(sum(y[i] * h[i][j] for i in range(len(h))) for j in range(len(h)))
+           for y in enumerate_ellipsoid(reduced, den * bound)]
+    assert len(got) == len(expected) and set(got) == expected
+
+
+@pytest.mark.parametrize("gram", [[[1, 0], [0, -1]], [[1, 1], [1, 1]], [[0, 0], [0, 1]],
+                                  [[2, 1, 0], [1, 3, 1], [0, 1, 0]], [[-3]]])
+def test_lll_rejects_a_form_that_is_not_positive_definite(gram):
+    """The reduction refuses what the walk refuses, with the walk's error."""
+    with pytest.raises(ValueError, match="^form is not positive definite$"):
+        lll_reduce(gram)
+    with pytest.raises(ValueError, match="^form is not positive definite$"):
+        list(enumerate_ellipsoid(gram, 5))
+
+
+def test_lll_recovers_a_diagonal_basis():
+    """Pinned on a skewed basis of diag(1, 2, 3): the reduction finds the
+    diagonal basis again, up to order and signs."""
+    u = [[1, 0, 0], [4, 1, 0], [-7, 3, 1]]
+    diag = [1, 2, 3]
+    g = [[sum(u[i][k] * diag[k] * u[j][k] for k in range(3)) for j in range(3)]
+         for i in range(3)]
+    h, reduced = lll_reduce(g)
+    assert reduced == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+    assert lll_reduce(reduced) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], reduced)
+    assert lll_reduce([]) == ([], [])
 
 
 def _jh_walk():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabkit import (ChargeParams, build_q_z, charge_kernel, charge_row,
+from stabkit import (ChargeParams, NSLattice, build_q_z, charge_kernel, charge_row,
                      discreteness_classes, equivalent_support_roundtrip,
                      min_root_norm)
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
@@ -325,6 +325,61 @@ def test_weighted_discreteness_walk_matches_q_aux_reference(rank, rng, c2, scale
     except BudgetError:
         assume(False)
     assert discreteness_classes(q_z, norm, c2, gram, radius_sq=radius) == expected
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.randoms(use_true_random=False),
+       st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+       st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(4)]))
+def test_discreteness_classes_do_not_depend_on_the_basis(rank, rng, c2, scale):
+    """Under a unimodular change of basis e'_i = sum_j u_ij e_j of the
+    lattice, (M, N, Q_Z) become u (M, N, Q_Z) u^T and a class y of the new
+    basis is the class y u of the old: the two lists map onto each other."""
+    from conftest import random_even_ns_lattice
+    lat = random_even_ns_lattice(rng, rank)
+    gram = lat.mukai_gram()
+    beta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+    t = Fraction(rng.randint(2, 6), 2)
+    try:
+        norm = charge_kernel(charge_row(ChargeParams(lat, beta, tuple(t * x for x in lat.ample))),
+                             gram).norm
+    except DegenerateError:
+        assume(False)
+    n = rank + 2
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        (i, j), c = rng.sample(range(n), 2), rng.randint(-3, 3)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rows = [tuple(map(Fraction, row)) for row in u]
+    moved = [restrict(g, rows) for g in (gram, norm)]
+    q_z = build_q_z(norm, c2, gram)
+    assert build_q_z(moved[1], c2, moved[0]) == restrict(q_z, rows)
+    radius = c2 * scale
+    got = discreteness_classes(restrict(q_z, rows), moved[1], c2, moved[0], radius_sq=radius)
+    assert sorted(tuple(sum(y[i] * u[i][j] for i in range(n)) for j in range(n))
+                  for y in got) == discreteness_classes(q_z, norm, c2, gram, radius_sq=radius)
+
+
+@pytest.mark.parametrize("gram, ample, beta, omega, classes, nodes", [
+    (((2,),), (1,), "0", "2", 52, 129),
+    # the skewed rank-3 basis of the pinned CLI example: 231 nodes unreduced
+    (((-2, 0, -8), (0, 0, -2), (-8, -2, -28)), (-3, 0, 1), "-1/3,1/5,1/7",
+     "-9/2,1/13,3/2", 4, 43),
+])
+def test_discreteness_budget_counts_the_reduced_walk(gram, ample, beta, omega, classes, nodes):
+    """The discreteness walk runs in the LLL-reduced basis: its budget
+    counts that walk's nodes, pinned on the README example and on a skewed
+    basis."""
+    lat = NSLattice(len(gram), gram, ample)
+    m = lat.mukai_gram()
+    params = ChargeParams(lat, tuple(map(Fraction, beta.split(","))),
+                          tuple(map(Fraction, omega.split(","))))
+    norm = charge_kernel(charge_row(params), m).norm
+    c2 = min_root_norm(norm, ambient_gram=m).c_squared
+    args = (build_q_z(norm, c2, m), norm, c2, m)
+    assert len(discreteness_classes(*args, radius_sq=4 * c2, budget=nodes)) == classes
+    with pytest.raises(BudgetError, match=f"budget of {nodes - 1} nodes"):
+        discreteness_classes(*args, radius_sq=4 * c2, budget=nodes - 1)
 
 
 def test_weighted_discreteness_walk_on_rank_two_gram():
