@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import floor, isqrt
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import ChargeError, LatticeError
@@ -131,6 +132,11 @@ def charge_row(params: ChargeParams) -> List[GaussianRational]:
     if not params.lattice.k3:
         raise ChargeError("lattice is not flagged K3; use surface_charge")
     return charge_functional(params.lattice, params.beta, params.omega)
+
+
+def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
+    """The 2 x n real matrix (Re Z; Im Z) of a charge functional."""
+    return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
 def evaluate_charge_row(row: Sequence[GaussianRational], coords: Sequence) -> GaussianRational:
@@ -319,10 +325,7 @@ def large_volume_threshold(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> 
             bound = max(bound, c)
     if b1 != b2:
         bound = max(bound, abs(b2 * c1 - b1 * c2) / abs(b1 - b2))
-    n = 1
-    while Fraction(n * n) <= bound:
-        n += 1
-    return n
+    return isqrt(floor(bound)) + 1  # the least n with n^2 > bound >= 1
 
 
 def _quadratic(poly: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:

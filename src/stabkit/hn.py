@@ -21,7 +21,7 @@ from itertools import chain, groupby
 from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .charges import IntCharge, Order, phase_compare, phase_valid
+from .charges import IntCharge, Order, charge_rows, phase_compare, phase_valid
 from .errors import BudgetError, ChargeError, PresentationError, effective_budget
 from .gaussian import GaussianRational, as_int
 from .linalg import clear_denominators
@@ -166,8 +166,7 @@ def charge_table(cat: CategoryPresentation, charge: ChargeRow) -> ChargeTable:
             raise PresentationError(
                 f"charge row has {n} entries but the class of {name!r} has "
                 f"{len(cls)} coordinates")
-    (re_row, im_row), den = clear_denominators(
-        ([z.re for z in charge], [z.im for z in charge]))
+    (re_row, im_row), den = clear_denominators(charge_rows(charge))
     return {name: IntCharge(sum(map(mul, re_row, cls)), sum(map(mul, im_row, cls)), den)
             for name, cls in cat.objects.items()}
 

@@ -9,11 +9,12 @@ which is even whenever the NS Gram matrix is even. All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import LatticeError
 from .gaussian import _unsupported, as_fraction, as_int
-from .linalg import bilinear, gcd_vector, signature
+from .linalg import bilinear, signature
 
 IntVec = Tuple[int, ...]
 FracVec = Tuple[Fraction, ...]
@@ -139,7 +140,7 @@ class MukaiVector(_MukaiVector):
         return self.r == 0 and self.s == 0 and all(x == 0 for x in self.c)
 
     def is_primitive(self) -> bool:
-        return gcd_vector(self.coords()) == 1
+        return gcd(*self.coords()) == 1
 
 
 class _ChernCharacter(NamedTuple):

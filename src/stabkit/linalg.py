@@ -25,29 +25,25 @@ def transpose(mat: Mat) -> List[List[Fraction]]:
     return [list(col) for col in zip(*mat)]
 
 
-def _over_lcm(v: Sequence) -> Tuple[List[int], int]:
-    """(ints, den) with v[i] = ints[i] / den for a vector of ints or
-    Fractions: a product of two vectors is then one int sum over one
-    denominator, with no gcd per term."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
+# Products clear the denominators of each operand once (``clear_denominators``),
+# so every entry is one int sum over one denominator, with no gcd per term.
 
 
 def mat_vec(mat: Mat, v: Vec) -> List[Fraction]:
-    vi, dv = _over_lcm(v)
-    return [Fraction(sum(map(mul, ri, vi)), dr * dv) for ri, dr in map(_over_lcm, mat)]
+    (vi,), dv = clear_denominators((v,))
+    rows, dm = clear_denominators(mat)
+    return [Fraction(sum(map(mul, ri, vi)), dm * dv) for ri in rows]
 
 
 def mat_mul(a: Mat, b: Mat) -> List[List[Fraction]]:
-    cols = [_over_lcm(col) for col in zip(*b)]
-    return [[Fraction(sum(map(mul, ri, ci)), dr * dc) for ci, dc in cols]
-            for ri, dr in map(_over_lcm, a)]
+    cols, dc = clear_denominators(list(zip(*b)))
+    rows, dr = clear_denominators(a)
+    return [[Fraction(sum(map(mul, ri, ci)), dr * dc) for ci in cols] for ri in rows]
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    ui, du = _over_lcm(u)
-    vi, dv = _over_lcm(v)
-    return Fraction(sum(map(mul, ui, vi)), du * dv)
+    (ui, vi), d = clear_denominators((u, v))
+    return Fraction(sum(map(mul, ui, vi)), d * d)
 
 
 def bilinear(u: Vec, gram: Mat, v: Vec) -> Fraction:
@@ -81,14 +77,15 @@ def int_rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[
 
 def rref(mat: Mat) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    red, d, pivots = int_rref([_over_lcm(row)[0] for row in mat])
+    red, d, pivots = int_rref(clear_denominators(mat)[0])
     return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def solve(mat: Mat, rhs: Vec) -> List[Fraction]:
     """Solve a square nonsingular system exactly."""
     n = len(mat)
-    red, d, pivots = int_rref([_over_lcm([*row, rhs[i]])[0] for i, row in enumerate(mat)])
+    rows, _ = clear_denominators([[*row, rhs[i]] for i, row in enumerate(mat)])
+    red, d, pivots = int_rref(rows)
     if pivots != list(range(n)):
         raise ValueError("singular system")
     return [Fraction(row[n], d) for row in red]
@@ -96,9 +93,10 @@ def solve(mat: Mat, rhs: Vec) -> List[Fraction]:
 
 def inverse(mat: Mat) -> List[List[Fraction]]:
     n = len(mat)
-    # row i of [A | I] times the lcm of the denominators of row i of A
-    red, d, pivots = int_rref([ints + [den * (i == j) for j in range(n)]
-                               for i, (ints, den) in enumerate(map(_over_lcm, mat))])
+    # [A | I] times the lcm of the denominators of A
+    rows, den = clear_denominators(mat)
+    red, d, pivots = int_rref([[*row, *(den * (i == j) for j in range(n))]
+                               for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [[Fraction(x, d) for x in row[n:]] for row in red]
@@ -125,7 +123,7 @@ def nullspace(mat: Mat) -> List[List[Fraction]]:
     the vectors of ``int_kernel``, as Fractions."""
     ncols = len(mat[0]) if mat else 0
     return [[Fraction(x) for x in v]
-            for v in int_kernel([_over_lcm(row)[0] for row in mat], ncols)]
+            for v in int_kernel(clear_denominators(mat)[0], ncols)]
 
 
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -145,10 +143,11 @@ def clear_denominators(rows: Sequence[Sequence]
     common denominator of all entries and int_rows[i][j] = den * rows[i][j].
 
     This is the one way rational rows become integer rows over a shared
-    denominator (charge tables, wall conics, quadratic forms)."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                 for row in rows), den
+    denominator (products, eliminations, charge tables, wall conics,
+    quadratic forms)."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in row])
+                  for row in rows]), den
 
 
 def primitive_vector(v: Sequence) -> List[int]:
@@ -171,9 +170,7 @@ def signature(gram: Mat) -> Tuple[int, int, int]:
     p maps the block below to (p a_ij - a_ik a_kj) / prev, an exact division
     (Bareiss) that keeps prev times a Schur complement, and the diagonal entry
     of the step is p / prev."""
-    # den * gram as lists in one pass (``clear_denominators`` builds tuples)
-    den = lcm(*(x.denominator for row in gram for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    a = list(map(list, clear_denominators(gram)[0]))
     n = len(a)
     pos = neg = zero = 0
     prev = 1
@@ -219,10 +216,6 @@ def is_positive_definite(gram: Mat) -> bool:
 
 
 # -- integer lattices --------------------------------------------------------
-
-
-def gcd_vector(v: Sequence[int]) -> int:
-    return gcd(*(int(x) for x in v))
 
 
 def minors2_gcd(row1: Sequence[int], row2: Sequence[int]) -> int:

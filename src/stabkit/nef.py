@@ -18,12 +18,12 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .charges import evaluate_charge_row
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget, require_box_budget)
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice, mukai_square
 from .linalg import bilinear, mat_vec, minors2_gcd, solve
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
-from .walls import SliceParams, WallKind, WallLocus, slice_charge, wall_locus
+from .walls import SliceParams, WallKind, WallLocus, wall_locus
 
 
 class OmegaClass(NamedTuple):
@@ -213,10 +213,10 @@ def wall_report(v: MukaiVector, w: MukaiVector, slice_: SliceParams,
             f"{v} is not primitive; the rank-2 wall analysis assumes a "
             "primitive class (divide out the gcd first)")
     loc = wall_locus(v, w, slice_)
+    a, b_coef, _, d_coef = loc.conic
     if loc.kind is WallKind.DEGENERATE:
         raise DegenerateError("degenerate wall: charges proportional on the slice")
     if loc.kind is WallKind.EMPTY:
-        a, b_coef, _, d_coef = loc.conic
         raise LatticeError(
             f"w = {w.coords()} spans no wall with v: the conic "
             f"A (b^2 + t^2) + B b + D = 0 with (A, B, D) = ({a}, {b_coef}, {d_coef}) "
@@ -237,11 +237,9 @@ def wall_report(v: MukaiVector, w: MukaiVector, slice_: SliceParams,
     has_iso = bool(isotropic)
     nontrivial = any(d.m >= 2 for d in decs)
     residual = None
-    if point is not None:
-        b, t = point
-        zv = slice_charge(slice_, v, b, t)
-        zw = slice_charge(slice_, w, b, t)
-        residual = zw.im * zv.re - zw.re * zv.im
+    if point is not None:  # Im(Z(w) conj Z(v)) = t (A (b^2 + t^2) + B b + D)
+        b, t = map(as_fraction, point)
+        residual = t * (a * (b * b + t * t) + b_coef * b + d_coef)
     return WallReport(
         wall=loc, hw=hw, v_in_hw=v_in, roots=roots, isotropic=isotropic,
         decompositions=decs, has_root=has_root, has_isotropic=has_iso,

@@ -11,7 +11,7 @@ from math import isqrt
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DegenerateError, LatticeError
+from .errors import BudgetError, DegenerateError, LatticeError, effective_budget
 from .lattice import MukaiVector, NSLattice, mukai_pairing
 from .linalg import minors2_gcd, primitive_vector
 
@@ -163,10 +163,18 @@ def roots_of_binary_form(gram2: Sequence[Sequence[int]], v_coords: Pair,
 
     Solved exactly: for each admissible pairing value the linear condition cuts
     the conic Q = -2 in at most two integral points. Hyperbolic forms have
-    infinitely many roots overall, which is why the bound is mandatory.
+    infinitely many roots overall, which is why the bound is mandatory. The
+    2 pairing_bound + 1 values count against ``errors.effective_budget()``
+    before any is tried: over it, BudgetError names the largest bound that
+    fits.
     """
     if pairing_bound < 0:
         raise ValueError("pairing_bound must be nonnegative")
+    values, budget = 2 * pairing_bound + 1, effective_budget()
+    if values > budget:
+        fit = (budget - 1) // 2
+        raise BudgetError(f"root search of {values} pairing values exceeds the budget "
+                          f"of {budget} (bound reached {fit})", bound_reached=fit)
     a, b = int(gram2[0][0]), int(gram2[0][1])
     c = int(gram2[1][1])
 

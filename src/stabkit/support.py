@@ -26,7 +26,7 @@ from math import floor
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .charges import evaluate_charge_row
+from .charges import charge_rows, evaluate_charge_row
 from .ellipsoid import enumerate_ellipsoid, lll_reduce
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget)
@@ -34,7 +34,7 @@ from .gaussian import GaussianRational
 from .lattice import MukaiVector
 from .linalg import (bilinear, clear_denominators, int_kernel, int_mat_mul,
                      int_restrict, int_rref, inverse, is_negative_definite,
-                     is_positive_definite, nullspace, signature, transpose)
+                     is_positive_definite, signature, transpose)
 
 Vec = Tuple[Fraction, ...]
 Gram = Sequence[Sequence[Fraction]]
@@ -48,11 +48,6 @@ class ChargeKernel(NamedTuple):
     basis: Tuple[Vec, ...]
     norm_form: Tuple[Vec, ...]
     norm: Tuple[Vec, ...]
-
-
-def charge_rows(z_row: Sequence[GaussianRational]) -> List[List[Fraction]]:
-    """The 2 x n real matrix (Re Z; Im Z) of a charge functional."""
-    return [[z.re for z in z_row], [z.im for z in z_row]]
 
 
 def _square_gram(gram: Gram, n: int, name: str) -> Tuple[IntRows, int]:
@@ -87,12 +82,12 @@ def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> Char
     if all(z.is_zero() for z in z_row):
         raise ChargeError("zero charge functional")
     rows, dr = clear_denominators(charge_rows(z_row))  # R = rows / dr
-    basis = nullspace(rows)
+    basis = int_kernel(rows, n)
     if n - len(basis) < 2:
         raise DegenerateError(
             "charge has real rank < 2 (parts proportional): the kernel is too "
             "large for the good locus")
-    if any(sum(map(mul, r, b)) for b in clear_denominators(basis)[0] for r in rows):
+    if any(sum(map(mul, r, b)) for b in basis for r in rows):
         raise StabkitError("kernel basis vector not annihilated by Z")
     # [m | rows^T] reduces to [I | y / e]: X = M^-1 R^T = dm y / (dr e)
     red, e, pivots = int_rref([[*mr, re, im] for mr, re, im in zip(m, *rows)])
@@ -118,7 +113,7 @@ def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> Char
         raise DegenerateError(
             "no positive definite norm form: charge outside the positive locus")
     norm = int_mat_mul(transpose(rows), int_mat_mul(s, rows))  # N = norm / (dr^2 den)
-    return ChargeKernel(tuple(map(tuple, basis)),
+    return ChargeKernel(tuple(tuple(map(Fraction, b)) for b in basis),
                         *(tuple(tuple(Fraction(x, q) for x in row) for row in mat)
                           for mat, q in ((s, den), (norm, dr * dr * den))))
 

@@ -51,25 +51,18 @@ from .linalg import clear_denominators, primitive_vector
 class _SliceParams(NamedTuple):
     lattice: NSLattice
     beta0: Tuple[Fraction, ...]
-    z0: Tuple[GaussianRational, ...]
 
 
 class SliceParams(_SliceParams):
     """Two-parameter family beta = beta0 + b H, omega = t H along the ample
-    class H of the lattice: the standard slice, whose walls are conics.
-    ``z0``, the charge at the base point (beta0, H), is derived from the
-    other two fields and is not a constructor argument."""
+    class H of the lattice: the standard slice, whose walls are conics."""
 
     __slots__ = ()
     def __new__(cls, lattice: NSLattice, beta0: Sequence) -> "SliceParams":
         beta0 = tuple(map(as_fraction, beta0))
         if len(beta0) != lattice.rank:
             raise LatticeError("beta0 has wrong NS rank")
-        z0 = tuple(charge_functional(lattice, beta0, lattice.ample))
-        return tuple.__new__(cls, (lattice, beta0, z0))
-
-    def __getnewargs__(self):  # copy and pickle rebuild z0
-        return self[:2]
+        return tuple.__new__(cls, (lattice, beta0))
 
     def axis_sq(self) -> Fraction:
         return self.lattice.ns_dot(self.lattice.ample, self.lattice.ample)
@@ -175,13 +168,15 @@ def _conic_rows(v: MukaiVector, slice_: SliceParams
 
     each linear in w (r_w is its first coordinate).
     """
-    z_v = evaluate_charge_row(slice_.z0, v.coords())
+    lat = slice_.lattice
+    z0 = charge_functional(lat, slice_.beta0, lat.ample)
+    z_v = evaluate_charge_row(z0, v.coords())
     d = slice_.axis_sq()
-    a_row = [d * v.r * z.im / 2 for z in slice_.z0]
-    b_row = [d * v.r * z.re for z in slice_.z0]
+    a_row = [d * v.r * z.im / 2 for z in z0]
+    b_row = [d * v.r * z.re for z in z0]
     a_row[0] -= d * z_v.im / 2
     b_row[0] -= d * z_v.re
-    d_row = [z.im * z_v.re - z.re * z_v.im - a for z, a in zip(slice_.z0, a_row)]
+    d_row = [z.im * z_v.re - z.re * z_v.im - a for z, a in zip(z0, a_row)]
     return clear_denominators((a_row, b_row, d_row))
 
 

@@ -9,7 +9,7 @@ from stabkit import (ChargeParams, ChernCharacter, HeartPosition, MukaiVector,
                      gieseker_compare, heart_position, k3_charge,
                      large_volume_phase, large_volume_threshold, phase_compare,
                      phase_valid, slope, surface_charge)
-from stabkit.charges import charge_row, evaluate_charge_row
+from stabkit.charges import charge_row, evaluate_charge_row, monic_normalize
 from stabkit.errors import ChargeError
 from stabkit.gaussian import GaussianRational, gaussian
 
@@ -219,6 +219,35 @@ def test_large_volume_vs_gieseker():
             w_a = large_volume_phase(pa, n)
             w_b = large_volume_phase(pb, n)
             assert phase_compare(w_a, w_b) is g.reversed()
+
+
+def test_large_volume_threshold_is_closed_form():
+    """The threshold of a 10^40 constant term is 10^20 + 1, computed without
+    stepping through the integers below it."""
+    assert large_volume_threshold([10**40, 0, 1], [1, 0, 1]) == 10**20 + 1
+    assert large_volume_threshold([10**40 - 1, 0, 1], [1, 0, 1]) == 10**20
+
+
+def test_large_volume_threshold_matches_stepping_reference():
+    """The least n with n^2 above the bound, against the loop that steps n
+    up from 1."""
+    def stepped(pa, pb):
+        _, b1, c1 = monic_normalize(pa)
+        _, b2, c2 = monic_normalize(pb)
+        bound = max([Fraction(1)] + [c for c in (c1, c2) if c > 0])
+        if b1 != b2:
+            bound = max(bound, abs(b2 * c1 - b1 * c2) / abs(b1 - b2))
+        n = 1
+        while n * n <= bound:
+            n += 1
+        return n
+
+    rng = random.Random(29)
+    for _ in range(500):
+        pa, pb = ([Fraction(rng.randint(-60, 60), rng.randint(1, 4)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                   Fraction(rng.randint(1, 5), rng.randint(1, 3))] for _ in range(2))
+        assert large_volume_threshold(pa, pb) == stepped(pa, pb)
 
 
 def test_surface_charge_imaginary_part_is_rank_times_slope():

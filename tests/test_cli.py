@@ -235,7 +235,7 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
 def test_failed_postcondition_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
     """A violated postcondition is a stabkit error, not a traceback."""
     # a kernel "basis" that Z does not annihilate
-    monkeypatch.setattr("stabkit.support.nullspace", lambda rows: [[1, 0, 1]])
+    monkeypatch.setattr("stabkit.support.int_kernel", lambda rows, n: [[1, 0, 1]])
     assert main(["support", "--lattice", lattice_file, "--beta", "0",
                  "--omega", "2", "--out", str(tmp_path / "x.json")]) == 2
     assert "kernel basis vector not annihilated by Z" in capsys.readouterr().err
@@ -769,6 +769,61 @@ def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsy
                  "--w", "0,0,1", "--beta0", "0", "--max-m", "4",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "decomposition scan exceeded budget of 50 nodes" in capsys.readouterr().err
+
+
+def test_classify_wall_pairing_bound_over_budget_exits_2(tmp_path, lattice_file,
+                                                       monkeypatch, capsys):
+    """Bound 10^6 asks for 2 10^6 + 1 pairing values; the default budget of
+    2^20 fits bound 524287, and the root search stops before it tries any."""
+    monkeypatch.delenv("BRIDGELAND_BUDGET", raising=False)
+    assert main(["classify-wall", "--lattice", lattice_file, "--v", "1,0,-1",
+                 "--w", "0,0,1", "--beta0", "0", "--bound", "1000000",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert ("root search of 2000001 pairing values exceeds the budget of 1048576 "
+            "(bound reached 524287)" in capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["walls", "--lattice", "{lat}", "--v", "1,0,-1", "--beta0", "0", "--b", "-3",
+      "--t", "1/10:4", "--out", "{out}"], "expected lo:hi range, got '-3'"),
+    (["plot", "--walls", "{walls}"], "plot needs --out for the SVG file"),
+    (["walls", "--lattice", "{lat}", "--v", "1,0,-1", "--beta0", "0", "--b", "-3:0",
+      "--t", "1/10:4", "--grid", "1", "--out", "{out}"], "grid too coarse"),
+    (["walls", "--lattice", "{surface}", "--v", "1,0,-1", "--beta0", "0", "--b", "-3:0",
+      "--t", "1/10:4", "--out", "{out}"],
+     "candidate enumeration uses the K3 square bounds; flag the lattice k3 or "
+     "enumerate classes yourself"),
+    (["chambers", "--walls", "{walls}", "--b", "-1", "--t", "0:4", "--out", "{out}"],
+     "need 0 < t_lo <= t_hi"),
+    (["classify-wall", "--lattice", "{lat}", "--v", "1,0,-1", "--w", "0,0,1",
+      "--beta0", "0", "--bound", "-1", "--out", "{out}"],
+     "pairing_bound must be nonnegative"),
+    (["lagrangian", "--lattice", "{lat}", "--v", "1,0,1", "--out", "{out}"],
+     "need (v, v) >= 0"),
+    (["hn", "--category", "{category}", "--charge", "{charge}", "--object", "0",
+      "--out", "{out}"], "need a nonzero object id, got '0'"),
+], ids=["walls-range", "plot-out", "walls-grid", "walls-surface", "chambers-t",
+        "classify-bound", "lagrangian-square", "hn-zero"])
+def test_input_errors_exit_1(tmp_path, lattice_file, capsys, argv, message):
+    surface = tmp_path / "surface.json"
+    surface.write_text(dumps({"rank": 1, "gram": [["2"]], "ample": ["1"], "k3": False}))
+    category = tmp_path / "cat.json"
+    category.write_text(dumps({"objects": [{"id": "0", "class": ["0"]},
+                                           {"id": "A", "class": ["1"]}],
+                               "edges": [], "zero": "0"}))
+    charge = tmp_path / "charge.json"
+    charge.write_text(dumps([["-1", "1"]]))
+    walls = tmp_path / "walls.json"
+    assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
+                 "--b", "-3:0", "--t", "1/10:4", "--bound", "3", "--out", str(walls)]) == 0
+    out = tmp_path / "x.json"
+    files = {"lat": lattice_file, "surface": surface, "walls": walls,
+             "category": category, "charge": charge, "out": out}
+    capsys.readouterr()
+    assert main([a.format(**files) for a in argv]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 def test_lagrangian_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_even_ns_lattice
 from stabkit import (MukaiVector, NSLattice, Rank2Lattice, is_hyperbolic, mukai_pairing,
                      rank2_isotropic, rank2_roots, saturate_rank2)
-from stabkit.errors import DegenerateError
+from stabkit.errors import BudgetError, DegenerateError
 from stabkit.linalg import minors2_gcd
 from stabkit.rank2 import isotropic_rays_of_binary_form, roots_of_binary_form
 
@@ -121,6 +121,19 @@ def test_roots_examples_and_oracle():
     assert roots_of_binary_form([[2, 0], [0, 2]], (1, 0), 10) == []
     got = roots_of_binary_form([[2, -1], [-1, 0]], (1, 0), 6)
     assert got == brute_roots([[2, -1], [-1, 0]], (1, 0), 6, 200)
+
+
+def test_roots_pairing_values_count_against_the_budget(monkeypatch):
+    """Bound 6 tries 13 pairing values, which a budget of 13 fits; bound 7
+    tries 15 and raises before any, naming bound 6."""
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "13")
+    form = [[2, -1], [-1, 0]]
+    assert roots_of_binary_form(form, (1, 0), 6) == brute_roots(form, (1, 0), 6, 200)
+    with pytest.raises(BudgetError) as err:
+        roots_of_binary_form(form, (1, 0), 7)
+    assert err.value.bound_reached == 6
+    assert str(err.value) == ("root search of 15 pairing values exceeds the budget "
+                              "of 13 (bound reached 6)")
 
 
 def test_roots_oracle_random_forms():

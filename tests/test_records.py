@@ -131,7 +131,7 @@ def test_constructors_coerce_their_fields():
     assert all(type(e) is Edge for e in cat.edges)
     assert Rank2Lattice([V, W], [["2", -1], [-1, 0]]).gram2 == ((2, -1), (-1, 0))
     assert Region("-1", 0, "1/2", 1) == (F(-1), F(0), F(1, 2), F(1))
-    assert SliceParams(LAT, ["1/2"]).z0 == SLICE.z0 and SLICE.beta0 == (F(1, 2),)
+    assert SliceParams(LAT, ["1/2"]) == SLICE == (LAT, (F(1, 2),))
 
 
 @pytest.mark.parametrize("build, exc, message", [
@@ -176,8 +176,9 @@ def test_constructors_check_their_fields(build, exc, message):
 
 
 def test_slice_z0_is_derived_not_passed():
+    """A slice has two fields; a third constructor argument is refused."""
     with pytest.raises(TypeError):
-        SliceParams(LAT, [0], SLICE.z0)
+        SliceParams(LAT, [0], ())
 
 
 @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])

@@ -11,7 +11,7 @@ from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
                      WallKind, chambers_along_path, gl2_act_on_charge,
                      nesting_check, scan_walls, slice_charge, wall_locus)
 from conftest import random_even_ns_lattice
-from stabkit.charges import evaluate_charge_row
+from stabkit.charges import charge_functional, evaluate_charge_row
 from stabkit.errors import BudgetError, LatticeError
 from stabkit.gaussian import gaussian
 from stabkit.lattice import mukai_pairing
@@ -424,14 +424,27 @@ def test_wall_locus_rejects_wrong_ns_rank(setup):
         wall_locus(MukaiVector(1, (0, 0), -1), v, sl)
 
 
+def test_replaced_base_point_moves_the_walls(k3d2):
+    """A slice is its lattice and base point: one made with ``_replace``
+    equals the one built directly and gives the walls of its own beta0."""
+    half = SliceParams(k3d2, [Fraction(1, 2)])
+    moved = SliceParams(k3d2, [0])._replace(beta0=(Fraction(1, 2),))
+    assert moved == half
+    v, w = MukaiVector(1, (0,), -1), MukaiVector(1, (-1,), 1)
+    for sl in (moved, half):
+        assert wall_locus(v, w, sl).conic == (-2, -6, 0, Fraction(-9, 2))
+    assert wall_locus(v, w, SliceParams(k3d2, [0])).conic == (-2, -4, 0, -2)
+
+
 # -- reference: the Fraction box scan that the integer kernel replaced ---------
 
 
 def ref_locus(v, w, sl):
     """The wall conic from two charge evaluations at the base point, then
     classified in Fractions."""
-    z_v = evaluate_charge_row(sl.z0, v.coords())
-    z_w = evaluate_charge_row(sl.z0, w.coords())
+    z0 = charge_functional(sl.lattice, sl.beta0, sl.lattice.ample)
+    z_v = evaluate_charge_row(z0, v.coords())
+    z_w = evaluate_charge_row(z0, w.coords())
     d = sl.axis_sq()
     a = d * (v.r * z_w.im - w.r * z_v.im) / 2
     b = d * (v.r * z_w.re - w.r * z_v.re)
