@@ -509,28 +509,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = {"--b", "--t", "--z1", "--z2", "--point", "--beta", "--beta0",
-                "--omega", "--v", "--w", "--p", "--q", "--slopes", "--start-bound"}
-
-
 def _normalize_argv(argv: List[str]) -> List[str]:
-    """Glue values onto their flags so ranges like ``--b -3:0`` parse even
-    though the value starts with a dash. Each value after ``--classes``, up
-    to the next flag (a class such as ``-1,0,1`` is not one), is glued on as
-    a ``--classes=`` of its own."""
+    """Glue each value onto its flag, so values that start with a dash (a
+    range ``--b -3:0``, an object id ``-A``) parse: every ``--flag`` but
+    ``--classes`` and ``--help`` takes the next token as its value, unless
+    that token is a ``--flag`` itself. Each value after ``--classes``, up to
+    the next flag (a class such as ``-1,0,1`` is not one), is glued on as a
+    ``--classes=`` of its own."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        elif tok == "--classes":
+        if tok == "--classes":
             out.append(tok)
             i += 1
             while i < len(argv) and _is_value(argv[i]):
                 out.append(f"--classes={argv[i]}")
                 i += 1
+        elif (tok.startswith("--") and "=" not in tok and tok not in ("--", "--help")
+              and i + 1 < len(argv) and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
         else:
             out.append(tok)
             i += 1

@@ -2,10 +2,10 @@
 rational quadratic forms (the Fincke-Pohst walk, integer form).
 
 The LDL decomposition Q(x) = sum_i d_i (x_i + c_i)^2, with
-c_i = sum_{j>i} l_ij x_j, runs once, fraction-free on the integer Gram. The
-walk then scales every level to integers: with den_i the least common
-denominator of row i of l and M the lcm of the denominators of every
-d_i / den_i^2, level i keeps the center numerator
+c_i = sum_{j>i} l_ij x_j, runs once, fraction-free on the integer Gram
+(``linalg.int_ldl``). The walk then scales every level to integers: with
+den_i the least common denominator of row i of l and M the lcm of the
+denominators of every d_i / den_i^2, level i keeps the center numerator
 cn_i = den_i c_i and the remainder R = floor(M (bound - sum of the levels
 above)), and d_i (x_i + c_i)^2 becomes w_i (den_i x_i + cn_i)^2 with the
 integer weight w_i = M d_i / den_i^2. Every term compared with or subtracted
@@ -28,27 +28,16 @@ from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, effective_budget
-from .linalg import clear_denominators, int_restrict
+from .linalg import clear_denominators, int_ldl, int_restrict
 
 
-def _bareiss_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
-    """(p, a) with G(x) = sum_k p_k / p_{k-1} (x_k + sum_{j>k} a_kj / p_k x_j)^2
-    (p_{-1} = 1) for a PD integer Gram G, by fraction-free (Bareiss) steps
-    that each divide exactly by p_{k-1}: p_k = a_kk is a leading minor of G."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        piv, row = a[k][k], a[k]
-        if piv <= 0:
-            raise ValueError("form is not positive definite")
-        # the rows below, upper triangle only: the iterates stay symmetric
-        for i in range(k + 1, n):
-            ai, f = a[i], row[i]
-            for j in range(i, n):
-                ai[j] = (piv * ai[j] - f * row[j]) // prev
-        prev = piv
-    return [a[k][k] for k in range(n)], a
+def _pd_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """The pivots (leading minors) and upper rows of ``int_ldl`` of a Gram
+    that must be positive definite."""
+    p, a, zero = int_ldl(rows)
+    if zero or (p and min(p) <= 0):
+        raise ValueError("form is not positive definite")
+    return p, a
 
 
 def _size_reduce(h: List[List[int]], lam: List[List[int]], dl: int, k: int, l: int) -> None:
@@ -72,12 +61,12 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[Lis
     B_k >= (3/4 - mu_k,k-1^2) B_{k-1} (the Lovasz condition), with mu and
     B_k = |b*_k|^2 the Gram-Schmidt data of the rows of h. The state is
     Cohen's: the leading minors d_k = B_1 ... B_k and lambda_kj = d_j mu_kj,
-    all integers. ``_bareiss_ldl`` of G gives them at once (lambda_kj is its
+    all integers. ``int_ldl`` of G gives them at once (lambda_kj is its
     a_jk), so every vector's Gram-Schmidt data is known from the start, and
     only size reductions (REDI) and swaps (SWAPI) update it, each by exact
     integer divisions. A point y of the reduced form is the point x = y h
     of G. Raises ValueError when G is not positive definite."""
-    p, a = _bareiss_ldl(rows)
+    p, a = _pd_ldl(rows)
     n = len(p)
     d = [1] + p  # d[k + 1] is the leading minor of order k + 1
     lam = [[a[j][k] for j in range(k)] for k in range(n)]
@@ -106,9 +95,9 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[Lis
 
 def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
     """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram,
-    from ``_bareiss_ldl`` of G = den Q: d_k = p_k / (p_{k-1} den), l_kj = a_kj / p_k."""
+    from ``int_ldl`` of G = den Q: d_k = p_k / (p_{k-1} den), l_kj = a_kj / p_k."""
     rows, den = clear_denominators(gram)
-    p, a = _bareiss_ldl(rows)
+    p, a = _pd_ldl(rows)
     return ([Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p)],
             [[Fraction(x, pk) if j > k else Fraction(0) for j, x in enumerate(row)]
              for k, (pk, row) in enumerate(zip(p, a))])
@@ -181,7 +170,7 @@ def enumerate_ellipsoid(gram: Sequence[Sequence[Fraction]], bound: Fraction,
     if bound < 0:
         return
     gram_rows, den = clear_denominators(gram)
-    piv, upper = _bareiss_ldl(gram_rows)
+    piv, upper = _pd_ldl(gram_rows)
     n = len(piv)
     if n == 0:
         yield ()

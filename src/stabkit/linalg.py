@@ -3,8 +3,11 @@ boundary, and integer lattices.
 
 Everything here works over Z (python ints) or Q (fractions.Fraction); no
 floating point. Matrices are lists of lists, vectors are lists or tuples.
-Elimination is fraction-free (Bareiss) on integer rows; ``rref``, ``solve``,
-``inverse`` and ``nullspace`` build Fractions only for their results.
+Elimination is fraction-free (Bareiss) on integer rows, in two forms:
+``int_rref`` (Gauss-Jordan) behind ``rref``, ``solve``, ``inverse`` and
+``nullspace``, which build Fractions only for their results, and the
+symmetric ``int_ldl`` behind ``signature``, the definiteness tests and the
+LDL and LLL of the ellipsoid walk.
 """
 from __future__ import annotations
 
@@ -164,54 +167,70 @@ def primitive_vector(v: Sequence) -> List[int]:
     return [x // g for x in ints]
 
 
-def signature(gram: Mat) -> Tuple[int, int, int]:
-    """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix,
-    by fraction-free congruence diagonalization of its integer multiple: pivot
-    p maps the block below to (p a_ij - a_ik a_kj) / prev, an exact division
-    (Bareiss) that keeps prev times a Schur complement, and the diagonal entry
-    of the step is p / prev."""
-    a = list(map(list, clear_denominators(gram)[0]))
+def int_ldl(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]], int]:
+    """(pivots, a, zero) for a symmetric integer matrix G: fraction-free
+    (Bareiss) congruence diagonalization. Pivot p maps the block below to
+    (p a_ij - a_ki a_kj) / prev, an exact division that keeps prev times a
+    Schur complement; the diagonal entry of the step is p / prev. Only the
+    upper triangle is updated, and the active block is made symmetric again
+    only when a zero pivot needs a later row swapped in or folded in.
+
+    ``pivots`` lists the nonzero pivots and ``zero`` counts the steps with
+    none (radical directions). On a positive definite G nothing is swapped:
+    the pivots are the leading minors p_k and
+    G(x) = sum_k p_k / p_{k-1} (x_k + sum_{j>k} a_kj / p_k x_j)^2 (p_{-1} = 1)."""
+    a = [list(row) for row in rows]
     n = len(a)
-    pos = neg = zero = 0
-    prev = 1
+    pivots, zero, prev = [], 0, 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
+            if j is None:
                 j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if j is None:
                     zero += 1
                     continue
-                # diagonal block is zero but a[k][j] != 0: add row/col j into k
+            for r in range(k + 1, n):  # the lower triangle of the active block
+                a[r][k:r] = [a[c][r] for c in range(k, r)]
+            if a[j][j] != 0:  # swap row and column j with k
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:  # diagonal block is zero but a[k][j] != 0: add row/col j into k
                 for c in range(k, n):
                     a[k][c] += a[j][c]
                 for r in range(k, n):
                     a[r][k] += a[r][j]
         top = a[k]
         p = top[k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
         for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            for c in range(k + 1, n):
-                row[c] = (p * row[c] - f * top[c]) // prev
+            ai, f = a[i], top[i]
+            for j in range(i, n):
+                ai[j] = (p * ai[j] - f * top[j]) // prev
+        pivots.append(p)
         prev = p
-    return pos, neg, zero
+    return pivots, a, zero
+
+
+def signature(gram: Mat) -> Tuple[int, int, int]:
+    """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix:
+    the signs of the diagonal entries p / prev of ``int_ldl`` of its integer
+    multiple."""
+    pivots, _, zero = int_ldl(clear_denominators(gram)[0])
+    neg, prev = 0, 1
+    for p in pivots:
+        neg += (p > 0) != (prev > 0)
+        prev = p
+    return len(pivots) - neg, neg, zero
 
 
 def is_negative_definite(gram: Mat) -> bool:
-    """Signature (0, n, 0): the congruence diagonalization of ``signature``."""
+    """Signature (0, n, 0), read off ``int_ldl``."""
     return signature(gram) == (0, len(gram), 0)
 
 
 def is_positive_definite(gram: Mat) -> bool:
-    """Signature (n, 0, 0): the congruence diagonalization of ``signature``."""
+    """Signature (n, 0, 0), read off ``int_ldl``."""
     return signature(gram) == (len(gram), 0, 0)
 
 

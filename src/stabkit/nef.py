@@ -20,7 +20,7 @@ from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget, require_box_budget)
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice, mukai_square
-from .linalg import bilinear, mat_vec, minors2_gcd, solve
+from .linalg import bilinear, mat_vec, minors2_gcd, primitive_vector, solve
 from .rank2 import (Rank2Lattice, is_hyperbolic, rank2_isotropic, rank2_roots,
                     saturate_rank2)
 from .walls import SliceParams, WallKind, WallLocus, wall_locus
@@ -273,9 +273,8 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     points = _isotropic_perp(v.coords(), lat.gram, bound)
     if vsq == 0:
         rays = _quotient_rays(points, v.coords())
-    else:  # primitive points, sign taken from the first nonzero entry
-        rays = {u if next(x for x in u if x) > 0 else tuple(-x for x in u)
-                for u in points if gcd(*u) == 1}  # the zero point has gcd 0
+    else:  # the primitive points (the zero point has gcd 0), normalized
+        rays = {tuple(primitive_vector(u)) for u in points if gcd(*u) == 1}
     return [MukaiVector.from_coords(ray) for ray in sorted(rays)]
 
 

@@ -12,6 +12,7 @@ from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetError, DegenerateError, LatticeError, effective_budget
+from .gaussian import as_int
 from .lattice import MukaiVector, NSLattice, mukai_pairing
 from .linalg import minors2_gcd, primitive_vector
 
@@ -27,13 +28,15 @@ class _Rank2Lattice(NamedTuple):
 class Rank2Lattice(_Rank2Lattice):
     """Primitive basis of a saturated rank-2 sublattice with its Gram matrix.
 
-    Use :func:`saturate_rank2` to build one with the invariants guaranteed;
-    direct construction trusts the caller (used for raw-form experiments).
+    Use :func:`saturate_rank2` to build one with the invariants guaranteed.
+    Direct construction checks only that ``gram2`` is a symmetric 2x2 integer
+    matrix (a non-integral entry raises ValueError); the binary-form
+    searches build one with an empty basis from a raw form.
     """
 
     __slots__ = ()
     def __new__(cls, basis: Sequence[MukaiVector], gram2: Gram2) -> "Rank2Lattice":
-        g = tuple(tuple(map(int, row)) for row in gram2)
+        g = tuple(tuple(map(as_int, row)) for row in gram2)
         if len(g) != 2 or any(len(r) != 2 for r in g) or g[0][1] != g[1][0]:
             raise LatticeError("gram2 must be a symmetric 2x2 integer matrix")
         return tuple.__new__(cls, (tuple(basis), g))
@@ -175,32 +178,22 @@ def roots_of_binary_form(gram2: Sequence[Sequence[int]], v_coords: Pair,
         fit = (budget - 1) // 2
         raise BudgetError(f"root search of {values} pairing values exceeds the budget "
                           f"of {budget} (bound reached {fit})", bound_reached=fit)
-    a, b = int(gram2[0][0]), int(gram2[0][1])
-    c = int(gram2[1][1])
-
-    def q(x: int, y: int) -> int:
-        return a * x * x + 2 * b * x * y + c * y * y
-
-    def bil(p1: Pair, p2: Pair) -> int:
-        return (p1[0] * (a * p2[0] + b * p2[1]) + p1[1] * (b * p2[0] + c * p2[1]))
-
-    l1 = a * v_coords[0] + b * v_coords[1]
-    l2 = b * v_coords[0] + c * v_coords[1]
+    h = Rank2Lattice((), gram2)
+    l1, l2 = h.pairing((1, 0), v_coords), h.pairing((0, 1), v_coords)
     if l1 == 0 and l2 == 0:
         raise DegenerateError(
             "pairing with v vanishes identically; the bound cuts nothing"
         )
+    # u = (u1, u2) pairs to g with v and d spans the pairing's kernel, so the
+    # points of pairing m g are m u + t d, with
+    # Q(m u + t d) + 2 = kappa2 t^2 + kappa1 t + kappa0
     g, u1, u2 = _ext_gcd(l1, l2)
     d = (l2 // g, -(l1 // g))
-    kappa2 = q(*d)
+    kappa2, ud, qu = h.square(d), h.pairing((u1, u2), d), h.square((u1, u2))
     found = set()
-    for lam in range(-pairing_bound, pairing_bound + 1):
-        if lam % g != 0:
-            continue
-        m = lam // g
-        p0 = (u1 * m, u2 * m)
-        kappa1 = 2 * bil(p0, d)
-        kappa0 = q(*p0) + 2
+    for m in range(-(pairing_bound // g), pairing_bound // g + 1):
+        kappa1 = 2 * m * ud
+        kappa0 = m * m * qu + 2
         if kappa2 != 0:
             disc = kappa1 * kappa1 - 4 * kappa2 * kappa0
             root = _perfect_square(disc)
@@ -210,11 +203,11 @@ def roots_of_binary_form(gram2: Sequence[Sequence[int]], v_coords: Pair,
                 num = -kappa1 + sgn
                 if num % (2 * kappa2) == 0:
                     t = num // (2 * kappa2)
-                    found.add((p0[0] + d[0] * t, p0[1] + d[1] * t))
+                    found.add((u1 * m + d[0] * t, u2 * m + d[1] * t))
         elif kappa1 != 0:
             if kappa0 % kappa1 == 0:
                 t = -kappa0 // kappa1
-                found.add((p0[0] + d[0] * t, p0[1] + d[1] * t))
+                found.add((u1 * m + d[0] * t, u2 * m + d[1] * t))
         elif kappa0 == 0:
             raise DegenerateError("degenerate form: a full line of roots")
     return sorted(found)
@@ -226,8 +219,7 @@ def isotropic_rays_of_binary_form(gram2: Sequence[Sequence[int]]) -> List[Pair]:
     A nonzero binary form represents 0 nontrivially over Z iff -det(gram2) is
     a perfect square; that criterion drives the case split.
     """
-    a, b = int(gram2[0][0]), int(gram2[0][1])
-    c = int(gram2[1][1])
+    (a, b), (_, c) = Rank2Lattice((), gram2).gram2
     if a == 0 and b == 0 and c == 0:
         raise DegenerateError("zero form: every ray is isotropic")
     rays = set()

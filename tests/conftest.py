@@ -134,6 +134,25 @@ def ref_signature(gram):
     return pos, neg, zero
 
 
+def ref_bareiss_ldl(rows):
+    """(p, a) with G(x) = sum_k p_k / p_{k-1} (x_k + sum_{j>k} a_kj / p_k x_j)^2
+    for a positive definite integer Gram: the fraction-free upper-triangle
+    elimination the ellipsoid walk ran before it shared ``int_ldl``."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv, row = a[k][k], a[k]
+        if piv <= 0:
+            raise ValueError("form is not positive definite")
+        for i in range(k + 1, n):
+            ai, f = a[i], row[i]
+            for j in range(i, n):
+                ai[j] = (piv * ai[j] - f * row[j]) // prev
+        prev = piv
+    return [a[k][k] for k in range(n)], a
+
+
 def leading_principal_minors(gram):
     return [determinant([row[:k] for row in gram[:k]]) for k in range(1, len(gram) + 1)]
 

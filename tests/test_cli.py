@@ -1251,6 +1251,22 @@ def test_support_classes_may_start_with_a_dash(tmp_path, lattice_file, classes):
     assert doc["manifest"]["command"] == " ".join([*argv, "--out", str(tmp_path / "out.json")])
 
 
+def test_values_may_start_with_a_dash(tmp_path, monkeypatch):
+    """Every option but --classes and --help takes the next token as its
+    value, an object id ``-A`` and an output file ``-w.json`` too."""
+    cat = {"objects": [{"id": "0", "class": ["0"]}, {"id": "-A", "class": ["1"]}],
+           "edges": [], "zero": "0"}
+    (tmp_path / "cat.json").write_text(dumps(cat))
+    (tmp_path / "charge.json").write_text(dumps([["0", "1"]]))
+    monkeypatch.chdir(tmp_path)
+    assert main(["hn", "--category", "cat.json", "--charge", "charge.json",
+                 "--object", "-A", "--out", "-w.json"]) == 0
+    doc = json.loads((tmp_path / "-w.json").read_text())
+    assert doc["result"]["steps"] == ["0", "-A"]
+    assert doc["manifest"]["command"] == ("hn --category cat.json --charge charge.json "
+                                          "--object -A --out -w.json")
+
+
 @pytest.mark.parametrize("kind, doc, message", [
     ("lattice", [1], "a lattice is a JSON object, got [1]"),
     ("lattice", {"rank": "1", "gram": 2, "ample": ["1"]}, "gram must be a list of rows, got 2"),

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (determinant, minors_negative_definite,
+from conftest import (determinant, leading_principal_minors, minors_negative_definite,
                       minors_positive_definite, minors_positive_semidefinite,
-                      ref_inverse, ref_nullspace, ref_rref, ref_signature, ref_solve)
-from stabkit.linalg import (bilinear, dot, int_kernel, int_rref, inverse,
+                      ref_bareiss_ldl, ref_inverse, ref_nullspace, ref_rref, ref_signature,
+                      ref_solve)
+from stabkit.linalg import (bilinear, dot, int_kernel, int_ldl, int_rref, inverse,
                             is_negative_definite, is_positive_definite, mat_mul,
                             mat_vec, minors2_gcd, nullspace, primitive_vector, rref,
                             signature, solve)
@@ -236,7 +237,31 @@ def test_signature_matches_fraction_reference(g):
     ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (1, 2, 0)),
     ([[0, 0], [0, 0]], (0, 0, 2)),
     ([], (0, 0, 0)),
+    # the zero pivot appears only after the first update (at k = 1)
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], (2, 1, 0)),
 ])
 def test_pinned_signatures(gram, sig):
     assert signature(gram) == sig
     assert ref_signature(gram) == sig
+
+
+@st.composite
+def positive_definite_grams(draw):
+    """Positive definite integer Grams of rank <= 6: B B^T + D for a random
+    integer B and a positive diagonal D."""
+    n = draw(st.integers(0, 6))
+    b = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    d = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return [[sum(x * y for x, y in zip(b[i], b[j])) + (d[i] if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@given(positive_definite_grams())
+def test_int_ldl_matches_the_upper_triangle_reference_on_definite_forms(g):
+    """On a positive definite form nothing is swapped or folded: the pivots
+    are the leading minors and the upper rows are the reference's."""
+    pivots, rows, zero = int_ldl(g)
+    ref_pivots, ref_rows = ref_bareiss_ldl(g)
+    assert zero == 0 and pivots == ref_pivots
+    assert [row[k:] for k, row in enumerate(rows)] == [row[k:] for k, row in enumerate(ref_rows)]
+    assert pivots == [int(m) for m in leading_principal_minors(g)]

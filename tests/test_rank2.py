@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_even_ns_lattice
 from stabkit import (MukaiVector, NSLattice, Rank2Lattice, is_hyperbolic, mukai_pairing,
                      rank2_isotropic, rank2_roots, saturate_rank2)
-from stabkit.errors import BudgetError, DegenerateError
+from stabkit.errors import BudgetError, DegenerateError, LatticeError
 from stabkit.linalg import minors2_gcd
 from stabkit.rank2 import isotropic_rays_of_binary_form, roots_of_binary_form
 
@@ -121,6 +122,21 @@ def test_roots_examples_and_oracle():
     assert roots_of_binary_form([[2, 0], [0, 2]], (1, 0), 10) == []
     got = roots_of_binary_form([[2, -1], [-1, 0]], (1, 0), 6)
     assert got == brute_roots([[2, -1], [-1, 0]], (1, 0), 6, 200)
+    # (x, y) pairs to -4 x with v: the pairing gcd is 4, and |-4 x| <= 9
+    # keeps x = +-1
+    assert roots_of_binary_form([[-2, 0], [0, 2]], (2, 0), 9) == [(-1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("form, error", [
+    ([[2, 1], [0, -2]], LatticeError),  # not symmetric
+    ([[2, 0, 0], [0, -2, 0]], LatticeError),  # not 2x2
+    ([[Fraction(3, 2), 0], [0, -2]], ValueError),  # not integral
+])
+def test_binary_form_searches_reject_malformed_forms(form, error):
+    with pytest.raises(error):
+        roots_of_binary_form(form, (1, 0), 3)
+    with pytest.raises(error):
+        isotropic_rays_of_binary_form(form)
 
 
 def test_roots_pairing_values_count_against_the_budget(monkeypatch):
