@@ -2,10 +2,11 @@
 
 The CLI maps these onto exit codes: user-input problems exit 1,
 computation failures (budgets, degenerate configurations) exit 2. The
-enumeration budget that ``BudgetError`` enforces is set here too.
+enumeration budget that ``BudgetError`` enforces, and the one rule for
+searches whose size is known up front (``require_budget``), are set here.
 """
 import os
-from typing import Optional
+from typing import Callable, Optional
 
 
 class StabkitError(Exception):
@@ -64,14 +65,18 @@ def effective_budget(budget: Optional[int] = None) -> int:
     return value
 
 
-def require_box_budget(dim: int, bound: int, name: str, unit: str) -> None:
-    """Raise ``BudgetError`` before any work when the box [-bound, bound]^dim
-    holds more points than ``effective_budget()``; its ``bound_reached`` is
-    the largest bound whose box fits."""
-    box, budget = len(range(-bound, bound + 1)) ** dim, effective_budget()
-    if box > budget:
-        fit = 0
-        while (2 * fit + 3) ** dim <= budget:
-            fit += 1
-        raise BudgetError(f"{name} of {box} {unit} exceeds the budget of "
-                          f"{budget} (bound reached {fit})", bound_reached=fit)
+def require_budget(size: Callable[[int], int], bound: int, name: str, unit: str,
+                   reached: str = "bound") -> None:
+    """Raise ``BudgetError`` before any work when a search of ``size(bound)``
+    units exceeds ``effective_budget()``; a negative bound searches nothing.
+    Its ``bound_reached`` is the largest bound that fits (-1 if none), found
+    by bisection for any nondecreasing ``size``, never evaluated below 0."""
+    budget = effective_budget()
+    if bound < 0 or size(bound) <= budget:
+        return
+    fit, over = -1, bound  # size(fit) fits (-1 searches nothing), size(over) does not
+    while over - fit > 1:
+        mid = (fit + over) // 2
+        fit, over = (mid, over) if size(mid) <= budget else (fit, mid)
+    raise BudgetError(f"{name} of {size(bound)} {unit} exceeds the budget of {budget} "
+                      f"({reached} reached {fit})", bound_reached=fit)

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import evaluate_charge_row
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
-                     StabkitError, effective_budget, require_box_budget)
+                     StabkitError, effective_budget, require_budget)
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice, mukai_square
 from .linalg import bilinear, mat_vec, minors2_gcd, primitive_vector, solve
@@ -122,16 +122,19 @@ def decomposition_scan(v_coords: Tuple[int, int], hw: Rank2Lattice,
       makes s negative ends its level.
 
     A third rule skips a part that leaves the rest of v farther than the
-    remaining parts can reach inside the box. Every part tried at any level
-    counts as one node against ``errors.effective_budget()``; running out
-    raises BudgetError with the round's part count as ``bound_reached``
-    (all decompositions with fewer parts were complete by then). Parts are
-    reported in coordinate order and decompositions sorted by (m, parts).
+    remaining parts can reach inside the box. The (2 box + 1)^2 box points
+    count against ``errors.require_budget`` before the pool is built; then
+    every part tried at any level counts as one node against the budget,
+    and running out raises BudgetError with the round's part count as
+    ``bound_reached`` (all decompositions with fewer parts were complete by
+    then). Parts are reported in coordinate order and decompositions sorted
+    by (m, parts).
     """
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     if box < 1:
         raise ValueError("box must be at least 1")
+    require_budget(lambda b: (2 * b + 1) ** 2, box, "decomposition box", "points")
     budget = effective_budget()
     vx, vy = v_coords
     vsq = hw.square(v_coords)
@@ -261,15 +264,15 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     v to a canonical representative and must be primitive in the quotient.
     The search walks the NS part c of u = (r, c, s) over [-bound, bound]^rho
     and solves (v, u) = 0 and u^2 = 0 for (r, s) (``_isotropic_perp``); only
-    the distinct rays become ``MukaiVector``s. The budget still counts the
-    (2 bound + 1)^(rho + 1) heads of the v-perp box before any work: over
-    it, BudgetError names the largest bound that fits."""
+    the distinct rays become ``MukaiVector``s. ``errors.require_budget``
+    counts the (2 bound + 1)^(rho + 1) heads of the v-perp box before any
+    work: over it, BudgetError names the largest bound that fits."""
     if not v.is_primitive():
         raise LatticeError(f"{v} is not primitive")
     vsq = mukai_square(v, lat)
     if vsq < 0:
         raise LatticeError("need (v, v) >= 0")
-    require_box_budget(lat.rank + 1, bound, "v-perp box", "heads")
+    require_budget(lambda b: (2 * b + 1) ** (lat.rank + 1), bound, "v-perp box", "heads")
     points = _isotropic_perp(v.coords(), lat.gram, bound)
     if vsq == 0:
         rays = _quotient_rays(points, v.coords())

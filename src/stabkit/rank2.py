@@ -11,7 +11,7 @@ from math import isqrt
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BudgetError, DegenerateError, LatticeError, effective_budget
+from .errors import DegenerateError, LatticeError, require_budget
 from .gaussian import as_int
 from .lattice import MukaiVector, NSLattice, mukai_pairing
 from .linalg import minors2_gcd, primitive_vector
@@ -166,18 +166,12 @@ def roots_of_binary_form(gram2: Sequence[Sequence[int]], v_coords: Pair,
 
     Solved exactly: for each admissible pairing value the linear condition cuts
     the conic Q = -2 in at most two integral points. Hyperbolic forms have
-    infinitely many roots overall, which is why the bound is mandatory. The
-    2 pairing_bound + 1 values count against ``errors.effective_budget()``
-    before any is tried: over it, BudgetError names the largest bound that
-    fits.
+    infinitely many roots overall, which is why the bound is mandatory. Only
+    the 2 (pairing_bound // g) + 1 multiples of the pairing gcd g are tried,
+    and ``errors.require_budget`` counts them before any is.
     """
     if pairing_bound < 0:
         raise ValueError("pairing_bound must be nonnegative")
-    values, budget = 2 * pairing_bound + 1, effective_budget()
-    if values > budget:
-        fit = (budget - 1) // 2
-        raise BudgetError(f"root search of {values} pairing values exceeds the budget "
-                          f"of {budget} (bound reached {fit})", bound_reached=fit)
     h = Rank2Lattice((), gram2)
     l1, l2 = h.pairing((1, 0), v_coords), h.pairing((0, 1), v_coords)
     if l1 == 0 and l2 == 0:
@@ -188,6 +182,8 @@ def roots_of_binary_form(gram2: Sequence[Sequence[int]], v_coords: Pair,
     # points of pairing m g are m u + t d, with
     # Q(m u + t d) + 2 = kappa2 t^2 + kappa1 t + kappa0
     g, u1, u2 = _ext_gcd(l1, l2)
+    require_budget(lambda b: 2 * (b // g) + 1, pairing_bound, "root search",
+                   "pairing values")
     d = (l2 // g, -(l1 // g))
     kappa2, ud, qu = h.square(d), h.pairing((u1, u2), d), h.square((u1, u2))
     found = set()

@@ -25,7 +25,7 @@ integer numerators and denominators of each locus's center and radius. The
 distinct loci of the last box are kept in a one-slot memo, so
 ``walls --grid`` enumerates the box once for the scan and its oracle. The
 box has (2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration
-budget (``errors.effective_budget``) raises ``BudgetError`` before any
+budget (``errors.require_budget``) raises ``BudgetError`` before any
 work. The nesting check of the walls of one v on a rank-1 slice is one
 sweep over their ends on the b-axis, sorted exactly.
 """
@@ -41,8 +41,7 @@ from operator import itemgetter, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
-from .errors import (BudgetError, ChargeError, LatticeError, effective_budget,
-                     require_box_budget)
+from .errors import ChargeError, LatticeError, require_budget
 from .gaussian import GaussianRational, as_fraction
 from .lattice import MukaiVector, NSLattice
 from .linalg import clear_denominators, primitive_vector
@@ -281,9 +280,8 @@ def _box_loci(v: MukaiVector, slice_: SliceParams,
               search_bound: int) -> Tuple[WallLocus, ...]:
     """The distinct non-degenerate loci of the box, after the checks that
     come before any enumeration: a K3 lattice, an even Gram, v of the
-    lattice's NS rank, and a box of at most ``errors.effective_budget()``
-    classes. An oversized box raises ``BudgetError`` whose ``bound_reached``
-    is the largest bound whose box fits."""
+    lattice's NS rank, and a box of (2 bound + 1)^(rho + 2) classes that
+    ``errors.require_budget`` lets through."""
     lat = slice_.lattice
     if not lat.k3:
         raise ChargeError("candidate enumeration uses the K3 square bounds; "
@@ -291,7 +289,8 @@ def _box_loci(v: MukaiVector, slice_: SliceParams,
     lat.require_even()
     if len(v.c) != lat.rank:
         raise LatticeError("Mukai vector has wrong NS rank")
-    require_box_budget(lat.mukai_rank, search_bound, "wall box", "classes")
+    require_budget(lambda b: (2 * b + 1) ** lat.mukai_rank, search_bound, "wall box",
+                   "classes")
     return _distinct_loci(v, slice_, search_bound)
 
 
@@ -446,19 +445,13 @@ def sampling_oracle(v: MukaiVector, slice_: SliceParams, region: Region,
     included, but it reads the same box as ``scan_walls`` (one enumeration
     serves both, under the same budget), so it cannot see walls of classes
     outside it. The test of a locus computes grid + 1 column values (see
-    ``_signs_flip``); these count against the same budget before any sign is
-    evaluated: a grid over it raises ``BudgetError`` whose ``bound_reached``
-    is the largest grid that fits."""
+    ``_signs_flip``); ``errors.require_budget`` counts them for every locus
+    before any sign is evaluated, naming the largest grid that fits."""
     if grid < 2:
         raise ValueError("grid too coarse")
     cands = _box_loci(v, slice_, search_bound)
-    values, budget = (grid + 1) * len(cands), effective_budget()
-    if values > budget:
-        # the box check above keeps budget >= len(cands), so fit >= 0
-        fit = budget // len(cands) - 1
-        raise BudgetError(f"oracle grid of {values} values ({len(cands)} loci) exceeds "
-                          f"the budget of {budget} (grid reached {fit})",
-                          bound_reached=fit)
+    require_budget(lambda g: (g + 1) * len(cands), grid, "oracle grid",
+                   f"values ({len(cands)} loci)", reached="grid")
     b_den = grid * region.b_min.denominator * region.b_max.denominator
     t_den = grid * region.t_min.denominator * region.t_max.denominator
     b_nums = [int((region.b_min + Fraction(i, grid) * (region.b_max - region.b_min)) * b_den)

@@ -174,12 +174,16 @@ def test_heart_omega_sq_requirement(k3d2):
         p_small.require_heart()
     p_ok = ChargeParams(k3d2, (Fraction(0),), (Fraction(2),))
     assert p_ok.heart_certified()
+    # off a K3 every ample omega backs a heart, omega^2 = 2 included
+    surface = NSLattice(1, ((2,),), (1,), k3=False)
+    assert ChargeParams(surface, (Fraction(0),), (Fraction(1),)).heart_certified()
 
 
 def test_gieseker_compare():
     assert gieseker_compare([1, 2, 1], [0, 2, 1]) is Order.GT
     assert gieseker_compare([1, 2, 1], [1, 2, 1]) is Order.EQ
     assert gieseker_compare([0, 2, 2], [0, 2, 1]) is Order.LT
+    assert gieseker_compare([1, 1], [0, 0, 1]) is Order.LT  # lower degree
     with pytest.raises(ChargeError):
         gieseker_compare([0, 0, 0], [1, 0, 1])
     with pytest.raises(ChargeError):

@@ -189,8 +189,9 @@ def test_lagrangian_command(tmp_path, lattice_file):
 
 
 def test_gieseker_command(tmp_path):
-    code, doc = run(tmp_path, "gieseker", "--p", "1,2,1", "--q", "0,2,1")
-    assert code == 0 and doc["result"]["order"] == "GT"
+    for p, q, order in (("1,2,1", "0,2,1", "GT"), ("1,1", "0,0,1", "LT")):
+        code, doc = run(tmp_path, "gieseker", "--p", p, "--q", q)
+        assert code == 0 and doc["result"]["order"] == order
 
 
 def test_exit_codes(tmp_path, lattice_file):
@@ -764,11 +765,11 @@ def test_classify_wall_rejects_empty_box(tmp_path, lattice_file, capsys):
 
 
 def test_classify_wall_budget_exits_2(tmp_path, lattice_file, monkeypatch, capsys):
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "441")
     assert main(["classify-wall", "--lattice", lattice_file, "--v", "1,0,-1",
                  "--w", "0,0,1", "--beta0", "0", "--max-m", "4",
                  "--out", str(tmp_path / "x.json")]) == 2
-    assert "decomposition scan exceeded budget of 50 nodes" in capsys.readouterr().err
+    assert "decomposition scan exceeded budget of 441 nodes" in capsys.readouterr().err
 
 
 def test_classify_wall_pairing_bound_over_budget_exits_2(tmp_path, lattice_file,
@@ -782,6 +783,46 @@ def test_classify_wall_pairing_bound_over_budget_exits_2(tmp_path, lattice_file,
     assert ("root search of 2000001 pairing values exceeds the budget of 1048576 "
             "(bound reached 524287)" in capsys.readouterr().err)
     assert not (tmp_path / "x.json").exists()
+
+
+CLASSIFY = ["classify-wall", "--v", "1,0,-1", "--w", "0,0,1", "--beta0", "0"]
+WALLS = ["walls", "--v", "1,0,-1", "--beta0", "0", "--b", "-3:0", "--t", "1/10:4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*WALLS, "--bound", "1000000"],
+     "wall box of 8000012000006000001 classes exceeds the budget of 1000 "
+     "(bound reached 4)"),
+    ([*WALLS, "--bound", "2", "--grid", "1000000000"],
+     "oracle grid of 3000000003 values (3 loci) exceeds the budget of 1000 "
+     "(grid reached 332)"),
+    (["lagrangian", "--v", "1,0,-1", "--bound", "1000000"],
+     "v-perp box of 4000004000001 heads exceeds the budget of 1000 (bound reached 15)"),
+    ([*CLASSIFY, "--bound", "1000000000"],
+     "root search of 2000000001 pairing values exceeds the budget of 1000 "
+     "(bound reached 499)"),
+    ([*CLASSIFY, "--max-m", "1", "--box", "400"],
+     "decomposition box of 641601 points exceeds the budget of 1000 (bound reached 15)"),
+    (["support", "--beta", "0", "--omega", "2", "--start-bound", str(10 ** 30)],
+     f"root search budget of 1000 nodes exhausted before certification "
+     f"(bound reached {10 ** 30})"),
+], ids=["walls-box", "walls-grid", "lagrangian-box", "classify-pairing",
+        "classify-box", "support-start"])
+def test_oversized_searches_exit_2_at_once(tmp_path, lattice_file, argv, message):
+    """Nothing hangs: under a budget of 1000, a search asked for far past
+    it exits 2 within the timeout, writes no output, and names the search
+    and the bound it reached. The decomposition box (641,601 points at box
+    400) is refused before its pool is built."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stabkit.__file__)))
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabkit.cli", *argv, "--lattice", lattice_file,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src, BRIDGELAND_BUDGET="1000"),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"computation error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

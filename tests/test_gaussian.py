@@ -13,6 +13,9 @@ def test_basic_arithmetic():
     assert z - w == gaussian(Fraction(1, 2), 5)
     assert z * w == gaussian(Fraction(1, 2) + 6, 1 - 3)
     assert -z == gaussian(-1, -2)
+    assert 1 - z == gaussian(0, -2)
+    assert 1 / z == gaussian(Fraction(1, 5), Fraction(-2, 5))
+    assert bool(z) and not gaussian(0, 0)
 
 
 def test_division_exact():

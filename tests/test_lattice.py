@@ -52,6 +52,8 @@ def test_pairing_symmetric_bilinear(k3d2):
         assert mukai_pairing(u, v, k3d2) == mukai_pairing(v, u, k3d2)
         assert (mukai_pairing(u + v, w, k3d2)
                 == mukai_pairing(u, w, k3d2) + mukai_pairing(v, w, k3d2))
+        assert mukai_pairing(-u, w, k3d2) == -mukai_pairing(u, w, k3d2)
+        assert -u == u.scale(-1) and u + -u == MukaiVector(0, (0,), 0)
 
 
 def test_square_even_on_random_lattices():

@@ -200,11 +200,11 @@ def test_decomposition_scan_budget(monkeypatch):
     gram2 = ((2, -1), (-1, 0))
     h = Rank2Lattice((MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), gram2)
     full = decomposition_scan((1, 0), h, max_m=4, box=6)
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "50")
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "169")
     with pytest.raises(BudgetError) as err:
         decomposition_scan((1, 0), h, max_m=4, box=6)
     assert err.value.bound_reached == 3
-    assert "budget of 50 nodes" in str(err.value)
+    assert "budget of 169 nodes" in str(err.value)
     # rounds below the reported part count finished within the budget
     assert decomposition_scan((1, 0), h, max_m=2, box=6) == [d for d in full if d.m <= 2]
     monkeypatch.setenv("BRIDGELAND_BUDGET", str(1 << 14))

@@ -152,6 +152,21 @@ def test_roots_pairing_values_count_against_the_budget(monkeypatch):
                               "of 13 (bound reached 6)")
 
 
+def test_roots_budget_counts_only_multiples_of_the_pairing_gcd(monkeypatch):
+    """Under diag(-2, 2) every pairing with v = (2, 0) is a multiple of 4, so
+    bound 7 tries the 3 values -4, 0, 4, which a budget of 13 fits. Bound 28
+    tries 15; bound 27, the largest that fits, tries 13."""
+    monkeypatch.setenv("BRIDGELAND_BUDGET", "13")
+    form = [[-2, 0], [0, 2]]
+    assert roots_of_binary_form(form, (2, 0), 7) == [(-1, 0), (1, 0)]
+    assert roots_of_binary_form(form, (2, 0), 27) == brute_roots(form, (2, 0), 27, 20)
+    with pytest.raises(BudgetError) as err:
+        roots_of_binary_form(form, (2, 0), 28)
+    assert err.value.bound_reached == 27
+    assert str(err.value) == ("root search of 15 pairing values exceeds the budget "
+                              "of 13 (bound reached 27)")
+
+
 def test_roots_oracle_random_forms():
     rng = random.Random(10)
     checked = 0
