@@ -350,10 +350,9 @@ def cmd_classify_wall(args) -> None:
     lat.require_even()
     slice_ = SliceParams(lat, tuple(_parse_vec_rat(args.beta0)))
     v, w = _mukai(args.v), _mukai(args.w)
-    point = None
-    if args.point:
-        b, t = _parse_vec_rat(args.point)
-        point = (b, t)
+    point = _parse_vec_rat(args.point) if args.point else None
+    if point is not None and len(point) != 2:
+        raise ValueError(f"--point takes exactly b,t, got {args.point!r}")
     rep = wall_report(v, w, slice_, point=point, pairing_bound=args.bound,
                       max_m=args.max_m, box=args.box)
     payload = {

@@ -208,9 +208,13 @@ def wall_report(v: MukaiVector, w: MukaiVector, slice_: SliceParams,
     Hints are advisory flags, never a classification: a totally-semistable
     candidate needs both a nontrivial decomposition (m >= 2) and a root or
     isotropic class in the wall lattice. The optional point is checked
-    against the wall equation and its residual reported. v must be primitive
-    here (the wall scan itself accepts any v; the divisor-class statements do
-    not)."""
+    against the wall equation and its residual reported; it needs t > 0
+    (omega = t H). v must be primitive here (the wall scan itself accepts
+    any v; the divisor-class statements do not)."""
+    if point is not None:
+        b, t = map(as_fraction, point)
+        if t <= 0:
+            raise ValueError(f"the point needs t > 0, got t = {t}")
     if not v.is_primitive():
         raise LatticeError(
             f"{v} is not primitive; the rank-2 wall analysis assumes a "
@@ -241,7 +245,6 @@ def wall_report(v: MukaiVector, w: MukaiVector, slice_: SliceParams,
     nontrivial = any(d.m >= 2 for d in decs)
     residual = None
     if point is not None:  # Im(Z(w) conj Z(v)) = t (A (b^2 + t^2) + B b + D)
-        b, t = map(as_fraction, point)
         residual = t * (a * (b * b + t * t) + b_coef * b + d_coef)
     return WallReport(
         wall=loc, hw=hw, v_in_hw=v_in, roots=roots, isotropic=isotropic,
@@ -272,6 +275,8 @@ def lagrangian_candidates(v: MukaiVector, lat: NSLattice, bound: int) -> List[Mu
     vsq = mukai_square(v, lat)
     if vsq < 0:
         raise LatticeError("need (v, v) >= 0")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     require_budget(lambda b: (2 * b + 1) ** (lat.rank + 1), bound, "v-perp box", "heads")
     points = _isotropic_perp(v.coords(), lat.gram, bound)
     if vsq == 0:

@@ -6,14 +6,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ChargeError, LatticeError, PresentationError
 from .gaussian import GaussianRational, as_fraction
 from .hn import CategoryPresentation
 from .lattice import MukaiVector, NSLattice
-from .walls import WallKind, WallLocus
+from .walls import WallLocus, conic_shape
 
 
 def rat(x) -> str:
@@ -198,20 +199,13 @@ def wall_to_json(wall: WallLocus, wall_id: str) -> Dict[str, Any]:
     return out
 
 
-# the optional fields each kind of wall carries, as ``wall_to_json`` writes
-# them: 1 for center, 2 for radius_sq
-_WALL_FIELDS = {WallKind.SEMICIRCLE: 3, WallKind.VERTICAL_LINE: 1,
-                WallKind.EMPTY: 0, WallKind.DEGENERATE: 0}
-_FIELD_NAMES = {3: "center and radius_sq", 1: "center and no radius_sq",
-                0: "no center or radius_sq"}
-
-
 def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
     """The walls of a walls file, in order. ``items`` must be a list of
     objects, and each wall must carry classes ``v`` and ``w`` of the form
-    [r, [c_1, ...], s], a conic of four entries whose third is 0 and exactly
-    the center and radius_sq its kind has; anything else raises
-    ``ValueError``.
+    [r, [c_1, ...], s], a conic of four entries whose third is 0, and the
+    kind, center and radius_sq (or none) that ``walls.conic_shape`` gives
+    the conic's key, which the locus keeps; anything else raises
+    ``ValueError`` naming the wall.
 
     Each distinct text is parsed once: a rational given as a JSON string,
     and a class ``v`` or ``w`` whose coordinates are all JSON strings, are
@@ -231,22 +225,42 @@ def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
             if type(cls) is not list or len(cls) != 3 or type(cls[1]) is not list:
                 raise ValueError(f"wall {wall_id!r}: a class is [r, [c_1, ...], s], "
                                  f"got {cls!r}")
-        kind = WallKind(data["kind"])
-        fields = _WALL_FIELDS[kind]
         conic = data["conic"]
         if type(conic) is not list or len(conic) != 4:
             raise ValueError(f"wall {wall_id!r}: the conic needs 4 entries, got {conic!r}")
-        conic = tuple([_unrat_cached(x, memo) for x in conic])
-        if conic[2]:
+        conic = a, b, c, d = tuple([_unrat_cached(x, memo) for x in conic])
+        if c:
             raise ValueError(f"wall {wall_id!r}: the third conic entry must be 0")
-        if ("center" in data) + 2 * ("radius_sq" in data) != fields:
-            raise ValueError(f"wall {wall_id!r}: a {kind.value} wall carries "
-                             f"{_FIELD_NAMES[fields]}")
-        out.append(WallLocus(
-            _mukai_cached(v, memo), _mukai_cached(w, memo), conic, kind,
-            _unrat_cached(data["center"], memo) if fields else None,
-            _unrat_cached(data["radius_sq"], memo) if fields == 3 else None))
+        center = _unrat_cached(data["center"], memo) if "center" in data else None
+        radius_sq = _unrat_cached(data["radius_sq"], memo) if "radius_sq" in data else None
+        # the key of the conic: primitive_vector(conic), inlined
+        den = lcm(a.denominator, b.denominator, d.denominator)
+        a, b, d = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
+                   d.numerator * (den // d.denominator))
+        g = gcd(a, b, d) or 1
+        if (a or b or d) < 0:
+            g = -g
+        key = (a // g, b // g, 0, d // g)
+        kind, center_q, radius_q = conic_shape(key)
+        if data.get("kind") != kind.value or not (_fits(center, center_q)
+                                              and _fits(radius_sq, radius_q)):
+            raise ValueError(f"wall {wall_id!r}: its conic gives kind {kind.value}, "
+                             f"{_field_text('center', center_q)} and "
+                             f"{_field_text('radius_sq', radius_q)}")
+        out.append(WallLocus(_mukai_cached(v, memo), _mukai_cached(w, memo), conic, kind,
+                             center, radius_sq).keep_key(key))
     return out
+
+
+def _fits(x: Optional[Fraction], pair: Optional[Tuple[int, int]]) -> bool:
+    """Whether x is p / q for pair = (p, q), q > 0, or both are None."""
+    if pair is None or x is None:
+        return pair is x
+    return x.numerator * pair[1] == pair[0] * x.denominator
+
+
+def _field_text(name: str, pair: Optional[Tuple[int, int]]) -> str:
+    return f"no {name}" if pair is None else f"{name} {rat(Fraction(*pair))}"
 
 
 def _unrat_cached(x, memo: Dict[Any, Any]) -> Fraction:

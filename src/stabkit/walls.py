@@ -17,17 +17,17 @@ The scan is decided on integer keys. For fixed (v, slice) the coefficients
 candidate tests on w are two linear inequalities and one quadratic in s,
 so the passing s are solved for with ``isqrt`` rather than tried one by
 one, and each costs three multiply-adds whose primitive vector, the conic
-key (a, b, d), names its wall. The key alone decides the kind (by a, b and
-b^2 - 4ad); the exact ``Fraction`` conic, center and radius that a locus
-keeps are built once per distinct key, and the key is kept with them. The
-region test and the crossings of a vertical path cross-multiply the
-integer numerators and denominators of each locus's center and radius. The
-distinct loci of the last box are kept in a one-slot memo, so
-``walls --grid`` enumerates the box once for the scan and its oracle. The
-box has (2 bound + 1)^(rho + 2) classes; one that exceeds the enumeration
-budget (``errors.require_budget``) raises ``BudgetError`` before any
-work. The nesting check of the walls of one v on a rank-1 slice is one
-sweep over their ends on the b-axis, sorted exactly.
+key (ka, kb, 0, kd), names its wall. The key is a wall's one geometry:
+``conic_shape`` reads its kind, center and radius off it (a locus keeps
+them as exact ``Fraction``s, built once per distinct key, with the key),
+and the region test, the path crossings, the sampling oracle and the
+nesting check read the key itself. The distinct loci of the last box are
+kept in a one-slot memo, so ``walls --grid`` enumerates the box once for
+the scan and its oracle. The box has (2 bound + 1)^(rho + 2) classes; one
+that exceeds the enumeration budget (``errors.require_budget``) raises
+``BudgetError`` before any work. The nesting check of the walls of one v
+on a rank-1 slice is one sweep over their ends on the b-axis, sorted
+exactly.
 """
 from __future__ import annotations
 
@@ -118,6 +118,11 @@ class WallLocus(_WallLocus):
             key = self.__dict__["_key"] = tuple(primitive_vector(self.conic))
             return key
 
+    def keep_key(self, key: Tuple[int, int, int, int]) -> "WallLocus":
+        """This locus, with ``key``, the key of its conic, as its memo."""
+        self.__dict__["_key"] = key
+        return self
+
     def sort_key(self):
         return (_KIND_RANK[self.kind],
                 self.center if self.center is not None else _ZERO,
@@ -179,33 +184,37 @@ def _conic_rows(v: MukaiVector, slice_: SliceParams
     return clear_denominators((a_row, b_row, d_row))
 
 
-def _locus(v: MukaiVector, w: MukaiVector, a: int, b: int, d: int, den: int,
-           key: Tuple[int, int, int]) -> WallLocus:
-    """Classify in t > 0 the conic with coefficients (A, B, D) = (a, b, d) /
-    den by its primitive integer key (ka, kb, kd), first nonzero entry
-    positive.
+def conic_shape(key: Tuple[int, int, int, int]
+                ) -> Tuple[WallKind, Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
+    """The kind in t > 0 of the conic with primitive key (ka, kb, 0, kd),
+    first nonzero entry positive, and its center and radius^2 as unreduced
+    (numerator, denominator > 0) pairs, None where the kind has none.
 
     With ka > 0 the conic is the circle of center -kb / 2ka and radius^2
     n / 4ka^2, n = kb^2 - 4 ka kd, a semicircle when n > 0 and empty
     otherwise; with ka = 0 it is the line b = -kd / kb when kb != 0, empty
     when only kd is nonzero, and degenerate when the key is zero. Both
-    values are invariant under scaling the conic, so they equal those of
-    the conic itself."""
-    conic = (Fraction(a, den), Fraction(b, den), _ZERO, Fraction(d, den))
-    ka, kb, kd = key
+    values are invariant under scaling the conic, so they are those of any
+    conic with this key."""
+    ka, kb, _, kd = key
     if ka:
         n = kb * kb - 4 * ka * kd
         if n > 0:
-            loc = WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=Fraction(-kb, 2 * ka),
-                            radius_sq=Fraction(n, 4 * ka * ka))
-        else:
-            loc = WallLocus(v, w, conic, WallKind.EMPTY)
-    elif kb:
-        loc = WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=Fraction(-kd, kb))
-    else:
-        loc = WallLocus(v, w, conic, WallKind.EMPTY if kd else WallKind.DEGENERATE)
-    loc.__dict__["_key"] = (ka, kb, 0, kd)  # what WallLocus.key would compute
-    return loc
+            return WallKind.SEMICIRCLE, (-kb, 2 * ka), (n, 4 * ka * ka)
+        return WallKind.EMPTY, None, None
+    if kb:
+        return WallKind.VERTICAL_LINE, (-kd, kb), None
+    return (WallKind.EMPTY if kd else WallKind.DEGENERATE), None, None
+
+
+def _locus(v: MukaiVector, w: MukaiVector, a: int, b: int, d: int, den: int,
+           key: Tuple[int, int, int, int]) -> WallLocus:
+    """The locus of the conic with coefficients (A, B, D) = (a, b, d) / den
+    and primitive integer key (ka, kb, 0, kd), shaped by ``conic_shape``."""
+    kind, center, radius_sq = conic_shape(key)
+    return WallLocus(v, w, (Fraction(a, den), Fraction(b, den), _ZERO, Fraction(d, den)),
+                     kind, Fraction(*center) if center else None,
+                     Fraction(*radius_sq) if radius_sq else None).keep_key(key)
 
 
 def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus:
@@ -218,59 +227,43 @@ def wall_locus(v: MukaiVector, w: MukaiVector, slice_: SliceParams) -> WallLocus
     rows, den = _conic_rows(v, slice_)
     wc = w.coords()
     a, b, d = (sum(map(mul, row, wc)) for row in rows)
-    return _locus(v, w, a, b, d, den, tuple(primitive_vector((a, b, d))))
+    return _locus(v, w, a, b, d, den, tuple(primitive_vector((a, b, 0, d))))
 
 
 def locus_meets_region(loc: WallLocus, region: Region) -> bool:
-    """Exact test whether the locus intersects the closed region (t > 0)."""
-    return _meets_region(loc, _region_ints(region))
+    """Exact test whether the locus meets the closed region, on its key."""
+    b1, b2, t1, t2 = region
+    q1, q2 = b1.denominator, b2.denominator
+    return _meets_box(loc.key(), b1.numerator * q2, b2.numerator * q1, q1 * q2, t1, t2)
 
 
-def _region_ints(region: Region) -> Tuple[int, ...]:
-    """(b_min, b_max, t_min^2, t_max^2) as numerator, denominator pairs."""
-    return (region.b_min.numerator, region.b_min.denominator,
-            region.b_max.numerator, region.b_max.denominator,
-            region.t_min.numerator ** 2, region.t_min.denominator ** 2,
-            region.t_max.numerator ** 2, region.t_max.denominator ** 2)
+def _meets_box(key: Tuple[int, int, int, int], x1: int, x2: int, q: int,
+               t1: Fraction, t2: Fraction) -> bool:
+    """Whether F(b, t) = ka (b^2 + t^2) + kb b + kd, for a conic key
+    (ka, kb, 0, kd) with ka >= 0, has a zero on the closed box
+    b in [x1 / q, x2 / q], t in [t1, t2] (q > 0, 0 < t1 <= t2). The box is
+    connected, so that is when min F <= 0 <= max F.
 
-
-def _meets_region(loc: WallLocus, bounds: Tuple[int, ...]) -> bool:
-    """``locus_meets_region`` on the ints of ``_region_ints``, read against
-    the locus's own center p/q and radius^2 m/n (q, n > 0).
-
-    A semicircle meets the region when rho^2 - (b - c)^2, over b in
-    [b_min, b_max], reaches t_min^2 at its largest (at the end nearer to c,
-    or at c inside) and t_max^2 at its smallest (at the farther end). At an
-    end b_k = B_k / D_k, b_k - c = e / s with e = B_k q - p D_k and
-    s = D_k q, so rho^2 - (b_k - c)^2 = (m s^2 - e^2 n) / (n s^2) (at c
-    itself, e = 0 and s = 1); each test is that fraction against t_min^2 or
-    t_max^2 = T / E, cross-multiplied by n s^2 E > 0."""
-    b1, d1, b2, d2, lo_n, lo_d, hi_n, hi_d = bounds
-    kind = loc.kind
-    if kind is WallKind.VERTICAL_LINE:
-        c = loc.center
-        p, q = c.numerator, c.denominator
-        return b1 * q <= p * d1 and p * d2 <= b2 * q
-    if kind is WallKind.SEMICIRCLE:
-        c, rq = loc.center, loc.radius_sq
-        p, q = c.numerator, c.denominator
-        m, n = rq.numerator, rq.denominator
-        e1 = b1 * q - p * d1
-        e2 = b2 * q - p * d2
-        if e1 > 0:  # c < b_min
-            near, s = e1, d1 * q
-        elif e2 < 0:  # c > b_max
-            near, s = e2, d2 * q
-        else:
-            near, s = 0, 1
-        s2 = s * s
-        if (m * s2 - near * near * n) * lo_d < lo_n * n * s2:
-            return False
-        # |b_min - c| >= |b_max - c|, times d1 d2 q
-        far, s = (e1, d1 * q) if abs(e1) * d2 >= abs(e2) * d1 else (e2, d2 * q)
-        s2 = s * s
-        return (m * s2 - far * far * n) * hi_d <= hi_n * n * s2
-    return False
+    F = g(b) + ka t^2 with g(b) = ka b^2 + kb b + kd, so max F is the larger
+    of g at the two ends plus ka t2^2, and min F is ka t1^2 plus the smaller
+    of g at the ends, or g at the vertex -kb / 2ka when that lies strictly
+    inside, -(kb^2 - 4 ka kd) / 4ka. Each test is cross-multiplied by q^2
+    and the denominator of t^2: q^2 g(x / q) = ka x^2 + kb x q + kd q^2. A
+    key with ka = kb = 0 meets nothing (F = kd != 0, or a degenerate conic)."""
+    ka, kb, _, kd = key
+    if not (ka or kb):
+        return False
+    qq = q * q
+    g1 = (ka * x1 + kb * q) * x1 + kd * qq
+    g2 = (ka * x2 + kb * q) * x2 + kd * qq
+    g_lo, g_hi = (g1, g2) if g1 <= g2 else (g2, g1)
+    n, d = t2.numerator, t2.denominator
+    if g_hi * d * d + ka * n * n * qq < 0:
+        return False
+    n, d = t1.numerator, t1.denominator
+    if ka and 2 * ka * x1 < -kb * q < 2 * ka * x2:
+        return 4 * ka * ka * n * n <= (kb * kb - 4 * ka * kd) * d * d
+    return g_lo * d * d + ka * n * n * qq <= 0
 
 
 # -- candidate enumeration -----------------------------------------------------
@@ -395,13 +388,13 @@ def _distinct_loci(v: MukaiVector, slice_: SliceParams,
                 a = a_head + a_s * s
                 b = b_head + b_s * s
                 d = d_head + d_s * s
-                # primitive_vector((a, b, d)), inlined
+                # primitive_vector((a, b, 0, d)), inlined
                 g = gcd(a, b, d)
                 if g == 0:
                     continue
                 if (a or b or d) < 0:
                     g = -g
-                key = (a // g, b // g, d // g)
+                key = (a // g, b // g, 0, d // g)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -421,9 +414,8 @@ def scan_walls(v: MukaiVector, slice_: SliceParams, region: Region,
     ``BudgetError`` before it is walked."""
     if search_bound <= 0:
         raise ValueError("search_bound must be positive")
-    bounds = _region_ints(region)
     return sorted((loc for loc in _box_loci(v, slice_, search_bound)
-                   if _meets_region(loc, bounds)),
+                   if locus_meets_region(loc, region)),
                   key=WallLocus.sort_key)
 
 
@@ -512,37 +504,26 @@ def chambers_along_path(b_star, t_lo, t_hi, walls: Sequence[WallLocus]) -> Chamb
     coinciding with the path, which is reported separately and crossed by
     nothing (an infinitesimal perturbation of b_star removes it).
 
-    Each wall is tested on ints: with b_star = B / G, center p / q and
-    radius^2 m / n, b_star - c = e / s for e = B q - p G and s = G q, so the
-    path meets the circle at t^2 = (m s^2 - e^2 n) / (n s^2), which is
-    compared with t_lo^2 and t_hi^2 cross-multiplied and built as a
-    ``Fraction`` only for a crossing."""
+    Each wall is tested on its conic key as the region of width zero at
+    b_star = B / G (``_meets_box``). A semicircle that meets it is crossed at
+    t^2 = -g(b_star) / ka, with G^2 g(b_star) = ka B^2 + kb B G + kd G^2,
+    built as a ``Fraction`` only for a crossing; a line that meets it is the
+    path."""
     b_star, t_lo, t_hi = as_fraction(b_star), as_fraction(t_lo), as_fraction(t_hi)
     if not 0 < t_lo <= t_hi:
         raise ValueError("need 0 < t_lo <= t_hi")
     bn, bd = b_star.numerator, b_star.denominator
-    lo_n, lo_d = t_lo.numerator ** 2, t_lo.denominator ** 2
-    hi_n, hi_d = t_hi.numerator ** 2, t_hi.denominator ** 2
-    crossings = []
-    coincident = []
+    crossings, coincident = [], []
     for wall in walls:
-        kind = wall.kind
-        if kind is WallKind.VERTICAL_LINE:
-            c = wall.center
-            if c.numerator * bd == bn * c.denominator:
-                coincident.append(wall)
+        key = wall.key()
+        if not _meets_box(key, bn, bn, bd, t_lo, t_hi):
             continue
-        if kind is not WallKind.SEMICIRCLE:
-            continue
-        c, rq = wall.center, wall.radius_sq
-        q, n = c.denominator, rq.denominator
-        e = bn * q - c.numerator * bd
-        s = bd * q
-        num = rq.numerator * s * s - e * e * n
-        den = n * s * s
-        # t_lo > 0, so a circle that misses the path (num <= 0) fails the first test
-        if lo_n * den <= num * lo_d and num * hi_d <= hi_n * den:
-            crossings.append(Crossing(Fraction(num, den), wall))
+        ka, kb, _, kd = key
+        if ka:
+            g = (ka * bn + kb * bd) * bn + kd * bd * bd
+            crossings.append(Crossing(Fraction(-g, ka * bd * bd), wall))
+        else:
+            coincident.append(wall)
     crossings.sort(key=lambda c: (c.t_squared, c.wall.sort_key()))
     return ChamberPath(b_star, t_lo, t_hi, tuple(crossings), tuple(coincident))
 

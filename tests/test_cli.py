@@ -844,8 +844,17 @@ def test_oversized_searches_exit_2_at_once(tmp_path, lattice_file, argv, message
      "need (v, v) >= 0"),
     (["hn", "--category", "{category}", "--charge", "{charge}", "--object", "0",
       "--out", "{out}"], "need a nonzero object id, got '0'"),
+    # t = 0 is off the slice; its residual 0 used to read as "on the wall"
+    (["classify-wall", "--lattice", "{lat}", "--v", "1,0,-1", "--w", "0,0,1",
+      "--beta0", "0", "--point", "5,0", "--out", "{out}"], "the point needs t > 0, got t = 0"),
+    (["classify-wall", "--lattice", "{lat}", "--v", "1,0,-1", "--w", "0,0,1",
+      "--beta0", "0", "--point", "0,1,2", "--out", "{out}"],
+     "--point takes exactly b,t, got '0,1,2'"),
+    (["lagrangian", "--lattice", "{lat}", "--v", "1,0,-1", "--bound", "-1", "--out", "{out}"],
+     "bound must be nonnegative"),
 ], ids=["walls-range", "plot-out", "walls-grid", "walls-surface", "chambers-t",
-        "classify-bound", "lagrangian-square", "hn-zero"])
+        "classify-bound", "lagrangian-square", "hn-zero", "classify-point-t",
+        "classify-point-arity", "lagrangian-negative-bound"])
 def test_input_errors_exit_1(tmp_path, lattice_file, capsys, argv, message):
     surface = tmp_path / "surface.json"
     surface.write_text(dumps({"rank": 1, "gram": [["2"]], "ample": ["1"], "k3": False}))
@@ -1016,10 +1025,10 @@ def test_walls_json_rejects_non_integral_class(tmp_path, lattice_file, capsys):
     assert "expected an integer, got '1/2'" in capsys.readouterr().err
 
 
-def _edited_walls_run(tmp_path, lattice_file, edit, b="-1"):
-    """Exit code of ``chambers`` on the README example's walls file at bound
-    2 (W0 the vertical line b = 0, W1 a semicircle) after ``edit`` changes
-    its walls."""
+def _edited_walls_run(tmp_path, lattice_file, edit, b="-1", command="chambers"):
+    """Exit code of ``chambers`` (or ``plot``) on the README example's walls
+    file at bound 2 (W0 the vertical line b = 0, W1 the semicircle of
+    conic (2, 6, 0, 2)) after ``edit`` changes its walls."""
     wallsf = tmp_path / "walls.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
                  "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
@@ -1029,29 +1038,45 @@ def _edited_walls_run(tmp_path, lattice_file, edit, b="-1"):
     assert [w["kind"] for w in walls] == ["VERTICAL_LINE", "SEMICIRCLE"]
     edit(walls)
     wallsf.write_text(dumps(doc))
+    if command == "plot":
+        return main(["plot", "--walls", str(wallsf), "--out", str(tmp_path / "p.svg")])
     return main(["chambers", "--walls", str(wallsf), "--b", b, "--t", "1/10:4",
                  "--out", str(tmp_path / "c.json")])
 
 
+SEMICIRCLE_W1 = "wall 'W1': its conic gives kind SEMICIRCLE, center -3/2 and radius_sq 5/4"
+LINE_W0 = "wall 'W0': its conic gives kind VERTICAL_LINE, center 0 and no radius_sq"
+
+
 @pytest.mark.parametrize("edit, b, message", [
     # a semicircle without center used to end in a TypeError traceback
-    (lambda ws: ws[1].pop("center"), "-1",
-     "wall 'W1': a SEMICIRCLE wall carries center and radius_sq"),
+    (lambda ws: ws[1].pop("center"), "-1", SEMICIRCLE_W1),
     # a line without center used to be reported as not coincident at b = 0
-    (lambda ws: ws[0].pop("center"), "0",
-     "wall 'W0': a VERTICAL_LINE wall carries center and no radius_sq"),
-    (lambda ws: ws[0].update(radius_sq="1"), "-1",
-     "wall 'W0': a VERTICAL_LINE wall carries center and no radius_sq"),
+    (lambda ws: ws[0].pop("center"), "0", LINE_W0),
+    (lambda ws: ws[0].update(radius_sq="1"), "-1", LINE_W0),
     (lambda ws: ws[1]["conic"].pop(2), "-1",
      "wall 'W1': the conic needs 4 entries, got ['2', '6', '2']"),
     (lambda ws: ws[1]["conic"].__setitem__(2, "1/3"), "-1",
      "wall 'W1': the third conic entry must be 0"),
+    # a center that is not its conic's used to be crossed at t^2 = 5/4, not 19/16
+    (lambda ws: ws[1].update(center="-7/4"), "-7/4", SEMICIRCLE_W1),
+    (lambda ws: ws[1].update(radius_sq="1"), "-1", SEMICIRCLE_W1),
+    (lambda ws: ws[0].update(kind="SEMICIRCLE"), "-1", LINE_W0),
+    (lambda ws: ws[0].update(kind="CIRCLE"), "-1", LINE_W0),
+    # a missing kind used to exit 1 with the bare message 'kind'
+    (lambda ws: ws[0].pop("kind"), "-1", LINE_W0),
 ], ids=["semicircle-without-center", "line-without-center", "line-with-radius",
-        "three-entry-conic", "nonzero-third-entry"])
+        "three-entry-conic", "nonzero-third-entry", "edited-center", "edited-radius",
+        "edited-kind", "unknown-kind", "missing-kind"])
 def test_chambers_rejects_a_wall_that_does_not_fit_its_kind(tmp_path, lattice_file, capsys,
                                                             edit, b, message):
+    """chambers and plot both refuse the edited wall, named, with the kind,
+    center and radius^2 of its conic."""
     assert _edited_walls_run(tmp_path, lattice_file, edit, b) == 1
     assert f"input error: {message}" in capsys.readouterr().err
+    assert _edited_walls_run(tmp_path, lattice_file, edit, command="plot") == 1
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_chambers_reads_the_walls_it_was_given(tmp_path, lattice_file):

@@ -232,6 +232,9 @@ def test_wall_report_example(k3d2):
     assert rep.has_root
     assert rep.point_residual == 0
     assert rep.admits_totally_semistable_candidate  # m >= 2 exists + isotropic
+    for t in (0, -1):  # omega = t H is off the slice
+        with pytest.raises(ValueError, match=f"the point needs t > 0, got t = {t}"):
+            wall_report(v, w, sl, point=(Fraction(5), Fraction(t)))
     # hints agree for the complementary class
     rep2 = wall_report(v, v - w, sl, point=(Fraction(0), Fraction(1)))
     assert rep2.has_root == rep.has_root
@@ -287,7 +290,9 @@ def test_lagrangian_box_budget(k3d2, monkeypatch):
     assert err.value.bound_reached == 5
     assert str(err.value) == ("v-perp box of 169 heads exceeds the budget of "
                               "168 (bound reached 5)")
-    assert lagrangian_candidates(v, k3d2, -7) == []  # an empty box fits any budget
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        lagrangian_candidates(v, k3d2, -7)  # refused before the budget check
+    assert lagrangian_candidates(v, k3d2, 0) == []  # bound 0 searches c = 0
     monkeypatch.setenv("BRIDGELAND_BUDGET", "169")
     assert lagrangian_candidates(v, k3d2, 6) == full
 

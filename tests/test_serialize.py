@@ -9,6 +9,7 @@ from stabkit import (CategoryPresentation, Edge, MukaiVector, SliceParams,
                      wall_locus)
 from stabkit import serialize as ser
 from stabkit.gaussian import gaussian
+from stabkit.linalg import primitive_vector
 
 
 def test_rational_strings_roundtrip():
@@ -56,11 +57,17 @@ def test_category_roundtrip():
 
 
 def test_wall_roundtrip(k3d2):
-    sl = SliceParams(k3d2, (Fraction(0),))
-    loc = wall_locus(MukaiVector(1, (0,), -1), MukaiVector(-8, (1,), 0), sl)
-    doc = ser.wall_to_json(loc, "W0")
-    loc2, = ser.walls_from_json([json.loads(json.dumps(doc))])
-    assert loc2 == loc
+    """The reader rebuilds each wall and keeps the key that ``WallLocus.key``
+    computes from its conic, whichever sign the conic is written with."""
+    v = MukaiVector(1, (0,), -1)
+    for beta0 in (Fraction(0), Fraction(-1, 3)):
+        sl = SliceParams(k3d2, (beta0,))
+        for w in (MukaiVector(-8, (1,), 0), MukaiVector(0, (-1,), 0), MukaiVector(0, (0,), 1), v):
+            for loc in (wall_locus(v, w, sl), wall_locus(v, -w, sl)):
+                doc = ser.wall_to_json(loc, "W0")
+                loc2, = ser.walls_from_json([json.loads(json.dumps(doc))])
+                assert loc2 == loc
+                assert loc2.key() == tuple(primitive_vector(loc.conic))
 
 
 def test_walls_reader_parses_each_text_once_and_checks_every_wall(k3d2):
@@ -80,9 +87,12 @@ def test_walls_reader_parses_each_text_once_and_checks_every_wall(k3d2):
         assert ser.walls_from_json([a])[0].v == v
         with pytest.raises(ValueError, match="expected an integer"):
             ser.walls_from_json([a, b])
-    for later in (1.0, True):  # the int 1 is read first, in the first wall's conic
+    # the int 1 is read first, in the first wall's conic: the line's conic
+    # (0, -2, 0, 0) rescaled to (0, 1, 0, 0), which keeps its key
+    for later in (1.0, True):
         a, b = json.loads(json.dumps(docs))
-        a["conic"][0], b["radius_sq"] = 1, later
+        a["conic"][1], b["radius_sq"] = 1, later
+        assert ser.walls_from_json([a])[0].key() == (0, 1, 0, 0)
         with pytest.raises(ValueError, match="expected a rational"):
             ser.walls_from_json([a, b])
 

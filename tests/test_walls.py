@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -813,28 +814,38 @@ SHAPES = ("random", "line", "empty", "at_point", "through_low", "through_high", 
 
 
 @st.composite
-def hand_built_wall(draw, b, t_lo, t_hi, b_alt):
-    """A hand-built locus whose conic is drawn apart from its center and
-    radius (so it may disagree with them). Besides random shapes, it may be
-    a line at b (or at b_alt), or a semicircle that meets the vertical line
-    at b exactly at t_lo^2, at t_hi^2 or tangentially (rad = 0)."""
-    shape = draw(st.sampled_from(SHAPES))
+def empty_wall(draw, c, scale):
+    """An empty locus: a circle of radius^2 -q < 0 around c, (1, -2c, 0,
+    c^2 + q), or the constant conic (0, 0, 0, 1), at the given scale; or
+    the degenerate zero conic."""
     v = MukaiVector(1, (0,), -1)
+    conic = draw(st.sampled_from([(1, -2 * c, 0, c * c + draw(positive)), (0, 0, 0, 1),
+                                  (0, 0, 0, 0)]))
+    kind = WallKind.EMPTY if any(conic) else WallKind.DEGENERATE
+    return WallLocus(v, v, tuple(scale * Fraction(x) for x in conic), kind)
+
+
+@st.composite
+def hand_built_wall(draw, b, t_lo, t_hi, b_alt):
+    """A hand-built locus whose conic, at a drawn scale, is that of its
+    center and radius (``circle_wall``, ``line_wall``, ``empty_wall``).
+    Besides random shapes, it may be a line at b (or at b_alt), or a
+    semicircle that meets the vertical line at b exactly at t_lo^2, at
+    t_hi^2 or tangentially (rad = 0)."""
+    shape = draw(st.sampled_from(SHAPES))
     w = MukaiVector(draw(st.integers(-2, 2)), (draw(st.integers(-2, 2)),), 1)
-    conic = (draw(mixed), draw(mixed), Fraction(0), draw(mixed))
+    scale = draw(scales)
     c = draw(st.sampled_from([b, b_alt])) if draw(st.booleans()) else draw(mixed)
     if shape == "line":
-        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=c)
+        return line_wall(c, scale)._replace(w=w)
     if shape == "empty":
-        return WallLocus(v, w, conic, draw(st.sampled_from([WallKind.EMPTY,
-                                                            WallKind.DEGENERATE])))
+        return draw(empty_wall(c, scale))._replace(w=w)
     if shape == "at_point":  # a line at b itself
-        return WallLocus(v, w, conic, WallKind.VERTICAL_LINE, center=b)
+        return line_wall(b, scale)._replace(w=w)
     gap = (b - c) ** 2
     q = {"random": draw(positive), "through_low": gap + t_lo ** 2,
          "through_high": gap + t_hi ** 2, "tangent": gap}[shape]
-    return WallLocus(v, w, conic, WallKind.SEMICIRCLE, center=c,
-                     radius_sq=q if q > 0 else draw(positive))
+    return circle_wall(c, q if q > 0 else draw(positive), scale)._replace(w=w)
 
 
 @settings(max_examples=300)
@@ -854,9 +865,10 @@ def test_integer_path_matches_fraction_reference(data, b, ts):
 @st.composite
 def region_and_wall(draw):
     """A region with mixed-sign, mixed-denominator ends, and a hand-built
-    locus placed against it: its center random, at an end or inside, its
-    radius^2 random or exactly t_min^2 above the near end (the circle
-    touches the bottom edge) or t_max^2 above the far end (the top edge)."""
+    locus placed against it, its conic that of its center and radius at a
+    drawn scale: its center random, at an end or inside, its radius^2
+    random or exactly t_min^2 above the near end (the circle touches the
+    bottom edge) or t_max^2 above the far end (the top edge)."""
     b_min, b_max = sorted((draw(mixed), draw(mixed)))
     t_min, t_max = sorted((draw(positive), draw(positive)))
     region = Region(b_min, b_max, t_min, t_max)
@@ -866,14 +878,12 @@ def region_and_wall(draw):
     far = b_min if abs(b_min - c) >= abs(b_max - c) else b_max
     q = draw(st.sampled_from([draw(positive), (near - c) ** 2 + t_min ** 2,
                               (far - c) ** 2 + t_max ** 2]))
-    v = MukaiVector(1, (0,), -1)
-    conic = (draw(mixed), draw(mixed), Fraction(0), draw(mixed))
-    kind = draw(st.sampled_from(list(WallKind)))
+    kind, scale = draw(st.sampled_from(list(WallKind))), draw(scales)
     if kind is WallKind.SEMICIRCLE:
-        return region, WallLocus(v, v, conic, kind, center=c, radius_sq=q)
+        return region, circle_wall(c, q, scale)
     if kind is WallKind.VERTICAL_LINE:
-        return region, WallLocus(v, v, conic, kind, center=c)
-    return region, WallLocus(v, v, conic, kind)
+        return region, line_wall(c, scale)
+    return region, draw(empty_wall(c, scale))
 
 
 @settings(max_examples=400)
@@ -888,11 +898,7 @@ def test_region_and_path_boundaries_pinned():
     region's bottom or top edge, a line or circle center at a region end,
     crossings at exactly t_lo^2 and t_hi^2, a tangent circle and a line at
     b*."""
-    v = MukaiVector(1, (0,), -1)
-    conic = (Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
-    circ = lambda c, q: WallLocus(v, v, conic, WallKind.SEMICIRCLE, center=Fraction(c),
-                                  radius_sq=Fraction(q))
-    line = lambda c: WallLocus(v, v, conic, WallKind.VERTICAL_LINE, center=Fraction(c))
+    circ, line = circle_wall, line_wall
     region = Region(Fraction(-1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 2))
     # center -1 left of b_min: rho^2 - 1/4 against t_min^2 = 1/9
     assert locus_meets_region(circ(-1, Fraction(1, 4) + Fraction(1, 9)), region)
@@ -910,6 +916,30 @@ def test_region_and_path_boundaries_pinned():
     assert [c.t_squared for c in path.crossings] == [lo * lo, hi * hi]
     assert path.coincident_walls == (walls[3],)
     assert path == ref_chambers_along_path(b, lo, hi, walls)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), ts=st.tuples(positive, positive))
+def test_path_test_is_the_region_test_at_zero_width(data, ts):
+    """chambers_along_path crosses, or lies on, exactly the walls that meet
+    the region of width zero at b, each crossing at the Fraction radicand:
+    for the scan of a random rank-1 K3 slice and hand-built walls, with b
+    random or at the center of a scanned wall."""
+    t_lo, t_hi = sorted(ts)
+    lat = NSLattice(1, ((2 * data.draw(st.integers(1, 4)),),), (1,))
+    v = MukaiVector.from_coords(data.draw(st.lists(st.integers(-3, 3), min_size=3,
+                                                   max_size=3).filter(any)))
+    sl = SliceParams(lat, (data.draw(small_rationals),))
+    walls = scan_walls(v, sl, Region(-5, 5, Fraction(1, 12), 5), data.draw(st.integers(1, 3)))
+    b = data.draw(st.sampled_from([w.center for w in walls]) | mixed if walls else mixed)
+    walls += data.draw(st.lists(hand_built_wall(b, t_lo, t_hi, data.draw(mixed)), max_size=6))
+    path = chambers_along_path(b, t_lo, t_hi, walls)
+    hits = [w for w in walls if locus_meets_region(w, Region(b, b, t_lo, t_hi))]
+    assert Counter(path.coincident_walls + tuple(c.wall for c in path.crossings)) == \
+        Counter(hits)
+    assert all(w.kind is WallKind.VERTICAL_LINE for w in path.coincident_walls)
+    for c in path.crossings:
+        assert c.t_squared == c.wall.radius_sq - (b - c.wall.center) ** 2
 
 
 def ref_distinct_loci(v, sl, bound):
