@@ -1,5 +1,5 @@
-"""Central charges for curves and surfaces, exact phase comparison, slopes,
-tilted-heart membership and the Gieseker / large-volume comparison.
+"""Surface and K3 central charges, exact phase comparison, slope profiles,
+tilted-heart membership and the Gieseker comparison.
 
 Charges are Gaussian rationals; phases themselves (transcendental) are never
 materialized, only exact order comparisons on rays of the upper half-plane
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import floor, isqrt
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import ChargeError, LatticeError
-from .gaussian import GaussianRational, as_fraction, gaussian
+from .gaussian import GaussianRational, as_fraction
 from .lattice import ChernCharacter, MukaiVector, NSLattice
 from .linalg import dot, mat_vec
 
@@ -69,11 +68,6 @@ class ChargeParams(_ChargeParams):
     def require_heart(self) -> None:
         if not self.heart_certified():
             raise ChargeError("K3 convention needs omega^2 > 2 for a heart-backed charge")
-
-
-def curve_charge(degree: int, rank: int) -> GaussianRational:
-    """Charge of a class on a curve: -deg + i rank."""
-    return gaussian(-degree, rank)
 
 
 def charge_functional(lat: NSLattice, beta: Sequence[Fraction],
@@ -197,19 +191,6 @@ def phase_compare(z1: Union[GaussianRational, IntCharge],
     return Order.EQ
 
 
-def slope(ch: ChernCharacter, params: ChargeParams) -> Slope:
-    """Twisted slope mu_{omega,beta} = omega.(ch1 - ch0 beta) / ch0,
-    +inf for rank zero."""
-    if ch.ch0 < 0:
-        raise ChargeError("negative rank is not a sheaf class")
-    if ch.ch0 == 0:
-        return INFINITY
-    lat = params.lattice
-    num = lat.ns_dot(params.omega,
-                     [c - ch.ch0 * b for c, b in zip(ch.ch1, params.beta)])
-    return num / ch.ch0
-
-
 class _SlopeProfile(NamedTuple):
     slopes: Tuple[Slope, ...]
 
@@ -258,7 +239,7 @@ def heart_position(profile: SlopeProfile) -> HeartPosition:
     return HeartPosition.MIXED
 
 
-# -- Gieseker comparison and the large-volume charge -------------------------
+# -- Gieseker comparison ------------------------------------------------------
 
 
 def monic_normalize(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -293,47 +274,3 @@ def gieseker_compare(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> Order:
         return Order.LT
     return Order.EQ
 
-
-def large_volume_phase(poly: Sequence[Fraction], n: Fraction) -> GaussianRational:
-    """-i P(i n) for a quadratic P with positive leading coefficient.
-
-    With P(X) = a (X^2 + b X + c) this is a (b n + i (n^2 - c)): the charge
-    whose eventual phase ordering encodes the Gieseker comparison.
-    """
-    n = as_fraction(n)
-    if n <= 0:
-        raise ChargeError("n must be positive")
-    c0, c1, c2 = _quadratic(poly)
-    # P(in) = -c2 n^2 + i c1 n + c0; multiply by -i
-    return gaussian(c1 * n, c2 * n * n - c0)
-
-
-def large_volume_threshold(p_a: Sequence[Fraction], p_b: Sequence[Fraction]) -> int:
-    """Smallest certified N such that for every n >= N the phase order of the
-    charges -i P(in) is constant and determined by the monic coefficients.
-
-    With monic normalizations X^2 + b X + c and X^2 + b' X + c', the phase
-    cross product at n is proportional to n ((b - b') n^2 + (b' c - b c')),
-    so beyond N = 1 + floor(sqrt(|b'c - bc'| / |b - b'|)) (and beyond the
-    zeros n^2 = c, c' of the imaginary parts) the sign is frozen.
-    """
-    _, b1, c1 = monic_normalize(_quadratic(p_a))
-    _, b2, c2 = monic_normalize(_quadratic(p_b))
-    bound = Fraction(1)
-    for c in (c1, c2):
-        if c > 0:
-            bound = max(bound, c)
-    if b1 != b2:
-        bound = max(bound, abs(b2 * c1 - b1 * c2) / abs(b1 - b2))
-    return isqrt(floor(bound)) + 1  # the least n with n^2 > bound >= 1
-
-
-def _quadratic(poly: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (c0, c1, c2), constant first, of a polynomial that is
-    quadratic with c2 > 0 once trailing zeros are trimmed."""
-    cs = [as_fraction(c) for c in poly]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) != 3 or cs[-1] <= 0:
-        raise ChargeError("need a quadratic with positive leading coefficient")
-    return tuple(cs)

@@ -280,6 +280,7 @@ def _walls_result(args) -> Dict[str, Any]:
 
 def cmd_chambers(args) -> None:
     res = _walls_result(args)
+    walls = ser.walls_from_json(res["walls"])  # first, so a bad wall is named
     # the walls result in canonical form, not the file: its manifest carries
     # the walls run's own timestamp
     try:
@@ -287,7 +288,6 @@ def cmd_chambers(args) -> None:
     except TypeError as exc:  # a JSON float: no stabkit output holds one
         raise ValueError(f"walls result is not stabkit JSON: {exc}") from None
     args.inputs["walls"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    walls = ser.walls_from_json(res["walls"])
     t_lo, t_hi = _parse_range(args.t)
     b_star = as_fraction(args.b)
     path = chambers_along_path(b_star, t_lo, t_hi, walls)

@@ -93,16 +93,6 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[Lis
     return h, int_restrict(rows, h)
 
 
-def ldl_decompose(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram,
-    from ``int_ldl`` of G = den Q: d_k = p_k / (p_{k-1} den), l_kj = a_kj / p_k."""
-    rows, den = clear_denominators(gram)
-    p, a = _pd_ldl(rows)
-    return ([Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p)],
-            [[Fraction(x, pk) if j > k else Fraction(0) for j, x in enumerate(row)]
-             for k, (pk, row) in enumerate(zip(p, a))])
-
-
 def _level_range(rem: int, w: int, den: int, cn: int) -> range:
     """The integers x with w (den x + cn)^2 <= rem (w, den > 0; rem >= 0).
 

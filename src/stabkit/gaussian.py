@@ -124,7 +124,3 @@ def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(as_fraction(x), Fraction(0))
-
-
-def gaussian(re: Rational, im: Rational = 0) -> GaussianRational:
-    return GaussianRational(as_fraction(re), as_fraction(im))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .errors import ChargeError
-from .gaussian import GaussianRational, as_fraction, gaussian
+from .gaussian import GaussianRational, as_fraction
 
 Mat2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
@@ -105,4 +105,4 @@ def gl2_act_on_charge(g: LiftedGL2, z: GaussianRational) -> GaussianRational:
     # inverse of [[a, b], [c, e]] applied to (re, im)
     re = (e * z.re - b * z.im) / d
     im = (-c * z.re + a * z.im) / d
-    return gaussian(re, im)
+    return GaussianRational(re, im)

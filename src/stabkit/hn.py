@@ -1,5 +1,4 @@
-"""Harder-Narasimhan and Jordan-Holder machinery over finitely presented
-abelian categories.
+"""Harder-Narasimhan machinery over finitely presented abelian categories.
 
 A presentation lists objects with classes in a lattice, a zero object, and
 subobject edges (sub, ambient, quotient). The engine works purely with the
@@ -22,7 +21,7 @@ from operator import itemgetter, mul
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import IntCharge, Order, charge_rows, phase_compare, phase_valid
-from .errors import BudgetError, ChargeError, PresentationError, effective_budget
+from .errors import ChargeError, PresentationError
 from .gaussian import GaussianRational, as_int
 from .linalg import clear_denominators
 
@@ -332,56 +331,6 @@ def hn_filtration(cat: CategoryPresentation, table: ChargeTable, a: str) -> Filt
     if tuple(map(sum, zip(*factor_classes))) != cat.class_of(a):  # a != zero: one factor
         raise PresentationError("factor classes do not sum to the class of the object")
     return Filtration(tuple(steps), factor_classes, tuple(factor_ids), tuple(notes))
-
-
-def jh_factors(cat: CategoryPresentation, table: ChargeTable, a: str) -> List[ClassVec]:
-    """Factor classes of a maximal chain of same-phase subobjects of a
-    semistable object. All maximal chains are enumerated; their factor
-    multisets must agree, otherwise the presentation is inconsistent. Each
-    node of the chain search counts against ``effective_budget()``; running
-    out raises ``BudgetError``."""
-    if not is_semistable(cat, table, a):
-        raise PresentationError(f"{a!r} is not semistable; no JH factors")
-    up = cat.up_edges()
-    subs_a = cat.subobjects_below(a)
-
-    def on_ray(name: str) -> bool:
-        return phase_compare(table[name], table[a]) is Order.EQ
-
-    pool = {b for b in subs_a if b == cat.zero or (b != cat.zero and on_ray(b))}
-
-    chains: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-    budget, nodes = effective_budget(), 0
-
-    def dfs(cur: str, path: Tuple[str, ...], facs: Tuple[str, ...]):
-        nonlocal nodes
-        if nodes >= budget:
-            raise BudgetError(f"JH chain search exceeded budget of {budget} nodes")
-        nodes += 1
-        if cur == a:
-            chains.append((path, facs))
-            return
-        for e in up[cur]:
-            if (e.ambient in pool and e.ambient != cur and e.ambient in subs_a
-                    and e.quotient != cat.zero and on_ray(e.quotient)):
-                dfs(e.ambient, path + (e.ambient,), facs + (e.quotient,))
-
-    try:
-        dfs(cat.zero, (cat.zero,), ())
-    finally:
-        dfs = None  # dfs refers to itself through its closure: break the cycle
-    if not chains:
-        raise PresentationError(f"no same-phase chain from zero to {a!r}")
-    step_sets = [frozenset(p) for p, _ in chains]
-    maximal = [i for i, s in enumerate(step_sets)
-               if not any(j != i and s < step_sets[j] for j in range(len(chains)))]
-    multisets = {tuple(sorted(cat.class_of(f) for f in chains[i][1])) for i in maximal}
-    if len(multisets) != 1:
-        raise PresentationError(
-            f"maximal same-phase chains of {a!r} have different factor multisets: "
-            "presentation is inconsistent")
-    best = min(maximal, key=lambda i: chains[i][0])
-    return [cat.class_of(f) for f in chains[best][1]]
 
 
 def seesaw_check(cat: CategoryPresentation, table: ChargeTable) -> List[Violation]:

@@ -4,8 +4,8 @@ boundary, and integer lattices.
 Everything here works over Z (python ints) or Q (fractions.Fraction); no
 floating point. Matrices are lists of lists, vectors are lists or tuples.
 Elimination is fraction-free (Bareiss) on integer rows, in two forms:
-``int_rref`` (Gauss-Jordan) behind ``rref``, ``solve``, ``inverse`` and
-``nullspace``, which build Fractions only for their results, and the
+``int_rref`` (Gauss-Jordan) behind ``solve``, ``inverse`` and
+``int_kernel``, which build Fractions only for their results, and the
 symmetric ``int_ldl`` behind ``signature``, the definiteness tests and the
 LDL and LLL of the ellipsoid walk.
 """
@@ -20,10 +20,6 @@ Vec = Sequence[Fraction]
 Mat = Sequence[Sequence[Fraction]]
 
 
-def identity(n: int) -> List[List[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(mat: Mat) -> List[List[Fraction]]:
     return [list(col) for col in zip(*mat)]
 
@@ -36,12 +32,6 @@ def mat_vec(mat: Mat, v: Vec) -> List[Fraction]:
     (vi,), dv = clear_denominators((v,))
     rows, dm = clear_denominators(mat)
     return [Fraction(sum(map(mul, ri, vi)), dm * dv) for ri in rows]
-
-
-def mat_mul(a: Mat, b: Mat) -> List[List[Fraction]]:
-    cols, dc = clear_denominators(list(zip(*b)))
-    rows, dr = clear_denominators(a)
-    return [[Fraction(sum(map(mul, ri, ci)), dr * dc) for ci in cols] for ri in rows]
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -76,12 +66,6 @@ def int_rref(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[
         if r == len(rows):
             break
     return rows[:r], prev, pivots
-
-
-def rref(mat: Mat) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    red, d, pivots = int_rref(clear_denominators(mat)[0])
-    return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def solve(mat: Mat, rhs: Vec) -> List[Fraction]:
@@ -119,14 +103,6 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
                 v[p] = -row[f]
             basis.append(primitive_vector(v))
     return basis
-
-
-def nullspace(mat: Mat) -> List[List[Fraction]]:
-    """Canonical rational kernel basis of a matrix (solutions of M x = 0):
-    the vectors of ``int_kernel``, as Fractions."""
-    ncols = len(mat[0]) if mat else 0
-    return [[Fraction(x) for x in v]
-            for v in int_kernel(clear_denominators(mat)[0], ncols)]
 
 
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -219,36 +219,39 @@ def walls_from_json(items: Sequence[Dict[str, Any]]) -> List[WallLocus]:
     for data in items:
         if type(data) is not dict:
             raise ValueError(f"a wall is a JSON object, got {data!r}")
-        wall_id = data.get("id")
-        v, w = data["v"], data["w"]
-        for cls in (v, w):
-            if type(cls) is not list or len(cls) != 3 or type(cls[1]) is not list:
-                raise ValueError(f"wall {wall_id!r}: a class is [r, [c_1, ...], s], "
-                                 f"got {cls!r}")
-        conic = data["conic"]
-        if type(conic) is not list or len(conic) != 4:
-            raise ValueError(f"wall {wall_id!r}: the conic needs 4 entries, got {conic!r}")
-        conic = a, b, c, d = tuple([_unrat_cached(x, memo) for x in conic])
-        if c:
-            raise ValueError(f"wall {wall_id!r}: the third conic entry must be 0")
-        center = _unrat_cached(data["center"], memo) if "center" in data else None
-        radius_sq = _unrat_cached(data["radius_sq"], memo) if "radius_sq" in data else None
-        # the key of the conic: primitive_vector(conic), inlined
-        den = lcm(a.denominator, b.denominator, d.denominator)
-        a, b, d = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
-                   d.numerator * (den // d.denominator))
-        g = gcd(a, b, d) or 1
-        if (a or b or d) < 0:
-            g = -g
-        key = (a // g, b // g, 0, d // g)
-        kind, center_q, radius_q = conic_shape(key)
-        if data.get("kind") != kind.value or not (_fits(center, center_q)
-                                              and _fits(radius_sq, radius_q)):
-            raise ValueError(f"wall {wall_id!r}: its conic gives kind {kind.value}, "
-                             f"{_field_text('center', center_q)} and "
-                             f"{_field_text('radius_sq', radius_q)}")
-        out.append(WallLocus(_mukai_cached(v, memo), _mukai_cached(w, memo), conic, kind,
-                             center, radius_sq).keep_key(key))
+        try:
+            v, w = data["v"], data["w"]
+            for cls in (v, w):
+                if type(cls) is not list or len(cls) != 3 or type(cls[1]) is not list:
+                    raise ValueError(f"a class is [r, [c_1, ...], s], got {cls!r}")
+            conic = data["conic"]
+            if type(conic) is not list or len(conic) != 4:
+                raise ValueError(f"the conic needs 4 entries, got {conic!r}")
+            conic = a, b, c, d = tuple([_unrat_cached(x, memo) for x in conic])
+            if c:
+                raise ValueError("the third conic entry must be 0")
+            center = _unrat_cached(data["center"], memo) if "center" in data else None
+            radius_sq = _unrat_cached(data["radius_sq"], memo) if "radius_sq" in data else None
+            # the key of the conic: primitive_vector(conic), inlined
+            den = lcm(a.denominator, b.denominator, d.denominator)
+            a, b, d = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
+                       d.numerator * (den // d.denominator))
+            g = gcd(a, b, d) or 1
+            if (a or b or d) < 0:
+                g = -g
+            key = (a // g, b // g, 0, d // g)
+            kind, center_q, radius_q = conic_shape(key)
+            if data.get("kind") != kind.value or not (_fits(center, center_q)
+                                                  and _fits(radius_sq, radius_q)):
+                raise ValueError(f"its conic gives kind {kind.value}, "
+                                 f"{_field_text('center', center_q)} and "
+                                 f"{_field_text('radius_sq', radius_q)}")
+            out.append(WallLocus(_mukai_cached(v, memo), _mukai_cached(w, memo), conic, kind,
+                                 center, radius_sq).keep_key(key))
+        except KeyError as exc:
+            raise ValueError(f"wall {data.get('id')!r}: no {exc.args[0]!r} field") from None
+        except ValueError as exc:
+            raise ValueError(f"wall {data.get('id')!r}: {exc}") from None
     return out
 
 

@@ -26,7 +26,7 @@ from math import floor
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .charges import charge_rows, evaluate_charge_row
+from .charges import charge_rows
 from .ellipsoid import enumerate_ellipsoid, lll_reduce
 from .errors import (BudgetError, ChargeError, DegenerateError, LatticeError,
                      StabkitError, effective_budget)
@@ -116,12 +116,6 @@ def charge_kernel(z_row: Sequence[GaussianRational], ambient_gram: Gram) -> Char
     return ChargeKernel(tuple(tuple(map(Fraction, b)) for b in basis),
                         *(tuple(tuple(Fraction(x, q) for x in row) for row in mat)
                           for mat, q in ((s, den), (norm, dr * dr * den))))
-
-
-def charge_norm_sq(z_row: Sequence[GaussianRational], s: Gram, v) -> Fraction:
-    z = evaluate_charge_row(z_row, v)
-    vec = [z.re, z.im]
-    return bilinear(vec, s, vec)
 
 
 Terms = Tuple[Tuple[int, int, int], ...]

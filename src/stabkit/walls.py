@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .charges import charge_functional, evaluate_charge_row
 from .errors import ChargeError, LatticeError, require_budget
-from .gaussian import GaussianRational, as_fraction
+from .gaussian import as_fraction
 from .lattice import MukaiVector, NSLattice
 from .linalg import clear_denominators, primitive_vector
 
@@ -136,18 +136,6 @@ _ZERO = Fraction(0)
 
 
 # -- exact charge on the slice -------------------------------------------------
-
-
-def slice_charge(slice_: SliceParams, vec: MukaiVector, b, t) -> GaussianRational:
-    """Exact charge of a class at a rational point (b, t) of the slice (any
-    rational t: no positive-cone check)."""
-    lat = slice_.lattice
-    if len(vec.c) != lat.rank:
-        raise LatticeError("vector has wrong NS rank")
-    b, t = as_fraction(b), as_fraction(t)
-    beta = [x + b * h for x, h in zip(slice_.beta0, lat.ample)]
-    omega = [t * h for h in lat.ample]
-    return evaluate_charge_row(charge_functional(lat, beta, omega), vec.coords())
 
 
 def _conic_rows(v: MukaiVector, slice_: SliceParams

@@ -1,19 +1,146 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor, isqrt
 from operator import mul
 
 import pytest
 from hypothesis import settings
 
 from stabkit import CategoryPresentation, Edge, NSLattice
-from stabkit.gaussian import GaussianRational
-from stabkit.linalg import inverse, mat_mul, primitive_vector, transpose
+from stabkit.charges import INFINITY, charge_functional, evaluate_charge_row, monic_normalize
+from stabkit.errors import ChargeError, LatticeError
+from stabkit.gaussian import GaussianRational, as_fraction
+from stabkit.linalg import (bilinear, clear_denominators, int_kernel, int_ldl, int_rref,
+                            inverse, primitive_vector, transpose)
 
 # property tests run the same examples on every run and have no per-example
 # deadline (timings on a shared machine vary too much to be a failure)
 settings.register_profile("stabkit", derandomize=True, deadline=None)
 settings.load_profile("stabkit")
+
+
+# -- Exact references on the library's own primitives -------------------------
+# No command needs these: each states a quantity plainly, on Fractions or one
+# class at a time, and the tests compare the library's integer paths with it.
+
+
+def gaussian(re, im=0):
+    """The Gaussian rational re + i im from two rationals."""
+    return GaussianRational(as_fraction(re), as_fraction(im))
+
+
+def identity(n):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    cols, dc = clear_denominators(list(zip(*b)))
+    rows, dr = clear_denominators(a)
+    return [[Fraction(sum(map(mul, ri, ci)), dr * dc) for ci in cols] for ri in rows]
+
+
+def rref(mat):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    red, d, pivots = int_rref(clear_denominators(mat)[0])
+    return [[Fraction(x, d) for x in row] for row in red], pivots
+
+
+def nullspace(mat):
+    """Canonical rational kernel basis of a matrix (solutions of M x = 0):
+    the vectors of ``int_kernel``, as Fractions."""
+    ncols = len(mat[0]) if mat else 0
+    return [[Fraction(x) for x in v]
+            for v in int_kernel(clear_denominators(mat)[0], ncols)]
+
+
+def ldl_decompose(gram):
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2 for a PD symmetric Gram,
+    from ``int_ldl`` of G = den Q: d_k = p_k / (p_{k-1} den), l_kj = a_kj / p_k."""
+    rows, den = clear_denominators(gram)
+    p, a, zero = int_ldl(rows)
+    if zero or (p and min(p) <= 0):
+        raise ValueError("form is not positive definite")
+    return ([Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p)],
+            [[Fraction(x, pk) if j > k else Fraction(0) for j, x in enumerate(row)]
+             for k, (pk, row) in enumerate(zip(p, a))])
+
+
+def charge_norm_sq(z_row, s, v):
+    """||Z(v)||_S^2 = Z(v)^T S Z(v) for one class v."""
+    z = evaluate_charge_row(z_row, v)
+    vec = [z.re, z.im]
+    return bilinear(vec, s, vec)
+
+
+def slice_charge(slice_, vec, b, t):
+    """Exact charge of a class at a rational point (b, t) of the slice (any
+    rational t: no positive-cone check)."""
+    lat = slice_.lattice
+    if len(vec.c) != lat.rank:
+        raise LatticeError("vector has wrong NS rank")
+    b, t = as_fraction(b), as_fraction(t)
+    beta = [x + b * h for x, h in zip(slice_.beta0, lat.ample)]
+    omega = [t * h for h in lat.ample]
+    return evaluate_charge_row(charge_functional(lat, beta, omega), vec.coords())
+
+
+def slope(ch, params):
+    """Twisted slope mu_{omega,beta} = omega.(ch1 - ch0 beta) / ch0,
+    +inf for rank zero."""
+    if ch.ch0 < 0:
+        raise ChargeError("negative rank is not a sheaf class")
+    if ch.ch0 == 0:
+        return INFINITY
+    lat = params.lattice
+    num = lat.ns_dot(params.omega,
+                     [c - ch.ch0 * b for c, b in zip(ch.ch1, params.beta)])
+    return num / ch.ch0
+
+
+def large_volume_phase(poly, n):
+    """-i P(i n) for a quadratic P with positive leading coefficient.
+
+    With P(X) = a (X^2 + b X + c) this is a (b n + i (n^2 - c)): the charge
+    whose eventual phase ordering encodes the Gieseker comparison.
+    """
+    n = as_fraction(n)
+    if n <= 0:
+        raise ChargeError("n must be positive")
+    c0, c1, c2 = _quadratic(poly)
+    # P(in) = -c2 n^2 + i c1 n + c0; multiply by -i
+    return gaussian(c1 * n, c2 * n * n - c0)
+
+
+def large_volume_threshold(p_a, p_b):
+    """Smallest certified N such that for every n >= N the phase order of the
+    charges -i P(in) is constant and determined by the monic coefficients.
+
+    With monic normalizations X^2 + b X + c and X^2 + b' X + c', the phase
+    cross product at n is proportional to n ((b - b') n^2 + (b' c - b c')),
+    so beyond N = 1 + floor(sqrt(|b'c - bc'| / |b - b'|)) (and beyond the
+    zeros n^2 = c, c' of the imaginary parts) the sign is frozen.
+    """
+    _, b1, c1 = monic_normalize(_quadratic(p_a))
+    _, b2, c2 = monic_normalize(_quadratic(p_b))
+    bound = Fraction(1)
+    for c in (c1, c2):
+        if c > 0:
+            bound = max(bound, c)
+    if b1 != b2:
+        bound = max(bound, abs(b2 * c1 - b1 * c2) / abs(b1 - b2))
+    return isqrt(floor(bound)) + 1  # the least n with n^2 > bound >= 1
+
+
+def _quadratic(poly):
+    """Coefficients (c0, c1, c2), constant first, of a polynomial that is
+    quadratic with c2 > 0 once trailing zeros are trimmed."""
+    cs = [as_fraction(c) for c in poly]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) != 3 or cs[-1] <= 0:
+        raise ChargeError("need a quadratic with positive leading coefficient")
+    return tuple(cs)
 
 
 def determinant(mat):

@@ -10,22 +10,21 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import (leading_principal_minors, random_even_ns_lattice,
-                      random_presentation)
+from conftest import (charge_norm_sq, gaussian, large_volume_phase,
+                      large_volume_threshold, leading_principal_minors,
+                      random_even_ns_lattice, random_presentation)
 from stabkit import (ChargeParams, MukaiVector, NSLattice, Order, Rank2Lattice,
                      Region, SliceParams, bb_square, build_q_z, charge_kernel,
                      charge_row, charge_table, decomposition_scan,
                      equivalent_support_roundtrip, gieseker_compare,
-                     hn_filtration, is_semistable,
-                     large_volume_phase, large_volume_threshold, min_root_norm,
+                     hn_filtration, is_semistable, min_root_norm,
                      mukai_pairing, mukai_square, nesting_check, omega_class,
                      phase_compare, phase_valid, scan_walls, seesaw_check,
                      validate)
 from stabkit.charges import evaluate_charge_row
-from stabkit.gaussian import GaussianRational, gaussian
+from stabkit.gaussian import GaussianRational
 from stabkit.hn import CategoryPresentation
 from stabkit.linalg import bilinear, is_negative_definite
-from stabkit.support import charge_norm_sq
 from stabkit.walls import WallKind, sampling_oracle
 from test_nef import brute_decompositions
 

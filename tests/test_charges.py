@@ -3,25 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_even_ns_lattice
+from conftest import (gaussian, large_volume_phase, large_volume_threshold,
+                      random_even_ns_lattice, slope)
 from stabkit import (ChargeParams, ChernCharacter, HeartPosition, MukaiVector,
-                     NSLattice, Order, SlopeProfile, curve_charge,
-                     gieseker_compare, heart_position, k3_charge,
-                     large_volume_phase, large_volume_threshold, phase_compare,
-                     phase_valid, slope, surface_charge)
+                     NSLattice, Order, SlopeProfile, gieseker_compare,
+                     heart_position, k3_charge, phase_compare, phase_valid,
+                     surface_charge)
 from stabkit.charges import charge_row, evaluate_charge_row, monic_normalize
 from stabkit.errors import ChargeError
-from stabkit.gaussian import GaussianRational, gaussian
+from stabkit.gaussian import GaussianRational
 
 
 def rand_frac(rng, lo=-8, hi=8, den=4):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
-
-
-def test_curve_charge():
-    assert curve_charge(0, 1) == gaussian(0, 1)
-    assert curve_charge(3, 0) == gaussian(-3, 0)
-    assert curve_charge(-2, 5) == gaussian(2, 5)
 
 
 def test_surface_charge_examples():

@@ -1065,9 +1065,18 @@ LINE_W0 = "wall 'W0': its conic gives kind VERTICAL_LINE, center 0 and no radius
     (lambda ws: ws[0].update(kind="CIRCLE"), "-1", LINE_W0),
     # a missing kind used to exit 1 with the bare message 'kind'
     (lambda ws: ws[0].pop("kind"), "-1", LINE_W0),
+    # a missing conic or class, or a rational that does not parse, used to
+    # exit 1 without naming the wall
+    (lambda ws: ws[1].pop("conic"), "-1", "wall 'W1': no 'conic' field"),
+    (lambda ws: ws[1].pop("v"), "-1", "wall 'W1': no 'v' field"),
+    (lambda ws: ws[1].update(center="abc"), "-1",
+     "wall 'W1': Invalid literal for Fraction: 'abc'"),
+    (lambda ws: ws[1]["conic"].__setitem__(0, "x"), "-1",
+     "wall 'W1': Invalid literal for Fraction: 'x'"),
 ], ids=["semicircle-without-center", "line-without-center", "line-with-radius",
         "three-entry-conic", "nonzero-third-entry", "edited-center", "edited-radius",
-        "edited-kind", "unknown-kind", "missing-kind"])
+        "edited-kind", "unknown-kind", "missing-kind", "missing-conic", "missing-v",
+        "unparsed-center", "unparsed-conic-entry"])
 def test_chambers_rejects_a_wall_that_does_not_fit_its_kind(tmp_path, lattice_file, capsys,
                                                             edit, b, message):
     """chambers and plot both refuse the edited wall, named, with the kind,
@@ -1092,18 +1101,24 @@ def test_chambers_reads_the_walls_it_was_given(tmp_path, lattice_file):
 
 def test_chambers_rejects_float_in_walls_result(tmp_path, lattice_file, capsys):
     """The walls result is hashed in canonical form; a JSON float anywhere
-    in it is an input error, not a traceback."""
+    in it is an input error, not a traceback. The walls are read before the
+    hash, so a float in a wall names the wall."""
     wallsf = tmp_path / "walls.json"
     assert main(["walls", "--lattice", lattice_file, "--v", "1,0,-1", "--beta0", "0",
                  "--b", "-3:0", "--t", "1/10:4", "--bound", "2",
                  "--out", str(wallsf)]) == 0
-    doc = json.loads(wallsf.read_text())
-    doc["result"]["nesting"]["pairs_checked"] = 1.5
-    wallsf.write_text(json.dumps(doc))
-    assert main(["chambers", "--walls", str(wallsf), "--b", "-1", "--t", "1/10:4",
-                 "--out", str(tmp_path / "c.json")]) == 1
-    assert ("input error: walls result is not stabkit JSON: "
-            "not a canonical JSON value: 1.5" in capsys.readouterr().err)
+    text = wallsf.read_text()
+    for edit, message in (
+            (lambda res: res["nesting"].update(pairs_checked=1.5),
+             "walls result is not stabkit JSON: not a canonical JSON value: 1.5"),
+            (lambda res: res["walls"][1]["conic"].__setitem__(0, 1.5),
+             "wall 'W1': expected a rational, got 1.5")):
+        doc = json.loads(text)
+        edit(doc["result"])
+        wallsf.write_text(json.dumps(doc))
+        assert main(["chambers", "--walls", str(wallsf), "--b", "-1", "--t", "1/10:4",
+                     "--out", str(tmp_path / "c.json")]) == 1
+        assert f"input error: {message}" in capsys.readouterr().err
 
 
 def test_category_json_rejects_non_integral_class(tmp_path, capsys):

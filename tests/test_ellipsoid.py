@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from stabkit import CategoryPresentation, Edge, MukaiVector, Rank2Lattice
-from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, ldl_decompose, lll_reduce
+from conftest import ldl_decompose
+from stabkit import MukaiVector, Rank2Lattice
+from stabkit.ellipsoid import _level_range, enumerate_ellipsoid, lll_reduce
 from stabkit.errors import BudgetError
-from stabkit.gaussian import gaussian
-from stabkit.hn import charge_table, jh_factors
 from stabkit.linalg import clear_denominators, inverse
 from stabkit.nef import _isotropic_perp, decomposition_scan
 
@@ -345,20 +344,13 @@ def test_lll_recovers_a_diagonal_basis():
     assert lll_reduce([]) == ([], [])
 
 
-def _jh_walk():
-    cat = CategoryPresentation(objects={"0": (0,), "S": (1,), "A": (2,)},
-                               edges=(Edge("S", "A", "S"),), zero="0")
-    return jh_factors(cat, charge_table(cat, [gaussian(0, 1)]), "A")
-
-
 @pytest.mark.parametrize("walk", [
     lambda: list(enumerate_ellipsoid([[2, 1], [1, 3]], 5)),
     lambda: list(_isotropic_perp((1, 0, -1), ((2,),), 3)),
     lambda: decomposition_scan((1, 0), Rank2Lattice(
         (MukaiVector(1, (0,), -1), MukaiVector(0, (0,), 1)), ((2, -1), (-1, 0))),
         max_m=3, box=10),
-    _jh_walk,
-], ids=["enumerate_ellipsoid", "perp_box", "decomposition_scan", "jh_factors"])
+], ids=["enumerate_ellipsoid", "perp_box", "decomposition_scan"])
 def test_recursive_walks_leave_no_reference_cycle(walk):
     """Each nested recursive walk drops its self-reference when it ends, so
     one call leaves nothing for the cyclic collector."""

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit.gaussian import as_fraction, as_int, gaussian
+from conftest import gaussian
+from stabkit.gaussian import as_fraction, as_int
 
 
 def test_basic_arithmetic():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import gaussian
 from stabkit import LiftedGL2, gl2_act_on_charge, gl2_compose
 from stabkit.errors import ChargeError
-from stabkit.gaussian import GaussianRational, gaussian
+from stabkit.gaussian import GaussianRational
 
 J = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
 

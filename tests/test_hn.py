@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_presentation
+from conftest import gaussian, random_presentation
 from stabkit import (CategoryPresentation, Edge, Filtration, Order, charge_table,
-                     hn_filtration, is_semistable, jh_factors, phase_compare,
-                     phase_valid, seesaw_check, validate)
-from stabkit.errors import BudgetError, ChargeError, PresentationError
-from stabkit.gaussian import GaussianRational, gaussian
+                     hn_filtration, is_semistable, phase_compare, phase_valid,
+                     seesaw_check, validate)
+from stabkit.errors import ChargeError, PresentationError
+from stabkit.gaussian import GaussianRational
 from stabkit.hn import Violation
 
 
@@ -220,23 +220,6 @@ def test_hn_ambiguous_tie_noted():
     filt = hn_filtration(cat, charge_table(cat, charge), "A")
     assert filt.notes and "ambiguous" in filt.notes[0]
     assert filt.steps[1] == "S"  # smallest id among the tied candidates
-
-
-def test_jh_factors():
-    cat2 = CategoryPresentation(
-        objects={"0": (0,), "S": (1,), "A": (2,)},
-        edges=(Edge("S", "A", "S"),), zero="0")
-    table = charge_table(cat2, [gaussian(0, 1)])
-    assert jh_factors(cat2, table, "A") == [(1,), (1,)]
-    assert jh_factors(cat2, table, "S") == [(1,)]
-    total = [sum(col) for col in zip(*jh_factors(cat2, table, "A"))]
-    assert tuple(total) == cat2.class_of("A")
-
-
-def test_jh_requires_semistable():
-    cat, table = chain_cat()
-    with pytest.raises(PresentationError):
-        jh_factors(cat, table, "A")
 
 
 def test_seesaw_examples():
@@ -511,32 +494,6 @@ def test_edges_are_named_tuples_read_from_any_triple():
     assert cat.edges[0] == Edge("0", "A", "A")
     assert Edge("S", "A", "S") in cat.edges
     assert repr(Edge("S", "A", "S")) == "Edge(sub='S', ambient='A', quotient='S')"
-
-
-def test_jh_factors_honours_the_budget(monkeypatch):
-    """cube(5) with every simple on one ray: the chain search visits one
-    node per strict chain of subsets from the empty set. A set of k
-    elements ends F(k) such chains, F the ordered Bell numbers 1, 1, 3, 13,
-    75, 541, so there are sum_k C(5, k) F(k) = 1082 nodes."""
-    n = 5
-
-    def name(bits):
-        return "B" + "".join(str(bits >> k & 1) for k in range(n))
-
-    objects = {"0": (0,) * n}
-    objects.update({name(t): tuple(t >> k & 1 for k in range(n)) for t in range(1, 1 << n)})
-    edges = tuple(Edge(name(s), name(t), name(t & ~s))
-                  for t in range(1, 1 << n) for s in range(1, 1 << n)
-                  if s != t and s & t == s)
-    cat = CategoryPresentation(objects, edges, "0")
-    table = charge_table(cat, [gaussian(-1, 2) * (k + 1) for k in range(n)])
-    top = name((1 << n) - 1)
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "1082")
-    assert sorted(jh_factors(cat, table, top)) == sorted(
-        tuple(int(k == i) for k in range(n)) for i in range(n))
-    monkeypatch.setenv("BRIDGELAND_BUDGET", "1081")
-    with pytest.raises(BudgetError, match="JH chain search exceeded budget of 1081 nodes"):
-        jh_factors(cat, table, top)
 
 
 def test_packed_additivity_is_exact_at_the_bound():

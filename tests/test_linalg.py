@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import (determinant, leading_principal_minors, minors_negative_definite,
                       minors_positive_definite, minors_positive_semidefinite,
-                      ref_bareiss_ldl, ref_inverse, ref_nullspace, ref_rref, ref_signature,
-                      ref_solve)
+                      mat_mul, nullspace, ref_bareiss_ldl, ref_inverse, ref_nullspace,
+                      ref_rref, ref_signature, ref_solve, rref)
 from stabkit.linalg import (bilinear, dot, int_kernel, int_ldl, int_rref, inverse,
-                            is_negative_definite, is_positive_definite, mat_mul,
-                            mat_vec, minors2_gcd, nullspace, primitive_vector, rref,
-                            signature, solve)
+                            is_negative_definite, is_positive_definite, mat_vec,
+                            minors2_gcd, primitive_vector, signature, solve)
 
 
 def test_rref_and_solve():

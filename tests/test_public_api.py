@@ -1,7 +1,8 @@
 """Dead-API guard: every public top-level function of a stabkit module serves
 a command or is named in the README's library-only list, every listed name
-serves none, every other public name is used by another part of the program
-or listed, and every name ``stabkit`` exports resolves."""
+serves none and its bullet cites the ROADMAP item that adopts it, every other
+public name is used by another part of the program or listed, and every name
+``stabkit`` exports resolves."""
 import ast
 import re
 from pathlib import Path
@@ -68,13 +69,19 @@ def reached_names(modules):
     return reached
 
 
+def library_only_bullets():
+    """The bullets of the README's "Library-only functions" section, each
+    with its continuation lines joined into one line."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library-only functions\n", 1)[1].split("\n## ", 1)[0]
+    return [" ".join(b.split()) for b in re.findall(r"^- .*(?:\n  .*)*", section, re.M)]
+
+
 def library_only_names():
     """The backquoted names that open the bullets of the README's
     "Library-only functions" section, before each bullet's colon."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## Library-only functions\n", 1)[1].split("\n## ", 1)[0]
-    return {name for line in section.splitlines() if line.startswith("- ")
-            for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])}
+    return {name for bullet in library_only_bullets()
+            for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])}
 
 
 def test_every_public_definition_is_reached_or_listed():
@@ -101,6 +108,14 @@ def test_every_public_definition_is_reached_or_listed():
 
 def test_library_only_names_serve_no_command():
     assert sorted(library_only_names() & reached_names(_modules())) == []
+
+
+def test_every_library_only_bullet_cites_its_roadmap_item():
+    """A name stays library-only only while a ROADMAP item plans its caller,
+    so the list can shrink but not grow."""
+    bullets = library_only_bullets()
+    assert bullets
+    assert [b for b in bullets if not re.search(r"\bitem \d+", b)] == []
 
 
 def test_library_only_list_names_existing_definitions():

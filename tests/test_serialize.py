@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import gaussian
 from stabkit import (CategoryPresentation, Edge, MukaiVector, SliceParams,
                      wall_locus)
 from stabkit import serialize as ser
-from stabkit.gaussian import gaussian
 from stabkit.linalg import primitive_vector
 
 

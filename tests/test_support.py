@@ -5,15 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import charge_norm_sq, gaussian, identity, mat_mul, nullspace
 from stabkit import (ChargeParams, NSLattice, build_q_z, charge_kernel, charge_row,
                      discreteness_classes, equivalent_support_roundtrip,
                      min_root_norm)
 from stabkit.errors import BudgetError, ChargeError, DegenerateError, LatticeError
-from stabkit.gaussian import gaussian
-from stabkit.linalg import (bilinear, identity, inverse, is_negative_definite,
-                            mat_mul, mat_vec, nullspace, transpose)
+from stabkit.linalg import bilinear, inverse, is_negative_definite, mat_vec, transpose
 from stabkit.ellipsoid import enumerate_ellipsoid
-from stabkit.support import charge_norm_sq, charge_rows
+from stabkit.support import charge_rows
 
 
 def worked_example(k3d2):
@@ -478,7 +477,7 @@ def pivot_block_norm_form(z, norm):
     """S by the pivot-block construction: at two pivot columns of
     R = (Re Z; Im Z), where R is an invertible 2 x 2 block C, R^T S R = N
     reads C^T S C = N_pp, hence S = C^-T N_pp C^-1."""
-    from stabkit.linalg import rref
+    from conftest import rref
     rows = charge_rows(z)
     _, pivots = rref(rows)
     c_inv = inverse([[row[p] for p in pivots] for row in rows])

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from stabkit import (LiftedGL2, NSLattice, MukaiVector, Region, SliceParams,
                      WallKind, chambers_along_path, gl2_act_on_charge,
-                     nesting_check, scan_walls, slice_charge, wall_locus)
-from conftest import random_even_ns_lattice
+                     mukai_square, nesting_check, scan_walls, wall_locus)
+from conftest import gaussian, random_even_ns_lattice, slice_charge
 from stabkit.charges import charge_functional, evaluate_charge_row
 from stabkit.errors import BudgetError, LatticeError
-from stabkit.gaussian import gaussian
 from stabkit.lattice import mukai_pairing
 from stabkit.linalg import primitive_vector
 from stabkit.walls import (ChamberPath, Crossing, NestingReport, WallLocus, _column_s,
@@ -1029,6 +1028,23 @@ def test_readme_scan_wall_counts(setup, bound, walls):
     """The README example's wall counts at bounds past the hypothesis boxes."""
     sl, v, region = setup
     assert len(scan_walls(v, sl, region, bound)) == walls
+
+
+def test_readme_path_runs_along_the_slit_of_o_minus_h(setup):
+    """The README's chambers path b = -1 meets its first six potential walls
+    on the slit of the spherical class delta = O(-H) = (1, -1, 2): there
+    Z(delta) = t^2 - 1 is real and <= 0, and the sixth crossing is the
+    hole t = 1."""
+    sl, v, region = setup
+    path = chambers_along_path(-1, Fraction(1, 10), 4, scan_walls(v, sl, region, 8))
+    assert (len(path.crossings), path.chamber_count) == (12, 13)
+    assert [c.t_squared for c in path.crossings[:6]] == [
+        Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]
+    assert path.crossings[6].t_squared > 1
+    delta = MukaiVector(1, (-1,), 2)
+    assert mukai_square(delta, sl.lattice) == -2
+    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        assert slice_charge(sl, delta, -1, t) == gaussian(t * t - 1, 0)
 
 
 def test_wide_region_nesting_at_bound_32(setup):
